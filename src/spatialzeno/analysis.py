@@ -14,6 +14,7 @@ the truncation error additively.
 from __future__ import annotations
 
 import itertools
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,12 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Bin, GridScheme, Interval
-from .measurement import (
-    MeasurementResult,
-    bar_norm_squared,
-    prob_y1_mixed,
-    prob_y1_pure,
-)
+from .measurement import _pair_pass, prob_y1_mixed
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, bin_inner_product, l2_norm
 from .states import DensityState, Domain, WaveFunction, inner_product, product_field
 
@@ -139,25 +135,22 @@ def fit_rate(rows, window: tuple[int, int] | None = None
     return float(-slope), float(np.exp(intercept)), float(np.sqrt(np.mean(resid ** 2)))
 
 
-def _measure(state, phi, level, cfg) -> MeasurementResult:
-    if isinstance(state, DensityState):
-        return prob_y1_mixed(state, phi, level, cfg, keep_per_bin=False)
-    return prob_y1_pure(state, phi, level, cfg, keep_per_bin=False)
-
-
 def _study_rows(state, phi, scheme: GridScheme, n_list, cfg,
                 threads: int = 1, extra_error: float = 0.0
                 ) -> list[ConvergenceRow]:
     def one(n: int) -> ConvergenceRow:
         level = scheme.level(n)
-        r = _measure(state, phi, level, cfg)
-        bar = None
-        if isinstance(state, WaveFunction):
-            bar = bar_norm_squared(state, phi, level, cfg)
+        t0 = time.perf_counter()
+        if isinstance(state, DensityState):
+            r = prob_y1_mixed(state, phi, level, cfg, keep_per_bin=False)
+            p_y1, err, bar = r.p_y1, r.p_y1_error_bound, None
+        else:
+            r = _pair_pass(state, phi, level, cfg, keep=False, with_bar=True)
+            p_y1, err, bar = r.p_y1, r.error_bound, r.bar_norm_sq
         return ConvergenceRow(
-            n=n, num_bins=level.num_bins, p_y1=r.p_y1,
-            error_bound=r.p_y1_error_bound + extra_error,
-            bar_norm_sq=bar, wall_time=r.wall_time)
+            n=n, num_bins=level.num_bins, p_y1=p_y1,
+            error_bound=err + extra_error,
+            bar_norm_sq=bar, wall_time=time.perf_counter() - t0)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -220,9 +213,8 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
     rows = []
     for n in n_list:
         level = scheme.level(n)
-        r = prob_y1_pure(psi, phi, level, cfg, keep_per_bin=False)
-        bar = bar_norm_squared(psi, phi, level, cfg)
-        rows.append((int(n), float(n ** d * r.p_y1), float(bar)))
+        r = _pair_pass(psi, phi, level, cfg, keep=False, with_bar=True)
+        rows.append((int(n), float(n ** d * r.p_y1), float(r.bar_norm_sq)))
     f = product_field(phi, psi)
     reference = l2_norm(f, Domain.unit_cube(d), cfg, panels_per_axis=64) ** 2
     limit_estimate = rows[-1][1]

@@ -14,6 +14,7 @@ pure, so they are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -201,7 +202,7 @@ class ProductGrid(GridLevel):
 
     @property
     def num_bins(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axis_lengths(self, k: int) -> np.ndarray:
         return np.diff(self.breakpoints[k])

@@ -17,17 +17,27 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .grids import Bin, ConcatenatedGrid, GridLevel, ProductGrid
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _term_pairs,
     bin_inner_product,
     bin_mass,
     cell_integrals,
 )
-from .states import DensityState, SeparableFunction, WaveFunction, inner_product
+from .states import (
+    DensityState,
+    PhaseTable,
+    SeparableFunction,
+    WaveFunction,
+    exact_cell_integrals,
+    inner_product,
+)
 
 __all__ = [
     "MeasurementResult",
@@ -116,19 +126,20 @@ class SampleBatch:
 
 def _pair_data(phi: SeparableFunction, psi: SeparableFunction,
                part: ProductGrid, cfg: QuadratureConfig):
-    """Per term-pair weights and per-axis cell integrals on one product grid."""
-    weights, mats, errs = [], [], []
-    for cb, bf in phi.terms:
-        for ck, kf in psi.terms:
-            weights.append(complex(np.conj(cb) * ck))
-            m_axes, e_axes = [], []
-            for k in range(part.d):
-                vals, es = cell_integrals(bf[k], kf[k], part.breakpoints[k], cfg)
-                m_axes.append(vals)
-                e_axes.append(es)
-            mats.append(m_axes)
-            errs.append(e_axes)
-    return weights, mats, errs
+    """Per term-pair weights and per-axis cell integrals on one product grid.
+
+    Axes are the outer loop: the pairs on one axis share a phase table,
+    which is dropped when the axis is done.
+    """
+    pairs = list(_term_pairs(phi, psi))
+    mats = [[None] * part.d for _ in pairs]
+    errs = [[None] * part.d for _ in pairs]
+    for k, edges in enumerate(part.breakpoints):
+        phases = PhaseTable(edges)
+        for a, (_, bf, kf) in enumerate(pairs):
+            mats[a][k], errs[a][k] = cell_integrals(bf[k], kf[k], edges, cfg,
+                                                    phases=phases)
+    return [w for w, _, _ in pairs], mats, errs
 
 
 def _gram_total(weights, mats, axis_weights=None) -> float:
@@ -138,10 +149,11 @@ def _gram_total(weights, mats, axis_weights=None) -> float:
     H = np.ones((P, P), dtype=complex)
     for k in range(d):
         G = np.empty((P, P), dtype=complex)
+        conj = [np.conj(m[k]) for m in mats]
         for a in range(P):
             va = mats[a][k] if axis_weights is None else mats[a][k] * axis_weights[k]
             for b in range(P):
-                G[a, b] = np.dot(va, np.conj(mats[b][k]))
+                G[a, b] = np.dot(va, conj[b])
         H *= G
     w = np.asarray(weights)
     return float(np.real(np.einsum("a,ab,b->", w, H, np.conj(w))))
@@ -205,42 +217,37 @@ def _should_keep(level: GridLevel, keep) -> bool:
     return bool(keep)
 
 
-def _pure_tables(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
-                 cfg: QuadratureConfig, keep: bool):
-    """(p_raw, err, mass_total, amps|None, masses|None) for a pure state."""
-    parts = _product_parts(level)
-    if parts is not None:
-        p_raw, err, mass_total = 0.0, 0.0, 0.0
-        amps = [] if keep else None
-        masses = [] if keep else None
-        for part in parts:
-            w_a, m_a, e_a = _pair_data(phi, psi, part, cfg)
-            w_m, m_m, e_m = _pair_data(psi, psi, part, cfg)
-            p_raw += _gram_total(w_a, m_a)
-            mass_total += _linear_total(w_m, m_m)
-            err += _gram_error(w_a, m_a, e_a)
-            if keep:
-                amps.append(_per_bin_arrays(w_a, m_a))
-                masses.append(np.real(_per_bin_arrays(w_m, m_m)))
-        if keep:
-            amps = np.concatenate(amps)
-            masses = np.concatenate(masses)
-        return p_raw, err, mass_total, amps, masses
+def _hull_mass(psi: WaveFunction, part: ProductGrid, cfg: QuadratureConfig) -> float:
+    """sum_j ||P_j psi||^2 over one product grid, from one cell [bp[0], bp[-1]]
+    per axis; an axis pair without a closed form sums its per-cell integrals."""
+    hulls = [np.array([bp[0], bp[-1]]) for bp in part.breakpoints]
+    total = 0.0 + 0.0j
+    for w, bf, kf in _term_pairs(psi, psi):
+        prod = w
+        for k, hull in enumerate(hulls):
+            vals = exact_cell_integrals(bf[k], kf[k], hull)
+            if vals is None:
+                vals, _ = cell_integrals(bf[k], kf[k], part.breakpoints[k], cfg)
+            prod *= complex(np.sum(vals))
+        total += prod
+    return float(np.real(total))
 
-    # explicit bins: direct per-bin integrals
-    amps = np.empty(level.num_bins, dtype=complex)
-    masses = np.empty(level.num_bins)
-    err = 0.0
-    for j, b in enumerate(level.bins()):
-        a = bin_inner_product(phi, psi, b, cfg)
-        amps[j] = a.value
-        err += 2.0 * abs(a.value) * a.error + a.error ** 2
-        masses[j] = bin_mass(psi, b, cfg)
-    p_raw = float(np.sum(np.abs(amps) ** 2))
-    mass_total = float(np.sum(masses))
+
+def _mass_pass(psi: WaveFunction, level: GridLevel, cfg: QuadratureConfig,
+               keep: bool):
+    """(mass_total, masses|None); psi-psi per-cell arrays only when kept."""
+    parts = _product_parts(level)
+    if parts is None:
+        masses = np.array([bin_mass(psi, b, cfg) for b in level.bins()])
+        return float(np.sum(masses)), (masses if keep else None)
     if not keep:
-        amps, masses = None, None
-    return p_raw, err, mass_total, amps, masses
+        return sum(_hull_mass(psi, part, cfg) for part in parts), None
+    mass_total, masses = 0.0, []
+    for part in parts:
+        w_m, m_m, _ = _pair_data(psi, psi, part, cfg)
+        mass_total += _linear_total(w_m, m_m)
+        masses.append(np.real(_per_bin_arrays(w_m, m_m)))
+    return mass_total, np.concatenate(masses)
 
 
 def _clamp_probability(raw: float) -> float:
@@ -253,6 +260,60 @@ def _clamp_probability(raw: float) -> float:
 _EPS_FLOOR = 1e-15
 
 
+class _PairTotals(NamedTuple):
+    """Everything derived from <phi|P_j psi> on one grid level."""
+
+    p_y1: float
+    p_y1_raw: float
+    error_bound: float
+    amplitudes: np.ndarray | None
+    bar_norm_sq: float | None
+
+
+def _pair_pass(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
+               cfg: QuadratureConfig, keep: bool, with_bar: bool) -> _PairTotals:
+    """P(Y=1), its error bound, the per-bin amplitudes (``keep``) and the
+    bar norm (``with_bar``) from one phi-psi cell-integral pass.
+
+    Each product part takes one ``_pair_data`` call, so a study row that
+    needs both P(Y=1) and the bar norm computes every per-axis array once.
+    """
+    if psi.domain != phi.domain:
+        raise ValueError("psi and phi live on different domains")
+    if psi.d != level.d:
+        raise ValueError("state dimension does not match the grid")
+    parts = _product_parts(level)
+    if parts is not None:
+        p_raw, err, bar = 0.0, 0.0, 0.0
+        amps = []
+        for part in parts:
+            w_a, m_a, e_a = _pair_data(phi, psi, part, cfg)
+            p_raw += _gram_total(w_a, m_a)
+            err += _gram_error(w_a, m_a, e_a)
+            if with_bar:
+                inv_len = [1.0 / part.axis_lengths(k) for k in range(part.d)]
+                bar += _gram_total(w_a, m_a, axis_weights=inv_len)
+            if keep:
+                amps.append(_per_bin_arrays(w_a, m_a))
+        amps = np.concatenate(amps) if keep else None
+    else:
+        # explicit bins: direct per-bin integrals
+        amps = np.empty(level.num_bins, dtype=complex)
+        err = 0.0
+        for j, b in enumerate(level.bins()):
+            a = bin_inner_product(phi, psi, b, cfg)
+            amps[j] = a.value
+            err += 2.0 * abs(a.value) * a.error + a.error ** 2
+        p_raw = float(np.sum(np.abs(amps) ** 2))
+        bar = float(np.sum(np.abs(amps) ** 2 / level.volumes())) if with_bar else None
+        if not keep:
+            amps = None
+    err = max(err, _EPS_FLOOR * level.num_bins ** 0.5)
+    return _PairTotals(p_y1=_clamp_probability(p_raw), p_y1_raw=p_raw,
+                      error_bound=float(err), amplitudes=amps,
+                      bar_norm_sq=bar if with_bar else None)
+
+
 def prob_y1_pure(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
                  cfg: QuadratureConfig = DEFAULT_CONFIG,
                  keep_per_bin="auto") -> MeasurementResult:
@@ -261,18 +322,14 @@ def prob_y1_pure(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
     ``keep_per_bin`` controls whether the per-bin amplitude and mass
     tables are stored ("auto": only up to PER_BIN_LIMIT bins).
     """
-    if psi.domain != phi.domain:
-        raise ValueError("psi and phi live on different domains")
-    if psi.d != level.d:
-        raise ValueError("state dimension does not match the grid")
     t0 = time.perf_counter()
     keep = _should_keep(level, keep_per_bin)
-    p_raw, err, mass_total, amps, masses = _pure_tables(psi, phi, level, cfg, keep)
-    err = max(err, _EPS_FLOOR * level.num_bins ** 0.5)
+    r = _pair_pass(psi, phi, level, cfg, keep, with_bar=False)
+    mass_total, masses = _mass_pass(psi, level, cfg, keep)
     return MeasurementResult(
-        n=level.n, level=level, p_y1=_clamp_probability(p_raw), p_y1_raw=p_raw,
-        p_y1_error_bound=float(err), mass_total=float(mass_total),
-        per_bin_amplitude=amps, per_bin_mass=masses,
+        n=level.n, level=level, p_y1=r.p_y1, p_y1_raw=r.p_y1_raw,
+        p_y1_error_bound=r.error_bound, mass_total=float(mass_total),
+        per_bin_amplitude=r.amplitudes, per_bin_mass=masses,
         wall_time=time.perf_counter() - t0)
 
 
@@ -309,18 +366,7 @@ def bar_norm_squared(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """sum_j |<phi|P_j psi>|^2 / |B_j|: the squared L2 norm of the bin
     average of conj(phi)*psi (disjoint supports make the identity exact)."""
-    parts = _product_parts(level)
-    if parts is not None:
-        total = 0.0
-        for part in parts:
-            w_a, m_a, _ = _pair_data(phi, psi, part, cfg)
-            inv_len = [1.0 / part.axis_lengths(k) for k in range(part.d)]
-            total += _gram_total(w_a, m_a, axis_weights=inv_len)
-        return total
-    vols = level.volumes()
-    amps = np.array([bin_inner_product(phi, psi, b, cfg).value
-                     for b in level.bins()])
-    return float(np.sum(np.abs(amps) ** 2 / vols))
+    return _pair_pass(psi, phi, level, cfg, keep=False, with_bar=True).bar_norm_sq
 
 
 def collapse(psi: WaveFunction, cell: Bin,

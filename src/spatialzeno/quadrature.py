@@ -26,6 +26,8 @@ from scipy.special import roots_jacobi
 from .grids import Bin, CustomGrid, GridLevel, ProductGrid, ConcatenatedGrid
 from .states import (
     Domain,
+    PairFactor,
+    PhaseTable,
     Primitive1D,
     SeparableFunction,
     exact_cell_integrals,
@@ -116,17 +118,6 @@ def _gj_single(f, g, a: float, b: float, gamma: float, p: int) -> complex:
     return complex(((b - a) / 2.0) ** (1.0 - gamma) * np.dot(w, smooth))
 
 
-def _singularity_of_pair(f: Primitive1D, g: Primitive1D):
-    sf, sg = f.singularity(), g.singularity()
-    if sf is None and sg is None:
-        return None
-    if sf is not None and sg is not None:
-        if sf[0] != sg[0]:
-            raise NotImplementedError("distinct singular points in one pair")
-        return (sf[0], sf[1] + sg[1])
-    return sf if sf is not None else sg
-
-
 def _adaptive(f, g, a: float, b: float, cfg: QuadratureConfig, sing,
               depth: int) -> tuple[complex, float]:
     p = cfg.points_per_axis_per_bin
@@ -165,7 +156,7 @@ def numeric_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray,
             raise ValueError("numeric quadrature needs finite integration bounds")
     base_edges = np.clip(orig_edges, lo if np.isfinite(lo) else None,
                          hi if np.isfinite(hi) else None)
-    sing = _singularity_of_pair(f, g)
+    sing = PairFactor(f, g).singularity()
 
     # split cells at declared jump points so fixed-order rules stay accurate
     jumps = np.array(sorted({b for b in f.discontinuities() + g.discontinuities()
@@ -212,14 +203,17 @@ def numeric_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray,
 
 def cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray,
                    cfg: QuadratureConfig = DEFAULT_CONFIG,
-                   method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+                   method: str = "auto", *,
+                   phases: PhaseTable | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of conj(f)*g per cell: exact when supported, else numeric.
 
-    ``method`` is "auto", "exact" (raise if no closed form) or "numeric".
+    ``method`` is "auto", "exact" (raise if no closed form) or "numeric";
+    ``phases`` is passed to :func:`exact_cell_integrals`.
     """
     edges = np.asarray(edges, dtype=float)
     if method != "numeric":
-        vals = exact_cell_integrals(f, g, edges)
+        vals = exact_cell_integrals(f, g, edges, phases=phases)
         if vals is not None:
             return vals, np.zeros(vals.size)
         if method == "exact":

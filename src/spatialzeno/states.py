@@ -269,15 +269,13 @@ class PiecewiseConstant1D(Primitive1D):
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        bp = np.asarray(self.breaks)
-        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(self.values) - 1)
-        vals = np.asarray(self.values, dtype=complex)[idx]
-        return self._mask(x, vals)
+        return self._mask(x, self.pieces_at(x))
 
-    def piece_at(self, x: float) -> complex:
-        bp = np.asarray(self.breaks)
-        i = int(np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(self.values) - 1))
-        return complex(self.values[i])
+    def pieces_at(self, x: np.ndarray) -> np.ndarray:
+        """Value of the piece holding each point (the end pieces extend outward)."""
+        idx = np.clip(np.searchsorted(np.asarray(self.breaks), x, side="right") - 1,
+                      0, len(self.values) - 1)
+        return np.asarray(self.values, dtype=complex)[idx]
 
     def discontinuities(self) -> tuple[float, ...]:
         return self.breaks
@@ -367,13 +365,45 @@ def _unwrap(p: Primitive1D) -> Primitive1D:
     return p
 
 
-def _trig_cells(terms, edges: np.ndarray) -> np.ndarray:
+# a phase table stops keeping new arrays once it holds this many bytes
+PHASE_TABLE_BYTES = 64 * 2 ** 20
+
+
+class PhaseTable:
+    """exp(i w x) on one edges array, computed once per distinct |w|.
+
+    exp(-i|w| x) is returned as the conjugate of exp(i|w| x), which is
+    bitwise equal to evaluating it directly, so only one array per |w| is
+    held, up to PHASE_TABLE_BYTES; past that, phases are recomputed on each
+    call.  A table belongs to the array it was made for: callers create one
+    per axis and pass it down explicitly, and it is used only for that
+    exact array object.
+    """
+
+    def __init__(self, edges: np.ndarray) -> None:
+        self.edges = edges
+        self._by_freq: dict[float, np.ndarray] = {}
+
+    def __call__(self, w: float) -> np.ndarray:
+        key = abs(w)
+        phase = self._by_freq.get(key)
+        if phase is None:
+            phase = np.exp(1j * key * self.edges)
+            if (len(self._by_freq) + 1) * phase.nbytes <= PHASE_TABLE_BYTES:
+                self._by_freq[key] = phase
+        return phase if w > 0.0 else np.conj(phase)
+
+
+def _trig_cells(terms, edges: np.ndarray,
+                phases: PhaseTable | None = None) -> np.ndarray:
+    if phases is None or phases.edges is not edges:
+        phases = PhaseTable(edges)
     anti = np.zeros_like(edges, dtype=complex)
     for c, w in terms:
         if w == 0.0:
             anti += c * edges
         else:
-            anti += (c / (1j * w)) * np.exp(1j * w * edges)
+            anti += (c / (1j * w)) * phases(w)
     return np.diff(anti)
 
 
@@ -407,15 +437,17 @@ def _const_of(p: Primitive1D) -> complex | None:
 
 
 def _split_on_pieces(pcw: PiecewiseConstant1D, pcw_is_bra: bool,
-                     other: Primitive1D, edges: np.ndarray):
+                     other: Primitive1D, edges: np.ndarray,
+                     phases: PhaseTable | None):
     """Refine edges on the piecewise breaks, integrate per piece, re-aggregate."""
-    inner = [b for b in pcw.breaks if edges[0] < b < edges[-1]]
-    refined = np.union1d(edges, np.asarray(inner)) if inner else edges
-    plain = exact_cell_integrals(ONE, other, refined)
+    breaks = np.asarray(pcw.breaks)
+    inner = breaks[(edges[0] < breaks) & (breaks < edges[-1])]
+    refined = np.union1d(edges, inner) if inner.size else edges
+    plain = exact_cell_integrals(ONE, other, refined, phases=phases)
     if plain is None:
         return None
     mids = 0.5 * (refined[:-1] + refined[1:])
-    consts = np.array([pcw.piece_at(m) for m in mids])
+    consts = pcw.pieces_at(mids)
     if pcw_is_bra:
         contrib = np.conj(consts) * plain
     else:
@@ -427,39 +459,41 @@ def _split_on_pieces(pcw: PiecewiseConstant1D, pcw_is_bra: bool,
     return out
 
 
-def exact_cell_integrals(f: Primitive1D, g: Primitive1D,
-                         edges: np.ndarray) -> np.ndarray | None:
+def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
+                         phases: PhaseTable | None = None) -> np.ndarray | None:
     """Closed-form integrals of conj(f)*g over consecutive cells, or None.
 
     ``edges`` is a sorted 1-d array; the result has one entry per cell
     [edges[i], edges[i+1]).  Cells outside the common support contribute 0.
+    ``phases`` is an optional PhaseTable made for ``edges``, shared by
+    calls on the same edges so each exp(i|w|x) is evaluated once.
     """
     edges = np.asarray(edges, dtype=float)
     lo = max(f.support[0], g.support[0])
     hi = min(f.support[1], g.support[1])
     if lo >= hi:
         return np.zeros(edges.size - 1, dtype=complex)
-    if np.isfinite(lo) or np.isfinite(hi):
+    if edges[0] < lo or edges[-1] > hi:
         edges = np.clip(edges, lo if np.isfinite(lo) else None,
                         hi if np.isfinite(hi) else None)
     f, g = _unwrap(f), _unwrap(g)
 
     # resolve nested pair factors against the trivial partner
     if isinstance(f, _One) and isinstance(g, PairFactor):
-        return exact_cell_integrals(g.bra, g.ket, edges)
+        return exact_cell_integrals(g.bra, g.ket, edges, phases=phases)
     if isinstance(g, _One) and isinstance(f, PairFactor):
-        inner = exact_cell_integrals(f.bra, f.ket, edges)
+        inner = exact_cell_integrals(f.bra, f.ket, edges, phases=phases)
         return None if inner is None else np.conj(inner)
 
     if isinstance(f, PiecewiseConstant1D):
-        return _split_on_pieces(f, True, g, edges)
+        return _split_on_pieces(f, True, g, edges, phases)
     if isinstance(g, PiecewiseConstant1D):
-        return _split_on_pieces(g, False, f, edges)
+        return _split_on_pieces(g, False, f, edges, phases)
 
     tf, tg = f.fourier_terms(), g.fourier_terms()
     if tf is not None and tg is not None:
         prod = [(np.conj(cf) * cg, -wf + wg) for cf, wf in tf for cg, wg in tg]
-        return _trig_cells(prod, edges)
+        return _trig_cells(prod, edges, phases)
 
     fp = isinstance(f, PowerSingular1D)
     gp = isinstance(g, PowerSingular1D)

@@ -306,9 +306,12 @@ def test_criterion_10_resolution_of_identity():
     levels += [jittered_grid(9, 1, C=1.5, seed=3)]
     worst = 0.0
     checks = 0
+    # the per-bin masses themselves are summed: with keep_per_bin=False,
+    # mass_total is a hull integral that never looks at the bins
     for psi in states:
         for level in levels:
-            total = prob_y1_pure(psi, psi, level, keep_per_bin=False).mass_total
+            total = float(np.sum(prob_y1_pure(psi, psi, level,
+                                              keep_per_bin=True).per_bin_mass))
             gap = abs(total - 1.0)
             assert gap <= 1e-8, (psi.label, level.n, total)
             worst = max(worst, gap)
@@ -316,7 +319,8 @@ def test_criterion_10_resolution_of_identity():
     # gaussian on a truncated R grid captures all mass up to the tail
     g = make_state("gaussian", mu=0.0, sigma=1.0)
     scheme = UNIFORM.with_cubes([(float(a),) for a in range(-7, 7)])
-    total = prob_y1_pure(g, g, scheme.level(16), keep_per_bin=False).mass_total
+    total = float(np.sum(prob_y1_pure(g, g, scheme.level(16),
+                                      keep_per_bin=True).per_bin_mass))
     assert abs(total - 1.0) <= 1e-8
     worst = max(worst, abs(total - 1.0))
     _report(10, f"sum of bin masses = 1 within {worst:.2e} over {checks + 1} "

@@ -160,6 +160,37 @@ def test_mass_total_stable_under_refinement():
         assert r.mass_total == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("psi", [
+    make_state("sine_mode", k=3),
+    make_state("indicator", a=0.2, b=0.8),
+    make_state("power_singular", alpha=0.25),
+    make_state("haar_like", seed=21),
+    superpose([(1.0, make_state("sine_mode", k=1)),
+               (0.5j, make_state("complex_exponential", k=2))]),
+    tensor_product([make_state("sine_mode", k=1), make_state("sine_mode", k=2)]),
+], ids=lambda s: s.label.split("(")[0])
+def test_hull_mass_total_matches_per_bin_sum(psi):
+    levels = [uniform_grid(n, d=psi.d) for n in (1, 3, 16, 101)]
+    levels += [jittered_grid(n, psi.d, C=2.0, seed=n) for n in (5, 64)]
+    for level in levels:
+        hull = prob_y1_pure(psi, psi, level, keep_per_bin=False)
+        kept = prob_y1_pure(psi, psi, level, keep_per_bin=True)
+        assert hull.per_bin_mass is None
+        assert abs(hull.mass_total - float(np.sum(kept.per_bin_mass))) <= 1e-14
+
+
+def test_hull_mass_total_on_rd_cubes():
+    from spatialzeno import GridScheme
+
+    g = make_state("gaussian", mu=[0.3, -0.2], sigma=[1.0, 0.7])
+    scheme = GridScheme("jittered", d=2, ratio_bound=2.0, seed=7).with_cubes(
+        [(float(a), float(b)) for a in range(-3, 3) for b in range(-3, 3)])
+    level = scheme.level(8)
+    hull = prob_y1_pure(g, g, level, keep_per_bin=False).mass_total
+    kept = prob_y1_pure(g, g, level, keep_per_bin=True).per_bin_mass
+    assert abs(hull - float(np.sum(kept))) <= 1e-14
+
+
 def test_upper_bound_by_max_volume():
     psi = make_state("sine_mode", k=1)
     phi = make_state("sine_mode", k=2)
