@@ -40,4 +40,5 @@ level = rd_grid(scheme, 2, scheme.cubes)
 for j in range(level.num_bins):
     e = level.bin(j).edges[0]
     print(f"  bin {j}: [{e.lo:+.2f}, {e.hi:+.2f})")
-print("  per-cube index ranges:", level.index_ranges)
+print("  index ranges of the product parts (adjacent cubes form one part):",
+      level.index_ranges)

@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Bin, GridScheme, Interval
-from .measurement import _pair_pass, prob_y1_mixed
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, bin_inner_product, l2_norm
+from .grids import GridScheme, ProductGrid
+from .measurement import _hull_mass, _pair_pass, prob_y1_mixed
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, l2_norm
 from .states import DensityState, Domain, WaveFunction, inner_product, product_field
 
 __all__ = [
@@ -223,15 +223,15 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
                         rel_error=rel, rows=rows)
 
 
-def _captured_mass(state, corners: Sequence[tuple[float, ...]]) -> float:
-    """Probability mass of |state|^2 inside the union of unit cubes."""
+def _captured_mass(state, k: int, d: int) -> float:
+    """Probability mass of |state|^2 inside the box [-k, k)^d.
+
+    One per-axis term-pair product on the box (``_hull_mass``); the unit
+    breakpoints are only summed for an axis pair without a closed form.
+    """
+    box = ProductGrid(1, [np.arange(-k, k + 1, dtype=float)] * d)
     states = state.terms if isinstance(state, DensityState) else ((1.0, state),)
-    total = 0.0
-    for w, wf in states:
-        for corner in corners:
-            cube = Bin(tuple(Interval(float(a), float(a) + 1.0) for a in corner))
-            total += w * float(np.real(bin_inner_product(wf, wf, cube).value))
-    return total
+    return sum(w * _hull_mass(wf, box, DEFAULT_CONFIG) for w, wf in states)
 
 
 def _centered_cubes(k: int, d: int) -> list[tuple[float, ...]]:
@@ -263,12 +263,12 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
         if (2 * k) ** d > max_cubes:
             raise CubeBudgetExceededError(
                 f"capturing {mass_target!r} needs more than {max_cubes} cubes")
-        corners = _centered_cubes(k, d)
-        cap_psi = _captured_mass(state, corners)
-        cap_phi = _captured_mass(phi, corners)
+        cap_psi = _captured_mass(state, k, d)
+        cap_phi = _captured_mass(phi, k, d)
         if cap_psi >= mass_target and cap_phi >= mass_target:
             break
         k += 1
+    corners = _centered_cubes(k, d)
     phi_norm_sq = float(np.real(inner_product(phi, phi)))
     tail = TailBudget(cubes=tuple(corners),
                       captured_mass=cap_psi,

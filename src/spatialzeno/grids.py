@@ -5,8 +5,9 @@ rectangular bins whose edge lengths all lie in [1/(C*n), 1/n] for a ratio
 bound C > 1.  Product grids (uniform, jittered) keep one breakpoint array
 per axis instead of materialising n^d bin objects; explicit bin lists are
 reserved for hand-built partitions.  Grids over R^d are finite unions of
-translated unit cubes, each carrying its own product grid, so no bin ever
-straddles a cube boundary.
+translated unit cubes, each carrying a translated copy of the sub-scheme's
+breakpoints, so no bin ever straddles a cube boundary; a cube list that
+fills a box of the unit lattice is one product grid over the whole box.
 
 All grid objects are immutable after construction and all operations are
 pure, so they are safe to share between threads.
@@ -304,14 +305,16 @@ class CustomGrid(GridLevel):
 
 
 class ConcatenatedGrid(GridLevel):
-    """Union of per-cube product grids covering a finite list of unit cubes.
+    """Pairwise disjoint product-grid parts covering a finite list of unit cubes.
 
-    ``index_ranges[l] = (start, stop)`` gives the flat bin indices that fall
-    inside cube l; bins never straddle a cube boundary.
+    ``parts`` tile the union of the cubes in ``cubes`` (corners, one tuple
+    per cube); a part may span one cube or a whole box of them, and bins
+    never straddle a cube boundary.  ``index_ranges[l] = (start, stop)``
+    gives the flat bin indices of part l.
     """
 
     def __init__(self, n: int, parts: Sequence[ProductGrid],
-                 origins: Sequence[tuple[float, ...]],
+                 cubes: Sequence[tuple[float, ...]],
                  ratio_bound: float = DEFAULT_RATIO_BOUND):
         if not parts:
             raise ValueError("need at least one cube")
@@ -319,11 +322,13 @@ class ConcatenatedGrid(GridLevel):
         self.d = parts[0].d
         self.ratio_bound = float(ratio_bound)
         self.parts = tuple(parts)
-        self.origins = tuple(tuple(float(a) for a in o) for o in origins)
-        counts = [p.num_bins for p in parts]
-        stops = np.cumsum(counts)
-        starts = stops - np.asarray(counts)
-        self.index_ranges = tuple((int(a), int(b)) for a, b in zip(starts, stops))
+        self.cubes = tuple(map(tuple, np.asarray(cubes, dtype=float).tolist()))
+        # Python ints: a sum of part counts can exceed int64
+        ranges, start = [], 0
+        for p in parts:
+            ranges.append((start, start + p.num_bins))
+            start += p.num_bins
+        self.index_ranges = tuple(ranges)
 
     @property
     def num_bins(self) -> int:
@@ -355,7 +360,7 @@ class ConcatenatedGrid(GridLevel):
 
     @property
     def domain_volume(self) -> float:
-        return float(len(self.parts))
+        return float(len(self.cubes))
 
     @property
     def max_bin_volume(self) -> float:
@@ -406,6 +411,18 @@ def _jitter_axis(n: int, C: float, m: int, rng: np.random.Generator) -> np.ndarr
     return bp
 
 
+def _jitter_cells(n: int, C: float, cells_per_axis: int | None) -> int:
+    """Cells per axis of a jittered level; raises when no partition fits."""
+    if C <= 1.0:
+        raise ValueError("ratio bound C must exceed 1")
+    m = _auto_cells(n, C) if cells_per_axis is None else int(cells_per_axis)
+    if not (n <= m and m <= C * n * (1.0 + 1e-12)):
+        raise InfeasibleGridError(
+            f"{m} cells of length in [1/({C}*{n}), 1/{n}] cannot tile [0,1): "
+            f"need an integer cell count in [{n}, {C * n:g}]")
+    return m
+
+
 def jittered_grid(n: int, d: int = 1, C: float = DEFAULT_RATIO_BOUND,
                   seed: int = 0, cells_per_axis: int | None = None) -> ProductGrid:
     """Randomised partition of [0,1)^d with edge lengths in [1/(C*n), 1/n].
@@ -423,13 +440,7 @@ def jittered_grid(n: int, d: int = 1, C: float = DEFAULT_RATIO_BOUND,
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    if C <= 1.0:
-        raise ValueError("ratio bound C must exceed 1")
-    m = _auto_cells(n, C) if cells_per_axis is None else int(cells_per_axis)
-    if not (n <= m and m <= C * n * (1.0 + 1e-12)):
-        raise InfeasibleGridError(
-            f"{m} cells of length in [1/({C}*{n}), 1/{n}] cannot tile [0,1): "
-            f"need an integer cell count in [{n}, {C * n:g}]")
+    m = _jitter_cells(n, C, cells_per_axis)
     bps = []
     for axis in range(d):
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(n), axis, m))
@@ -441,13 +452,66 @@ def _cubes_disjoint(a: Sequence[float], b: Sequence[float]) -> bool:
     return any(abs(x - y) >= 1.0 - _TOL for x, y in zip(a, b))
 
 
+def _overlapping_cubes(cubes: Sequence[tuple[float, ...]]
+                       ) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """First pair of overlapping unit cubes in the list, or None (pairwise scan)."""
+    for i, a in enumerate(cubes):
+        for b in cubes[i + 1:]:
+            if not _cubes_disjoint(a, b):
+                return a, b
+    return None
+
+
+def _lattice_box(corners: np.ndarray) -> list[np.ndarray] | None:
+    """Sorted corner coordinates per axis when the (K, d) corners are exactly
+    the corners of a box of the unit lattice, each once; else None."""
+    axes = [np.unique(corners[:, k]) for k in range(corners.shape[1])]
+    if any(np.any(ax[1:] != ax[:-1] + 1.0) for ax in axes):
+        return None
+    if math.prod(ax.size for ax in axes) != len(corners):
+        return None
+    if len(np.unique(corners, axis=0)) != len(corners):
+        return None
+    return axes
+
+
+def _coordinate_key(a: float) -> int:
+    # the float's bit pattern, with -0.0 folded onto 0.0
+    return int(np.float64(a + 0.0).view(np.uint64))
+
+
+def _cube_segments(scheme: "GridScheme", n: int) -> Callable[[int, float], np.ndarray]:
+    """``segment(axis, a)``: the sub-scheme's breakpoints on [a, a+1] for one axis.
+
+    A jittered segment is seeded from (scheme seed, n, axis, cell count,
+    coordinate a), so it does not depend on which other cubes are listed.
+    """
+    sub = scheme.sub_kind if scheme.kind == "rd_translated_cubes" else scheme.kind
+    C = scheme.ratio_bound
+    if sub == "uniform":
+        base = uniform_grid(n, 1, ratio_bound=C).breakpoints[0]
+        return lambda axis, a: base + a
+    if sub == "jittered":
+        m = _jitter_cells(n, C, scheme.cells_per_axis)
+
+        def segment(axis: int, a: float) -> np.ndarray:
+            ss = np.random.SeedSequence(
+                entropy=int(scheme.seed),
+                spawn_key=(int(n), axis, m, _coordinate_key(a)))
+            return _jitter_axis(n, C, m, np.random.default_rng(ss)) + a
+        return segment
+    raise ValueError(f"unsupported per-cube scheme {sub!r}")
+
+
 @dataclass(frozen=True)
 class GridScheme:
     """Family of grid levels indexed by the resolution n.
 
     kind is one of "uniform", "jittered", "rd_translated_cubes" or
     "custom"; rd schemes carry a cube list plus the sub-scheme used inside
-    every cube.
+    every cube.  A jittered sub-scheme draws each axis segment of a cube
+    from (seed, n, axis, cell count, cube coordinate), so a cube box is one
+    product grid and a cube's bins do not depend on the rest of the list.
     """
 
     kind: str
@@ -500,38 +564,54 @@ class GridScheme:
 
 def rd_grid(scheme: GridScheme, n: int,
             cube_list: Sequence[Sequence[float]]) -> ConcatenatedGrid:
-    """Concatenate per-cube grids over pairwise disjoint translated unit cubes.
+    """Grid over a union of pairwise disjoint translated unit cubes.
 
-    Every cube Q_l = prod_k [a_k, a_k+1) receives its own copy of the
-    sub-scheme's level, translated by the cube corner; the returned grid
-    records the flat index range of each cube's bins.
+    Every cube Q_l = prod_k [a_k, a_k+1) is cut on each axis k by the
+    sub-scheme's breakpoints translated to a_k.  When the distinct corners
+    fill a box of the unit lattice, the result has a single product part
+    over the box whose axis breakpoints are those segments joined end to
+    end, and its bins come in C order over the box whatever the order of
+    the list; such corners are disjoint by construction.  Any other list
+    gets one part per cube, in list order, after a pairwise check that no
+    two cubes overlap.
+
+    Raises
+    ------
+    OverlappingCubesError
+        If two listed cubes overlap (a repeated corner included).
     """
-    cubes = [tuple(float(a) for a in c) for c in cube_list]
-    if not cubes:
+    try:
+        corners = np.array(cube_list, dtype=float)
+    except ValueError as exc:
+        raise ValueError("all cubes must share the same dimension") from exc
+    if corners.size == 0:
         raise ValueError("need at least one cube")
-    d = len(cubes[0])
-    if any(len(c) != d for c in cubes):
+    if corners.ndim != 2:
         raise ValueError("all cubes must share the same dimension")
-    for i, a in enumerate(cubes):
-        for b in cubes[i + 1:]:
-            if not _cubes_disjoint(a, b):
-                raise OverlappingCubesError(
-                    f"cubes at {a} and {b} overlap (corner distance < 1 on every axis)")
-    sub = scheme.sub_kind if scheme.kind == "rd_translated_cubes" else scheme.kind
-    parts = []
-    for ell, corner in enumerate(cubes):
-        if sub == "uniform":
-            base = uniform_grid(n, d, ratio_bound=scheme.ratio_bound)
-        elif sub == "jittered":
-            cube_seed = int(np.random.SeedSequence(
-                [int(scheme.seed), ell]).generate_state(1)[0])
-            base = jittered_grid(n, d, C=scheme.ratio_bound, seed=cube_seed,
-                                 cells_per_axis=scheme.cells_per_axis)
-        else:
-            raise ValueError(f"unsupported per-cube scheme {sub!r}")
-        shifted = tuple(bp + a for bp, a in zip(base.breakpoints, corner))
-        parts.append(ProductGrid(n, shifted, ratio_bound=scheme.ratio_bound))
-    return ConcatenatedGrid(n, parts, cubes, ratio_bound=scheme.ratio_bound)
+    if not np.all(np.isfinite(corners)):
+        raise ValueError("cube corners must be finite")
+    if n < 1:
+        raise ValueError("resolution index n must be >= 1")
+    segment = _cube_segments(scheme, n)
+    C = scheme.ratio_bound
+    box = _lattice_box(corners)
+    if box is not None:
+        bps = []
+        for k, coords in enumerate(box):
+            segs = [segment(k, a) for a in coords]
+            # each segment starts where the previous one ends
+            bps.append(np.concatenate([segs[0]] + [sg[1:] for sg in segs[1:]]))
+        parts = [ProductGrid(n, bps, ratio_bound=C)]
+    else:
+        cubes = [tuple(c) for c in corners.tolist()]
+        overlap = _overlapping_cubes(cubes)
+        if overlap is not None:
+            raise OverlappingCubesError(
+                f"cubes at {overlap[0]} and {overlap[1]} overlap "
+                f"(corner distance < 1 on every axis)")
+        parts = [ProductGrid(n, [segment(k, a) for k, a in enumerate(c)], ratio_bound=C)
+                 for c in cubes]
+    return ConcatenatedGrid(n, parts, corners, ratio_bound=C)
 
 
 @dataclass
@@ -617,10 +697,15 @@ def validate_grid(level: GridLevel) -> GridValidationReport:
             for r in sub_reports:
                 if name in r.details:
                     details[name] = r.details[name]
-        disjoint_cubes = all(
-            _cubes_disjoint(a, b)
-            for i, a in enumerate(level.origins) for b in level.origins[i + 1:])
-        checks["disjoint"] = checks["disjoint"] and disjoint_cubes
+        overlap = _overlapping_cubes(level.cubes)
+        checks["disjoint"] = checks["disjoint"] and overlap is None
+        if overlap is not None:
+            details["disjoint"] = f"cubes at {overlap[0]} and {overlap[1]} overlap"
+        covered = sum(p.domain_volume for p in level.parts)
+        if abs(covered - level.domain_volume) > 1e-12 * max(1.0, level.domain_volume):
+            checks["coverage"] = False
+            details["coverage"] = (f"parts cover volume {covered!r}, the cube list "
+                                   f"{level.domain_volume!r}")
     elif isinstance(level, CustomGrid):
         _validate_custom(level, checks, details)
     else:

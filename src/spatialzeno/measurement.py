@@ -172,6 +172,10 @@ def _linear_total(weights, mats) -> float:
 
 def _gram_error(weights, mats, errs) -> float:
     """Upper-ish estimate of the quadrature error on the gram total."""
+    # closed-form pairs carry all-zero errors, where every term below is
+    # exactly 0: skip the sums of squares
+    if not any(np.any(e) for axes in errs for e in axes):
+        return 0.0
     P = len(weights)
     d = len(mats[0])
     out = 0.0

@@ -242,3 +242,21 @@ def test_threads_do_not_change_results():
     a = convergence_study(s, s, UNIFORM, [4, 8, 16, 32], threads=1)
     b = convergence_study(s, s, UNIFORM, [4, 8, 16, 32], threads=4)
     assert [r.p_y1 for r in a.rows] == [r.p_y1 for r in b.rows]
+
+
+def test_box_captured_mass_matches_per_cube_sum():
+    from spatialzeno import Bin, Interval, bin_inner_product
+    from spatialzeno.analysis import _captured_mass, _centered_cubes
+
+    g = make_state("gaussian", mu=[0.4, -0.3], sigma=[0.9, 1.3])
+    rho = make_density([(0.7, make_state("gaussian", mu=[-2.2, 0.2], sigma=[0.4, 0.4])),
+                        (0.3, make_state("gaussian", mu=[2.8, -0.1], sigma=[0.4, 0.4]))])
+    for state in (g, rho):
+        terms = rho.terms if state is rho else ((1.0, g),)
+        for k in (1, 2, 4):
+            per_cube = 0.0
+            for w, wf in terms:
+                for corner in _centered_cubes(k, 2):
+                    cube = Bin(tuple(Interval(a, a + 1.0) for a in corner))
+                    per_cube += w * float(np.real(bin_inner_product(wf, wf, cube).value))
+            assert _captured_mass(state, k, 2) == pytest.approx(per_cube, abs=1e-14)

@@ -1,10 +1,13 @@
 """Grid construction, validation, and point location."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from spatialzeno import (
     Bin,
+    ConcatenatedGrid,
     GridScheme,
     InfeasibleGridError,
     Interval,
@@ -13,10 +16,14 @@ from spatialzeno import (
     CustomGrid,
     jittered_grid,
     locate_bin,
+    make_state,
     rd_grid,
     uniform_grid,
     validate_grid,
 )
+from spatialzeno.grids import ProductGrid
+from spatialzeno.measurement import _pair_pass, _should_keep
+from spatialzeno.quadrature import DEFAULT_CONFIG
 
 
 def test_interval_rejects_empty_and_infinite():
@@ -163,6 +170,22 @@ def test_rd_grid_two_cubes():
     assert level.num_bins == 4
     los = [level.bin(j).edges[0].lo for j in range(4)]
     assert los == pytest.approx([0.0, 0.5, 1.0, 1.5])
+    assert level.index_ranges == ((0, 4),)  # adjacent cubes form one box part
+
+
+def test_rd_grid_box_bins_are_sorted_whatever_the_list_order():
+    scheme = GridScheme("rd_translated_cubes", d=1, cubes=((1.0,), (0.0,)))
+    level = rd_grid(scheme, 2, scheme.cubes)
+    los = [level.bin(j).edges[0].lo for j in range(4)]
+    assert los == pytest.approx([0.0, 0.5, 1.0, 1.5])  # not [1, 1.5, 0, 0.5]
+    assert level.index_ranges == ((0, 4),)
+
+
+def test_rd_grid_gapped_cubes_keep_one_part_each():
+    scheme = GridScheme("rd_translated_cubes", d=1, cubes=((0.0,), (2.0,)))
+    level = rd_grid(scheme, 2, scheme.cubes)
+    los = [level.bin(j).edges[0].lo for j in range(4)]
+    assert los == pytest.approx([0.0, 0.5, 2.0, 2.5])
     assert level.index_ranges == ((0, 2), (2, 4))
 
 
@@ -178,6 +201,80 @@ def test_rd_grid_overlap_error():
     scheme = GridScheme("rd_translated_cubes", d=1, cubes=((0.0,), (0.5,)))
     with pytest.raises(OverlappingCubesError):
         rd_grid(scheme, 2, scheme.cubes)
+
+
+@pytest.mark.parametrize("cubes", [
+    ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)),  # repeated corner
+    ((0.0, 0.0), (0.5, 0.9)),  # off-lattice corners
+    ((0.0, 0.0, 0.0), (3.0, 0.0, 0.0), (2.5, -0.5, 0.999)),
+])
+def test_rd_grid_overlap_error_outside_boxes(cubes):
+    scheme = GridScheme("rd_translated_cubes", d=len(cubes[0]), cubes=cubes)
+    with pytest.raises(OverlappingCubesError):
+        rd_grid(scheme, 2, scheme.cubes)
+
+
+def _box_cubes(k, d):
+    return [tuple(float(c) for c in corner)
+            for corner in itertools.product(range(-k, k), repeat=d)]
+
+
+def _corner_set(level):
+    return sorted((b.lower, b.upper) for b in level.bins())
+
+
+@pytest.mark.parametrize("d,k,n", [(2, 1, 3), (2, 2, 2), (3, 1, 2)])
+@pytest.mark.parametrize("sub", ["uniform", "jittered"])
+def test_rd_box_is_one_product_part_equal_to_the_cube_union(d, k, n, sub):
+    base = GridScheme(sub, d=d, ratio_bound=2.0, seed=9)
+    cubes = _box_cubes(k, d)
+    scheme = base.with_cubes(cubes)
+    box = scheme.level(n)
+    # the same cubes, one part per cube, each cube's grid built alone
+    union = ConcatenatedGrid(n, [rd_grid(scheme, n, [c]).parts[0] for c in cubes],
+                             cubes, ratio_bound=2.0)
+    assert len(box.parts) == 1 and len(union.parts) == len(cubes)
+    assert box.num_bins == union.num_bins
+    assert _corner_set(box) == _corner_set(union)
+    for level in (box, union):
+        assert validate_grid(level).passed
+        assert level.domain_volume == len(cubes)
+        assert level.volumes().sum() == pytest.approx(len(cubes), rel=1e-13)
+    g = make_state("gaussian", mu=[0.3, -0.2, 0.1][:d], sigma=[0.8, 1.1, 0.6][:d])
+    phi = make_state("gaussian", mu=[0.0] * d, sigma=[1.0] * d)
+    rb = _pair_pass(g, phi, box, DEFAULT_CONFIG, keep=False, with_bar=True)
+    ru = _pair_pass(g, phi, union, DEFAULT_CONFIG, keep=False, with_bar=True)
+    assert rb.p_y1 == pytest.approx(ru.p_y1, rel=1e-13)
+    assert rb.bar_norm_sq == pytest.approx(ru.bar_norm_sq, rel=1e-13)
+
+
+def test_jittered_cube_alone_matches_its_box_segment():
+    base = GridScheme("jittered", d=2, ratio_bound=2.0, seed=4)
+    box = base.with_cubes(_box_cubes(2, 2)).level(5).parts[0]
+    m = box.shape[0] // 4
+    for cubes in ([(1.0, -2.0)], [(1.0, -2.0), (5.0, 5.0)]):  # a box, and not a box
+        alone = base.with_cubes(cubes).level(5).parts[0]
+        # cube (1, -2): fourth segment on axis 0, first on axis 1
+        assert np.array_equal(alone.breakpoints[0], box.breakpoints[0][3 * m:4 * m + 1])
+        assert np.array_equal(alone.breakpoints[1], box.breakpoints[1][:m + 1])
+
+
+def test_validate_concatenated_checks_cube_list():
+    part = uniform_grid(2, 2)
+    level = ConcatenatedGrid(2, [part], [(0.0, 0.0), (1.0, 0.0)])  # 2 cubes, 1 covered
+    report = validate_grid(level)
+    assert not report.checks["coverage"] and report.checks["disjoint"]
+    level = ConcatenatedGrid(2, [part, part], [(0.0, 0.0), (0.5, 0.0)])
+    report = validate_grid(level)
+    assert not report.checks["disjoint"] and "overlap" in report.details["disjoint"]
+
+
+def test_concatenated_num_bins_does_not_wrap():
+    part = uniform_grid(1448, 6)
+    shifted = ProductGrid(1448, [part.breakpoints[0] + 1.0] + list(part.breakpoints[1:]))
+    level = ConcatenatedGrid(1448, [part, shifted], [(0.0,) * 6, (1.0,) + (0.0,) * 5])
+    assert level.num_bins == 2 * 1448 ** 6
+    assert not _should_keep(level, "auto")
 
 
 def test_rd_grid_locate_and_validate():

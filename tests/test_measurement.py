@@ -344,3 +344,40 @@ def test_per_bin_tables_dropped_for_large_grids():
     r = prob_y1_pure(u2, u2, level)
     assert r.per_bin_amplitude is None
     assert r.p_y1 == pytest.approx(1024.0 ** -2, rel=1e-12)
+
+
+def _gram_error_all_sums(weights, mats, errs):
+    """_gram_error without the all-zero shortcut (the reference)."""
+    P, d = len(weights), len(mats[0])
+    s, s_hi = np.empty(P), np.empty(P)
+    for a in range(P):
+        prod, prod_hi = 1.0, 1.0
+        for k in range(d):
+            absm = np.abs(mats[a][k])
+            prod *= float(np.sum(absm ** 2))
+            prod_hi *= float(np.sum((absm + errs[a][k]) ** 2))
+        s[a], s_hi[a] = np.sqrt(prod), np.sqrt(prod_hi)
+    return sum(abs(weights[a]) * abs(weights[b]) * (s_hi[a] * s_hi[b] - s[a] * s[b])
+               for a in range(P) for b in range(P))
+
+
+def test_gram_error_shortcut_is_exact():
+    from spatialzeno import GridScheme, convergence_study
+    from spatialzeno.measurement import _gram_error, _pair_data
+    from spatialzeno.quadrature import DEFAULT_CONFIG
+
+    psi = superpose([(0.8, make_state("sine_mode", k=1)),
+                     (0.6j, make_state("sine_mode", k=3))])
+    closed = tensor_product([psi, psi])
+    uniform2 = make_state("uniform", d=2)
+    scheme = GridScheme("jittered", d=2, ratio_bound=2.0, seed=5)
+    rec = convergence_study(closed, uniform2, scheme, [2, 4, 8, 16])
+    for row in rec.rows:
+        w, m, e = _pair_data(uniform2, closed, scheme.level(row.n), DEFAULT_CONFIG)
+        assert _gram_error(w, m, e) == _gram_error_all_sums(w, m, e) == 0.0
+        assert row.error_bound == 1e-15 * row.num_bins ** 0.5
+    # a pair on the numeric path still takes the sums
+    level = jittered_grid(64, 1, C=2.0, seed=2)
+    w, m, e = _pair_data(make_state("sine_mode", k=1),
+                         make_state("power_singular", alpha=0.3), level, DEFAULT_CONFIG)
+    assert _gram_error(w, m, e) == _gram_error_all_sums(w, m, e) > 0.0
