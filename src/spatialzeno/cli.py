@@ -22,8 +22,9 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from .analysis import convergence_study, rd_study
@@ -192,6 +193,11 @@ CONFIG_SCHEMA = {
 }
 
 
+# CONFIG_SCHEMA is a constant, so it is checked against the 2020-12
+# metaschema once, by the test suite, not on every run
+_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
+
 class CliError(Exception):
     def __init__(self, code: int, error_kind: str, message: str, **extra):
         super().__init__(message)
@@ -247,12 +253,18 @@ def _state_or_density(config: dict):
     return build_state(config["psi"]), False
 
 
-def _csv_lines(header: list[str], rows: list[list], chash: str) -> str:
+def _column_cells(values):
+    """One CSV column as text: floats with 17 significant digits, other
+    values (integers) with ``str``."""
+    arr = np.asarray(values)
+    return map(_fmt if arr.dtype.kind == "f" else str, arr.tolist())
+
+
+def _csv_lines(header: list[str], columns: list, chash: str) -> str:
+    """CSV text from one sequence of values per header field."""
     lines = [f"# schema_version={SCHEMA_VERSION} config_hash={chash}",
              ",".join(header)]
-    for row in rows:
-        cells = [_fmt(v) if isinstance(v, float) else str(v) for v in row]
-        lines.append(",".join(cells))
+    lines.extend(map(",".join, zip(*map(_column_cells, columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -276,8 +288,8 @@ def _run_experiment(config: dict, threads: int) -> tuple[str, float, dict, str]:
                              "error_bound": r.p_y1_error_bound,
                              "mass_total": r.mass_total}
         csv = _csv_lines(["n", "num_bins", "p_y1", "error_bound", "scaled_p"],
-                         [[r.n, r.num_bins, r.p_y1, r.p_y1_error_bound,
-                           float(r.n ** d * r.p_y1)]], chash)
+                         [[r.n], [r.num_bins], [r.p_y1], [r.p_y1_error_bound],
+                          [float(r.n ** d * r.p_y1)]], chash)
         return "p_y1", r.p_y1, payload, csv
 
     if experiment in ("convergence", "rd_study"):
@@ -305,8 +317,8 @@ def _run_experiment(config: dict, threads: int) -> tuple[str, float, dict, str]:
         }
         csv = _csv_lines(
             ["n", "num_bins", "p_y1", "error_bound", "scaled_p"],
-            [[r.n, r.num_bins, r.p_y1, r.error_bound,
-              float(r.n ** d * r.p_y1)] for r in record.rows], chash)
+            list(zip(*[(r.n, r.num_bins, r.p_y1, r.error_bound,
+                        float(r.n ** d * r.p_y1)) for r in record.rows])), chash)
         return "fitted_rate", record.fitted_rate, payload, csv
 
     if experiment == "sample":
@@ -317,18 +329,16 @@ def _run_experiment(config: dict, threads: int) -> tuple[str, float, dict, str]:
         payload["result"] = {"n": level.n, "count": batch.count,
                              "seed": batch.seed, "empirical_p_y1": emp}
         csv = _csv_lines(["index", "x_bin", "y"],
-                         [[i, int(x), int(y)] for i, (x, y)
-                          in enumerate(zip(batch.x, batch.y))], chash)
+                         [np.arange(batch.count), batch.x, batch.y], chash)
         return "empirical_p_y1", emp, payload, csv
 
     if experiment == "joint":
         level = scheme.level(config["n"])
         jd = joint_distribution(state, phi, level, cfg)
         payload["result"] = {"n": level.n, "p_y1": jd.p_y1, "total": jd.total}
-        csv = _csv_lines(
-            ["bin", "p_x_and_y1", "p_x_and_y0"],
-            [[j, float(a), float(b)] for j, (a, b)
-             in enumerate(zip(jd.p_y1_bins, jd.p_y0_bins))], chash)
+        csv = _csv_lines(["bin", "p_x_and_y1", "p_x_and_y0"],
+                         [np.arange(jd.p_y1_bins.size), jd.p_y1_bins,
+                          jd.p_y0_bins], chash)
         return "p_y1", jd.p_y1, payload, csv
 
     if experiment == "discretize":
@@ -338,11 +348,10 @@ def _run_experiment(config: dict, threads: int) -> tuple[str, float, dict, str]:
         err = discretization_error(target, level, cfg)
         payload["result"] = {"n": level.n, "num_bins": level.num_bins,
                              "l2_error": err, "norm_sq": disc.norm_squared()}
-        vols = level.volumes()
-        csv = _csv_lines(
-            ["bin", "average_re", "average_im", "volume"],
-            [[j, float(np.real(a)), float(np.imag(a)), float(v)]
-             for j, (a, v) in enumerate(zip(disc.averages, vols))], chash)
+        csv = _csv_lines(["bin", "average_re", "average_im", "volume"],
+                         [np.arange(disc.averages.size), disc.averages.real,
+                          disc.averages.imag,
+                          np.asarray(level.volumes(), dtype=float)], chash)
         return "l2_error", err, payload, csv
 
     raise CliError(EXIT_COMPUTE, "compute-failure", f"unhandled experiment {experiment!r}")
@@ -363,16 +372,16 @@ def load_config(path: str) -> dict:
 
 
 def validate_config(config: dict) -> None:
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        field = ".".join(str(p) for p in e.absolute_path) or "<root>"
-        missing = None
-        if e.validator == "required":
-            present = e.instance.keys() if isinstance(e.instance, dict) else ()
-            missing = [f for f in e.validator_value if f not in present]
-        raise CliError(EXIT_SCHEMA, "schema-violation", e.message,
-                       field=missing[0] if missing else field)
+    error = best_match(_VALIDATOR.iter_errors(config))
+    if error is None:
+        return
+    field = ".".join(str(p) for p in error.absolute_path) or "<root>"
+    missing = None
+    if error.validator == "required":
+        present = error.instance.keys() if isinstance(error.instance, dict) else ()
+        missing = [f for f in error.validator_value if f not in present]
+    raise CliError(EXIT_SCHEMA, "schema-violation", error.message,
+                   field=missing[0] if missing else field)
 
 
 def version_and_capabilities() -> dict:

@@ -21,9 +21,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     cell_integrals,
-    _eval_any,
-    _gl_rule,
-    _tensor_nodes,
+    _tensor_values,
 )
 from .states import ONE, SeparableFunction, WaveFunction, product_field
 
@@ -81,9 +79,8 @@ def _bin_integrals_separable(f: SeparableFunction, part: ProductGrid,
 
 def _bin_integrals_callable(f: Callable, part: ProductGrid,
                             cfg: QuadratureConfig) -> np.ndarray:
-    pts, w = _tensor_nodes(part.breakpoints, cfg.points_per_axis_per_bin)
-    vals = _eval_any(f, pts)
     p = cfg.points_per_axis_per_bin
+    (vals,), w = _tensor_values((f,), part.breakpoints, p)
     per_cell = (vals * w).reshape([m * p for m in part.shape])
     for k in range(part.d):
         per_cell = per_cell.reshape(
@@ -123,14 +120,17 @@ def discretize(f, level: GridLevel, cfg: QuadratureConfig = DEFAULT_CONFIG,
         else:
             vals = []
             for b in level.bins():
-                pts, w = _tensor_nodes(
-                    tuple(np.array([e.lo, e.hi]) for e in b.edges),
-                    cfg.points_per_axis_per_bin)
-                vals.append(np.dot(w, _eval_any(f, pts)))
+                (fb,), w = _tensor_values((f,), _bin_edges(b),
+                                          cfg.points_per_axis_per_bin)
+                vals.append(np.dot(w, fb))
             integrals = np.asarray(vals)
     return DiscretizedFunction(level=level,
                                averages=integrals / level.volumes(),
                                source=f)
+
+
+def _bin_edges(b) -> tuple[np.ndarray, ...]:
+    return tuple(np.array([e.lo, e.hi]) for e in b.edges)
 
 
 def _one_like(f: SeparableFunction) -> SeparableFunction:
@@ -140,19 +140,20 @@ def _one_like(f: SeparableFunction) -> SeparableFunction:
 
 def discretization_error(f, level: GridLevel,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """L2 distance ||f_n - f|| between f and its bar chart on the level."""
+    """L2 distance ||f_n - f|| between f and its bar chart on the level.
+
+    A separable f is evaluated one axis at a time on the quadrature nodes.
+    """
     disc = discretize(f, level, cfg)
     parts = ([level] if isinstance(level, ProductGrid)
              else list(level.parts) if isinstance(level, ConcatenatedGrid)
              else None)
+    p = cfg.points_per_axis_per_bin
     total = 0.0
     offset = 0
     if parts is not None:
-        p = cfg.points_per_axis_per_bin
-        xi, wi = _gl_rule(p)
         for part in parts:
-            pts, w = _tensor_nodes(part.breakpoints, p)
-            vals = _eval_any(f, pts)
+            (vals,), w = _tensor_values((f,), part.breakpoints, p)
             per_cell = vals.reshape([m * p for m in part.shape])
             avg = disc.averages[offset:offset + part.num_bins].reshape(part.shape)
             expanded = avg
@@ -163,10 +164,8 @@ def discretization_error(f, level: GridLevel,
             offset += part.num_bins
     else:
         for j, b in enumerate(level.bins()):
-            pts, w = _tensor_nodes(
-                tuple(np.array([e.lo, e.hi]) for e in b.edges),
-                cfg.points_per_axis_per_bin)
-            diff2 = np.abs(_eval_any(f, pts) - disc.averages[j]) ** 2
+            (vals,), w = _tensor_values((f,), _bin_edges(b), p)
+            diff2 = np.abs(vals - disc.averages[j]) ** 2
             total += float(np.real(np.dot(w, diff2)))
     return float(np.sqrt(max(total, 0.0)))
 

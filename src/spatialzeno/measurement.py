@@ -435,6 +435,19 @@ def joint_distribution(state, phi: WaveFunction, level: GridLevel,
     return JointDistribution(level=level, p_y1_bins=p1, p_y0_bins=p0)
 
 
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")``, element for element.
+
+    The keys are searched in ascending order and the indices scattered
+    back: successive binary searches then walk nearby parts of a large
+    CDF instead of jumping across it for every key.
+    """
+    order = np.argsort(u)
+    out = np.empty(u.size, dtype=np.intp)
+    out[order] = np.searchsorted(cdf, u[order], side="right")
+    return out
+
+
 def sample_xy(state, phi: WaveFunction, level: GridLevel,
               cfg: QuadratureConfig = DEFAULT_CONFIG, count: int = 1,
               seed: int = 0, stream: int = 0,
@@ -469,7 +482,7 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
                 continue
             cdf = np.cumsum(masses)
             cdf /= cdf[-1]
-            xl = np.searchsorted(cdf, u_x[pick], side="right")
+            xl = _inverse_cdf(cdf, u_x[pick])
             cond = np.divide(p1, masses, out=np.zeros_like(p1),
                              where=masses > 0)
             x[pick] = xl
@@ -482,6 +495,6 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
     cond = np.divide(p1, masses, out=np.zeros_like(p1), where=masses > 0)
     u_x = rng.random(count)
     u_y = rng.random(count)
-    x = np.searchsorted(cdf, u_x, side="right").astype(np.int64)
+    x = _inverse_cdf(cdf, u_x).astype(np.int64)
     y = (u_y < cond[x]).astype(np.int8)
     return SampleBatch(x=x, y=y, seed=seed, stream=stream)

@@ -287,33 +287,70 @@ def _region_cells(region, d: int, panels_per_axis: int):
         raise TypeError(f"cannot integrate over region of type {type(region)!r}")
 
 
-def _eval_any(func, pts: np.ndarray) -> np.ndarray:
-    if func is None or (np.isscalar(func) and func == 0):
-        return np.zeros(pts.shape[0], dtype=complex)
-    if isinstance(func, SeparableFunction):
-        return func.evaluate(pts)
-    if callable(func):
-        cols = [pts[:, k] for k in range(pts.shape[1])]
-        return np.asarray(func(*cols) if pts.shape[1] > 1 else func(cols[0]),
-                          dtype=complex)
-    raise TypeError(f"cannot evaluate object of type {type(func)!r}")
+def _call_at(func, pts: np.ndarray) -> np.ndarray:
+    """A plain callable of the coordinates at an (N, d) point array."""
+    if not callable(func):
+        raise TypeError(f"cannot evaluate object of type {type(func)!r}")
+    cols = [pts[:, k] for k in range(pts.shape[1])]
+    return np.asarray(func(*cols) if pts.shape[1] > 1 else func(cols[0]),
+                      dtype=complex)
 
 
-def _tensor_nodes(axes_edges: Sequence[np.ndarray], p: int):
-    """Quadrature nodes/weights for a product of per-axis cell partitions."""
+def _axis_rule(edges: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-p Gauss-Legendre nodes and weights on every cell of one axis,
+    cell by cell (the p nodes of cell 0 first)."""
     xi, wi = _gl_rule(p)
-    pts_1d, w_1d = [], []
-    for edges in axes_edges:
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        pts_1d.append((mid[:, None] + half[:, None] * xi[None, :]).ravel())
-        w_1d.append((half[:, None] * wi[None, :]).ravel())
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = w_1d[0]
-    for wk in w_1d[1:]:
-        w = np.multiply.outer(w, wk)
-    return pts, w.ravel()
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    return ((mid[:, None] + half[:, None] * xi[None, :]).ravel(),
+            (half[:, None] * wi[None, :]).ravel())
+
+
+def _outer_ravel(arrays) -> np.ndarray:
+    out = arrays[0]
+    for a in arrays[1:]:
+        out = np.multiply.outer(out, a)
+    return out.ravel()
+
+
+def _separable_on_axes(f: SeparableFunction, nodes, size: int) -> np.ndarray:
+    """f at the product of the per-axis node sets, flat in C order.
+
+    Each factor is evaluated once on its own axis's nodes and the axes are
+    joined by outer products in the multiplication order of
+    ``SeparableFunction.evaluate``, so the values equal ``f.evaluate`` at
+    the (N, d) point array bit for bit.
+    """
+    out = np.zeros(size, dtype=complex)
+    for coeff, factors in f.terms:
+        term = np.full(nodes[0].size, coeff, dtype=complex)
+        term *= factors[0](nodes[0])
+        out += _outer_ravel([term] + [fk(x) for fk, x in zip(factors[1:], nodes[1:])])
+    return out
+
+
+def _tensor_values(funcs, axes_edges: Sequence[np.ndarray], p: int):
+    """([each func's values], weights) at the tensor Gauss-Legendre nodes of
+    a product of per-axis cell partitions, all flat in C order.
+
+    Separable functions are evaluated one axis at a time; an (N, d) point
+    array is built only when a plain callable needs it.
+    """
+    nodes, w_1d = zip(*(_axis_rule(edges, p) for edges in axes_edges))
+    w = _outer_ravel(w_1d)
+    pts = None
+    vals = []
+    for f in funcs:
+        if f is None or (np.isscalar(f) and f == 0):
+            vals.append(np.zeros(w.size, dtype=complex))
+        elif isinstance(f, SeparableFunction):
+            vals.append(_separable_on_axes(f, nodes, w.size))
+        else:
+            if pts is None:
+                grids = np.meshgrid(*nodes, indexing="ij")
+                pts = np.stack([g.ravel() for g in grids], axis=-1)
+            vals.append(_call_at(f, pts))
+    return vals, w
 
 
 def l2_distance(f, g, region, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -341,9 +378,8 @@ def l2_distance(f, g, region, cfg: QuadratureConfig = DEFAULT_CONFIG,
     p = cfg.points_per_axis_per_bin
     total = 0.0
     for axes_edges in _region_cells(region, d, panels_per_axis):
-        pts, w = _tensor_nodes(axes_edges, p)
-        diff = _eval_any(f, pts) - _eval_any(g, pts)
-        total += float(np.real(np.dot(w, np.abs(diff) ** 2)))
+        (f_vals, g_vals), w = _tensor_values((f, g), axes_edges, p)
+        total += float(np.real(np.dot(w, np.abs(f_vals - g_vals) ** 2)))
     return float(np.sqrt(max(total, 0.0)))
 
 

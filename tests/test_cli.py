@@ -250,3 +250,90 @@ def test_psi_and_density_mutually_exclusive(tmp_path):
         {"weight": 1.0, "state": {"catalog": "uniform"}}]})
     cfg = write_config(tmp_path, "both.json", config)
     assert main(["run", cfg]) == EXIT_SCHEMA
+
+
+def test_config_schema_is_valid_2020_12():
+    # validate_config no longer checks the schema against the metaschema
+    from jsonschema import Draft202012Validator
+
+    from spatialzeno.cli import CONFIG_SCHEMA
+
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+def _jsonschema_error(config):
+    """(message, field) the way validate_config reported jsonschema.validate's error."""
+    import jsonschema
+
+    from spatialzeno.cli import CONFIG_SCHEMA
+
+    try:
+        jsonschema.validate(config, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as e:
+        field = ".".join(str(p) for p in e.absolute_path) or "<root>"
+        if e.validator == "required":
+            present = e.instance.keys() if isinstance(e.instance, dict) else ()
+            missing = [f for f in e.validator_value if f not in present]
+            field = missing[0] if missing else field
+        return e.message, field
+    return None
+
+
+@pytest.mark.parametrize("overrides, drop", [
+    ({"n": 0, "extra_knob": 1}, ()),
+    ({"n": -3, "grid": {"kind": "hexagonal", "C": 0.5}}, ("phi",)),
+    ({"d": 0, "psi": {"catalog": "sine_mode", "k": 0},
+      "quadrature": {"points_per_axis_per_bin": 1, "abs_tol": -1.0}}, ()),
+    ({"experiment": "sample", "schema_version": "2"}, ("phi", "psi")),
+    ({"density": {"terms": []}, "output": {"format": "xml"}}, ()),
+])
+def test_schema_errors_match_jsonschema_validate(overrides, drop):
+    from jsonschema import Draft202012Validator
+
+    from spatialzeno.cli import CONFIG_SCHEMA, CliError, validate_config
+
+    config = base_probability_config(**overrides)
+    for key in drop:
+        del config[key]
+    expected = _jsonschema_error(config)
+    assert expected is not None
+    assert len(list(Draft202012Validator(CONFIG_SCHEMA).iter_errors(config))) > 1
+    with pytest.raises(CliError) as info:
+        validate_config(config)
+    err = info.value.payload["error"]
+    assert (err["message"], err["field"]) == expected
+    assert info.value.code == EXIT_SCHEMA
+
+
+def _csv_rows_reference(header, rows, chash):
+    """The row-by-row CSV formatter the column writer replaced."""
+    from spatialzeno.cli import SCHEMA_VERSION
+
+    lines = [f"# schema_version={SCHEMA_VERSION} config_hash={chash}", ",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_columns_match_row_formatter():
+    from spatialzeno.cli import _csv_lines
+
+    rng = np.random.default_rng(3)
+    floats = np.concatenate([[-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1,
+                              1.0 / 3.0, 2.0 ** 60, np.nextafter(1.0, 2.0)],
+                             rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)])
+    ints = rng.integers(-2 ** 62, 2 ** 62, floats.size)
+    small = rng.integers(0, 2, floats.size).astype(np.int8)
+    index = np.arange(floats.size)
+    header = ["index", "big", "small", "value", "value_im"]
+    got = _csv_lines(header, [index, ints, small, floats, floats[::-1].copy()], "abc")
+    rows = [[i, int(a), int(b), float(x), float(y)]
+            for i, a, b, x, y in zip(index, ints, small, floats, floats[::-1])]
+    assert got == _csv_rows_reference(header, rows, "abc")
+    assert "-0," in got and "4.9406564584124654e-324" in got and "1e+300" in got
+    # lists of Python scalars, as the study experiments pass them, with an
+    # integer column beyond int64
+    cols = [[4, 8], [2 ** 70, 3], [0.25, -0.0], [5e-324, 1e300]]
+    assert _csv_lines(["n", "num_bins", "p", "q"], cols, "h") == _csv_rows_reference(
+        ["n", "num_bins", "p", "q"], [list(r) for r in zip(*cols)], "h")

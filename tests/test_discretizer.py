@@ -176,3 +176,87 @@ def test_pointwise_convergence_spot_check():
         worst.append(np.max(np.abs(disc.evaluate(pts) - f.evaluate(pts))))
     assert worst[2] < worst[0]
     assert worst[2] < 5e-3
+
+
+def _as_callable(f):
+    """The separable field as a plain callable of the coordinates."""
+    return lambda *xs: f.evaluate(np.stack(xs, -1))
+
+
+def _error_at_point_array(f, level):
+    """Reference discretization_error: the bar chart of the separable f,
+    compared with f called at an (N, d) array of the tensor Gauss-Legendre
+    nodes, as the discretizer did before it evaluated one axis at a time."""
+    from spatialzeno import ConcatenatedGrid
+    from spatialzeno.quadrature import DEFAULT_CONFIG
+
+    g = _as_callable(f)
+    averages = discretize(f, level).averages
+    p = DEFAULT_CONFIG.points_per_axis_per_bin
+    xi, wi = np.polynomial.legendre.leggauss(p)
+    parts = level.parts if isinstance(level, ConcatenatedGrid) else [level]
+    total, offset = 0.0, 0
+    for part in parts:
+        pts_1d, w_1d = [], []
+        for edges in part.breakpoints:
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * np.diff(edges)
+            pts_1d.append((mid[:, None] + half[:, None] * xi[None, :]).ravel())
+            w_1d.append((half[:, None] * wi[None, :]).ravel())
+        pts = np.stack([a.ravel() for a in np.meshgrid(*pts_1d, indexing="ij")], -1)
+        w = w_1d[0]
+        for wk in w_1d[1:]:
+            w = np.multiply.outer(w, wk)
+        vals = np.asarray(g(*[pts[:, k] for k in range(part.d)]), dtype=complex)
+        expanded = averages[offset:offset + part.num_bins].reshape(part.shape)
+        for k in range(part.d):
+            expanded = np.repeat(expanded, p, axis=k)
+        diff2 = np.abs(vals.reshape(expanded.shape) - expanded).ravel() ** 2
+        total += float(np.real(np.dot(w.ravel(), diff2)))
+        offset += part.num_bins
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def _separable_cases():
+    from spatialzeno import GridScheme, rd_grid, tensor_product
+
+    s1, s3 = make_state("sine_mode", k=1), make_state("sine_mode", k=3)
+    mix = superpose([(0.8, s1), (0.6j, s3)])
+    other = superpose([(0.5, make_state("uniform")),
+                       (0.5 - 0.5j, make_state("complex_exponential", k=2))])
+    yield "1d", product_field(other, mix), jittered_grid(40, d=1, C=2.0, seed=3)
+    yield "2d", product_field(make_state("uniform", d=2),
+                              make_state("sine_product", ks=[1, 2])), \
+        jittered_grid(24, d=2, C=2.0, seed=4)
+    yield "2d-multi-term", product_field(tensor_product([other, mix]),
+                                         tensor_product([mix, other])), \
+        jittered_grid(16, d=2, C=2.0, seed=5)
+    yield "3d", product_field(tensor_product([mix, s1, other]),
+                              make_state("sine_product", ks=[2, 1, 3])), \
+        jittered_grid(6, d=3, C=2.0, seed=6)
+    g = make_state("gaussian", mu=[0.2, -0.1], sigma=[1.0, 0.7])
+    h = make_state("gaussian", mu=0.0, sigma=1.2)
+    gh = superpose([(0.6, g), (0.8, tensor_product([h, h]))])
+    scheme = GridScheme("rd_translated_cubes", d=2, ratio_bound=2.0, seed=7,
+                        sub_kind="jittered")
+    level = rd_grid(scheme, 4, [(-1.0, -1.0), (1.0, 0.0), (-1.0, 2.0)])
+    assert len(level.parts) == 3
+    yield "rd-three-parts", product_field(gh, gh), level
+
+
+@pytest.mark.parametrize("label, f, level", list(_separable_cases()),
+                         ids=[c[0] for c in _separable_cases()])
+def test_separable_error_equals_callable_path(label, f, level):
+    assert discretization_error(f, level) == _error_at_point_array(f, level)
+
+
+@pytest.mark.parametrize("label, f, level", list(_separable_cases()),
+                         ids=[c[0] for c in _separable_cases()])
+def test_separable_node_values_equal_point_array_values(label, f, level):
+    from spatialzeno.quadrature import _tensor_values
+
+    for bp in getattr(level, "parts", [level]):
+        (sep, zero), w = _tensor_values((f, 0), bp.breakpoints, 8)
+        (gen, gzero), w_gen = _tensor_values((_as_callable(f), 0), bp.breakpoints, 8)
+        assert np.array_equal(sep, gen) and np.array_equal(w, w_gen)
+        assert not zero.any() and not gzero.any()

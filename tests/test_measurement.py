@@ -381,3 +381,57 @@ def test_gram_error_shortcut_is_exact():
     w, m, e = _pair_data(make_state("sine_mode", k=1),
                          make_state("power_singular", alpha=0.3), level, DEFAULT_CONFIG)
     assert _gram_error(w, m, e) == _gram_error_all_sums(w, m, e) > 0.0
+
+
+def _inverse_cdf_cases():
+    rng = np.random.default_rng(42)
+    masses = rng.random(1000)
+    masses[::7] = 0.0  # zero-mass bins
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    yield cdf, rng.random(50_000)
+    # keys that hit CDF values exactly, repeated, in random order
+    yield cdf, rng.permutation(np.concatenate([cdf[:-1], cdf[:-1], [0.0]]))
+    yield np.array([0.25, 0.25, 0.25, 1.0]), np.array([0.25, 0.0, 0.5, 0.25, 0.999])
+
+
+@pytest.mark.parametrize("cdf, u", list(_inverse_cdf_cases()))
+def test_sorted_key_search_equals_searchsorted(cdf, u):
+    from spatialzeno.measurement import _inverse_cdf
+
+    x = _inverse_cdf(cdf, u)
+    assert np.array_equal(x, np.searchsorted(cdf, u, side="right"))
+    # a zero-mass bin has cdf[j] == cdf[j - 1] and is never returned
+    zero_mass = np.nonzero(np.diff(cdf) == 0.0)[0] + 1
+    assert not np.isin(x, zero_mass).any()
+
+
+def _draws_digest(batch) -> str:
+    import hashlib
+    return hashlib.sha256(batch.x.astype("<i8").tobytes()
+                          + batch.y.astype("i1").tobytes()).hexdigest()
+
+
+def test_sampler_draws_pinned_pure_2d_jittered():
+    # digest of the draws made by the plain searchsorted sampler
+    psi = make_state("sine_product", ks=[2, 3])
+    phi = make_state("uniform", d=2)
+    batch = sample_xy(psi, phi, jittered_grid(12, d=2, C=2.0, seed=11),
+                      count=20_000, seed=5)
+    assert batch.x.dtype == np.int64 and batch.y.dtype == np.int8
+    assert batch.x[:5].tolist() == [117, 248, 38, 32, 62]
+    assert int(batch.y.sum()) == 72
+    assert _draws_digest(batch) == (
+        "00d555f6319537cb13201139529129039bb10296a51fe6e028140c5d91e48c3a")
+
+
+def test_sampler_draws_pinned_density_1d_jittered():
+    rho = make_density([(0.3, make_state("sine_mode", k=2)),
+                        (0.7, make_state("sine_mode", k=5))])
+    batch = sample_xy(rho, make_state("uniform"),
+                      jittered_grid(32, d=1, C=2.0, seed=12), count=20_000, seed=6)
+    assert batch.x.dtype == np.int64 and batch.y.dtype == np.int8
+    assert batch.x[:5].tolist() == [35, 13, 4, 12, 13]
+    assert int(batch.y.sum()) == 442
+    assert _draws_digest(batch) == (
+        "b92e8451e890ba8e5160c7e0d440f2b0f56d0392f5df5b9437ca4b4fb6cfd153")

@@ -86,6 +86,31 @@ def test_l2_norm_of_unit_state():
     assert l2_norm(s, Domain.unit_cube(1)) == pytest.approx(1.0, abs=1e-12)
 
 
+def _callable(f):
+    return lambda *xs: f.evaluate(np.stack(xs, -1))
+
+
+@pytest.mark.parametrize("bra, ket, d", [
+    ("uniform", "uniform", 1),
+    ("sine_mode", "sine_mode", 1),
+    ("sine_product", "uniform", 2),
+])
+def test_l2_separable_operands_equal_callable_path(bra, ket, d):
+    # the Riemann-check reference is l2_norm(product_field(phi, psi), cube)^2
+    from spatialzeno import product_field
+
+    params = {"uniform": {"d": d} if d > 1 else {},
+              "sine_mode": {"k": 1}, "sine_product": {"ks": [1, 2]}}
+    f = product_field(make_state(bra, **params[bra]), make_state(ket, **params[ket]))
+    cube = Domain.unit_cube(d)
+    assert l2_norm(f, cube) == l2_norm(_callable(f), cube)
+    g = make_state("sine_product", ks=[2] * d) if d > 1 else make_state("sine_mode", k=2)
+    level = jittered_grid(8, d=d, C=2.0, seed=1)
+    assert l2_distance(f, g, level) == l2_distance(_callable(f), _callable(g), level)
+    # a separable operand beside a plain callable one
+    assert l2_distance(f, g, level) == l2_distance(f, _callable(g), level)
+
+
 def test_resolution_of_identity():
     states = [
         make_state("uniform"),
