@@ -244,14 +244,17 @@ def _separable_cases():
     yield "rd-three-parts", product_field(gh, gh), level
 
 
-@pytest.mark.parametrize("label, f, level", list(_separable_cases()),
-                         ids=[c[0] for c in _separable_cases()])
+SEPARABLE_CASES = list(_separable_cases())
+
+
+@pytest.mark.parametrize("label, f, level", SEPARABLE_CASES,
+                         ids=[c[0] for c in SEPARABLE_CASES])
 def test_separable_error_equals_callable_path(label, f, level):
     assert discretization_error(f, level) == _error_at_point_array(f, level)
 
 
-@pytest.mark.parametrize("label, f, level", list(_separable_cases()),
-                         ids=[c[0] for c in _separable_cases()])
+@pytest.mark.parametrize("label, f, level", SEPARABLE_CASES,
+                         ids=[c[0] for c in SEPARABLE_CASES])
 def test_separable_node_values_equal_point_array_values(label, f, level):
     from spatialzeno.quadrature import _tensor_values
 
