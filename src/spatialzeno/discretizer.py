@@ -47,11 +47,7 @@ class DiscretizedFunction:
         if pts.ndim <= 1:
             pts = np.atleast_1d(pts)
             pts = pts[:, None] if self.level.d == 1 else pts[None, :]
-        if isinstance(self.level, ProductGrid):
-            idx = self.level.locate_many(pts)
-        else:
-            idx = np.array([self.level.locate(p) for p in pts])
-        out = self.averages[idx]
+        out = self.averages[self.level.locate_many(pts)]
         return out[0] if scalar else out
 
     def __call__(self, *coords) -> np.ndarray:

@@ -122,6 +122,15 @@ def _as_point(x, d: int) -> np.ndarray:
     return pt
 
 
+def _as_points(points, d: int) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.shape[1] != d:
+        raise ValueError(f"points have {pts.shape[1]} coordinates, grid has {d}")
+    return pts
+
+
 class GridLevel:
     """Partition of the domain at one resolution index n.
 
@@ -149,6 +158,11 @@ class GridLevel:
 
     def locate(self, x) -> int:
         raise NotImplementedError
+
+    def locate_many(self, points: np.ndarray) -> np.ndarray:
+        """Bin index of each row of an (N, d) array of points."""
+        return np.array([self.locate(p) for p in _as_points(points, self.d)],
+                        dtype=np.intp)
 
     @property
     def domain_bounds(self) -> tuple[tuple[float, float], ...]:
@@ -237,11 +251,7 @@ class ProductGrid(GridLevel):
 
     def locate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorised bin lookup for an (N, d) array of points."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.shape[1] != self.d:
-            raise ValueError(f"points have {pts.shape[1]} coordinates, grid has {self.d}")
+        pts = _as_points(points, self.d)
         idx = []
         for k in range(self.d):
             bp = self.breakpoints[k]
@@ -345,11 +355,23 @@ class ConcatenatedGrid(GridLevel):
 
     def locate(self, x) -> int:
         pt = _as_point(x, self.d)
+        return int(self.locate_many(pt[None, :])[0])
+
+    def locate_many(self, points: np.ndarray) -> np.ndarray:
+        """Vectorised bin lookup: each point goes to the first part whose
+        bounds hold it, at that part's index offset."""
+        pts = _as_points(points, self.d)
+        idx = np.full(len(pts), -1, dtype=np.intp)
         for (start, _), part in zip(self.index_ranges, self.parts):
-            bounds = part.domain_bounds
-            if all(lo <= c < hi for c, (lo, hi) in zip(pt, bounds)):
-                return start + part.locate(pt)
-        raise OutOfDomainError(f"point {tuple(pt)} outside every cube")
+            inside = idx < 0
+            for k, (lo, hi) in enumerate(part.domain_bounds):
+                inside &= (lo <= pts[:, k]) & (pts[:, k] < hi)
+            if inside.any():
+                idx[inside] = start + part.locate_many(pts[inside])
+        if np.any(idx < 0):
+            raise OutOfDomainError(
+                f"point {tuple(pts[idx < 0][0])} outside every cube")
+        return idx
 
     @property
     def domain_bounds(self) -> tuple[tuple[float, float], ...]:

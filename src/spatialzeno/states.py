@@ -365,19 +365,15 @@ def _unwrap(p: Primitive1D) -> Primitive1D:
     return p
 
 
-# a phase table stops keeping new arrays once it holds this many bytes
-PHASE_TABLE_BYTES = 64 * 2 ** 20
-
-
 class PhaseTable:
     """exp(i w x) on one edges array, computed once per distinct |w|.
 
-    exp(-i|w| x) is returned as the conjugate of exp(i|w| x), which is
-    bitwise equal to evaluating it directly, so only one array per |w| is
-    held, up to PHASE_TABLE_BYTES; past that, phases are recomputed on each
-    call.  A table belongs to the array it was made for: callers create one
-    per axis and pass it down explicitly, and it is used only for that
-    exact array object.
+    exp(i|w| x) is built as cos(|w| x) + i sin(|w| x), written straight into
+    the two halves of one complex array, and exp(-i|w| x) is returned as its
+    conjugate; both are bitwise equal to ``np.exp(1j * w * x)``, so only one
+    array per |w| is held.  A table belongs to the array it was made for:
+    callers create one per block of edges and pass it down explicitly, and
+    it is used only for that exact array object.
     """
 
     def __init__(self, edges: np.ndarray) -> None:
@@ -388,9 +384,11 @@ class PhaseTable:
         key = abs(w)
         phase = self._by_freq.get(key)
         if phase is None:
-            phase = np.exp(1j * key * self.edges)
-            if (len(self._by_freq) + 1) * phase.nbytes <= PHASE_TABLE_BYTES:
-                self._by_freq[key] = phase
+            x = key * self.edges
+            phase = np.empty(x.shape, dtype=complex)
+            np.cos(x, out=phase.real)
+            np.sin(x, out=phase.imag)
+            self._by_freq[key] = phase
         return phase if w > 0.0 else np.conj(phase)
 
 

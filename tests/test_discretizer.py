@@ -263,3 +263,61 @@ def test_separable_node_values_equal_point_array_values(label, f, level):
         (gen, gzero), w_gen = _tensor_values((_as_callable(f), 0), bp.breakpoints, 8)
         assert np.array_equal(sep, gen) and np.array_equal(w, w_gen)
         assert not zero.any() and not gzero.any()
+
+
+def _rd_levels():
+    from spatialzeno import GridScheme, rd_grid
+
+    g = make_state("gaussian", mu=[0.2, -0.1], sigma=[1.0, 0.7])
+    scheme = GridScheme("rd_translated_cubes", d=2, ratio_bound=2.0, seed=7,
+                        sub_kind="jittered")
+    box = rd_grid(scheme, 8, [(-1.0, -1.0), (-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)])
+    gapped = rd_grid(scheme, 8, [(-1.0, -1.0), (1.0, 0.0), (-1.0, 2.0)])
+    assert len(box.parts) == 1 and len(gapped.parts) == 3
+    return product_field(g, g), {"box": box, "gapped": gapped}
+
+
+def _locate_one_by_one(level, pt):
+    """The per-point lookup: the first part whose bounds hold the point."""
+    for (start, _), part in zip(level.index_ranges, level.parts):
+        if all(lo <= c < hi for c, (lo, hi) in zip(pt, part.domain_bounds)):
+            return start + part.locate(pt)
+    return None
+
+
+@pytest.mark.parametrize("name", ["box", "gapped"])
+def test_rd_lookup_matches_per_point_lookup(name):
+    from spatialzeno import OutOfDomainError
+
+    f, levels = _rd_levels()
+    level = levels[name]
+    disc = discretize(f, level)
+    rng = np.random.default_rng(3)
+    lo = np.array([b[0] for b in level.domain_bounds])
+    hi = np.array([b[1] for b in level.domain_bounds])
+    random_pts = lo - 0.5 + (hi - lo + 1.0) * rng.random((2000, 2))
+    # every breakpoint combination, hull upper edges and cube seams included
+    edges = [np.unique(np.concatenate([p.breakpoints[k] for p in level.parts]))
+             for k in range(2)]
+    boundary_pts = np.stack(np.meshgrid(*edges, indexing="ij"), axis=-1).reshape(-1, 2)
+    for pts in (random_pts, boundary_pts):
+        want = [_locate_one_by_one(level, p) for p in pts]
+        inside = np.array([j is not None for j in want])
+        assert inside.any() and not inside.all()
+        idx = np.array([j for j in want if j is not None])
+        assert np.array_equal(level.locate_many(pts[inside]), idx)
+        assert np.array_equal(disc.evaluate(pts[inside]), disc.averages[idx])
+        assert [level.locate(p) for p in pts[inside][:50]] == idx[:50].tolist()
+        with pytest.raises(OutOfDomainError):
+            level.locate_many(pts[~inside][:1])
+        with pytest.raises(OutOfDomainError):
+            disc.evaluate(pts)
+
+
+@pytest.mark.parametrize("name", ["box", "gapped"])
+def test_rd_l2_distance_equals_discretization_error(name):
+    f, levels = _rd_levels()
+    level = levels[name]
+    err = discretization_error(f, level)
+    assert err > 0.0
+    assert l2_distance(f, discretize(f, level), level) == pytest.approx(err, rel=1e-12)

@@ -346,24 +346,15 @@ def test_per_bin_tables_dropped_for_large_grids():
     assert r.p_y1 == pytest.approx(1024.0 ** -2, rel=1e-12)
 
 
-def _gram_error_all_sums(weights, mats, errs):
-    """_gram_error without the all-zero shortcut (the reference)."""
-    P, d = len(weights), len(mats[0])
-    s, s_hi = np.empty(P), np.empty(P)
-    for a in range(P):
-        prod, prod_hi = 1.0, 1.0
-        for k in range(d):
-            absm = np.abs(mats[a][k])
-            prod *= float(np.sum(absm ** 2))
-            prod_hi *= float(np.sum((absm + errs[a][k]) ** 2))
-        s[a], s_hi[a] = np.sqrt(prod), np.sqrt(prod_hi)
-    return sum(abs(weights[a]) * abs(weights[b]) * (s_hi[a] * s_hi[b] - s[a] * s[b])
-               for a in range(P) for b in range(P))
+def _axis_sums(w, axes):
+    """The (P, d) inputs of ``_error_bound`` from a ``_pair_data`` walk."""
+    sq = np.array([ax.gram.diagonal().real for ax in axes]).T
+    return sq, np.array([ax.extra for ax in axes]).T
 
 
 def test_gram_error_shortcut_is_exact():
     from spatialzeno import GridScheme, convergence_study
-    from spatialzeno.measurement import _gram_error, _pair_data
+    from spatialzeno.measurement import _error_bound, _pair_data
     from spatialzeno.quadrature import DEFAULT_CONFIG
 
     psi = superpose([(0.8, make_state("sine_mode", k=1)),
@@ -373,14 +364,59 @@ def test_gram_error_shortcut_is_exact():
     scheme = GridScheme("jittered", d=2, ratio_bound=2.0, seed=5)
     rec = convergence_study(closed, uniform2, scheme, [2, 4, 8, 16])
     for row in rec.rows:
-        w, m, e = _pair_data(uniform2, closed, scheme.level(row.n), DEFAULT_CONFIG)
-        assert _gram_error(w, m, e) == _gram_error_all_sums(w, m, e) == 0.0
+        w, axes = _pair_data(uniform2, closed, scheme.level(row.n), DEFAULT_CONFIG)
+        sq, extra = _axis_sums(w, axes)
+        assert not extra.any()
+        assert _error_bound(w, sq, extra) == 0.0
         assert row.error_bound == 1e-15 * row.num_bins ** 0.5
-    # a pair on the numeric path still takes the sums
-    level = jittered_grid(64, 1, C=2.0, seed=2)
-    w, m, e = _pair_data(make_state("sine_mode", k=1),
-                         make_state("power_singular", alpha=0.3), level, DEFAULT_CONFIG)
-    assert _gram_error(w, m, e) == _gram_error_all_sums(w, m, e) > 0.0
+
+
+def _mp_error_bound(phi, psi, level):
+    """The error bound formula in 50-digit arithmetic, from unblocked
+    full-axis cell integrals: (sum_a |w_a| s_hi_a)^2 - (sum_a |w_a| s_a)^2."""
+    import mpmath
+    from spatialzeno.quadrature import DEFAULT_CONFIG, _term_pairs, cell_integrals
+
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(0), mpmath.mpf(0)
+        for w, bf, kf in _term_pairs(phi, psi):
+            prod, prod_hi = mpmath.mpf(1), mpmath.mpf(1)
+            for k, edges in enumerate(level.breakpoints):
+                vals, errs = cell_integrals(bf[k], kf[k], edges, DEFAULT_CONFIG)
+                absm = [mpmath.sqrt(mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2)
+                        for v in vals]
+                sq = mpmath.fsum(m ** 2 for m in absm)
+                prod *= sq
+                prod_hi *= sq + mpmath.fsum(2 * m * mpmath.mpf(e) + mpmath.mpf(e) ** 2
+                                            for m, e in zip(absm, errs))
+            aw = mpmath.sqrt(mpmath.mpf(w.real) ** 2 + mpmath.mpf(w.imag) ** 2)
+            lo += aw * mpmath.sqrt(prod)
+            hi += aw * mpmath.sqrt(prod_hi)
+        return float(hi ** 2 - lo ** 2)
+
+
+@pytest.mark.parametrize("case", ["power_sine_1d", "two_terms_2d"])
+def test_error_bound_matches_mpmath_on_numeric_pairs(case):
+    from spatialzeno.measurement import _error_bound, _pair_data
+    from spatialzeno.quadrature import DEFAULT_CONFIG
+
+    sine = lambda k: make_state("sine_mode", k=k)
+    power = lambda a: make_state("power_singular", alpha=a)
+    if case == "power_sine_1d":
+        phi, psi = sine(1), power(0.3)
+        level = jittered_grid(64, 1, C=2.0, seed=2)
+    else:
+        # axis pairs on both paths: sine x power is numeric, sine x sine closed
+        phi = tensor_product([sine(1), sine(2)])
+        psi = superpose([(0.7, tensor_product([power(0.3), sine(3)])),
+                         (0.5j, tensor_product([sine(1), power(0.2)]))])
+        level = jittered_grid(24, 2, C=2.0, seed=4)
+    w, axes = _pair_data(phi, psi, level, DEFAULT_CONFIG)
+    sq, extra = _axis_sums(w, axes)
+    assert extra.any()
+    got = _error_bound(w, sq, extra)
+    assert got > 0.0
+    assert got == pytest.approx(_mp_error_bound(phi, psi, level), rel=1e-12)
 
 
 def _inverse_cdf_cases():

@@ -1,12 +1,14 @@
 """One phi-psi cell-integral pass per study row: the shared pass, the
 per-axis phase table and the vectorised piece lookup give the same bits as
-the separate calls and per-cell loops they replace."""
+the separate calls and per-cell loops they replace, and the blocked walk
+agrees with a full-array pass."""
 
 import numpy as np
 import pytest
 
 from spatialzeno import (
     GridScheme,
+    ProductGrid,
     bar_norm_squared,
     convergence_study,
     jittered_grid,
@@ -16,9 +18,10 @@ from spatialzeno import (
     tensor_product,
     uniform_grid,
 )
+from spatialzeno.measurement import PAIR_BLOCK, _pair_data
+from spatialzeno.quadrature import DEFAULT_CONFIG, _term_pairs, cell_integrals
 from spatialzeno.states import (
     ONE,
-    PHASE_TABLE_BYTES,
     PhaseTable,
     exact_cell_integrals,
 )
@@ -109,9 +112,6 @@ def test_negated_frequency_phase_is_bitwise_conjugate():
     for w in freqs:
         assert np.array_equal(table(w), np.exp(1j * w * edges))
         assert np.array_equal(table(-w), np.exp(1j * -w * edges))
-    # six 16 MB phases: the table keeps only what fits under its byte cap
-    held = sum(a.nbytes for a in table._by_freq.values())
-    assert 0 < len(table._by_freq) < len(freqs) and held <= PHASE_TABLE_BYTES
 
 
 def test_shared_phase_table_matches_a_fresh_table_per_pair():
@@ -142,3 +142,98 @@ def test_num_bins_does_not_overflow_and_guard_holds():
     r = prob_y1_pure(psi, make_state("uniform", d=7), level, keep_per_bin="auto")
     assert r.per_bin_amplitude is None and r.per_bin_mass is None
     assert r.mass_total == pytest.approx(1.0, abs=1e-12)
+
+
+def _full_axis_pass(phi, psi, level):
+    """Weights and full-length per-axis cell integrals (and their error
+    estimates), one call per axis."""
+    weights, mats, errs = [], [], []
+    for w, bf, kf in _term_pairs(phi, psi):
+        weights.append(w)
+        vals = [cell_integrals(bf[k], kf[k], edges, DEFAULT_CONFIG)
+                for k, edges in enumerate(level.breakpoints)]
+        mats.append([v for v, _ in vals])
+        errs.append([e for _, e in vals])
+    return weights, mats, errs
+
+
+def _gram_total(weights, mats, axis_weights=None):
+    """sum_j |sum_P w_P prod_k M_P,k[j_k]|^2 by one np.dot per pair and axis."""
+    P, d = len(weights), len(mats[0])
+    H = np.ones((P, P), dtype=complex)
+    for k in range(d):
+        G = np.empty((P, P), dtype=complex)
+        conj = [np.conj(m[k]) for m in mats]
+        for a in range(P):
+            va = mats[a][k] if axis_weights is None else mats[a][k] * axis_weights[k]
+            for b in range(P):
+                G[a, b] = np.dot(va, conj[b])
+        H *= G
+    w = np.asarray(weights)
+    return float(np.real(np.einsum("a,ab,b->", w, H, np.conj(w))))
+
+
+def _per_bin(weights, mats):
+    total = None
+    for w, m_axes in zip(weights, mats):
+        term = m_axes[0]
+        for m in m_axes[1:]:
+            term = np.multiply.outer(term, m)
+        term = w * term.ravel()
+        total = term if total is None else total + term
+    return total
+
+
+def _axis(cells, seed):
+    """A random partition of [0, 1] into ``cells`` cells."""
+    inner = np.sort(np.random.default_rng(seed).random(cells - 1))
+    return np.concatenate([[0.0], inner, [1.0]])
+
+
+LONG = 5 * PAIR_BLOCK // 2  # two full blocks and a half block
+_mix = lambda: superpose([(0.8, make_state("sine_mode", k=1)),
+                          (0.6j, make_state("sine_mode", k=2))])
+BLOCKED_CASES = {
+    # name: (psi, phi, cells per axis); P = phi terms x psi terms, and phi
+    # carries the 24 terms so the psi-psi mass pass stays small
+    "P1_d1": (lambda: make_state("sine_mode", k=1), lambda: make_state("uniform"),
+              [LONG]),
+    "P24_d1": (lambda: make_state("uniform"), _superpose24, [LONG]),
+    "power_d1": (lambda: make_state("power_singular", alpha=0.3),
+                 lambda: make_state("sine_mode", k=1), [LONG]),
+    "P4_d2": (lambda: tensor_product([_mix(), _mix()]),
+              lambda: make_state("uniform", d=2), [LONG, 5]),
+    "P24_d2_power": (lambda: tensor_product([make_state("power_singular", alpha=0.3),
+                                             make_state("sine_mode", k=1)]),
+                     lambda: tensor_product([make_state("sine_mode", k=1),
+                                             _superpose24()]), [7, LONG]),
+    "P8_d3": (lambda: tensor_product([_mix(), _mix(), _mix()]),
+              lambda: make_state("uniform", d=3), [3, LONG, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_CASES))
+def test_blocked_pass_matches_full_array_pass(name):
+    make_psi, make_phi, cells = BLOCKED_CASES[name]
+    psi, phi = make_psi(), make_phi()
+    level = ProductGrid(max(cells), [_axis(m, seed=m + k) for k, m in enumerate(cells)])
+    w, mats, errs = _full_axis_pass(phi, psi, level)
+    inv_len = [1.0 / level.axis_lengths(k) for k in range(level.d)]
+    p_ref = _gram_total(w, mats)
+    bar_ref = _gram_total(w, mats, axis_weights=inv_len)
+
+    r = prob_y1_pure(psi, phi, level, keep_per_bin=True)
+    assert r.p_y1_raw == pytest.approx(p_ref, rel=1e-13)
+    assert bar_norm_squared(psi, phi, level) == pytest.approx(bar_ref, rel=1e-13)
+    # the per-axis sums behind the error bound
+    _, axes = _pair_data(phi, psi, level, DEFAULT_CONFIG)
+    sq_ref = [[np.sum(np.abs(m) ** 2) for m in m_axes] for m_axes in mats]
+    extra_ref = [[np.sum(2.0 * np.abs(m) * e + e ** 2) for m, e in zip(m_axes, e_axes)]
+                 for m_axes, e_axes in zip(mats, errs)]
+    assert np.allclose([ax.gram.diagonal().real for ax in axes], np.transpose(sq_ref),
+                       rtol=1e-13, atol=0.0)
+    assert np.allclose([ax.extra for ax in axes], np.transpose(extra_ref),
+                       rtol=1e-13, atol=0.0)
+    assert np.array_equal(r.per_bin_amplitude, _per_bin(w, mats))
+    w_m, mats_m, _ = _full_axis_pass(psi, psi, level)
+    assert np.array_equal(r.per_bin_mass, np.real(_per_bin(w_m, mats_m)))
