@@ -32,7 +32,6 @@ from .states import (
     NonOrthogonalTermsError,
     SeparableFunction,
     WaveFunction,
-    exact_bin_integral,
     inner_product,
     make_density,
     make_state,
@@ -54,6 +53,7 @@ from .measurement import (
     JointDistribution,
     MeasurementResult,
     SampleBatch,
+    TableTooLargeError,
     ZeroMassBinError,
     bar_norm_squared,
     collapse,

@@ -121,7 +121,8 @@ def discretize(f, level: GridLevel, cfg: QuadratureConfig = DEFAULT_CONFIG,
                 vals.append(np.dot(w, fb))
             integrals = np.asarray(vals)
     return DiscretizedFunction(level=level,
-                               averages=integrals / level.volumes(),
+                               averages=np.asarray(integrals, dtype=complex)
+                               / level.volumes(),
                                source=f)
 
 

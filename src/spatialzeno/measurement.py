@@ -15,6 +15,7 @@ size guard (or on explicit request).
 from __future__ import annotations
 
 import logging
+import os
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,6 +45,7 @@ __all__ = [
     "JointDistribution",
     "SampleBatch",
     "ZeroMassBinError",
+    "TableTooLargeError",
     "collapse",
     "prob_y1_given_bin",
     "prob_y1_pure",
@@ -61,6 +63,23 @@ PER_BIN_LIMIT = 10 ** 6
 
 class ZeroMassBinError(ValueError):
     """The state carries no mass in the requested bin."""
+
+
+class TableTooLargeError(MemoryError):
+    """The per-bin tables asked for would not fit in physical memory."""
+
+
+def _physical_memory() -> float:
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
+# per-bin tables larger than this many bytes are refused before any is built
+TABLE_BYTE_LIMIT = _physical_memory()
+# a kept table holds one complex128 amplitude and one float64 mass per bin
+_TABLE_BYTES_PER_BIN = 16 + 8
 
 
 @dataclass
@@ -132,7 +151,11 @@ PAIR_BLOCK = 2 ** 14
 
 
 class _AxisSums(NamedTuple):
-    """One axis of a term-pair pass; M_a is pair a's cell-integral array."""
+    """One axis of a term-pair pass; M_a is pair a's cell-integral array.
+
+    Every array is float64 when all of the axis's pairs have real cells,
+    and complex128 otherwise.
+    """
 
     gram: np.ndarray | None        # (P, P): sum_i M_a[i] conj(M_b[i])
     gram_bar: np.ndarray | None    # the same with each cell divided by its length
@@ -140,32 +163,50 @@ class _AxisSums(NamedTuple):
     cells: np.ndarray | None       # (P, cells): every M_a, when kept
 
 
+def _distinct_pairs(pairs, k: int):
+    """The distinct (bra, ket) primitive pairs on axis k, and for each term
+    pair the index of its distinct pair."""
+    index: dict = {}
+    rows = [index.setdefault((bf[k], kf[k]), len(index)) for _, bf, kf in pairs]
+    return list(index), np.array(rows)
+
+
 def _axis_pass(pairs, k: int, edges: np.ndarray, cfg: QuadratureConfig,
                keep: bool, gram: bool, with_bar: bool) -> _AxisSums:
     """Walk axis k in blocks of PAIR_BLOCK cells.
 
-    Each block gets one phase table, and every term pair's cell integrals
-    go into the rows of one reused (P, block) buffer V, which is reduced
-    by one matrix product per Gram (or copied out, when kept) before the
-    next block overwrites it.
+    Each block gets one phase table.  Every distinct primitive pair's cell
+    integrals are computed once and copied into the rows of all term pairs
+    that share it, in one reused (P, block) buffer V, which is reduced by
+    one matrix product per Gram (or copied out, when kept) before the next
+    block overwrites it.  V and the sums are real while every pair's cells
+    are; a complex block promotes them, exactly.
     """
+    distinct, rows = _distinct_pairs(pairs, k)
     P, m = len(pairs), edges.size - 1
-    G = np.zeros((P, P), dtype=complex) if gram else None
-    G_bar = np.zeros((P, P), dtype=complex) if with_bar else None
+    real = True
+    G = np.zeros((P, P)) if gram else None
+    G_bar = np.zeros((P, P)) if with_bar else None
     extra = np.zeros(P) if gram else None
-    cells = np.empty((P, m), dtype=complex) if keep else None
-    buf = np.empty((P, min(m, PAIR_BLOCK)), dtype=complex)
+    cells = np.empty((P, m)) if keep else None
+    buf = np.empty((P, min(m, PAIR_BLOCK)))
     for start in range(0, m, PAIR_BLOCK):
         block = edges[start:start + PAIR_BLOCK + 1]
-        V = buf[:, :block.size - 1]
         phases = PhaseTable(block)
-        for a, (_, bf, kf) in enumerate(pairs):
-            V[a], err = cell_integrals(bf[k], kf[k], block, cfg, phases=phases)
-            # closed-form pairs carry all-zero errors
-            if gram and err.any():
-                extra[a] += float(np.sum((2.0 * np.abs(V[a]) + err) * err))
+        ints = [cell_integrals(bf, kf, block, cfg, phases=phases) for bf, kf in distinct]
+        if real and any(np.iscomplexobj(v) for v, _ in ints):
+            real = False
+            G, G_bar, cells, buf = (None if x is None else x.astype(complex)
+                                    for x in (G, G_bar, cells, buf))
+        V = buf[:, :block.size - 1]
+        for a, q in enumerate(rows):
+            V[a] = ints[q][0]
         if gram:
-            V_h = V.conj().T
+            for q, (vals, err) in enumerate(ints):
+                # closed-form pairs carry all-zero errors
+                if err.any():
+                    extra[rows == q] += float(np.sum((2.0 * np.abs(vals) + err) * err))
+            V_h = V.T if real else V.conj().T
             G += V @ V_h
             if with_bar:
                 G_bar += (V / np.diff(block)) @ V_h
@@ -255,9 +296,15 @@ def _product_parts(level: GridLevel) -> list[ProductGrid] | None:
 
 
 def _should_keep(level: GridLevel, keep) -> bool:
-    if keep == "auto":
-        return level.num_bins <= PER_BIN_LIMIT
-    return bool(keep)
+    """Whether to build per-bin tables; raises TableTooLargeError when
+    they would exceed TABLE_BYTE_LIMIT."""
+    keep = level.num_bins <= PER_BIN_LIMIT if keep == "auto" else bool(keep)
+    nbytes = level.num_bins * _TABLE_BYTES_PER_BIN
+    if keep and nbytes > TABLE_BYTE_LIMIT:
+        raise TableTooLargeError(
+            f"per-bin tables for {level.num_bins} bins need {nbytes:.3g} bytes, "
+            f"more than the {TABLE_BYTE_LIMIT:.3g} bytes of physical memory")
+    return keep
 
 
 def _hull_mass(psi: WaveFunction, part: ProductGrid, cfg: QuadratureConfig) -> float:

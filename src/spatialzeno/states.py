@@ -47,7 +47,6 @@ __all__ = [
     "superpose",
     "tensor_product",
     "product_field",
-    "exact_bin_integral",
     "exact_cell_integrals",
     "CATALOG",
 ]
@@ -366,54 +365,94 @@ def _unwrap(p: Primitive1D) -> Primitive1D:
 
 
 class PhaseTable:
-    """exp(i w x) on one edges array, computed once per distinct |w|.
+    """cos(|w| x) and sin(|w| x) on one edges array, each computed once per
+    distinct |w| and only when a kernel asks for it.
 
-    exp(i|w| x) is built as cos(|w| x) + i sin(|w| x), written straight into
-    the two halves of one complex array, and exp(-i|w| x) is returned as its
-    conjugate; both are bitwise equal to ``np.exp(1j * w * x)``, so only one
-    array per |w| is held.  A table belongs to the array it was made for:
-    callers create one per block of edges and pass it down explicitly, and
-    it is used only for that exact array object.
+    The arrays are real and bitwise equal to ``np.cos(abs(w) * edges)`` and
+    ``np.sin(abs(w) * edges)``; the sign of w is folded into the kernel's
+    coefficients, so a sine mode against a constant needs only the cosine.
+    A table belongs to the array it was made for: callers create one per
+    block of edges and pass it down explicitly, and it is used only for
+    that exact array object.
     """
 
     def __init__(self, edges: np.ndarray) -> None:
         self.edges = edges
-        self._by_freq: dict[float, np.ndarray] = {}
+        self._cos: dict[float, np.ndarray] = {}
+        self._sin: dict[float, np.ndarray] = {}
 
-    def __call__(self, w: float) -> np.ndarray:
+    def _cached(self, cache: dict, fn, w: float) -> np.ndarray:
         key = abs(w)
-        phase = self._by_freq.get(key)
-        if phase is None:
-            x = key * self.edges
-            phase = np.empty(x.shape, dtype=complex)
-            np.cos(x, out=phase.real)
-            np.sin(x, out=phase.imag)
-            self._by_freq[key] = phase
-        return phase if w > 0.0 else np.conj(phase)
+        if key not in cache:
+            cache[key] = fn(key * self.edges)
+        return cache[key]
+
+    def cos(self, w: float) -> np.ndarray:
+        return self._cached(self._cos, np.cos, w)
+
+    def sin(self, w: float) -> np.ndarray:
+        return self._cached(self._sin, np.sin, w)
+
+
+def _real_or_complex(c: complex) -> float | complex:
+    """A coefficient as a float when its imaginary part is exactly 0."""
+    c = complex(c)
+    return c.real if c.imag == 0.0 else c
+
+
+def _real_cells(terms, cells: int) -> np.ndarray:
+    """np.diff of sum c * basis() over real (c, basis) terms; a basis array
+    whose coefficient is exactly 0 is never built."""
+    anti = None
+    for c, basis in terms:
+        if c != 0.0:
+            term = c * basis()
+            anti = term if anti is None else np.add(anti, term, out=anti)
+    return np.zeros(cells) if anti is None else np.diff(anti)
 
 
 def _trig_cells(terms, edges: np.ndarray,
                 phases: PhaseTable | None = None) -> np.ndarray:
+    """Cells of sum_m c_m exp(i w_m x), float64 when the result is real.
+
+    Each +-w pair is folded into one antiderivative A cos(|w| x) +
+    B sin(|w| x), with A = (c+ - c-) / (i|w|) and B = (c+ + c-) / |w|,
+    next to the linear w = 0 term.  Real and imaginary parts are formed
+    separately from real basis arrays; the imaginary part is skipped when
+    every folded coefficient is real.
+    """
     if phases is None or phases.edges is not edges:
         phases = PhaseTable(edges)
-    anti = np.zeros_like(edges, dtype=complex)
+    lin = 0j
+    folded: dict[float, list[complex]] = {}  # |w| -> [c+, c-]
     for c, w in terms:
         if w == 0.0:
-            anti += c * edges
+            lin += c
         else:
-            anti += (c / (1j * w)) * phases(w)
-    return np.diff(anti)
+            folded.setdefault(abs(w), [0j, 0j])[w < 0.0] += c
+    anti_terms = [(lin, lambda: edges)]
+    for a, (cp, cm) in folded.items():
+        d, s = cp - cm, cp + cm
+        anti_terms += [(complex(d.imag / a, -d.real / a), lambda a=a: phases.cos(a)),
+                 (complex(s.real / a, s.imag / a), lambda a=a: phases.sin(a))]
+    re = _real_cells([(c.real, basis) for c, basis in anti_terms], edges.size - 1)
+    if not any(c.imag for c, _ in anti_terms):
+        return re
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = _real_cells([(c.imag, basis) for c, basis in anti_terms], edges.size - 1)
+    return out
 
 
 def _power_cells(coeff: complex, gamma: float, edges: np.ndarray) -> np.ndarray:
     p = 1.0 - gamma
-    anti = coeff * np.power(np.maximum(edges, 0.0), p) / p
+    anti = _real_or_complex(coeff) * np.power(np.maximum(edges, 0.0), p) / p
     return np.diff(anti)
 
 
 def _gauss_const_cells(g: Gaussian1D, const: complex, edges: np.ndarray) -> np.ndarray:
     a = 1.0 / (4.0 * g.sigma ** 2)
-    pref = const * g.amp * 0.5 * np.sqrt(np.pi / a)
+    pref = _real_or_complex(const) * g.amp * 0.5 * np.sqrt(np.pi / a)
     return pref * np.diff(erf(np.sqrt(a) * (edges - g.mu)))
 
 
@@ -424,7 +463,7 @@ def _gauss_pair_cells(f: Gaussian1D, g: Gaussian1D, edges: np.ndarray) -> np.nda
     m = (a1 * f.mu + a2 * g.mu) / a
     r = a1 * a2 * (f.mu - g.mu) ** 2 / a
     pref = f.amp * g.amp * np.exp(-r) * 0.5 * np.sqrt(np.pi / a)
-    return (pref * np.diff(erf(np.sqrt(a) * (edges - m)))).astype(complex)
+    return pref * np.diff(erf(np.sqrt(a) * (edges - m)))
 
 
 def _const_of(p: Primitive1D) -> complex | None:
@@ -446,12 +485,14 @@ def _split_on_pieces(pcw: PiecewiseConstant1D, pcw_is_bra: bool,
         return None
     mids = 0.5 * (refined[:-1] + refined[1:])
     consts = pcw.pieces_at(mids)
+    if not any(np.imag(pcw.values)):
+        consts = consts.real
     if pcw_is_bra:
         contrib = np.conj(consts) * plain
     else:
         # integral of conj(other) = conj(integral of other)
         contrib = consts * np.conj(plain)
-    out = np.zeros(edges.size - 1, dtype=complex)
+    out = np.zeros(edges.size - 1, dtype=contrib.dtype)
     pos = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, out.size - 1)
     np.add.at(out, pos, contrib)
     return out
@@ -463,14 +504,18 @@ def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
 
     ``edges`` is a sorted 1-d array; the result has one entry per cell
     [edges[i], edges[i+1]).  Cells outside the common support contribute 0.
+    The result is float64 when the pair's coefficients are real (sine
+    modes, constants, indicators, Gaussians, real pieces) and complex128
+    otherwise.
     ``phases`` is an optional PhaseTable made for ``edges``, shared by
-    calls on the same edges so each exp(i|w|x) is evaluated once.
+    calls on the same edges so each cos(|w|x) and sin(|w|x) is evaluated
+    once.
     """
     edges = np.asarray(edges, dtype=float)
     lo = max(f.support[0], g.support[0])
     hi = min(f.support[1], g.support[1])
     if lo >= hi:
-        return np.zeros(edges.size - 1, dtype=complex)
+        return np.zeros(edges.size - 1)
     if edges[0] < lo or edges[-1] > hi:
         edges = np.clip(edges, lo if np.isfinite(lo) else None,
                         hi if np.isfinite(hi) else None)
@@ -782,26 +827,6 @@ def tensor_product(states: Sequence[WaveFunction]) -> WaveFunction:
     domain = Domain(kind, d)
     label = " x ".join(s.label for s in states)
     return WaveFunction(domain, tuple(terms), label=f"tensor[{label}]")
-
-
-def exact_bin_integral(psi: WaveFunction, phi: WaveFunction,
-                       cell: Bin) -> complex | None:
-    """Closed-form integral of conj(phi)*psi over a bin, or None if unsupported."""
-    if psi.domain != phi.domain:
-        raise ValueError("states live on different domains")
-    if cell.d != psi.d:
-        raise ValueError("bin dimension does not match the states")
-    total = 0.0 + 0.0j
-    for cb, bf in phi.terms:
-        for ck, kf in psi.terms:
-            prod = complex(np.conj(cb) * ck)
-            for k, e in enumerate(cell.edges):
-                vals = exact_cell_integrals(bf[k], kf[k], np.array([e.lo, e.hi]))
-                if vals is None:
-                    return None
-                prod *= complex(vals[0])
-            total += prod
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,148 @@
+"""Property tests of the measurement invariants on random catalog states.
+
+States are superpositions of tensor products of sine modes (real cells)
+or of complex exponentials (complex cells), with real or complex
+coefficients, on jittered grids with d <= 2.  Every draw checks per-bin
+Cauchy-Schwarz, that the bin masses sum to the total, mixed-state
+linearity, and that the per-bin amplitudes and masses agree with a
+reference built in complex arithmetic from exp(i w x) antiderivatives.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spatialzeno import (
+    jittered_grid,
+    make_density,
+    make_state,
+    prob_y1_mixed,
+    prob_y1_pure,
+    superpose,
+    tensor_product,
+)
+from spatialzeno.measurement import _pair_data
+from spatialzeno.quadrature import DEFAULT_CONFIG, _term_pairs
+from spatialzeno.states import PairFactor
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+TOL = 1e-14
+
+FAMILIES = {"sine": (lambda k: make_state("sine_mode", k=k), range(1, 7)),
+            "cexp": (lambda k: make_state("complex_exponential", k=k),
+                     [k for k in range(-4, 5) if k != 0])}
+
+
+def _product(family: str, ks) -> object:
+    make, _ = FAMILIES[family]
+    return tensor_product([make(k) for k in ks]) if len(ks) > 1 else make(ks[0])
+
+
+@st.composite
+def _modes(draw, family: str, d: int):
+    _, ks = FAMILIES[family]
+    return tuple(draw(st.sampled_from(list(ks))) for _ in range(d))
+
+
+_coeff = st.one_of(
+    st.floats(0.2, 1.0),
+    st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.2, 1.0)))
+
+
+@st.composite
+def _state(draw, family: str, d: int):
+    """A renormalised superposition of 1-3 distinct product modes."""
+    modes = draw(st.lists(_modes(family, d), min_size=1, max_size=3, unique=True))
+    return superpose([(draw(_coeff), _product(family, ks)) for ks in modes])
+
+
+@st.composite
+def _case(draw):
+    d = draw(st.integers(1, 2))
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    psi = draw(_state(family, d))
+    phi = draw(st.one_of(_state("sine", d), st.just(make_state("uniform", d=d))))
+    n = draw(st.integers(2, 40 if d == 1 else 12))
+    level = jittered_grid(n, d, C=2.0, seed=draw(st.integers(0, 2 ** 16)))
+    return family, psi, phi, level
+
+
+def _reference_cells(bra, ket, edges):
+    """Cell integrals of conj(bra)*ket from its Fourier terms, in complex
+    arithmetic, and the size of the antiderivative they are differences of."""
+    anti = np.zeros(edges.size, dtype=complex)
+    scale = 0.0
+    for c, w in PairFactor(bra, ket).fourier_terms():
+        if w == 0.0:
+            anti += c * edges
+            scale += abs(c) * np.max(np.abs(edges))
+        else:
+            anti += c / (1j * w) * np.exp(1j * w * edges)
+            scale += abs(c) / abs(w)
+    return np.diff(anti), scale
+
+
+def _reference_per_bin(phi, psi, level):
+    """Per-bin <phi|P_j psi> and the roundoff scale of the reference."""
+    total = np.zeros(level.num_bins, dtype=complex)
+    scale = 0.0
+    for w, bf, kf in _term_pairs(phi, psi):
+        term, size = np.array([w]), abs(w)
+        for k, edges in enumerate(level.breakpoints):
+            cells, s = _reference_cells(bf[k], kf[k], edges)
+            term, size = np.multiply.outer(term, cells).ravel(), size * s
+        total += term
+        scale += size
+    return total, scale
+
+
+@SETTINGS
+@given(_case())
+def test_per_bin_cauchy_schwarz_and_mass_sum(case):
+    _, psi, phi, level = case
+    r = prob_y1_pure(psi, phi, level, keep_per_bin=True)
+    amp2, m = np.abs(r.per_bin_amplitude) ** 2, r.per_bin_mass
+    assert np.all(amp2 <= m * phi.norm_squared() * (1.0 + 1e-12) + 1e-15)
+    assert np.sum(m) == pytest.approx(r.mass_total, rel=1e-12)
+    assert np.sum(amp2) == pytest.approx(r.p_y1_raw, rel=1e-12, abs=1e-15)
+
+
+@SETTINGS
+@given(_case())
+def test_real_and_complex_cells_match_a_complex_reference(case):
+    family, psi, phi, level = case
+    r = prob_y1_pure(psi, phi, level, keep_per_bin=True)
+    amp, amp_scale = _reference_per_bin(phi, psi, level)
+    mass, mass_scale = _reference_per_bin(psi, psi, level)
+    assert np.max(np.abs(r.per_bin_amplitude - amp)) <= TOL * amp_scale
+    assert np.max(np.abs(r.per_bin_mass - mass.real)) <= TOL * mass_scale
+    # sine pairs are real on every axis; complex exponentials are not
+    _, axes = _pair_data(phi, psi, level, DEFAULT_CONFIG, keep=True)
+    want = np.float64 if family == "sine" else np.complex128
+    assert all(ax.cells.dtype == want and ax.gram.dtype == want for ax in axes)
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(
+    st.sampled_from(sorted(FAMILIES)).flatmap(
+        lambda fam: st.lists(_modes(fam, d), min_size=2, max_size=3, unique=True)
+        .map(lambda modes: (fam, modes))),
+    st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+    _state("sine", d),
+    st.integers(2, 24 if d == 1 else 8),
+    st.integers(0, 2 ** 16))))
+def test_mixed_state_is_linear_in_its_terms(args):
+    (family, modes), weights, phi, n, seed = args
+    states = [_product(family, ks) for ks in modes]
+    p = np.array(weights[:len(states)])
+    p /= p.sum()
+    rho = make_density(list(zip(p, states)))
+    level = jittered_grid(n, phi.d, C=2.0, seed=seed)
+    mixed = prob_y1_mixed(rho, phi, level, keep_per_bin=True)
+    pure = [prob_y1_pure(s, phi, level, keep_per_bin=True) for s in states]
+    assert mixed.p_y1_raw == pytest.approx(
+        sum(w * r.p_y1_raw for w, r in zip(p, pure)), rel=TOL, abs=TOL)
+    assert mixed.mass_total == pytest.approx(
+        sum(w * r.mass_total for w, r in zip(p, pure)), rel=TOL)
+    assert np.allclose(mixed.per_bin_mass, sum(w * r.per_bin_mass for w, r in zip(p, pure)),
+                       rtol=TOL, atol=0.0)

@@ -9,20 +9,27 @@ import pytest
 from spatialzeno import (
     GridScheme,
     ProductGrid,
+    TableTooLargeError,
     bar_norm_squared,
     convergence_study,
     jittered_grid,
+    joint_distribution,
+    make_density,
     make_state,
+    prob_y1_mixed,
     prob_y1_pure,
+    sample_xy,
     superpose,
     tensor_product,
     uniform_grid,
 )
-from spatialzeno.measurement import PAIR_BLOCK, _pair_data
+from spatialzeno import measurement
+from spatialzeno.measurement import PAIR_BLOCK, _gram_form, _pair_data
 from spatialzeno.quadrature import DEFAULT_CONFIG, _term_pairs, cell_integrals
 from spatialzeno.states import (
     ONE,
     PhaseTable,
+    PiecewiseConstant1D,
     exact_cell_integrals,
 )
 
@@ -105,13 +112,27 @@ def test_vectorised_piece_lookup_matches_per_cell_lookup(edges):
                               _per_cell_pieces(haar, False, other, edges))
 
 
-def test_negated_frequency_phase_is_bitwise_conjugate():
+def _prim(catalog, **params):
+    """The axis-0 factor of a one-term catalog state."""
+    return make_state(catalog, **params).terms[0][1][0]
+
+
+def test_phase_table_is_bitwise_cos_and_sin():
     edges = jittered_grid(2 ** 20, 1, C=2.0, seed=11).breakpoints[0]
     table = PhaseTable(edges)
-    freqs = [k * np.pi for k in (1, 3, 14, 4, 5, 6)]
-    for w in freqs:
-        assert np.array_equal(table(w), np.exp(1j * w * edges))
-        assert np.array_equal(table(-w), np.exp(1j * -w * edges))
+    for w in [k * np.pi for k in (1, 3, 14, 4, 5, 6)]:
+        for signed in (w, -w):
+            assert np.array_equal(table.cos(signed), np.cos(w * edges))
+            assert np.array_equal(table.sin(signed), np.sin(w * edges))
+
+
+def test_sine_against_a_constant_needs_one_cosine():
+    edges = jittered_grid(300, 1, C=2.0, seed=3).breakpoints[0]
+    table = PhaseTable(edges)
+    sine, uniform = _prim("sine_mode", k=3), _prim("uniform")
+    exact_cell_integrals(sine, uniform, edges, phases=table)
+    exact_cell_integrals(uniform, sine, edges, phases=table)
+    assert list(table._cos) == [3 * np.pi] and table._sin == {}
 
 
 def test_shared_phase_table_matches_a_fresh_table_per_pair():
@@ -132,7 +153,122 @@ def test_phase_table_for_other_edges_is_not_used():
     f, g = make_state("sine_mode", k=2).terms[0][1][0], make_state("uniform").terms[0][1][0]
     assert np.array_equal(exact_cell_integrals(f, g, edges, phases=other),
                           exact_cell_integrals(f, g, edges))
-    assert other._by_freq == {}
+    assert other._cos == {} and other._sin == {}
+
+
+_REAL_HAAR = PiecewiseConstant1D((0.0, 0.25, 0.5, 1.0), (1.0, -0.5, 0.75))
+
+
+@pytest.mark.parametrize("bra,ket,dtype", [
+    (("sine_mode", {"k": 1}), ("uniform", {}), np.float64),
+    (("uniform", {}), ("sine_mode", {"k": 3}), np.float64),
+    (("sine_mode", {"k": 2}), ("sine_mode", {"k": 5}), np.float64),
+    (("sine_mode", {"k": 2}), ("sine_mode", {"k": 2}), np.float64),
+    (("indicator", {"a": 0.2, "b": 0.7}), ("sine_mode", {"k": 1}), np.float64),
+    (("power_singular", {"alpha": 0.3}), ("uniform", {}), np.float64),
+    (("gaussian", {"mu": 0.3, "sigma": 0.5}), ("gaussian", {"mu": 0.0, "sigma": 1.0}),
+     np.float64),
+    (("gaussian", {"mu": 0.3, "sigma": 0.5}), ("uniform", {}), np.float64),
+    (("real_haar", {}), ("sine_mode", {"k": 2}), np.float64),
+    (("sine_mode", {"k": 2}), ("real_haar", {}), np.float64),
+    (("complex_exponential", {"k": 1}), ("complex_exponential", {"k": 1}), np.float64),
+    (("complex_exponential", {"k": 2}), ("uniform", {}), np.complex128),
+    (("sine_mode", {"k": 1}), ("complex_exponential", {"k": -1}), np.complex128),
+    (("haar_like", {"seed": 4, "pieces": 16}), ("sine_mode", {"k": 1}), np.complex128),
+], ids=lambda v: v[0] if isinstance(v, tuple) else np.dtype(v).name)
+def test_cell_dtype_follows_the_coefficients(bra, ket, dtype):
+    f, g = (_REAL_HAAR if name == "real_haar" else _prim(name, **params)
+            for name, params in (bra, ket))
+    edges = jittered_grid(64, 1, C=2.0, seed=8).breakpoints[0]
+    vals = exact_cell_integrals(f, g, edges)
+    assert vals.dtype == dtype
+    ref, _ = cell_integrals(f, g, edges, method="numeric")
+    assert np.allclose(vals, ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("phi,real", [
+    (lambda: make_state("uniform"), True),
+    (lambda: make_state("complex_exponential", k=2), False),
+])
+def test_pair_pass_sums_are_real_when_every_pair_is(phi, real):
+    psi = superpose([(0.8, make_state("sine_mode", k=1)),
+                     (0.6j, make_state("sine_mode", k=2))])
+    level = jittered_grid(100, 1, C=2.0, seed=2)
+    _, (ax,) = _pair_data(phi(), psi, level, DEFAULT_CONFIG, keep=True, with_bar=True)
+    want = np.float64 if real else np.complex128
+    assert ax.gram.dtype == ax.gram_bar.dtype == ax.cells.dtype == want
+    r = prob_y1_pure(psi, phi(), level, keep_per_bin=True)
+    assert r.per_bin_amplitude.dtype == np.complex128
+    assert r.per_bin_mass.dtype == np.float64
+
+
+def test_a_complex_block_promotes_the_real_sums(monkeypatch):
+    """A pair that turns complex after the first block promotes the sums
+    already taken; the totals equal the all-complex pass."""
+    psi = make_state("sine_mode", k=1)
+    phi = make_state("uniform")
+    level = ProductGrid(LONG, [_axis(LONG, seed=1)])
+    ref = prob_y1_pure(psi, phi, level, keep_per_bin=True)
+    ref_bar = bar_norm_squared(psi, phi, level)
+
+    def late_complex(f, g, edges, *args, **kwargs):
+        vals, err = cell_integrals(f, g, edges, *args, **kwargs)
+        return (vals.astype(complex) if edges[0] > 0.0 else vals), err
+
+    monkeypatch.setattr(measurement, "cell_integrals", late_complex)
+    r = prob_y1_pure(psi, phi, level, keep_per_bin=True)
+    assert r.p_y1_raw == pytest.approx(ref.p_y1_raw, rel=1e-14)
+    assert np.array_equal(r.per_bin_amplitude, ref.per_bin_amplitude)
+    assert bar_norm_squared(psi, phi, level) == pytest.approx(ref_bar, rel=1e-14)
+    _, (ax,) = _pair_data(phi, psi, level, DEFAULT_CONFIG, keep=True, with_bar=True)
+    assert ax.gram.dtype == ax.gram_bar.dtype == ax.cells.dtype == np.complex128
+
+
+def test_equal_primitive_pairs_are_integrated_once(monkeypatch):
+    """mix^3 against uniform: 8 term pairs share 2 primitive pairs per axis."""
+    psi = tensor_product([_mix(), _mix(), _mix()])
+    phi = make_state("uniform", d=3)
+    level = jittered_grid(16, 3, C=2.0, seed=6)
+    pairs = list(_term_pairs(phi, psi))
+    calls = []
+
+    def counting(f, g, edges, *args, **kwargs):
+        calls.append((f, g))
+        return cell_integrals(f, g, edges, *args, **kwargs)
+
+    monkeypatch.setattr(measurement, "cell_integrals", counting)
+    p = prob_y1_pure(psi, phi, level, keep_per_bin=False).p_y1_raw
+    assert len(pairs) == 8 and len(calls) == 3 * 2
+    # one cell-integral row per term pair, one Gram product per axis
+    grams = []
+    for k, edges in enumerate(level.breakpoints):
+        V = np.array([cell_integrals(bf[k], kf[k], edges)[0] for _, bf, kf in pairs])
+        grams.append(V @ V.T)
+    assert p == _gram_form(np.array([w for w, _, _ in pairs]), grams)
+
+
+def _no_pair_pass(*args, **kwargs):
+    raise AssertionError("a pair pass ran although the tables were refused")
+
+
+def test_oversized_tables_raise_before_anything_is_built(monkeypatch):
+    psi, phi = make_state("sine_mode", k=1), make_state("uniform")
+    small, fits = uniform_grid(64), uniform_grid(32)
+    monkeypatch.setattr(measurement, "TABLE_BYTE_LIMIT", 1000)  # 41 bins
+    assert prob_y1_pure(psi, phi, fits, keep_per_bin=True).per_bin_mass.size == 32
+    monkeypatch.setattr(measurement, "_pair_pass", _no_pair_pass)
+    for call in (lambda: prob_y1_pure(psi, phi, small, keep_per_bin=True),
+                 lambda: joint_distribution(psi, phi, small),
+                 lambda: sample_xy(psi, phi, small, count=5),
+                 lambda: prob_y1_mixed(make_density([(1.0, psi)]), phi, small,
+                                       keep_per_bin=True)):
+        with pytest.raises(TableTooLargeError, match="64 bins"):
+            call()
+    # at the real limit, with nothing able to allocate a table
+    level = uniform_grid(1024, d=7)
+    psi7 = tensor_product([psi] * 7)
+    with pytest.raises(TableTooLargeError):
+        prob_y1_pure(psi7, make_state("uniform", d=7), level, keep_per_bin=True)
 
 
 def test_num_bins_does_not_overflow_and_guard_holds():
