@@ -78,8 +78,10 @@ def _physical_memory() -> float:
 
 # per-bin tables larger than this many bytes are refused before any is built
 TABLE_BYTE_LIMIT = _physical_memory()
-# a kept table holds one complex128 amplitude and one float64 mass per bin
-_TABLE_BYTES_PER_BIN = 16 + 8
+# bytes per bin at the peak of building the kept tables: the complex128
+# amplitudes, then the mass table built as a complex128 sum in a reused
+# complex128 term buffer (``_per_bin_arrays``)
+_TABLE_BYTES_PER_BIN = 16 + 16 + 16
 
 
 @dataclass
@@ -276,15 +278,27 @@ def _linear_total(weights, axes_cells) -> float:
 
 
 def _per_bin_arrays(weights, axes_cells) -> np.ndarray:
-    """Materialise the flat per-bin amplitude array (C order over axes)."""
-    total = None
+    """Materialise the flat per-bin amplitude array (C order over axes).
+
+    The array is sum_a w_a outer_k(M_a,k), raveled.  Each term's outer
+    product is written into one reused buffer, scaled there and added into
+    the output, so the build holds two full-size arrays; the values are
+    bitwise those of summing the scaled outer products one by one.
+    """
+    shape = tuple(cells.shape[1] for cells in axes_cells)
+    out = np.empty(shape, dtype=np.result_type(weights, *axes_cells))
+    buf = np.empty_like(out)
     for a, w in enumerate(weights):
         term = axes_cells[0][a]
-        for cells in axes_cells[1:]:
-            term = np.multiply.outer(term, cells[a])
-        term = w * term.ravel()
-        total = term if total is None else total + term
-    return total
+        if len(shape) > 1:
+            for cells in axes_cells[1:-1]:
+                term = np.multiply.outer(term, cells[a])
+            term = np.multiply.outer(term, axes_cells[-1][a], out=buf)
+        if a == 0:
+            np.multiply(w, term, out=out)
+        else:
+            np.add(out, np.multiply(w, term, out=buf), out=out)
+    return out.ravel()
 
 
 def _product_parts(level: GridLevel) -> list[ProductGrid] | None:
@@ -577,7 +591,7 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
             y[pick] = (u_y[pick] < cond[xl]).astype(np.int8)
         return SampleBatch(x=x, y=y, seed=seed, stream=stream)
 
-    _, masses, p1 = _per_bin_tables(state, phi, level, cfg, keep_per_bin)
+    masses, p1 = _per_bin_tables(state, phi, level, cfg, keep_per_bin)[1:]
     cdf = np.cumsum(masses)
     cdf /= cdf[-1]
     cond = np.divide(p1, masses, out=np.zeros_like(p1), where=masses > 0)

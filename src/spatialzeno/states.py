@@ -8,9 +8,10 @@ integrals factor axis by axis: the integral of conj(phi)*psi over a
 rectangular cell is a sum over term pairs of products of 1-d cell
 integrals, which have elementary antiderivatives for the whole trig
 family (constants, sine modes, complex exponentials, indicators,
-piecewise constants), for power singularities paired with constants, and
-for Gaussian pairs.  Pairs without a closed form report ``None`` so the
-quadrature module can take over.
+piecewise constants) and for Gaussian pairs; power singularities paired
+with a power or with the trig family integrate as x^p times a power
+series.  Pairs without a closed form, or with a trig frequency too high
+for the series, report ``None`` so the quadrature module can take over.
 
 Catalog factors and their natural (unit-norm) scaling:
 
@@ -28,6 +29,7 @@ haar_like           seeded random piecewise constant on a dyadic partition
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -444,10 +446,129 @@ def _trig_cells(terms, edges: np.ndarray,
     return out
 
 
-def _power_cells(coeff: complex, gamma: float, edges: np.ndarray) -> np.ndarray:
+def _power_diff(edges: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a^p, b^p - a^p) on each cell [a, b) of nonnegative edges.
+
+    The difference is formed as a^p expm1(p log1p(h / a)), which does not
+    cancel on narrow cells far from 0; it is b^p where a = 0.
+    """
+    a, b = edges[:-1], edges[1:]
+    ap = np.power(a, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = ap * np.expm1(p * np.log1p((b - a) / a))
+    zero = a == 0.0
+    if zero.any():
+        diff[zero] = np.power(b[zero], p)
+    return ap, diff
+
+
+# Largest max|w| * b for which power x trig cells are summed as a series.
+# The alternating terms (|w| b)^m / m! grow to about exp(|w| b) before they
+# cancel, and the sum loses that factor of its 16 digits.  Measured against
+# 40-digit mpmath (alpha = 0.05, 0.3, 0.49; a sine or exponential partner;
+# 1024 jittered cells), the worst cell error relative to h max|integrand|
+# is 4e-14 at |w| b = 2 pi, 1.6e-13 at 8, 8e-13 at 10 and 1e-11 at 12.
+# Pairs above the limit fall back to Gauss-Jacobi quadrature.
+_POWER_SERIES_WMAX = 8.0
+
+
+@lru_cache(maxsize=256)
+def _power_series(coeff: float, p: float, terms: tuple, b: float) -> tuple:
+    """Coefficients s_m of S(x) = sum_m s_m x^m with x^p S(x) an
+    antiderivative of coeff x^(p-1) sum_t c_t exp(i w_t x) on [0, b].
+
+    s_m = coeff sum_t c_t (i w_t)^m / (m! (m + p)).  As in ``_trig_cells``
+    each +-w pair is folded into (c+ + c-) cos + i (c+ - c-) sin, so a real
+    partner gives real coefficients and a sine partner odd-only ones.  The
+    series stops at the first M whose remainder sum_t |c_t| (|w_t| b)^(M+1)
+    / (M+1)! is below 2^-53 sum_t |c_t|.
+    """
+    lin = 0j
+    folded: dict[float, list[complex]] = {}  # |w| -> [c+, c-]
+    for c, w in terms:
+        if w == 0.0:
+            lin += c
+        else:
+            folded.setdefault(abs(w), [0j, 0j])[w < 0.0] += c
+    # (|w|, cosine weight c+ + c-, sine weight i (c+ - c-))
+    parts = [(a, cp + cm, complex(-(cp - cm).imag, (cp - cm).real))
+             for a, (cp, cm) in folded.items()]
+    size = sum(abs(c) for c, _ in terms)
+    tail = [(abs(c), abs(w) * b) for c, w in terms]  # |c_t| (|w_t| b)^m / m!
+    powers = [1.0] * len(parts)  # |w|^m / m!
+    coefs = []
+    m = 0
+    while True:
+        sign = -1.0 if (m // 2) % 2 else 1.0
+        s = lin if m == 0 else 0j
+        for j, (a, kc, ks) in enumerate(parts):
+            s += sign * powers[j] * (ks if m % 2 else kc)
+            powers[j] *= a / (m + 1)
+        coefs.append(coeff * s / (m + p))
+        tail = [(r * x / (m + 1), x) for r, x in tail]
+        if sum(r for r, _ in tail) <= 2.0 ** -53 * size:
+            break
+        m += 1
+    if not any(c.imag for c in coefs):
+        return tuple(c.real for c in coefs)
+    return tuple(coefs)
+
+
+def _horner_pair(coefs, ua: np.ndarray, ub: np.ndarray, hu: np.ndarray):
+    """(T(ua), T(ub) - T(ua)) for T(u) = sum_j coefs[j] u^j and hu = ub - ua.
+
+    The difference comes from the divided-difference recurrence
+    D <- D ub + T hu, run beside Horner's T <- T ua + c, so T(ub) is never
+    subtracted from T(ua).  All-zero ``coefs`` give (0.0, 0.0).
+    """
+    coefs = list(coefs)
+    while coefs and coefs[-1] == 0.0:
+        coefs.pop()
+    if len(coefs) < 2:
+        return (coefs[0] if coefs else 0.0), 0.0
+    dtype = np.result_type(ua, *coefs)
+    t = np.full(ua.shape, coefs[-1], dtype=dtype)
+    d = np.zeros(ua.shape, dtype=dtype)
+    tmp = np.empty(ua.shape, dtype=dtype)
+    for c in reversed(coefs[:-1]):
+        d *= ub
+        d += np.multiply(t, hu, out=tmp)
+        t *= ua
+        t += c
+    return t, d
+
+
+def _power_cells(coeff: float, gamma: float, terms, b: float,
+                 edges: np.ndarray) -> np.ndarray | None:
+    """Cells of coeff x^(-gamma) sum_t c_t exp(i w_t x) on [0, b], or None
+    when max|w| b exceeds _POWER_SERIES_WMAX.
+
+    With p = 1 - gamma and F(x) = x^p S(x) (see ``_power_series``) each
+    cell is formed as F(b) - F(a) = (b^p - a^p) S(b) + a^p (S(b) - S(a));
+    S is split into even and odd parts E(x^2) + x O(x^2), each evaluated
+    with its difference by ``_horner_pair``.  A constant partner leaves
+    S = s_0 and the cell (b^p - a^p) s_0.  The truncation depends only on
+    b, the pair's support end, so every block of a pass gets the same
+    series.
+    """
+    if max(abs(w) for _, w in terms) * b > _POWER_SERIES_WMAX:
+        return None
     p = 1.0 - gamma
-    anti = _real_or_complex(coeff) * np.power(np.maximum(edges, 0.0), p) / p
-    return np.diff(anti)
+    coefs = _power_series(coeff, p, tuple(terms), b)
+    ap, dp = _power_diff(edges, p)
+    if len(coefs) == 1:
+        return dp * coefs[0]
+    lo, hi = edges[:-1], edges[1:]
+    h = hi - lo
+    ua, ub, hu = lo * lo, hi * hi, h * (lo + hi)
+    e_a, e_d = _horner_pair(coefs[0::2], ua, ub, hu)
+    s_b, ds = e_a + e_d, e_d
+    if any(coefs[1::2]):
+        o_a, o_d = _horner_pair(coefs[1::2], ua, ub, hu)
+        o_b = o_a + o_d
+        s_b = s_b + hi * o_b
+        ds = ds + h * o_b + lo * o_d
+    return dp * s_b + ap * ds
 
 
 def _gauss_const_cells(g: Gaussian1D, const: complex, edges: np.ndarray) -> np.ndarray:
@@ -541,15 +662,15 @@ def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
     fp = isinstance(f, PowerSingular1D)
     gp = isinstance(g, PowerSingular1D)
     if fp and gp:
-        return _power_cells(f.coeff * g.coeff, f.alpha + g.alpha, edges)
+        return _power_cells(f.coeff * g.coeff, f.alpha + g.alpha, [(1.0, 0.0)],
+                            hi, edges)
     if fp or gp:
-        power = f if fp else g
-        other = g if fp else f
-        c = _const_of(other)
-        if c is not None:
-            c = c if fp else np.conj(c)  # conjugate the bra side
-            return _power_cells(power.coeff * c, power.alpha, edges)
-        return None
+        power, terms = (f, tg) if fp else (g, tf)
+        if terms is None:
+            return None
+        if gp:  # conjugate the bra side
+            terms = [(np.conj(c), -w) for c, w in terms]
+        return _power_cells(power.coeff, power.alpha, terms, hi, edges)
 
     f_gauss, g_gauss = isinstance(f, Gaussian1D), isinstance(g, Gaussian1D)
     if f_gauss and g_gauss:

@@ -402,12 +402,13 @@ def test_error_bound_matches_mpmath_on_numeric_pairs(case):
 
     sine = lambda k: make_state("sine_mode", k=k)
     power = lambda a: make_state("power_singular", alpha=a)
+    # k pi > _POWER_SERIES_WMAX for k >= 3, so power x sine(k) is numeric
     if case == "power_sine_1d":
-        phi, psi = sine(1), power(0.3)
+        phi, psi = sine(3), power(0.3)
         level = jittered_grid(64, 1, C=2.0, seed=2)
     else:
         # axis pairs on both paths: sine x power is numeric, sine x sine closed
-        phi = tensor_product([sine(1), sine(2)])
+        phi = tensor_product([sine(3), sine(4)])
         psi = superpose([(0.7, tensor_product([power(0.3), sine(3)])),
                          (0.5j, tensor_product([sine(1), power(0.2)]))])
         level = jittered_grid(24, 2, C=2.0, seed=4)

@@ -6,6 +6,9 @@ coefficients, on jittered grids with d <= 2.  Every draw checks per-bin
 Cauchy-Schwarz, that the bin masses sum to the total, mixed-state
 linearity, and that the per-bin amplitudes and masses agree with a
 reference built in complex arithmetic from exp(i w x) antiderivatives.
+The Cauchy-Schwarz and mass-sum checks also draw products of sine modes
+and power laws, whose pairs take the power series, the power
+antiderivative or (for sine modes with k >= 3) quadrature.
 """
 
 import numpy as np
@@ -56,11 +59,28 @@ def _state(draw, family: str, d: int):
     return superpose([(draw(_coeff), _product(family, ks)) for ks in modes])
 
 
+_ALPHAS = (0.05, 0.2, 0.3, 0.45)
+_power_or_sine = st.one_of(
+    st.sampled_from(_ALPHAS).map(lambda a: make_state("power_singular", alpha=a)),
+    st.sampled_from(FAMILIES["sine"][1]).map(lambda k: make_state("sine_mode", k=k)))
+
+
 @st.composite
-def _case(draw):
+def _power_state(draw, d: int):
+    """A renormalised superposition of 1-3 products of power laws and sine
+    modes, the first with a power law on axis 0."""
+    products = draw(st.lists(st.lists(_power_or_sine, min_size=d, max_size=d),
+                             min_size=1, max_size=3))
+    products[0][0] = make_state("power_singular", alpha=draw(st.sampled_from(_ALPHAS)))
+    return superpose([(draw(_coeff), tensor_product(f) if d > 1 else f[0])
+                      for f in products])
+
+
+@st.composite
+def _case(draw, families=tuple(sorted(FAMILIES))):
     d = draw(st.integers(1, 2))
-    family = draw(st.sampled_from(sorted(FAMILIES)))
-    psi = draw(_state(family, d))
+    family = draw(st.sampled_from(families))
+    psi = draw(_power_state(d) if family == "power" else _state(family, d))
     phi = draw(st.one_of(_state("sine", d), st.just(make_state("uniform", d=d))))
     n = draw(st.integers(2, 40 if d == 1 else 12))
     level = jittered_grid(n, d, C=2.0, seed=draw(st.integers(0, 2 ** 16)))
@@ -97,7 +117,7 @@ def _reference_per_bin(phi, psi, level):
 
 
 @SETTINGS
-@given(_case())
+@given(_case(families=tuple(sorted(FAMILIES)) + ("power",)))
 def test_per_bin_cauchy_schwarz_and_mass_sum(case):
     _, psi, phi, level = case
     r = prob_y1_pure(psi, phi, level, keep_per_bin=True)

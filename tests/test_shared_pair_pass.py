@@ -166,6 +166,9 @@ _REAL_HAAR = PiecewiseConstant1D((0.0, 0.25, 0.5, 1.0), (1.0, -0.5, 0.75))
     (("sine_mode", {"k": 2}), ("sine_mode", {"k": 2}), np.float64),
     (("indicator", {"a": 0.2, "b": 0.7}), ("sine_mode", {"k": 1}), np.float64),
     (("power_singular", {"alpha": 0.3}), ("uniform", {}), np.float64),
+    (("sine_mode", {"k": 1}), ("power_singular", {"alpha": 0.3}), np.float64),
+    (("power_singular", {"alpha": 0.3}), ("complex_exponential", {"k": 1}),
+     np.complex128),
     (("gaussian", {"mu": 0.3, "sigma": 0.5}), ("gaussian", {"mu": 0.0, "sigma": 1.0}),
      np.float64),
     (("gaussian", {"mu": 0.3, "sigma": 0.5}), ("uniform", {}), np.float64),
@@ -254,7 +257,8 @@ def _no_pair_pass(*args, **kwargs):
 def test_oversized_tables_raise_before_anything_is_built(monkeypatch):
     psi, phi = make_state("sine_mode", k=1), make_state("uniform")
     small, fits = uniform_grid(64), uniform_grid(32)
-    monkeypatch.setattr(measurement, "TABLE_BYTE_LIMIT", 1000)  # 41 bins
+    monkeypatch.setattr(measurement, "TABLE_BYTE_LIMIT",
+                        41 * measurement._TABLE_BYTES_PER_BIN)  # 41 bins
     assert prob_y1_pure(psi, phi, fits, keep_per_bin=True).per_bin_mass.size == 32
     monkeypatch.setattr(measurement, "_pair_pass", _no_pair_pass)
     for call in (lambda: prob_y1_pure(psi, phi, small, keep_per_bin=True),
@@ -269,6 +273,28 @@ def test_oversized_tables_raise_before_anything_is_built(monkeypatch):
     psi7 = tensor_product([psi] * 7)
     with pytest.raises(TableTooLargeError):
         prob_y1_pure(psi7, make_state("uniform", d=7), level, keep_per_bin=True)
+
+
+def test_table_build_peak_stays_within_the_counted_bytes():
+    import tracemalloc
+
+    psi = superpose([(0.8, make_state("sine_product", ks=[1, 2])),
+                     (0.6j, make_state("sine_product", ks=[2, 1]))])
+    phi = make_state("uniform", d=2)
+    level = uniform_grid(400, 2)
+    counted = level.num_bins * measurement._TABLE_BYTES_PER_BIN
+    for call in (lambda: prob_y1_pure(psi, phi, level, keep_per_bin=True),
+                 lambda: joint_distribution(psi, phi, level, keep_per_bin=True),
+                 lambda: sample_xy(psi, phi, level, count=1000, keep_per_bin=True)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # plus the per-axis cells, block buffers and phases, which do not
+        # grow with the bin count
+        assert peak <= counted + 2 ** 20
 
 
 def test_num_bins_does_not_overflow_and_guard_holds():
@@ -335,17 +361,32 @@ BLOCKED_CASES = {
     "P1_d1": (lambda: make_state("sine_mode", k=1), lambda: make_state("uniform"),
               [LONG]),
     "P24_d1": (lambda: make_state("uniform"), _superpose24, [LONG]),
+    # power x sine(k) with k pi above _POWER_SERIES_WMAX takes quadrature
     "power_d1": (lambda: make_state("power_singular", alpha=0.3),
-                 lambda: make_state("sine_mode", k=1), [LONG]),
+                 lambda: make_state("sine_mode", k=3), [LONG]),
     "P4_d2": (lambda: tensor_product([_mix(), _mix()]),
               lambda: make_state("uniform", d=2), [LONG, 5]),
     "P24_d2_power": (lambda: tensor_product([make_state("power_singular", alpha=0.3),
                                              make_state("sine_mode", k=1)]),
-                     lambda: tensor_product([make_state("sine_mode", k=1),
+                     lambda: tensor_product([make_state("sine_mode", k=3),
                                              _superpose24()]), [7, LONG]),
+    # quadrature, series and trig pairs in one pass
+    "P4_d2_power_mixed": (lambda: superpose([
+                              (0.7, tensor_product([make_state("power_singular", alpha=0.3),
+                                                    make_state("sine_mode", k=1)])),
+                              (0.5j, tensor_product([make_state("sine_mode", k=2),
+                                                     make_state("power_singular",
+                                                                alpha=0.2)]))]),
+                          lambda: tensor_product([make_state("sine_mode", k=3),
+                                                  make_state("sine_mode", k=1)]),
+                          [LONG, 9]),
     "P8_d3": (lambda: tensor_product([_mix(), _mix(), _mix()]),
               lambda: make_state("uniform", d=3), [3, LONG, 2]),
 }
+
+
+# the cases with a quadrature pair, whose error arrays are nonzero
+NUMERIC_CASES = {"power_d1", "P24_d2_power", "P4_d2_power_mixed"}
 
 
 @pytest.mark.parametrize("name", sorted(BLOCKED_CASES))
@@ -370,6 +411,7 @@ def test_blocked_pass_matches_full_array_pass(name):
                        rtol=1e-13, atol=0.0)
     assert np.allclose([ax.extra for ax in axes], np.transpose(extra_ref),
                        rtol=1e-13, atol=0.0)
+    assert any(ax.extra.any() for ax in axes) == (name in NUMERIC_CASES)
     assert np.array_equal(r.per_bin_amplitude, _per_bin(w, mats))
     w_m, mats_m, _ = _full_axis_pass(psi, psi, level)
     assert np.array_equal(r.per_bin_mass, np.real(_per_bin(w_m, mats_m)))
