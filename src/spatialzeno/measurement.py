@@ -591,6 +591,8 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
             y[pick] = (u_y[pick] < cond[xl]).astype(np.int8)
         return SampleBatch(x=x, y=y, seed=seed, stream=stream)
 
+    # the amplitudes are not needed here; dropping them keeps the table
+    # peak at the build's _TABLE_BYTES_PER_BIN
     masses, p1 = _per_bin_tables(state, phi, level, cfg, keep_per_bin)[1:]
     cdf = np.cumsum(masses)
     cdf /= cdf[-1]

@@ -562,12 +562,10 @@ def _power_cells(coeff: float, gamma: float, terms, b: float,
     h = hi - lo
     ua, ub, hu = lo * lo, hi * hi, h * (lo + hi)
     e_a, e_d = _horner_pair(coefs[0::2], ua, ub, hu)
-    s_b, ds = e_a + e_d, e_d
-    if any(coefs[1::2]):
-        o_a, o_d = _horner_pair(coefs[1::2], ua, ub, hu)
-        o_b = o_a + o_d
-        s_b = s_b + hi * o_b
-        ds = ds + h * o_b + lo * o_d
+    o_a, o_d = _horner_pair(coefs[1::2], ua, ub, hu)
+    o_b = o_a + o_d
+    s_b = e_a + e_d + hi * o_b
+    ds = e_d + h * o_b + lo * o_d
     return dp * s_b + ap * ds
 
 
