@@ -7,8 +7,8 @@ Cauchy-Schwarz, that the bin masses sum to the total, mixed-state
 linearity, and that the per-bin amplitudes and masses agree with a
 reference built in complex arithmetic from exp(i w x) antiderivatives.
 The Cauchy-Schwarz and mass-sum checks also draw products of sine modes
-and power laws, whose pairs take the power series, the power
-antiderivative or (for sine modes with k >= 3) quadrature.
+and power laws, whose pairs take the power series (a power law against a
+power law or a sine mode with k <= 2) or quadrature (k >= 3).
 """
 
 import numpy as np
