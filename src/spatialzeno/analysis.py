@@ -254,10 +254,9 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
     """
     if not 0.0 < mass_target < 1.0:
         raise ValueError("mass_target must be in (0, 1)")
-    domain = state.domain if isinstance(state, DensityState) else state.domain
-    if domain.kind != "euclidean":
+    if state.domain.kind != "euclidean":
         raise ValueError("rd_study expects states on R^d")
-    d = domain.d
+    d = state.domain.d
     k = 1
     while True:
         if (2 * k) ** d > max_cubes:

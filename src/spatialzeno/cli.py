@@ -29,7 +29,7 @@ from jsonschema.exceptions import best_match
 from . import __version__
 from .analysis import convergence_study, rd_study
 from .discretizer import discretize, discretization_error
-from .grids import GridScheme
+from .grids import GRID_KINDS, GridScheme
 from .measurement import joint_distribution, prob_y1_mixed, prob_y1_pure, sample_xy
 from .quadrature import QuadratureConfig
 from .states import CATALOG, make_density, make_state, product_field, superpose
@@ -37,8 +37,6 @@ from .states import CATALOG, make_density, make_state, product_field, superpose
 SCHEMA_VERSION = "1"
 
 EXPERIMENTS = ("probability", "convergence", "sample", "discretize", "joint", "rd_study")
-
-GRID_KINDS = ("uniform", "jittered", "rd_translated_cubes")
 
 EXIT_CONFIG_PARSE = 2
 EXIT_SCHEMA = 3

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import ConcatenatedGrid, GridLevel, ProductGrid
+from .grids import GridLevel, ProductGrid
 from .measurement import PER_BIN_LIMIT, bar_norm_squared
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -96,43 +96,13 @@ def discretize(f, level: GridLevel, cfg: QuadratureConfig = DEFAULT_CONFIG,
     if level.num_bins > PER_BIN_LIMIT and not allow_large:
         raise ValueError(f"{level.num_bins} bins exceed the size guard; "
                          "pass allow_large=True to override")
-    parts = ([level] if isinstance(level, ProductGrid)
-             else list(level.parts) if isinstance(level, ConcatenatedGrid)
-             else None)
-    if parts is not None:
-        chunks = []
-        for part in parts:
-            if isinstance(f, SeparableFunction):
-                chunks.append(_bin_integrals_separable(f, part, cfg))
-            else:
-                chunks.append(_bin_integrals_callable(f, part, cfg))
-        integrals = np.concatenate(chunks)
-    else:
-        from .quadrature import bin_inner_product
-        if isinstance(f, SeparableFunction):
-            integrals = np.array(
-                [bin_inner_product(_one_like(f), f, b, cfg).value
-                 for b in level.bins()])
-        else:
-            vals = []
-            for b in level.bins():
-                (fb,), w = _tensor_values((f,), _bin_edges(b),
-                                          cfg.points_per_axis_per_bin)
-                vals.append(np.dot(w, fb))
-            integrals = np.asarray(vals)
+    bin_integrals = (_bin_integrals_separable if isinstance(f, SeparableFunction)
+                     else _bin_integrals_callable)
+    integrals = np.concatenate([bin_integrals(f, part, cfg) for part in level.parts])
     return DiscretizedFunction(level=level,
                                averages=np.asarray(integrals, dtype=complex)
                                / level.volumes(),
                                source=f)
-
-
-def _bin_edges(b) -> tuple[np.ndarray, ...]:
-    return tuple(np.array([e.lo, e.hi]) for e in b.edges)
-
-
-def _one_like(f: SeparableFunction) -> SeparableFunction:
-    return SeparableFunction(domain=f.domain,
-                             terms=((1.0 + 0.0j, (ONE,) * f.d),), label="1")
 
 
 def discretization_error(f, level: GridLevel,
@@ -142,28 +112,16 @@ def discretization_error(f, level: GridLevel,
     A separable f is evaluated one axis at a time on the quadrature nodes.
     """
     disc = discretize(f, level, cfg)
-    parts = ([level] if isinstance(level, ProductGrid)
-             else list(level.parts) if isinstance(level, ConcatenatedGrid)
-             else None)
     p = cfg.points_per_axis_per_bin
     total = 0.0
-    offset = 0
-    if parts is not None:
-        for part in parts:
-            (vals,), w = _tensor_values((f,), part.breakpoints, p)
-            per_cell = vals.reshape([m * p for m in part.shape])
-            avg = disc.averages[offset:offset + part.num_bins].reshape(part.shape)
-            expanded = avg
-            for k in range(part.d):
-                expanded = np.repeat(expanded, p, axis=k)
-            diff2 = np.abs(per_cell - expanded).ravel() ** 2
-            total += float(np.real(np.dot(w, diff2)))
-            offset += part.num_bins
-    else:
-        for j, b in enumerate(level.bins()):
-            (vals,), w = _tensor_values((f,), _bin_edges(b), p)
-            diff2 = np.abs(vals - disc.averages[j]) ** 2
-            total += float(np.real(np.dot(w, diff2)))
+    for (start, stop), part in zip(level.index_ranges, level.parts):
+        (vals,), w = _tensor_values((f,), part.breakpoints, p)
+        per_cell = vals.reshape([m * p for m in part.shape])
+        expanded = disc.averages[start:stop].reshape(part.shape)
+        for k in range(part.d):
+            expanded = np.repeat(expanded, p, axis=k)
+        diff2 = np.abs(per_cell - expanded).ravel() ** 2
+        total += float(np.real(np.dot(w, diff2)))
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -2,9 +2,11 @@
 
 A grid level at resolution index n partitions its domain into half-open
 rectangular bins whose edge lengths all lie in [1/(C*n), 1/n] for a ratio
-bound C > 1.  Product grids (uniform, jittered) keep one breakpoint array
-per axis instead of materialising n^d bin objects; explicit bin lists are
-reserved for hand-built partitions.  Grids over R^d are finite unions of
+bound C > 1.  Every level is a list of pairwise disjoint product grids
+(``parts``), each keeping one breakpoint array per axis instead of
+materialising bin objects, and its bins are numbered part after part.
+Uniform and jittered levels are one product grid; a hand-built bin list is
+one one-cell product grid per bin.  Grids over R^d are finite unions of
 translated unit cubes, each carrying a translated copy of the sub-scheme's
 breakpoints, so no bin ever straddles a cube boundary; a cube list that
 fills a box of the unit lattice is one product grid over the whole box.
@@ -16,7 +18,7 @@ pure, so they are safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "CustomGrid",
     "ConcatenatedGrid",
     "GridScheme",
+    "GRID_KINDS",
     "GridValidationReport",
     "InfeasibleGridError",
     "OutOfDomainError",
@@ -132,9 +135,12 @@ def _as_points(points, d: int) -> np.ndarray:
 
 
 class GridLevel:
-    """Partition of the domain at one resolution index n.
+    """Partition of the domain at one resolution index n, as a tuple of
+    pairwise disjoint :class:`ProductGrid` ``parts``.
 
-    Concrete subclasses: :class:`ProductGrid`, :class:`CustomGrid`,
+    Bins are numbered part after part: ``index_ranges[l] = (start, stop)``
+    gives the flat bin indices of part l.  Concrete subclasses:
+    :class:`ProductGrid` (its own single part), :class:`CustomGrid`,
     :class:`ConcatenatedGrid`.
     """
 
@@ -142,31 +148,65 @@ class GridLevel:
     d: int
     ratio_bound: float
 
+    def __init__(self, n: int, parts: Sequence["ProductGrid"],
+                 ratio_bound: float = DEFAULT_RATIO_BOUND):
+        if not parts:
+            raise ValueError("need at least one part")
+        self.n = int(n)
+        self.d = parts[0].d
+        self.ratio_bound = float(ratio_bound)
+        self.parts = tuple(parts)
+        # Python ints: a sum of part counts can exceed int64
+        ranges, start = [], 0
+        for p in parts:
+            ranges.append((start, start + p.num_bins))
+            start += p.num_bins
+        self.index_ranges = tuple(ranges)
+
     @property
     def num_bins(self) -> int:
-        raise NotImplementedError
+        return self.index_ranges[-1][1]
 
     def bin(self, j: int) -> Bin:
-        raise NotImplementedError
+        for (start, stop), part in zip(self.index_ranges, self.parts):
+            if start <= j < stop:
+                return part.bin(j - start)
+        raise IndexError(j)
 
     def bins(self) -> Iterator[Bin]:
-        for j in range(self.num_bins):
-            yield self.bin(j)
+        for part in self.parts:
+            for j in range(part.num_bins):
+                yield part.bin(j)
 
     def volumes(self) -> np.ndarray:
-        raise NotImplementedError
+        return np.concatenate([p.volumes() for p in self.parts])
 
     def locate(self, x) -> int:
-        raise NotImplementedError
+        pt = _as_point(x, self.d)
+        return int(self.locate_many(pt[None, :])[0])
 
     def locate_many(self, points: np.ndarray) -> np.ndarray:
-        """Bin index of each row of an (N, d) array of points."""
-        return np.array([self.locate(p) for p in _as_points(points, self.d)],
-                        dtype=np.intp)
+        """Vectorised bin lookup: each point goes to the first part whose
+        bounds hold it, at that part's index offset."""
+        pts = _as_points(points, self.d)
+        idx = np.full(len(pts), -1, dtype=np.intp)
+        for (start, _), part in zip(self.index_ranges, self.parts):
+            inside = idx < 0
+            for k, (lo, hi) in enumerate(part.domain_bounds):
+                inside &= (lo <= pts[:, k]) & (pts[:, k] < hi)
+            if inside.any():
+                idx[inside] = start + part.locate_many(pts[inside])
+        if np.any(idx < 0):
+            raise OutOfDomainError(
+                f"point {tuple(pts[idx < 0][0])} outside every part")
+        return idx
 
     @property
     def domain_bounds(self) -> tuple[tuple[float, float], ...]:
-        raise NotImplementedError
+        # hull, not an exact description when the parts do not fill a box
+        los = [min(p.domain_bounds[k][0] for p in self.parts) for k in range(self.d)]
+        his = [max(p.domain_bounds[k][1] for p in self.parts) for k in range(self.d)]
+        return tuple((lo, hi) for lo, hi in zip(los, his))
 
     @property
     def domain_volume(self) -> float:
@@ -177,11 +217,11 @@ class GridLevel:
 
     @property
     def max_bin_volume(self) -> float:
-        return float(self.volumes().max())
+        return max(p.max_bin_volume for p in self.parts)
 
     @property
     def min_bin_volume(self) -> float:
-        return float(self.volumes().min())
+        return min(p.min_bin_volume for p in self.parts)
 
 
 class ProductGrid(GridLevel):
@@ -189,7 +229,7 @@ class ProductGrid(GridLevel):
 
     Bins are enumerated in C order (axis 0 slowest), so the flat index of
     the cell with per-axis positions (i_0, ..., i_{d-1}) is
-    ``ravel_multi_index``.
+    ``ravel_multi_index``.  It is the single part of itself.
     """
 
     def __init__(self, n: int, breakpoints: Sequence[np.ndarray],
@@ -214,6 +254,16 @@ class ProductGrid(GridLevel):
             bps.append(bp)
         self.breakpoints: tuple[np.ndarray, ...] = tuple(bps)
         self.shape: tuple[int, ...] = tuple(bp.size - 1 for bp in bps)
+
+    # properties, not attributes: (self,) stored on self would be a
+    # reference cycle keeping the breakpoints alive until a GC pass
+    @property
+    def parts(self) -> tuple["ProductGrid", ...]:
+        return (self,)
+
+    @property
+    def index_ranges(self) -> tuple[tuple[int, int], ...]:
+        return ((0, self.num_bins),)
 
     @property
     def num_bins(self) -> int:
@@ -263,17 +313,17 @@ class ProductGrid(GridLevel):
             idx.append(i)
         return np.ravel_multi_index(tuple(idx), self.shape)
 
-    def locate(self, x) -> int:
-        pt = _as_point(x, self.d)
-        return int(self.locate_many(pt[None, :])[0])
-
     @property
     def domain_bounds(self) -> tuple[tuple[float, float], ...]:
         return tuple((float(bp[0]), float(bp[-1])) for bp in self.breakpoints)
 
 
 class CustomGrid(GridLevel):
-    """Explicit bin list, for hand-built partitions."""
+    """Hand-built bin list: one one-cell product grid per bin, in list order.
+
+    ``domain_bounds`` (default [0,1)^d) is the box the bins should tile;
+    :func:`validate_grid` checks that they do.
+    """
 
     def __init__(self, n: int, bins: Sequence[Bin],
                  ratio_bound: float = DEFAULT_RATIO_BOUND,
@@ -282,32 +332,14 @@ class CustomGrid(GridLevel):
             raise ValueError("resolution index n must be >= 1")
         if not bins:
             raise ValueError("need at least one bin")
-        self.n = int(n)
-        self.d = bins[0].d
-        if any(b.d != self.d for b in bins):
+        d = bins[0].d
+        if any(b.d != d for b in bins):
             raise ValueError("all bins must share the same dimension")
-        self.ratio_bound = float(ratio_bound)
-        self._bins = tuple(bins)
+        super().__init__(n, [ProductGrid(n, [[e.lo, e.hi] for e in b.edges], ratio_bound)
+                             for b in bins], ratio_bound)
         if domain_bounds is None:
-            domain_bounds = tuple((0.0, 1.0) for _ in range(self.d))
+            domain_bounds = tuple((0.0, 1.0) for _ in range(d))
         self._domain_bounds = tuple((float(lo), float(hi)) for lo, hi in domain_bounds)
-
-    @property
-    def num_bins(self) -> int:
-        return len(self._bins)
-
-    def bin(self, j: int) -> Bin:
-        return self._bins[j]
-
-    def volumes(self) -> np.ndarray:
-        return np.array([b.volume for b in self._bins])
-
-    def locate(self, x) -> int:
-        pt = _as_point(x, self.d)
-        for j, b in enumerate(self._bins):
-            if b.contains(pt):
-                return j
-        raise OutOfDomainError(f"point {tuple(pt)} not covered by any bin")
 
     @property
     def domain_bounds(self) -> tuple[tuple[float, float], ...]:
@@ -319,78 +351,18 @@ class ConcatenatedGrid(GridLevel):
 
     ``parts`` tile the union of the cubes in ``cubes`` (corners, one tuple
     per cube); a part may span one cube or a whole box of them, and bins
-    never straddle a cube boundary.  ``index_ranges[l] = (start, stop)``
-    gives the flat bin indices of part l.
+    never straddle a cube boundary.
     """
 
     def __init__(self, n: int, parts: Sequence[ProductGrid],
                  cubes: Sequence[tuple[float, ...]],
                  ratio_bound: float = DEFAULT_RATIO_BOUND):
-        if not parts:
-            raise ValueError("need at least one cube")
-        self.n = int(n)
-        self.d = parts[0].d
-        self.ratio_bound = float(ratio_bound)
-        self.parts = tuple(parts)
+        super().__init__(n, parts, ratio_bound)
         self.cubes = tuple(map(tuple, np.asarray(cubes, dtype=float).tolist()))
-        # Python ints: a sum of part counts can exceed int64
-        ranges, start = [], 0
-        for p in parts:
-            ranges.append((start, start + p.num_bins))
-            start += p.num_bins
-        self.index_ranges = tuple(ranges)
-
-    @property
-    def num_bins(self) -> int:
-        return self.index_ranges[-1][1]
-
-    def bin(self, j: int) -> Bin:
-        for (start, stop), part in zip(self.index_ranges, self.parts):
-            if start <= j < stop:
-                return part.bin(j - start)
-        raise IndexError(j)
-
-    def volumes(self) -> np.ndarray:
-        return np.concatenate([p.volumes() for p in self.parts])
-
-    def locate(self, x) -> int:
-        pt = _as_point(x, self.d)
-        return int(self.locate_many(pt[None, :])[0])
-
-    def locate_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised bin lookup: each point goes to the first part whose
-        bounds hold it, at that part's index offset."""
-        pts = _as_points(points, self.d)
-        idx = np.full(len(pts), -1, dtype=np.intp)
-        for (start, _), part in zip(self.index_ranges, self.parts):
-            inside = idx < 0
-            for k, (lo, hi) in enumerate(part.domain_bounds):
-                inside &= (lo <= pts[:, k]) & (pts[:, k] < hi)
-            if inside.any():
-                idx[inside] = start + part.locate_many(pts[inside])
-        if np.any(idx < 0):
-            raise OutOfDomainError(
-                f"point {tuple(pts[idx < 0][0])} outside every cube")
-        return idx
-
-    @property
-    def domain_bounds(self) -> tuple[tuple[float, float], ...]:
-        # hull, not an exact description when the cube set is not a box
-        los = [min(p.domain_bounds[k][0] for p in self.parts) for k in range(self.d)]
-        his = [max(p.domain_bounds[k][1] for p in self.parts) for k in range(self.d)]
-        return tuple((lo, hi) for lo, hi in zip(los, his))
 
     @property
     def domain_volume(self) -> float:
         return float(len(self.cubes))
-
-    @property
-    def max_bin_volume(self) -> float:
-        return max(p.max_bin_volume for p in self.parts)
-
-    @property
-    def min_bin_volume(self) -> float:
-        return min(p.min_bin_volume for p in self.parts)
 
 
 def uniform_grid(n: int, d: int = 1,
@@ -470,17 +442,13 @@ def jittered_grid(n: int, d: int = 1, C: float = DEFAULT_RATIO_BOUND,
     return ProductGrid(n, bps, ratio_bound=C)
 
 
-def _cubes_disjoint(a: Sequence[float], b: Sequence[float]) -> bool:
-    return any(abs(x - y) >= 1.0 - _TOL for x, y in zip(a, b))
-
-
-def _overlapping_cubes(cubes: Sequence[tuple[float, ...]]
-                       ) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
-    """First pair of overlapping unit cubes in the list, or None (pairwise scan)."""
-    for i, a in enumerate(cubes):
-        for b in cubes[i + 1:]:
-            if not _cubes_disjoint(a, b):
-                return a, b
+def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int] | None:
+    """First pair (i, j), i < j, of half-open boxes prod_k [lo[i, k], hi[i, k])
+    that overlap by more than _TOL on every axis, or None (pairwise scan)."""
+    for i in range(len(lo) - 1):
+        hit = np.all((lo[i + 1:] < hi[i] - _TOL) & (lo[i] < hi[i + 1:] - _TOL), axis=1)
+        if hit.any():
+            return i, i + 1 + int(np.argmax(hit))
     return None
 
 
@@ -525,15 +493,20 @@ def _cube_segments(scheme: "GridScheme", n: int) -> Callable[[int, float], np.nd
     raise ValueError(f"unsupported per-cube scheme {sub!r}")
 
 
+# the scheme kinds; the CLI config schema offers the same list
+GRID_KINDS = ("uniform", "jittered", "rd_translated_cubes")
+
+
 @dataclass(frozen=True)
 class GridScheme:
     """Family of grid levels indexed by the resolution n.
 
-    kind is one of "uniform", "jittered", "rd_translated_cubes" or
-    "custom"; rd schemes carry a cube list plus the sub-scheme used inside
-    every cube.  A jittered sub-scheme draws each axis segment of a cube
-    from (seed, n, axis, cell count, cube coordinate), so a cube box is one
-    product grid and a cube's bins do not depend on the rest of the list.
+    kind is one of :data:`GRID_KINDS`; rd schemes carry a cube list plus
+    the sub-scheme used inside every cube.  A jittered sub-scheme draws
+    each axis segment of a cube from (seed, n, axis, cell count, cube
+    coordinate), so a cube box is one product grid and a cube's bins do not
+    depend on the rest of the list.  A hand-built partition is a
+    :class:`CustomGrid` level, not a scheme.
     """
 
     kind: str
@@ -543,14 +516,10 @@ class GridScheme:
     cells_per_axis: int | None = None
     cubes: tuple[tuple[float, ...], ...] | None = None
     sub_kind: str = "uniform"
-    level_factory: Callable[[int], GridLevel] | None = field(
-        default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "jittered", "rd_translated_cubes", "custom"):
+        if self.kind not in GRID_KINDS:
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        if self.kind == "custom" and self.level_factory is None:
-            raise ValueError("custom scheme needs a level_factory")
 
     def level(self, n: int) -> GridLevel:
         if self.kind == "uniform":
@@ -558,11 +527,9 @@ class GridScheme:
         if self.kind == "jittered":
             return jittered_grid(n, self.d, C=self.ratio_bound,
                                  seed=self.seed, cells_per_axis=self.cells_per_axis)
-        if self.kind == "rd_translated_cubes":
-            if self.cubes is None:
-                raise ValueError("rd scheme needs a cube list")
-            return rd_grid(self, n, self.cubes)
-        return self.level_factory(n)
+        if self.cubes is None:
+            raise ValueError("rd scheme needs a cube list")
+        return rd_grid(self, n, self.cubes)
 
     def with_cubes(self, cubes: Sequence[Sequence[float]]) -> "GridScheme":
         """Copy of this scheme turned into an R^d scheme over ``cubes``."""
@@ -626,10 +593,10 @@ def rd_grid(scheme: GridScheme, n: int,
         parts = [ProductGrid(n, bps, ratio_bound=C)]
     else:
         cubes = [tuple(c) for c in corners.tolist()]
-        overlap = _overlapping_cubes(cubes)
+        overlap = _overlapping_boxes(corners, corners + 1.0)
         if overlap is not None:
             raise OverlappingCubesError(
-                f"cubes at {overlap[0]} and {overlap[1]} overlap "
+                f"cubes at {cubes[overlap[0]]} and {cubes[overlap[1]]} overlap "
                 f"(corner distance < 1 on every axis)")
         parts = [ProductGrid(n, [segment(k, a) for k, a in enumerate(c)], ratio_bound=C)
                  for c in cubes]
@@ -648,90 +615,49 @@ class GridValidationReport:
         return all(self.checks.values())
 
 
-def _validate_product(level: ProductGrid, checks, details) -> None:
-    n, C = level.n, level.ratio_bound
-    ok_len = True
-    for k in range(level.d):
-        lengths = level.axis_lengths(k)
+def _validate_product(part: ProductGrid, n: int, C: float, checks, details) -> None:
+    """Edge-length and volume checks of one part, and-ed into ``checks``."""
+    for k in range(part.d):
+        lengths = part.axis_lengths(k)
         if lengths.min() < 1.0 / (C * n) - _TOL or lengths.max() > 1.0 / n + _TOL:
-            ok_len = False
-            details["edge_lengths"] = (
+            checks["edge_lengths"] = False
+            details.setdefault("edge_lengths", (
                 f"axis {k}: lengths span [{lengths.min():.3e}, {lengths.max():.3e}], "
-                f"required [{1.0 / (C * n):.3e}, {1.0 / n:.3e}]")
+                f"required [{1.0 / (C * n):.3e}, {1.0 / n:.3e}]"))
             break
-    checks["edge_lengths"] = ok_len
-    checks["disjoint"] = True  # strictly increasing breakpoints by construction
-    checks["coverage"] = True
-    checks["volume_bound"] = level.max_bin_volume <= n ** (-level.d) + _TOL
-    if not checks["volume_bound"]:
-        details["volume_bound"] = (
-            f"max bin volume {level.max_bin_volume:.3e} > 1/n^d = {n ** (-level.d):.3e}")
-
-
-def _validate_custom(level: CustomGrid, checks, details) -> None:
-    n, C, d = level.n, level.ratio_bound, level.d
-    bins = list(level.bins())
-    lo, hi = 1.0 / (C * n) - _TOL, 1.0 / n + _TOL
-    bad = [e.length for b in bins for e in b.edges if not lo <= e.length <= hi]
-    checks["edge_lengths"] = not bad
-    if bad:
-        details["edge_lengths"] = f"edge length {bad[0]:.6g} outside [{lo:.6g}, {hi:.6g}]"
-
-    overlap = None
-    for i, a in enumerate(bins):
-        for b in bins[i + 1:]:
-            if all(ea.lo < eb.hi - _TOL and eb.lo < ea.hi - _TOL
-                   for ea, eb in zip(a.edges, b.edges)):
-                overlap = (a, b)
-                break
-        if overlap:
-            break
-    checks["disjoint"] = overlap is None
-    if overlap:
-        details["disjoint"] = f"bins {overlap[0].lower}..{overlap[0].upper} and " \
-                              f"{overlap[1].lower}..{overlap[1].upper} overlap"
-
-    inside = all(
-        dlo - _TOL <= e.lo and e.hi <= dhi + _TOL
-        for b in bins for e, (dlo, dhi) in zip(b.edges, level.domain_bounds))
-    total = float(sum(b.volume for b in bins))
-    checks["coverage"] = inside and abs(total - level.domain_volume) <= 1e-12 * max(
-        1.0, level.domain_volume)
-    if not checks["coverage"]:
-        details["coverage"] = f"bin volumes sum to {total!r}, domain volume is " \
-                              f"{level.domain_volume!r}"
-    checks["volume_bound"] = max(b.volume for b in bins) <= n ** (-d) + _TOL
+    if part.max_bin_volume > n ** (-part.d) + _TOL:
+        checks["volume_bound"] = False
+        details.setdefault("volume_bound", (
+            f"max bin volume {part.max_bin_volume:.3e} > 1/n^d = {n ** (-part.d):.3e}"))
 
 
 def validate_grid(level: GridLevel) -> GridValidationReport:
     """Check disjointness, coverage, edge-length bounds and the volume bound.
 
-    Returns a report; nothing is raised on failure.
+    Edge lengths and bin volumes are checked part by part; the parts must
+    be pairwise disjoint, lie inside ``level.domain_bounds`` and cover
+    ``level.domain_volume``.  Returns a report; nothing is raised on failure.
     """
-    checks: dict[str, bool] = {}
+    checks = dict.fromkeys(("edge_lengths", "disjoint", "coverage", "volume_bound"), True)
     details: dict[str, str] = {}
-    if isinstance(level, ProductGrid):
-        _validate_product(level, checks, details)
-    elif isinstance(level, ConcatenatedGrid):
-        sub_reports = [validate_grid(p) for p in level.parts]
-        for name in ("edge_lengths", "disjoint", "coverage", "volume_bound"):
-            checks[name] = all(r.checks[name] for r in sub_reports)
-            for r in sub_reports:
-                if name in r.details:
-                    details[name] = r.details[name]
-        overlap = _overlapping_cubes(level.cubes)
-        checks["disjoint"] = checks["disjoint"] and overlap is None
-        if overlap is not None:
-            details["disjoint"] = f"cubes at {overlap[0]} and {overlap[1]} overlap"
-        covered = sum(p.domain_volume for p in level.parts)
-        if abs(covered - level.domain_volume) > 1e-12 * max(1.0, level.domain_volume):
-            checks["coverage"] = False
-            details["coverage"] = (f"parts cover volume {covered!r}, the cube list "
-                                   f"{level.domain_volume!r}")
-    elif isinstance(level, CustomGrid):
-        _validate_custom(level, checks, details)
-    else:
-        raise TypeError(f"unknown grid level type {type(level)!r}")
+    for part in level.parts:
+        _validate_product(part, level.n, level.ratio_bound, checks, details)
+    boxes = np.array([p.domain_bounds for p in level.parts])  # (parts, d, lo/hi)
+    overlap = _overlapping_boxes(boxes[:, :, 0], boxes[:, :, 1])
+    if overlap is not None:
+        checks["disjoint"] = False
+        a, b = (level.parts[i].domain_bounds for i in overlap)
+        details["disjoint"] = f"parts {a} and {b} overlap"
+    dom = np.array(level.domain_bounds)
+    inside = bool(np.all((dom[:, 0] - _TOL <= boxes[:, :, 0])
+                         & (boxes[:, :, 1] <= dom[:, 1] + _TOL)))
+    covered = sum(p.domain_volume for p in level.parts)
+    checks["coverage"] = inside and abs(covered - level.domain_volume) <= 1e-12 * max(
+        1.0, level.domain_volume)
+    if not checks["coverage"]:
+        details["coverage"] = (f"parts cover volume {covered!r}, the domain "
+                               f"{level.domain_volume!r}; all inside the domain "
+                               f"bounds: {inside}")
     return GridValidationReport(checks, details)
 
 

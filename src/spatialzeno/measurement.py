@@ -6,10 +6,11 @@ second stage measures |phi><phi| (outcome Y in {0,1}).  The probability
 of Y=1 is the sum over bins of |<phi|P_j psi>|^2 for pure states, and the
 spectral-weighted sum of pure results for density states.
 
-For product grids and separable-sum states the bin amplitudes factor
-axis by axis, so totals are computed from per-axis cell-integral arrays
-without enumerating bins; per-bin tables are materialised only below a
-size guard (or on explicit request).
+Every grid level is a list of product grids, and for separable-sum states
+the bin amplitudes of a product grid factor axis by axis, so totals are
+computed from per-axis cell-integral arrays without enumerating bins;
+per-bin tables are materialised only below a size guard (or on explicit
+request).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Bin, ConcatenatedGrid, GridLevel, ProductGrid
+from .grids import Bin, GridLevel, ProductGrid
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -82,6 +83,10 @@ TABLE_BYTE_LIMIT = _physical_memory()
 # amplitudes, then the mass table built as a complex128 sum in a reused
 # complex128 term buffer (``_per_bin_arrays``)
 _TABLE_BYTES_PER_BIN = 16 + 16 + 16
+# a density state adds the float64 sums of the terms built so far (masses,
+# and for the joint table P(Y=1)), held while the next term's tables are
+# built; the sampler builds one drawn term's tables at a time
+_DENSITY_TABLE_BYTES_PER_BIN = 8 + 8 + _TABLE_BYTES_PER_BIN
 
 
 @dataclass
@@ -301,19 +306,12 @@ def _per_bin_arrays(weights, axes_cells) -> np.ndarray:
     return out.ravel()
 
 
-def _product_parts(level: GridLevel) -> list[ProductGrid] | None:
-    if isinstance(level, ProductGrid):
-        return [level]
-    if isinstance(level, ConcatenatedGrid):
-        return list(level.parts)
-    return None
-
-
-def _should_keep(level: GridLevel, keep) -> bool:
+def _should_keep(level: GridLevel, keep,
+                 bytes_per_bin: int = _TABLE_BYTES_PER_BIN) -> bool:
     """Whether to build per-bin tables; raises TableTooLargeError when
-    they would exceed TABLE_BYTE_LIMIT."""
+    they would exceed TABLE_BYTE_LIMIT at ``bytes_per_bin``."""
     keep = level.num_bins <= PER_BIN_LIMIT if keep == "auto" else bool(keep)
-    nbytes = level.num_bins * _TABLE_BYTES_PER_BIN
+    nbytes = level.num_bins * bytes_per_bin
     if keep and nbytes > TABLE_BYTE_LIMIT:
         raise TableTooLargeError(
             f"per-bin tables for {level.num_bins} bins need {nbytes:.3g} bytes, "
@@ -340,14 +338,10 @@ def _hull_mass(psi: WaveFunction, part: ProductGrid, cfg: QuadratureConfig) -> f
 def _mass_pass(psi: WaveFunction, level: GridLevel, cfg: QuadratureConfig,
                keep: bool):
     """(mass_total, masses|None); psi-psi per-cell arrays only when kept."""
-    parts = _product_parts(level)
-    if parts is None:
-        masses = np.array([bin_mass(psi, b, cfg) for b in level.bins()])
-        return float(np.sum(masses)), (masses if keep else None)
     if not keep:
-        return sum(_hull_mass(psi, part, cfg) for part in parts), None
+        return sum(_hull_mass(psi, part, cfg) for part in level.parts), None
     mass_total, masses = 0.0, []
-    for part in parts:
+    for part in level.parts:
         w, axes = _pair_data(psi, psi, part, cfg, keep=True, gram=False)
         cells = [ax.cells for ax in axes]
         mass_total += _linear_total(w, cells)
@@ -388,32 +382,18 @@ def _pair_pass(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
         raise ValueError("psi and phi live on different domains")
     if psi.d != level.d:
         raise ValueError("state dimension does not match the grid")
-    parts = _product_parts(level)
-    if parts is not None:
-        p_raw, err, bar = 0.0, 0.0, 0.0
-        amps = []
-        for part in parts:
-            w, axes = _pair_data(phi, psi, part, cfg, keep=keep, with_bar=with_bar)
-            p_raw += _gram_form(w, [ax.gram for ax in axes])
-            sq = np.array([ax.gram.diagonal().real for ax in axes]).T
-            err += _error_bound(w, sq, np.array([ax.extra for ax in axes]).T)
-            if with_bar:
-                bar += _gram_form(w, [ax.gram_bar for ax in axes])
-            if keep:
-                amps.append(_per_bin_arrays(w, [ax.cells for ax in axes]))
-        amps = np.concatenate(amps) if keep else None
-    else:
-        # explicit bins: direct per-bin integrals
-        amps = np.empty(level.num_bins, dtype=complex)
-        err = 0.0
-        for j, b in enumerate(level.bins()):
-            a = bin_inner_product(phi, psi, b, cfg)
-            amps[j] = a.value
-            err += 2.0 * abs(a.value) * a.error + a.error ** 2
-        p_raw = float(np.sum(np.abs(amps) ** 2))
-        bar = float(np.sum(np.abs(amps) ** 2 / level.volumes())) if with_bar else None
-        if not keep:
-            amps = None
+    p_raw, err, bar = 0.0, 0.0, 0.0
+    amps = []
+    for part in level.parts:
+        w, axes = _pair_data(phi, psi, part, cfg, keep=keep, with_bar=with_bar)
+        p_raw += _gram_form(w, [ax.gram for ax in axes])
+        sq = np.array([ax.gram.diagonal().real for ax in axes]).T
+        err += _error_bound(w, sq, np.array([ax.extra for ax in axes]).T)
+        if with_bar:
+            bar += _gram_form(w, [ax.gram_bar for ax in axes])
+        if keep:
+            amps.append(_per_bin_arrays(w, [ax.cells for ax in axes]))
+    amps = np.concatenate(amps) if keep else None
     err = max(err, _EPS_FLOOR * level.num_bins ** 0.5)
     return _PairTotals(p_y1=_clamp_probability(p_raw), p_y1_raw=p_raw,
                       error_bound=float(err), amplitudes=amps,
@@ -448,7 +428,7 @@ def prob_y1_mixed(rho: DensityState, phi: WaveFunction, level: GridLevel,
     which is added to the error bound.
     """
     t0 = time.perf_counter()
-    keep = _should_keep(level, keep_per_bin)
+    keep = _should_keep(level, keep_per_bin, _DENSITY_TABLE_BYTES_PER_BIN)
     p_raw, err, mass_total = 0.0, 0.0, 0.0
     amps = None  # amplitudes do not mix linearly; masses do
     masses = None
@@ -458,7 +438,12 @@ def prob_y1_mixed(rho: DensityState, phi: WaveFunction, level: GridLevel,
         err += p_l * r.p_y1_error_bound
         mass_total += p_l * r.mass_total
         if keep:
-            masses = r.per_bin_mass * p_l if masses is None else masses + p_l * r.per_bin_mass
+            if masses is None:
+                masses = r.per_bin_mass
+                masses *= p_l
+            else:
+                masses += p_l * r.per_bin_mass
+        del r  # its tables go before the next term's are built
     phi_norm_sq = float(np.real(inner_product(phi, phi)))
     err += phi_norm_sq * rho.tail_mass
     return MeasurementResult(
@@ -505,33 +490,39 @@ def prob_y1_given_bin(psi: WaveFunction, phi: WaveFunction, cell: Bin,
 
 
 def _per_bin_tables(state, phi, level, cfg, keep_per_bin):
-    """Materialised (amplitudes|None, masses, p1, p0) for pure or mixed input."""
-    if isinstance(state, DensityState):
-        p1 = None
-        masses = None
-        for p_l, psi_l in state.terms:
-            r = prob_y1_pure(psi_l, phi, level, cfg, keep_per_bin=keep_per_bin)
-            if r.per_bin_amplitude is None:
-                raise ValueError(
-                    f"per-bin tables for {level.num_bins} bins exceed the size "
-                    f"guard; pass keep_per_bin=True to override")
-            t1 = np.abs(r.per_bin_amplitude) ** 2
-            p1 = p_l * t1 if p1 is None else p1 + p_l * t1
-            m = p_l * r.per_bin_mass
-            masses = m if masses is None else masses + m
-        return None, masses, p1
-    r = prob_y1_pure(state, phi, level, cfg, keep_per_bin=keep_per_bin)
-    if r.per_bin_amplitude is None:
+    """Per-bin (masses, p1): sum_l p_l ||P_j psi_l||^2 and
+    sum_l p_l |<phi|P_j psi_l>|^2 over the spectral terms of a density
+    state, a pure state being the single term (1.0, psi).
+
+    Each term's tables are scaled and added into the sums in place, so a
+    pure state's tables keep their bits.
+    """
+    density = isinstance(state, DensityState)
+    terms = state.terms if density else ((1.0, state),)
+    if not _should_keep(level, keep_per_bin, _DENSITY_TABLE_BYTES_PER_BIN
+                        if density else _TABLE_BYTES_PER_BIN):
         raise ValueError(f"per-bin tables for {level.num_bins} bins exceed the "
                          f"size guard; pass keep_per_bin=True to override")
-    return r.per_bin_amplitude, r.per_bin_mass, np.abs(r.per_bin_amplitude) ** 2
+    masses = p1 = None
+    for p_l, psi_l in terms:
+        r = prob_y1_pure(psi_l, phi, level, cfg, keep_per_bin=True)
+        if masses is None:
+            masses, p1 = r.per_bin_mass, np.abs(r.per_bin_amplitude)
+            np.square(p1, out=p1)
+            masses *= p_l
+            p1 *= p_l
+        else:
+            masses += p_l * r.per_bin_mass
+            p1 += p_l * np.abs(r.per_bin_amplitude) ** 2
+        del r  # its amplitudes go before the next term's tables are built
+    return masses, p1
 
 
 def joint_distribution(state, phi: WaveFunction, level: GridLevel,
                        cfg: QuadratureConfig = DEFAULT_CONFIG,
                        keep_per_bin="auto") -> JointDistribution:
     """Exact joint table P(X=j, Y=y); rows sum to the bin masses."""
-    _, masses, p1 = _per_bin_tables(state, phi, level, cfg, keep_per_bin)
+    masses, p1 = _per_bin_tables(state, phi, level, cfg, keep_per_bin)
     p1 = np.minimum(p1, masses)  # Cauchy-Schwarz per bin, up to roundoff
     p0 = np.maximum(masses - p1, 0.0)
     return JointDistribution(level=level, p_y1_bins=p1, p_y0_bins=p0)
@@ -550,6 +541,17 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _draw(psi, phi, level, cfg, keep_per_bin, u_x, u_y):
+    """(X, Y) of a pure state at the uniforms u_x, u_y: X by inverse CDF
+    over the bin masses, Y = 1 when u_y is below P(Y=1 | X)."""
+    masses, p1 = _per_bin_tables(psi, phi, level, cfg, keep_per_bin)
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    x = _inverse_cdf(cdf, u_x)
+    cond = np.divide(p1, masses, out=np.zeros_like(p1), where=masses > 0)
+    return x, (u_y < cond[x]).astype(np.int8)
+
+
 def sample_xy(state, phi: WaveFunction, level: GridLevel,
               cfg: QuadratureConfig = DEFAULT_CONFIG, count: int = 1,
               seed: int = 0, stream: int = 0,
@@ -565,40 +567,19 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=int(seed), spawn_key=(int(stream),)))
-
-    if isinstance(state, DensityState):
-        term_weights = np.array([p for p, _ in state.terms])
-        term_cdf = np.cumsum(term_weights)
+    density = isinstance(state, DensityState)
+    if density:
+        term_cdf = np.cumsum([p for p, _ in state.terms])
         term_cdf /= term_cdf[-1]
-        tables = [_per_bin_tables(psi_l, phi, level, cfg, keep_per_bin)
-                  for _, psi_l in state.terms]
-        u_term = rng.random(count)
-        u_x = rng.random(count)
-        u_y = rng.random(count)
-        terms = np.searchsorted(term_cdf, u_term, side="right")
-        x = np.empty(count, dtype=np.int64)
-        y = np.empty(count, dtype=np.int8)
-        for l, (_, masses, p1) in enumerate(tables):
-            pick = terms == l
-            if not np.any(pick):
-                continue
-            cdf = np.cumsum(masses)
-            cdf /= cdf[-1]
-            xl = _inverse_cdf(cdf, u_x[pick])
-            cond = np.divide(p1, masses, out=np.zeros_like(p1),
-                             where=masses > 0)
-            x[pick] = xl
-            y[pick] = (u_y[pick] < cond[xl]).astype(np.int8)
-        return SampleBatch(x=x, y=y, seed=seed, stream=stream)
-
-    # the amplitudes are not needed here; dropping them keeps the table
-    # peak at the build's _TABLE_BYTES_PER_BIN
-    masses, p1 = _per_bin_tables(state, phi, level, cfg, keep_per_bin)[1:]
-    cdf = np.cumsum(masses)
-    cdf /= cdf[-1]
-    cond = np.divide(p1, masses, out=np.zeros_like(p1), where=masses > 0)
+        which = np.searchsorted(term_cdf, rng.random(count), side="right")
     u_x = rng.random(count)
     u_y = rng.random(count)
-    x = _inverse_cdf(cdf, u_x).astype(np.int64)
-    y = (u_y < cond[x]).astype(np.int8)
+    x = np.empty(count, dtype=np.int64)
+    y = np.empty(count, dtype=np.int8)
+    # one term's tables at a time, built only when the term was drawn
+    for l, (_, psi_l) in enumerate(state.terms if density else ((1.0, state),)):
+        pick = which == l if density else slice(None)
+        u = u_x[pick]
+        if u.size:
+            x[pick], y[pick] = _draw(psi_l, phi, level, cfg, keep_per_bin, u, u_y[pick])
     return SampleBatch(x=x, y=y, seed=seed, stream=stream)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .grids import Bin, CustomGrid, GridLevel, ProductGrid, ConcatenatedGrid
+from .grids import Bin, GridLevel
 from .states import (
     Domain,
     PairFactor,
@@ -265,14 +265,9 @@ def bin_mass(psi: SeparableFunction, cell: Bin,
 
 def _region_cells(region, d: int, panels_per_axis: int):
     """Yield (edges per axis) blocks that tile the integration region."""
-    if isinstance(region, ProductGrid):
-        yield region.breakpoints
-    elif isinstance(region, ConcatenatedGrid):
+    if isinstance(region, GridLevel):
         for part in region.parts:
             yield part.breakpoints
-    elif isinstance(region, CustomGrid):
-        for b in region.bins():
-            yield tuple(np.array([e.lo, e.hi]) for e in b.edges)
     elif isinstance(region, Bin):
         yield tuple(np.array([e.lo, e.hi]) for e in region.edges)
     elif isinstance(region, Domain):

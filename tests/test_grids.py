@@ -118,6 +118,36 @@ def test_validate_flags_overlap():
     assert not report.checks["disjoint"]
 
 
+def test_validate_flags_coverage_gap():
+    bins = [Bin((Interval(0.0, 0.5),)), Bin((Interval(0.75, 1.0),))]
+    report = validate_grid(CustomGrid(2, bins, ratio_bound=2.0))
+    assert not report.checks["coverage"]
+    assert report.checks["disjoint"] and report.checks["edge_lengths"]
+
+
+def test_validate_flags_bin_outside_domain():
+    # the volumes add up to the domain's, but [0.75, 1) is left out
+    bins = [Bin((Interval(-0.25, 0.25),)), Bin((Interval(0.25, 0.75),))]
+    report = validate_grid(CustomGrid(2, bins, ratio_bound=2.0))
+    assert not report.checks["coverage"]
+    assert report.checks["disjoint"] and report.checks["edge_lengths"]
+    shifted = CustomGrid(2, bins, ratio_bound=2.0, domain_bounds=[(-0.25, 0.75)])
+    assert validate_grid(shifted).passed
+
+
+def test_custom_grid_locate_many_equals_a_membership_scan():
+    base = jittered_grid(3, 2, C=2.0, seed=5)
+    bins = [base.bin(j) for j in np.random.default_rng(2).permutation(base.num_bins)]
+    level = CustomGrid(3, bins, ratio_bound=2.0)
+    assert list(level.bins()) == bins and level.num_bins == len(bins)
+    pts = np.random.default_rng(3).random((500, 2))
+    pts[:len(bins)] = [b.lower for b in bins]  # every bin's lower corner
+    scan = [next(j for j, b in enumerate(bins) if b.contains(pt)) for pt in pts]
+    assert level.locate_many(pts).tolist() == scan
+    with pytest.raises(OutOfDomainError):
+        level.locate_many(np.array([[0.5, 1.0]]))
+
+
 def test_locate_bin_half_open_convention():
     g = uniform_grid(2, 1)
     assert locate_bin(g, 0.5) == 1

@@ -472,3 +472,53 @@ def test_sampler_draws_pinned_density_1d_jittered():
     assert int(batch.y.sum()) == 442
     assert _draws_digest(batch) == (
         "b92e8451e890ba8e5160c7e0d440f2b0f56d0392f5df5b9437ca4b4fb6cfd153")
+
+
+def test_custom_grid_equals_a_per_bin_reference():
+    # a hand-built bin list takes the product-grid path, one one-cell part
+    # per bin; the reference integrates bin by bin.  phi's sine(3) against
+    # psi's power law has no closed form, so axis 0 carries quadrature error.
+    from spatialzeno import (CustomGrid, bar_norm_squared, bin_inner_product, bin_mass,
+                             discretization_error, discretize, l2_distance, product_field)
+    from spatialzeno.quadrature import DEFAULT_CONFIG
+
+    base = jittered_grid(3, 2, C=2.0, seed=11)
+    bins = [base.bin(j) for j in np.random.default_rng(4).permutation(base.num_bins)]
+    level = CustomGrid(3, bins, ratio_bound=2.0)
+    psi = superpose([
+        (0.8, tensor_product([make_state("power_singular", alpha=0.3),
+                              make_state("sine_mode", k=1)])),
+        (0.6, tensor_product([make_state("sine_mode", k=2), make_state("sine_mode", k=2)]))])
+    phi = tensor_product([make_state("sine_mode", k=3), make_state("sine_mode", k=2)])
+    f = product_field(phi, psi)
+    one = make_state("uniform", d=2)
+
+    ref = [bin_inner_product(phi, psi, b) for b in bins]
+    assert max(a.error for a in ref) > 0.0
+    amps = np.array([a.value for a in ref])
+    masses = np.array([bin_mass(psi, b) for b in bins])
+    vols = np.array([b.volume for b in bins])
+    averages = np.array([bin_inner_product(one, f, b).value for b in bins]) / vols
+    # the discretization error on each bin's own tensor Gauss-Legendre nodes
+    xi, wi = np.polynomial.legendre.leggauss(DEFAULT_CONFIG.points_per_axis_per_bin)
+    err_sq = 0.0
+    for b, avg in zip(bins, averages):
+        nodes = [0.5 * (e.lo + e.hi) + 0.5 * e.length * xi for e in b.edges]
+        w = np.multiply.outer(0.5 * b.edges[0].length * wi,
+                              0.5 * b.edges[1].length * wi).ravel()
+        pts = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=-1)
+        err_sq += float(np.dot(w, np.abs(f.evaluate(pts) - avg) ** 2))
+
+    r = prob_y1_pure(psi, phi, level, keep_per_bin=True)
+    tol = 1e-13
+    assert np.max(np.abs(r.per_bin_amplitude - amps)) <= tol * np.max(np.abs(amps))
+    assert np.max(np.abs(r.per_bin_mass - masses)) <= tol * np.max(masses)
+    assert r.mass_total == pytest.approx(masses.sum(), rel=tol)
+    assert r.p_y1 == pytest.approx(np.sum(np.abs(amps) ** 2), rel=tol)
+    assert r.p_y1_error_bound > 1e-15 * level.num_bins ** 0.5  # above the roundoff floor
+    assert bar_norm_squared(psi, phi, level) == pytest.approx(
+        np.sum(np.abs(amps) ** 2 / vols), rel=tol)
+    disc = discretize(f, level)
+    assert np.max(np.abs(disc.averages - averages)) <= tol * np.max(np.abs(averages))
+    assert discretization_error(f, level) == pytest.approx(np.sqrt(err_sq), rel=tol)
+    assert l2_distance(f, disc, level) == pytest.approx(np.sqrt(err_sq), rel=tol)

@@ -297,6 +297,31 @@ def test_table_build_peak_stays_within_the_counted_bytes():
         assert peak <= counted + 2 ** 20
 
 
+def test_density_table_peak_stays_within_the_counted_bytes():
+    import tracemalloc
+
+    rho = make_density([(0.5, make_state("sine_product", ks=[1, 1])),
+                        (0.3, make_state("sine_product", ks=[1, 2])),
+                        (0.2, make_state("sine_product", ks=[2, 1]))])
+    phi = make_state("uniform", d=2)
+    level = uniform_grid(300, 2)
+    # the sampler builds one term's tables at a time, so it counts as pure
+    for per_bin, call in (
+            (measurement._DENSITY_TABLE_BYTES_PER_BIN,
+             lambda: prob_y1_mixed(rho, phi, level, keep_per_bin=True)),
+            (measurement._DENSITY_TABLE_BYTES_PER_BIN,
+             lambda: joint_distribution(rho, phi, level, keep_per_bin=True)),
+            (measurement._TABLE_BYTES_PER_BIN,
+             lambda: sample_xy(rho, phi, level, count=1000, keep_per_bin=True))):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= level.num_bins * per_bin + 2 ** 20
+
+
 def test_num_bins_does_not_overflow_and_guard_holds():
     level = uniform_grid(1024, d=7)
     assert level.num_bins == 1024 ** 7
