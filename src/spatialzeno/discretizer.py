@@ -6,6 +6,11 @@ projection onto functions constant per bin, is idempotent, contracts the
 sup norm, and its squared norm equals sum_j |I_j|^2 / |B_j| where I_j is
 the raw bin integral; that identity connects it to the measurement
 amplitudes when f = conj(phi)*psi.
+
+Both outputs of a separable-sum f = sum_a c_a prod_k f_ak come from
+per-axis cell integrals: the averages are their outer products, and the
+L2 error ||f - f_n|| is a term-pair Gram reduction of per-axis node
+Grams, so neither walks the bins' tensor quadrature nodes.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .grids import GridLevel, ProductGrid
-from .measurement import PER_BIN_LIMIT, bar_norm_squared
+from .measurement import PAIR_BLOCK, PER_BIN_LIMIT, _gram_form, bar_norm_squared
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     cell_integrals,
+    _axis_rule,
     _tensor_values,
 )
 from .states import ONE, SeparableFunction, WaveFunction, product_field
@@ -60,13 +66,21 @@ class DiscretizedFunction:
         return float(np.sum(np.abs(self.averages) ** 2 * self.level.volumes()))
 
 
+def _axis_integrals(f: SeparableFunction, part: ProductGrid,
+                    cfg: QuadratureConfig) -> list[list[np.ndarray]]:
+    """Cell integrals I_ak of every factor of every term of f, one array
+    per axis of the product grid: ``out[a][k]``."""
+    return [[cell_integrals(ONE, factors[k], edges, cfg)[0]
+             for k, edges in enumerate(part.breakpoints)]
+            for _, factors in f.terms]
+
+
 def _bin_integrals_separable(f: SeparableFunction, part: ProductGrid,
                              cfg: QuadratureConfig) -> np.ndarray:
     total = None
-    for coeff, factors in f.terms:
+    for (coeff, _), axes in zip(f.terms, _axis_integrals(f, part, cfg)):
         term = None
-        for k in range(part.d):
-            vals, _ = cell_integrals(ONE, factors[k], part.breakpoints[k], cfg)
+        for vals in axes:
             term = vals if term is None else np.multiply.outer(term, vals)
         term = coeff * term.ravel()
         total = term if total is None else total + term
@@ -105,12 +119,65 @@ def discretize(f, level: GridLevel, cfg: QuadratureConfig = DEFAULT_CONFIG,
                                source=f)
 
 
+def _residual_gram(factors, averages: np.ndarray, edges: np.ndarray,
+                   p: int) -> np.ndarray:
+    """Node-weighted Gram sum_i w_i U_r[i] conj(U_s[i]) of the 3P rows
+    U = [F; F - A; A] on one axis: F_a is factor a at the order-p
+    Gauss-Legendre nodes of every cell, A_a its cell average repeated on
+    the cell's nodes.  The nodes are walked in blocks of about PAIR_BLOCK,
+    so no full-length node array is built.
+    """
+    step = max(1, PAIR_BLOCK // p)
+    G = 0.0
+    for start in range(0, edges.size - 1, step):
+        x, w = _axis_rule(edges[start:start + step + 1], p)
+        F = np.array([fk(x) for fk in factors])
+        A = np.repeat(averages[:, start:start + step], p, axis=1)
+        U = np.concatenate([F, F - A, A])
+        G = G + (U * w) @ U.conj().T
+    return G
+
+
+def _separable_error_sq(f: SeparableFunction, part: ProductGrid,
+                        cfg: QuadratureConfig) -> float:
+    """Squared tensor Gauss-Legendre L2 error of the bar chart on one
+    product grid, from per-axis Grams.
+
+    Per node, prod_k F_ak - prod_k A_ak telescopes into
+    sum_k (prod_{j<k} F_aj) R_ak (prod_{j>k} A_aj) with R = F - A, so
+    f - f_n is a separable sum of d*P terms (term (a, k) has weight c_a and
+    row F, R or A on axis j < k, j = k, j > k), and its squared norm over
+    the tensor nodes is the Gram form of the per-axis Grams of those rows.
+    Every term carries one residual factor, so nothing cancels at fine
+    grids.
+    """
+    p = cfg.points_per_axis_per_bin
+    P, d = len(f.terms), part.d
+    ints = _axis_integrals(f, part, cfg)
+    grams = []
+    for j, edges in enumerate(part.breakpoints):
+        averages = np.array([axes[j] for axes in ints]) / np.diff(edges)
+        G = _residual_gram([factors[j] for _, factors in f.terms], averages, edges, p)
+        rows = np.array([(0 if j < k else 1 if j == k else 2) * P + a
+                         for k in range(d) for a in range(P)])
+        grams.append(G[np.ix_(rows, rows)])
+    weights = np.tile([coeff for coeff, _ in f.terms], d)
+    return _gram_form(weights, grams)
+
+
 def discretization_error(f, level: GridLevel,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """L2 distance ||f_n - f|| between f and its bar chart on the level.
+    """L2 distance ||f_n - f|| between f and its bar chart on the level,
+    by order-p tensor Gauss-Legendre on every bin.
 
-    A separable f is evaluated one axis at a time on the quadrature nodes.
+    A separable f takes per-axis Grams of its factors and their cell
+    averages (``_separable_error_sq``): no per-bin or per-node array is
+    built, so the size guard of :func:`discretize` does not apply.  A
+    plain callable is evaluated on every bin's tensor nodes.
     """
+    if isinstance(f, SeparableFunction):
+        total = sum(_separable_error_sq(f, part, cfg) for part in level.parts)
+        return float(np.sqrt(max(total, 0.0)))
     disc = discretize(f, level, cfg)
     p = cfg.points_per_axis_per_bin
     total = 0.0

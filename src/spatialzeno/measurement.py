@@ -425,31 +425,33 @@ def prob_y1_mixed(rho: DensityState, phi: WaveFunction, level: GridLevel,
     """P(Y=1) = sum_l p_l sum_j |<phi|P_j psi_l>|^2 for a density state.
 
     The dropped spectral tail contributes at most ||phi||^2 * (1 - sum p_l),
-    which is added to the error bound.
+    which is added to the error bound.  Amplitudes do not mix linearly, so
+    only the per-bin masses are kept; each term's are built without its
+    amplitudes and scaled and added into the sum in place.
     """
     t0 = time.perf_counter()
     keep = _should_keep(level, keep_per_bin, _DENSITY_TABLE_BYTES_PER_BIN)
     p_raw, err, mass_total = 0.0, 0.0, 0.0
-    amps = None  # amplitudes do not mix linearly; masses do
     masses = None
     for p_l, psi_l in rho.terms:
-        r = prob_y1_pure(psi_l, phi, level, cfg, keep_per_bin=keep)
+        r = _pair_pass(psi_l, phi, level, cfg, keep=False, with_bar=False)
         p_raw += p_l * r.p_y1_raw
-        err += p_l * r.p_y1_error_bound
-        mass_total += p_l * r.mass_total
+        err += p_l * r.error_bound
+        term_total, term_masses = _mass_pass(psi_l, level, cfg, keep)
+        mass_total += p_l * term_total
         if keep:
+            term_masses *= p_l
             if masses is None:
-                masses = r.per_bin_mass
-                masses *= p_l
+                masses = term_masses
             else:
-                masses += p_l * r.per_bin_mass
-        del r  # its tables go before the next term's are built
+                masses += term_masses
+        del term_masses  # it goes before the next term's masses are built
     phi_norm_sq = float(np.real(inner_product(phi, phi)))
     err += phi_norm_sq * rho.tail_mass
     return MeasurementResult(
         n=level.n, level=level, p_y1=_clamp_probability(p_raw), p_y1_raw=p_raw,
         p_y1_error_bound=float(err), mass_total=float(mass_total),
-        per_bin_amplitude=amps, per_bin_mass=masses,
+        per_bin_amplitude=None, per_bin_mass=masses,
         wall_time=time.perf_counter() - t0)
 
 

@@ -250,7 +250,10 @@ SEPARABLE_CASES = list(_separable_cases())
 @pytest.mark.parametrize("label, f, level", SEPARABLE_CASES,
                          ids=[c[0] for c in SEPARABLE_CASES])
 def test_separable_error_equals_callable_path(label, f, level):
-    assert discretization_error(f, level) == _error_at_point_array(f, level)
+    # the same tensor Gauss-Legendre sum, reduced from per-axis Grams in
+    # another order
+    assert discretization_error(f, level) == pytest.approx(
+        _error_at_point_array(f, level), rel=1e-14)
 
 
 @pytest.mark.parametrize("label, f, level", SEPARABLE_CASES,
@@ -321,3 +324,144 @@ def test_rd_l2_distance_equals_discretization_error(name):
     err = discretization_error(f, level)
     assert err > 0.0
     assert l2_distance(f, discretize(f, level), level) == pytest.approx(err, rel=1e-12)
+
+
+def _mp_value(prim, x):
+    """A catalog factor at the mpmath point x, from the float constants the
+    library evaluates with."""
+    import mpmath
+    from spatialzeno.states import Cexp1D, PairFactor, PowerSingular1D, Sine1D, Uniform1D
+
+    if isinstance(prim, PairFactor):
+        return mpmath.conj(_mp_value(prim.bra, x)) * _mp_value(prim.ket, x)
+    if isinstance(prim, Uniform1D):
+        return mpmath.mpf(1)
+    if isinstance(prim, Sine1D):
+        return mpmath.mpf(float(np.sqrt(2.0))) * mpmath.sin(prim.k * mpmath.pi * x)
+    if isinstance(prim, Cexp1D):
+        return mpmath.expjpi(2 * prim.k * x)
+    if isinstance(prim, PowerSingular1D):
+        return mpmath.mpf(prim.coeff) * x ** (-mpmath.mpf(prim.alpha))
+    raise TypeError(prim)
+
+
+def _mp_quad(fn, a, b):
+    """mpmath integral of fn over [a, b]; from 0, with t = u^4, which makes a
+    power singularity at 0 smooth enough for tanh-sinh."""
+    import mpmath
+
+    if a == 0:
+        return mpmath.quad(lambda u: fn(u ** 4) * 4 * u ** 3, [0, mpmath.root(b, 4)])
+    return mpmath.quad(fn, [a, b])
+
+
+def _mp_error(f, level):
+    """||f - f_n|| of a separable f on a product grid of [0, 1)^d, in 20-digit
+    mpmath: ||f||^2 - ||f_n||^2 = sum_ab c_a conj(c_b) (prod_k N_k[a, b]
+    - prod_k B_k[a, b]), with N_k[a, b] the integral of f_ak conj(f_bk) over
+    the axis and B_k[a, b] = sum_i I_ak[i] conj(I_bk[i]) / h_i over its
+    cells."""
+    import mpmath
+
+    with mpmath.workdps(20):
+        full, bar = [], []
+        for k, edges in enumerate(level.breakpoints):
+            x = [mpmath.mpf(float(e)) for e in edges]
+            fs = [factors[k] for _, factors in f.terms]
+            ints = [[_mp_quad(lambda t, g=g: _mp_value(g, t), a, b)
+                     for a, b in zip(x, x[1:])] for g in fs]
+            N = [[None] * len(fs) for _ in fs]
+            for a, g in enumerate(fs):
+                for b in range(a, len(fs)):
+                    N[a][b] = _mp_quad(lambda t, g=g, h=fs[b]: _mp_value(g, t)
+                                       * mpmath.conj(_mp_value(h, t)), 0, 1)
+                    N[b][a] = mpmath.conj(N[a][b])
+            full.append(N)
+            bar.append([[mpmath.fsum(ia * mpmath.conj(ib) / (b - a)
+                                     for ia, ib, a, b in zip(Ia, Ib, x, x[1:]))
+                         for Ib in ints] for Ia in ints])
+        coeffs = [mpmath.mpc(complex(c)) for c, _ in f.terms]
+        total = mpmath.mpf(0)
+        for a, ca in enumerate(coeffs):
+            for b, cb in enumerate(coeffs):
+                pf = mpmath.fprod(g[a][b] for g in full)
+                pb = mpmath.fprod(g[a][b] for g in bar)
+                total += (ca * mpmath.conj(cb) * (pf - pb)).real
+        return float(mpmath.sqrt(total))
+
+
+def _oracle_cases():
+    from spatialzeno import tensor_product
+
+    s1, s2 = make_state("sine_mode", k=1), make_state("sine_mode", k=2)
+    e1 = make_state("complex_exponential", k=1)
+    power = make_state("power_singular", alpha=0.3)
+    mix = superpose([(0.8, s1), (0.6j, e1)])
+    yield "1d", product_field(mix, superpose([(0.6, s2), (0.8 - 0.1j, e1)])), \
+        jittered_grid(7, d=1, C=2.0, seed=1)
+    yield "1d-power", product_field(superpose([(0.8, power), (0.6j, s1)]), mix), \
+        jittered_grid(6, d=1, C=2.0, seed=2)
+    yield "2d", product_field(tensor_product([mix, s2]),
+                              superpose([(0.7, tensor_product([e1, s1])),
+                                         (0.7j, tensor_product([s2, mix]))])), \
+        jittered_grid(5, d=2, C=2.0, seed=3)
+    yield "2d-power", product_field(tensor_product([s1, mix]),
+                                    superpose([(0.6, tensor_product([power, s1])),
+                                               (0.8j, tensor_product([e1, s2]))])), \
+        jittered_grid(4, d=2, C=2.0, seed=4)
+    yield "3d-power", product_field(tensor_product([mix, s1, e1]),
+                              tensor_product([s2, mix, power])), \
+        jittered_grid(3, d=3, C=2.0, seed=5)
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+@pytest.mark.parametrize("label, f, level", ORACLE_CASES,
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_separable_error_against_mpmath(label, f, level):
+    # the oracle is the exact error; the library's value is the tensor
+    # Gauss-Legendre sum, which loses accuracy next to a power singularity
+    # but must be no further off than the point-array evaluation of that sum
+    want = _mp_error(f, level)
+    got = discretization_error(f, level)
+    ref = _error_at_point_array(f, level)
+    assert abs(got - want) <= abs(ref - want) + 4e-16 * want
+    if "power" not in label:
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_error_above_the_table_guard_from_per_axis_sums():
+    import tracemalloc
+
+    import mpmath
+
+    from spatialzeno.measurement import PAIR_BLOCK, PER_BIN_LIMIT
+    from spatialzeno.quadrature import DEFAULT_CONFIG
+
+    f = product_field(make_state("uniform", d=2), make_state("sine_product", ks=[1, 2]))
+    # 3000 cells per axis: two node blocks per axis
+    level = uniform_grid(3000, 2)
+    assert level.num_bins > PER_BIN_LIMIT
+    assert 3000 * DEFAULT_CONFIG.points_per_axis_per_bin > PAIR_BLOCK
+    with pytest.raises(ValueError):
+        discretize(f, level)
+    tracemalloc.start()
+    try:
+        err = discretization_error(f, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+    # ||f||^2 = 1, and ||f_n||^2 is the product over the axes of
+    # sum_i I_i^2 / h with I_i the integral of sqrt(2) sin(k pi x) over cell i
+    with mpmath.workdps(30):
+        x = [mpmath.mpf(float(e)) for e in level.breakpoints[0]]
+        bar = mpmath.mpf(1)
+        for k in (1, 2):
+            c = [mpmath.cospi(k * t) for t in x]
+            scale = mpmath.mpf(float(np.sqrt(2.0))) / (k * mpmath.pi)
+            bar *= mpmath.fsum((scale * (c0 - c1)) ** 2 / (b - a)
+                               for c0, c1, a, b in zip(c, c[1:], x, x[1:]))
+        want = float(mpmath.sqrt(1 - bar))
+    assert err == pytest.approx(want, rel=1e-10)

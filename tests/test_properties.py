@@ -6,6 +6,9 @@ coefficients, on jittered grids with d <= 2.  Every draw checks per-bin
 Cauchy-Schwarz, that the bin masses sum to the total, mixed-state
 linearity, and that the per-bin amplitudes and masses agree with a
 reference built in complex arithmetic from exp(i w x) antiderivatives.
+With d <= 3, the bar chart f_n of f = conj(phi)*psi satisfies the norm
+identity and, with its discretization error, the Pythagorean identity
+||f_n||^2 + ||f - f_n||^2 = ||f||^2.
 The Cauchy-Schwarz and mass-sum checks also draw products of sine modes
 and power laws, whose pairs take the power series (a power law against a
 power law or a sine mode with k <= 2) or quadrature (k >= 3).
@@ -16,17 +19,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spatialzeno import (
+    discretization_error,
+    discretize,
     jittered_grid,
     make_density,
     make_state,
+    norm_identity_check,
     prob_y1_mixed,
     prob_y1_pure,
+    product_field,
     superpose,
     tensor_product,
 )
 from spatialzeno.measurement import _pair_data
 from spatialzeno.quadrature import DEFAULT_CONFIG, _term_pairs
-from spatialzeno.states import PairFactor
+from spatialzeno.states import PairFactor, exact_cell_integrals
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 TOL = 1e-14
@@ -42,8 +49,8 @@ def _product(family: str, ks) -> object:
 
 
 @st.composite
-def _modes(draw, family: str, d: int):
-    _, ks = FAMILIES[family]
+def _modes(draw, family: str, d: int, ks=None):
+    ks = FAMILIES[family][1] if ks is None else ks
     return tuple(draw(st.sampled_from(list(ks))) for _ in range(d))
 
 
@@ -53,9 +60,10 @@ _coeff = st.one_of(
 
 
 @st.composite
-def _state(draw, family: str, d: int):
-    """A renormalised superposition of 1-3 distinct product modes."""
-    modes = draw(st.lists(_modes(family, d), min_size=1, max_size=3, unique=True))
+def _state(draw, family: str, d: int, ks=None):
+    """A renormalised superposition of 1-3 distinct product modes (of the
+    family's modes, or of ``ks``)."""
+    modes = draw(st.lists(_modes(family, d, ks), min_size=1, max_size=3, unique=True))
     return superpose([(draw(_coeff), _product(family, ks)) for ks in modes])
 
 
@@ -77,8 +85,8 @@ def _power_state(draw, d: int):
 
 
 @st.composite
-def _case(draw, families=tuple(sorted(FAMILIES))):
-    d = draw(st.integers(1, 2))
+def _case(draw, families=tuple(sorted(FAMILIES)), max_d=2):
+    d = draw(st.integers(1, max_d))
     family = draw(st.sampled_from(families))
     psi = draw(_power_state(d) if family == "power" else _state(family, d))
     phi = draw(st.one_of(_state("sine", d), st.just(make_state("uniform", d=d))))
@@ -166,3 +174,44 @@ def test_mixed_state_is_linear_in_its_terms(args):
         sum(w * r.mass_total for w, r in zip(p, pure)), rel=TOL)
     assert np.allclose(mixed.per_bin_mass, sum(w * r.per_bin_mass for w, r in zip(p, pure)),
                        rtol=TOL, atol=0.0)
+
+
+@SETTINGS
+@given(_case(max_d=3))
+def test_norm_identity(case):
+    _, psi, phi, level = case
+    lhs, rhs = norm_identity_check(phi, psi, level)
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _norm_squared(f) -> float:
+    """||f||^2 over [0, 1)^d from closed-form whole-axis integrals."""
+    total = 0.0
+    for ca, fa in f.terms:
+        for cb, fb in f.terms:
+            prod = np.conj(ca) * cb
+            for x, y in zip(fa, fb):
+                prod *= complex(exact_cell_integrals(x, y, np.array([0.0, 1.0]))[0])
+            total += prod.real
+    return total
+
+
+# the error is a tensor Gauss-Legendre sum, exact to roundoff only on cells
+# that resolve |f - f_n|^2: modes up to sine(2) and exp(+-2 pi i x) keep its
+# frequencies at or below 8 pi, and n >= 12 keeps cells below 1/6
+LOW_MODES = {"sine": (1, 2), "cexp": (-1, 1)}
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.sampled_from(sorted(LOW_MODES)).flatmap(lambda fam: _state(fam, d, LOW_MODES[fam])),
+    st.one_of(_state("sine", d, LOW_MODES["sine"]), st.just(make_state("uniform", d=d))),
+    st.integers(12, 20),
+    st.integers(0, 2 ** 16))))
+def test_bar_chart_and_its_error_split_the_norm(args):
+    psi, phi, n, seed = args
+    level = jittered_grid(n, psi.d, C=2.0, seed=seed)
+    f = product_field(phi, psi)
+    bar = discretize(f, level).norm_squared()
+    err = discretization_error(f, level)
+    assert bar + err ** 2 == pytest.approx(_norm_squared(f), rel=1e-12)

@@ -322,6 +322,34 @@ def test_density_table_peak_stays_within_the_counted_bytes():
         assert peak <= level.num_bins * per_bin + 2 ** 20
 
 
+def test_mixed_masses_are_built_without_amplitudes():
+    import tracemalloc
+
+    rho = make_density([(0.5, make_state("sine_product", ks=[1, 1])),
+                        (0.3, make_state("sine_product", ks=[1, 2])),
+                        (0.2, make_state("sine_product", ks=[2, 1]))])
+    phi = make_state("uniform", d=2)
+    level = uniform_grid(300, 2)
+    tracemalloc.start()
+    try:
+        r = prob_y1_mixed(rho, phi, level, keep_per_bin=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 mass sum, and one term's complex128 mass build with its
+    # reused buffer; no complex128 amplitude table
+    assert peak <= level.num_bins * (8 + 16 + 16) + 2 ** 20
+    assert r.per_bin_amplitude is None
+    pure = [(p_l, prob_y1_pure(psi_l, phi, level, keep_per_bin=True))
+            for p_l, psi_l in rho.terms]
+    want = pure[0][1].per_bin_mass * pure[0][0]
+    for p_l, q in pure[1:]:
+        want += p_l * q.per_bin_mass
+    assert np.array_equal(r.per_bin_mass, want)
+    assert r.p_y1_raw == sum(p_l * q.p_y1_raw for p_l, q in pure)
+    assert r.mass_total == sum(p_l * q.mass_total for p_l, q in pure)
+
+
 def test_num_bins_does_not_overflow_and_guard_holds():
     level = uniform_grid(1024, d=7)
     assert level.num_bins == 1024 ** 7
