@@ -7,10 +7,11 @@ sup norm, and its squared norm equals sum_j |I_j|^2 / |B_j| where I_j is
 the raw bin integral; that identity connects it to the measurement
 amplitudes when f = conj(phi)*psi.
 
-Both outputs of a separable-sum f = sum_a c_a prod_k f_ak come from
-per-axis cell integrals: the averages are their outer products, and the
-L2 error ||f - f_n|| is a term-pair Gram reduction of per-axis node
-Grams, so neither walks the bins' tensor quadrature nodes.
+Both outputs of a separable-sum f = sum_a c_a prod_k f_ak come from its
+per-axis cell integrals I_ak: a bin integral is sum_a c_a prod_k I_ak,
+and the squared L2 error ||f - f_n||^2 is a Gram form of one small
+node-weighted Gram per axis, so the error builds no per-bin or per-node
+array and has no bin limit.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ def _separable_error_sq(f: SeparableFunction, part: ProductGrid,
     f - f_n is a separable sum of d*P terms (term (a, k) has weight c_a and
     row F, R or A on axis j < k, j = k, j > k), and its squared norm over
     the tensor nodes is the Gram form of the per-axis Grams of those rows.
-    Every term carries one residual factor, so nothing cancels at fine
-    grids.
+    Every term carries one residual factor, so the form adds up terms of
+    the error's size rather than subtracting terms of ||f||'s size.
     """
     p = cfg.points_per_axis_per_bin
     P, d = len(f.terms), part.d

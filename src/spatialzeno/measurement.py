@@ -87,6 +87,9 @@ _TABLE_BYTES_PER_BIN = 16 + 16 + 16
 # and for the joint table P(Y=1)), held while the next term's tables are
 # built; the sampler builds one drawn term's tables at a time
 _DENSITY_TABLE_BYTES_PER_BIN = 8 + 8 + _TABLE_BYTES_PER_BIN
+# prob_y1_mixed keeps only the float64 mass sum, and builds one term's
+# masses at a time as a complex128 sum in a reused complex128 buffer
+_MIXED_MASS_BYTES_PER_BIN = 8 + 16 + 16
 
 
 @dataclass
@@ -430,7 +433,7 @@ def prob_y1_mixed(rho: DensityState, phi: WaveFunction, level: GridLevel,
     amplitudes and scaled and added into the sum in place.
     """
     t0 = time.perf_counter()
-    keep = _should_keep(level, keep_per_bin, _DENSITY_TABLE_BYTES_PER_BIN)
+    keep = _should_keep(level, keep_per_bin, _MIXED_MASS_BYTES_PER_BIN)
     p_raw, err, mass_total = 0.0, 0.0, 0.0
     masses = None
     for p_l, psi_l in rho.terms:

@@ -253,7 +253,7 @@ def test_separable_error_equals_callable_path(label, f, level):
     # the same tensor Gauss-Legendre sum, reduced from per-axis Grams in
     # another order
     assert discretization_error(f, level) == pytest.approx(
-        _error_at_point_array(f, level), rel=1e-14)
+        _error_at_point_array(f, level), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("label, f, level", SEPARABLE_CASES,
@@ -428,7 +428,7 @@ def test_separable_error_against_mpmath(label, f, level):
     ref = _error_at_point_array(f, level)
     assert abs(got - want) <= abs(ref - want) + 4e-16 * want
     if "power" not in label:
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_error_above_the_table_guard_from_per_axis_sums():
@@ -453,15 +453,17 @@ def test_error_above_the_table_guard_from_per_axis_sums():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
-    # ||f||^2 = 1, and ||f_n||^2 is the product over the axes of
-    # sum_i I_i^2 / h with I_i the integral of sqrt(2) sin(k pi x) over cell i
+    # with r the float sqrt(2) of the sine modes, ||f||^2 = (r^2 / 2)^2, and
+    # ||f_n||^2 is the product over the axes of sum_i I_i^2 / h with I_i the
+    # integral of r sin(k pi x) over cell i
     with mpmath.workdps(30):
+        r = mpmath.mpf(float(np.sqrt(2.0)))
         x = [mpmath.mpf(float(e)) for e in level.breakpoints[0]]
         bar = mpmath.mpf(1)
         for k in (1, 2):
             c = [mpmath.cospi(k * t) for t in x]
-            scale = mpmath.mpf(float(np.sqrt(2.0))) / (k * mpmath.pi)
+            scale = r / (k * mpmath.pi)
             bar *= mpmath.fsum((scale * (c0 - c1)) ** 2 / (b - a)
                                for c0, c1, a, b in zip(c, c[1:], x, x[1:]))
-        want = float(mpmath.sqrt(1 - bar))
-    assert err == pytest.approx(want, rel=1e-10)
+        want = float(mpmath.sqrt((r ** 2 / 2) ** 2 - bar))
+    assert err == pytest.approx(want, rel=1e-12, abs=0.0)

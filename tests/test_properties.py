@@ -214,4 +214,4 @@ def test_bar_chart_and_its_error_split_the_norm(args):
     f = product_field(phi, psi)
     bar = discretize(f, level).norm_squared()
     err = discretization_error(f, level)
-    assert bar + err ** 2 == pytest.approx(_norm_squared(f), rel=1e-12)
+    assert bar + err ** 2 == pytest.approx(_norm_squared(f), rel=1e-12, abs=0.0)

@@ -307,7 +307,7 @@ def test_density_table_peak_stays_within_the_counted_bytes():
     level = uniform_grid(300, 2)
     # the sampler builds one term's tables at a time, so it counts as pure
     for per_bin, call in (
-            (measurement._DENSITY_TABLE_BYTES_PER_BIN,
+            (measurement._MIXED_MASS_BYTES_PER_BIN,
              lambda: prob_y1_mixed(rho, phi, level, keep_per_bin=True)),
             (measurement._DENSITY_TABLE_BYTES_PER_BIN,
              lambda: joint_distribution(rho, phi, level, keep_per_bin=True)),
@@ -336,9 +336,8 @@ def test_mixed_masses_are_built_without_amplitudes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the float64 mass sum, and one term's complex128 mass build with its
-    # reused buffer; no complex128 amplitude table
-    assert peak <= level.num_bins * (8 + 16 + 16) + 2 ** 20
+    # no complex128 amplitude table
+    assert peak <= level.num_bins * measurement._MIXED_MASS_BYTES_PER_BIN + 2 ** 20
     assert r.per_bin_amplitude is None
     pure = [(p_l, prob_y1_pure(psi_l, phi, level, keep_per_bin=True))
             for p_l, psi_l in rho.terms]
