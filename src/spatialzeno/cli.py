@@ -32,7 +32,8 @@ from .discretizer import discretize, discretization_error
 from .grids import GRID_KINDS, GridScheme
 from .measurement import joint_distribution, prob_y1_mixed, prob_y1_pure, sample_xy
 from .quadrature import QuadratureConfig
-from .states import CATALOG, make_density, make_state, product_field, superpose
+from .states import (CATALOG, CatalogEntry, make_density, make_state, product_field,
+                     superpose)
 
 SCHEMA_VERSION = "1"
 
@@ -46,6 +47,23 @@ _NUM = {"type": "number"}
 _INT = {"type": "integer"}
 
 _STATE_REF = {"$ref": "#/$defs/state"}
+
+
+def _state_form(name: str, entry: CatalogEntry) -> dict:
+    """The config object of one catalog entry, from its parameter schemas;
+    a superpose term is a ``coeff`` [re, im] pair and a nested state."""
+    params = dict(entry.params)
+    if name == "superpose":
+        params["terms"] = {**params["terms"], "items": {
+            "type": "object", "additionalProperties": False,
+            "required": ["coeff", "state"],
+            "properties": {"coeff": {"type": "array", "items": _NUM,
+                                     "minItems": 2, "maxItems": 2},
+                           "state": _STATE_REF}}}
+    return {"type": "object", "additionalProperties": False,
+            "required": ["catalog", *entry.required],
+            "properties": {"catalog": {"const": name}, **params}}
+
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -134,60 +152,8 @@ CONFIG_SCHEMA = {
         {"if": {"properties": {"experiment": {"const": "rd_study"}}},
          "then": {"required": ["phi", "n_list", "mass_target"]}},
     ],
-    "$defs": {
-        "state": {
-            "oneOf": [
-                {"type": "object", "additionalProperties": False,
-                 "required": ["catalog"],
-                 "properties": {"catalog": {"const": "uniform"},
-                                "d": {"type": "integer", "minimum": 1}}},
-                {"type": "object", "additionalProperties": False,
-                 "required": ["catalog", "k"],
-                 "properties": {"catalog": {"const": "sine_mode"},
-                                "k": {"type": "integer", "minimum": 1}}},
-                {"type": "object", "additionalProperties": False,
-                 "required": ["catalog", "ks"],
-                 "properties": {"catalog": {"const": "sine_product"},
-                                "ks": {"type": "array", "minItems": 1,
-                                       "items": {"type": "integer", "minimum": 1}}}},
-                {"type": "object", "additionalProperties": False,
-                 "required": ["catalog", "k"],
-                 "properties": {"catalog": {"const": "complex_exponential"},
-                                "k": _INT}},
-                {"type": "object", "additionalProperties": False,
-                 "required": ["catalog", "a", "b"],
-                 "properties": {"catalog": {"const": "indicator"},
-                                "a": _NUM, "b": _NUM}},
-                {"type": "object", "additionalProperties": False,
-                 "required": ["catalog", "alpha"],
-                 "properties": {"catalog": {"const": "power_singular"},
-                                "alpha": _NUM}},
-                {"type": "object", "additionalProperties": False,
-                 "required": ["catalog", "mu", "sigma"],
-                 "properties": {"catalog": {"const": "gaussian"},
-                                "mu": {"anyOf": [_NUM, {"type": "array", "items": _NUM}]},
-                                "sigma": {"anyOf": [_NUM, {"type": "array", "items": _NUM}]}}},
-                {"type": "object", "additionalProperties": False,
-                 "required": ["catalog", "seed"],
-                 "properties": {"catalog": {"const": "haar_like"},
-                                "seed": _INT,
-                                "pieces": {"type": "integer", "minimum": 1}}},
-                {"type": "object", "additionalProperties": False,
-                 "required": ["catalog", "terms"],
-                 "properties": {
-                     "catalog": {"const": "superpose"},
-                     "terms": {"type": "array", "minItems": 1,
-                               "items": {"type": "object",
-                                         "additionalProperties": False,
-                                         "required": ["coeff", "state"],
-                                         "properties": {
-                                             "coeff": {"type": "array",
-                                                       "items": _NUM,
-                                                       "minItems": 2, "maxItems": 2},
-                                             "state": _STATE_REF}}}}},
-            ]
-        }
-    },
+    "$defs": {"state": {"oneOf": [_state_form(name, entry)
+                                  for name, entry in CATALOG.items()]}},
 }
 
 

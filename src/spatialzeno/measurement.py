@@ -81,7 +81,8 @@ def _physical_memory() -> float:
 TABLE_BYTE_LIMIT = _physical_memory()
 # bytes per bin at the peak of building the kept tables: the complex128
 # amplitudes, then the mass table built as a complex128 sum in a reused
-# complex128 term buffer (``_per_bin_arrays``)
+# complex128 term buffer (``_per_bin_arrays``); masses of real psi-psi cells
+# are built in float64, so these counts are the complex worst case
 _TABLE_BYTES_PER_BIN = 16 + 16 + 16
 # a density state adds the float64 sums of the terms built so far (masses,
 # and for the joint table P(Y=1)), held while the next term's tables are
@@ -348,7 +349,11 @@ def _mass_pass(psi: WaveFunction, level: GridLevel, cfg: QuadratureConfig,
         w, axes = _pair_data(psi, psi, part, cfg, keep=True, gram=False)
         cells = [ax.cells for ax in axes]
         mass_total += _linear_total(w, cells)
-        masses.append(np.real(_per_bin_arrays(w, cells)))
+        if any(np.iscomplexobj(c) for c in cells):
+            masses.append(np.real(_per_bin_arrays(w, cells)))
+        else:
+            # real cells: Re(w) M is Re(w M) bit for bit, built in float64
+            masses.append(_per_bin_arrays(w.real, cells))
     return mass_total, np.concatenate(masses)
 
 

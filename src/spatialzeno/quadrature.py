@@ -263,21 +263,16 @@ def bin_mass(psi: SeparableFunction, cell: Bin,
     return mass
 
 
-def _region_cells(region, d: int, panels_per_axis: int):
+def _region_cells(region, panels_per_axis: int):
     """Yield (edges per axis) blocks that tile the integration region."""
     if isinstance(region, GridLevel):
         for part in region.parts:
             yield part.breakpoints
-    elif isinstance(region, Bin):
-        yield tuple(np.array([e.lo, e.hi]) for e in region.edges)
     elif isinstance(region, Domain):
         if region.kind != "unit_cube":
-            raise ValueError("pass an explicit grid or bin list for R^d regions")
+            raise ValueError("pass a grid level for R^d regions")
         bp = np.linspace(0.0, 1.0, panels_per_axis + 1)
-        yield (bp,) * d
-    elif isinstance(region, (list, tuple)):
-        for b in region:
-            yield tuple(np.array([e.lo, e.hi]) for e in b.edges)
+        yield (bp,) * region.d
     else:
         raise TypeError(f"cannot integrate over region of type {type(region)!r}")
 
@@ -350,29 +345,15 @@ def _tensor_values(funcs, axes_edges: Sequence[np.ndarray], p: int):
 
 def l2_distance(f, g, region, cfg: QuadratureConfig = DEFAULT_CONFIG,
                 panels_per_axis: int = 64) -> float:
-    """sqrt(integral of |f-g|^2) over a grid level, bin list or unit cube.
+    """sqrt(integral of |f-g|^2) over a grid level or the unit cube
+    (a ``Domain``, split into ``panels_per_axis`` panels per axis).
 
     ``f`` and ``g`` may be separable functions, plain callables of the
     coordinates, discretized functions, or 0 for the zero function.
     """
-    d = None
-    for func in (f, g):
-        if isinstance(func, SeparableFunction):
-            d = func.d
-        elif hasattr(func, "level"):
-            d = func.level.d
-    if d is None:
-        if isinstance(region, GridLevel):
-            d = region.d
-        elif isinstance(region, Domain):
-            d = region.d
-        elif isinstance(region, Bin):
-            d = region.d
-        else:
-            d = region[0].d
     p = cfg.points_per_axis_per_bin
     total = 0.0
-    for axes_edges in _region_cells(region, d, panels_per_axis):
+    for axes_edges in _region_cells(region, panels_per_axis):
         (f_vals, g_vals), w = _tensor_values((f, g), axes_edges, p)
         total += float(np.real(np.dot(w, np.abs(f_vals - g_vals) ** 2)))
     return float(np.sqrt(max(total, 0.0)))

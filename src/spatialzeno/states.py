@@ -20,17 +20,19 @@ uniform             1 on [0,1)
 sine_mode(k)        sqrt(2) sin(k pi x) on [0,1)
 complex_exponential exp(2 pi i k x) on [0,1)
 indicator(a,b)      (b-a)^(-1/2) on [a,b)
-power_singular(a)   sqrt(1-2a) x^(-a) on [0,1), 0 < a < 1/2
+power_singular(a)   sqrt(1-2a) x^(-a) on [0,1), 0 < a < 1/2 (``alpha``)
 gaussian(mu,sigma)  (2 pi sigma^2)^(-1/4) exp(-(x-mu)^2/(4 sigma^2)) on R
-haar_like           seeded random piecewise constant on a dyadic partition
+haar_like(seed)     seeded random constant on ``pieces`` equal cells
 ==================  =====================================================
 """
 
 from __future__ import annotations
 
+import inspect
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -826,90 +828,6 @@ def product_field(phi: SeparableFunction, psi: SeparableFunction) -> SeparableFu
                              label=f"conj({phi.label})*{psi.label}")
 
 
-# ---------------------------------------------------------------------------
-# catalog
-
-
-def _factors_1d(prim: Primitive1D, d: int) -> tuple[Primitive1D, ...]:
-    return (prim,) * d
-
-
-def make_state(catalog: str, **params) -> WaveFunction:
-    """Build a catalog state.
-
-    Entries: ``uniform(d)``, ``sine_mode(k)``, ``sine_product(ks)``,
-    ``complex_exponential(k)``, ``indicator(a, b)``,
-    ``power_singular(alpha)``, ``gaussian(mu, sigma)`` (scalars or
-    per-axis lists), ``haar_like(seed, pieces)``, and
-    ``superpose(terms=[(coeff, state), ...])``.
-    """
-    if catalog == "uniform":
-        d = int(params.pop("d", 1))
-        _reject_extra(catalog, params)
-        return WaveFunction(Domain.unit_cube(d), ((1.0 + 0.0j, _factors_1d(Uniform1D(), d)),),
-                            label=f"uniform(d={d})")
-    if catalog == "sine_mode":
-        k = int(params.pop("k"))
-        _reject_extra(catalog, params)
-        return WaveFunction(Domain.unit_cube(1), ((1.0 + 0.0j, (Sine1D(k),)),),
-                            label=f"sine_mode({k})")
-    if catalog == "sine_product":
-        ks = [int(k) for k in params.pop("ks")]
-        _reject_extra(catalog, params)
-        factors = tuple(Sine1D(k) for k in ks)
-        return WaveFunction(Domain.unit_cube(len(ks)), ((1.0 + 0.0j, factors),),
-                            label=f"sine_product({ks})")
-    if catalog == "complex_exponential":
-        k = int(params.pop("k"))
-        _reject_extra(catalog, params)
-        return WaveFunction(Domain.unit_cube(1), ((1.0 + 0.0j, (Cexp1D(k),)),),
-                            label=f"complex_exponential({k})")
-    if catalog == "indicator":
-        a, b = float(params.pop("a")), float(params.pop("b"))
-        _reject_extra(catalog, params)
-        return WaveFunction(Domain.unit_cube(1), ((1.0 + 0.0j, (Indicator1D(a, b),)),),
-                            label=f"indicator({a},{b})")
-    if catalog == "power_singular":
-        alpha = float(params.pop("alpha"))
-        _reject_extra(catalog, params)
-        return WaveFunction(Domain.unit_cube(1), ((1.0 + 0.0j, (PowerSingular1D(alpha),)),),
-                            label=f"power_singular({alpha})")
-    if catalog == "gaussian":
-        mu = np.atleast_1d(np.asarray(params.pop("mu"), dtype=float))
-        sigma = np.atleast_1d(np.asarray(params.pop("sigma"), dtype=float))
-        _reject_extra(catalog, params)
-        if mu.size != sigma.size:
-            raise ValueError("mu and sigma need the same length")
-        factors = tuple(Gaussian1D(float(m), float(s)) for m, s in zip(mu, sigma))
-        return WaveFunction(Domain.euclidean(mu.size), ((1.0 + 0.0j, factors),),
-                            label=f"gaussian(mu={mu.tolist()},sigma={sigma.tolist()})")
-    if catalog == "haar_like":
-        seed = int(params.pop("seed"))
-        pieces = int(params.pop("pieces", 8))
-        _reject_extra(catalog, params)
-        if pieces < 1:
-            raise ValueError("pieces must be >= 1")
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                           spawn_key=(pieces,)))
-        vals = rng.standard_normal(pieces) + 1j * rng.standard_normal(pieces)
-        width = 1.0 / pieces
-        vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * width)
-        breaks = tuple(np.arange(pieces + 1) / pieces)
-        prim = PiecewiseConstant1D(breaks, tuple(complex(v) for v in vals))
-        return WaveFunction(Domain.unit_cube(1), ((1.0 + 0.0j, (prim,)),),
-                            label=f"haar_like(seed={seed},pieces={pieces})")
-    if catalog == "superpose":
-        terms = params.pop("terms")
-        _reject_extra(catalog, params)
-        return superpose(terms)
-    raise ValueError(f"unknown catalog entry {catalog!r}")
-
-
-def _reject_extra(catalog: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unexpected parameters for {catalog!r}: {sorted(params)}")
-
-
 def superpose(terms: Iterable[tuple[complex, WaveFunction]]) -> WaveFunction:
     """Renormalised linear combination of states on a common domain."""
     terms = list(terms)
@@ -1006,14 +924,132 @@ def make_density(terms: Iterable[tuple[float, WaveFunction]],
     return DensityState(tuple(terms), declared_trace=total)
 
 
-CATALOG = (
-    "uniform",
-    "sine_mode",
-    "sine_product",
-    "complex_exponential",
-    "indicator",
-    "power_singular",
-    "gaussian",
-    "haar_like",
-    "superpose",
-)
+# ---------------------------------------------------------------------------
+# catalog
+
+
+class CatalogEntry(NamedTuple):
+    build: Callable[..., WaveFunction]
+    params: dict  # parameter -> JSON schema of its config value, in order
+    required: tuple[str, ...]  # the parameters the builder gives no default
+
+
+# entry name -> CatalogEntry: make_state, the CLI's state schema and its
+# capabilities report all read this one mapping
+CATALOG: dict[str, CatalogEntry] = {}
+_NUM, _INT = {"type": "number"}, {"type": "integer"}
+_POS_INT = {"type": "integer", "minimum": 1}
+_NUMS = {"anyOf": [_NUM, {"type": "array", "items": _NUM}]}
+
+
+def _catalog(name: str, **params):
+    """Register the decorated builder as entry ``name``."""
+    def register(build):
+        sig = inspect.signature(build).parameters
+        assert list(sig) == list(params), f"{name}: schema and builder disagree"
+        CATALOG[name] = CatalogEntry(build, params, tuple(
+            p for p, s in sig.items() if s.default is s.empty))
+        return build
+    return register
+
+
+def _int(name: str, value) -> int:
+    """An integer parameter; integral floats pass, as in JSON schema."""
+    try:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _state_1d(prim: Primitive1D, label: str) -> WaveFunction:
+    return WaveFunction(Domain.unit_cube(1), ((1.0 + 0.0j, (prim,)),), label=label)
+
+
+@_catalog("uniform", d=_POS_INT)
+def _uniform(d=1):
+    d = _int("d", d)
+    return WaveFunction(Domain.unit_cube(d), ((1.0 + 0.0j, (Uniform1D(),) * d),),
+                        label=f"uniform(d={d})")
+
+
+@_catalog("sine_mode", k=_POS_INT)
+def _sine_mode(k):
+    k = _int("k", k)
+    return _state_1d(Sine1D(k), f"sine_mode({k})")
+
+
+@_catalog("sine_product", ks={"type": "array", "minItems": 1, "items": _POS_INT})
+def _sine_product(ks):
+    ks = [_int("ks", k) for k in ks]
+    return WaveFunction(Domain.unit_cube(len(ks)),
+                        ((1.0 + 0.0j, tuple(Sine1D(k) for k in ks)),),
+                        label=f"sine_product({ks})")
+
+
+@_catalog("complex_exponential", k=_INT)
+def _complex_exponential(k):
+    k = _int("k", k)
+    return _state_1d(Cexp1D(k), f"complex_exponential({k})")
+
+
+@_catalog("indicator", a=_NUM, b=_NUM)
+def _indicator(a, b):
+    a, b = float(a), float(b)
+    return _state_1d(Indicator1D(a, b), f"indicator({a},{b})")
+
+
+@_catalog("power_singular", alpha=_NUM)
+def _power_singular(alpha):
+    alpha = float(alpha)
+    return _state_1d(PowerSingular1D(alpha), f"power_singular({alpha})")
+
+
+@_catalog("gaussian", mu=_NUMS, sigma=_NUMS)
+def _gaussian(mu, sigma):
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    if mu.size != sigma.size:
+        raise ValueError("mu and sigma need the same length")
+    factors = tuple(Gaussian1D(float(m), float(s)) for m, s in zip(mu, sigma))
+    return WaveFunction(Domain.euclidean(mu.size), ((1.0 + 0.0j, factors),),
+                        label=f"gaussian(mu={mu.tolist()},sigma={sigma.tolist()})")
+
+
+@_catalog("haar_like", seed=_INT, pieces=_POS_INT)
+def _haar_like(seed, pieces=8):
+    seed, pieces = _int("seed", seed), _int("pieces", pieces)
+    if pieces < 1:
+        raise ValueError("pieces must be >= 1")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(pieces,)))
+    vals = rng.standard_normal(pieces) + 1j * rng.standard_normal(pieces)
+    width = 1.0 / pieces
+    vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * width)
+    breaks = tuple(np.arange(pieces + 1) / pieces)
+    prim = PiecewiseConstant1D(breaks, tuple(complex(v) for v in vals))
+    return _state_1d(prim, f"haar_like(seed={seed},pieces={pieces})")
+
+
+# (coeff, state) pairs; the CLI schema gives a pair its JSON form
+_catalog("superpose", terms={"type": "array", "minItems": 1})(superpose)
+
+
+def make_state(catalog: str, **params) -> WaveFunction:
+    """Build the ``CATALOG`` entry ``catalog``, e.g. ``make_state("sine_mode",
+    k=2)``; ``CATALOG[catalog].params`` names its parameters.
+
+    An unknown entry, an unknown or missing parameter, or a non-integral
+    value of an integer parameter raises ValueError.
+    """
+    entry = CATALOG.get(catalog)
+    if entry is None:
+        raise ValueError(f"unknown catalog entry {catalog!r}")
+    extra = sorted(set(params) - set(entry.params))
+    if extra:
+        raise ValueError(f"unexpected parameters for {catalog!r}: {extra}")
+    missing = [p for p in entry.required if p not in params]
+    if missing:
+        raise ValueError(f"{catalog!r} needs the parameters {missing}")
+    return entry.build(**params)

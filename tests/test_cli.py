@@ -5,13 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from spatialzeno import make_state
 from spatialzeno.cli import (
+    CONFIG_SCHEMA,
     EXIT_COMPUTE,
     EXIT_CONFIG_PARSE,
     EXIT_SCHEMA,
+    build_state,
     main,
     version_and_capabilities,
 )
+from spatialzeno.states import CATALOG
 
 
 def write_config(tmp_path, name, config):
@@ -243,6 +247,41 @@ def test_superpose_config_nests(tmp_path):
         ]})
     cfg = write_config(tmp_path, "sup.json", config)
     assert main(["--output-dir", str(tmp_path), "run", cfg]) == 0
+
+
+# per catalog entry: its config parameters and the make_state parameters
+# of the same state
+CATALOG_EXAMPLES = {
+    "uniform": ({"d": 2}, {"d": 2}),
+    "sine_mode": ({"k": 3}, {"k": 3}),
+    "sine_product": ({"ks": [1, 2]}, {"ks": [1, 2]}),
+    "complex_exponential": ({"k": -2}, {"k": -2}),
+    "indicator": ({"a": 0.25, "b": 0.5}, {"a": 0.25, "b": 0.5}),
+    "power_singular": ({"alpha": 0.3}, {"alpha": 0.3}),
+    "gaussian": ({"mu": [0.0, 1.0], "sigma": [2.0, 0.5]},
+                 {"mu": [0.0, 1.0], "sigma": [2.0, 0.5]}),
+    "haar_like": ({"seed": 5, "pieces": 4}, {"seed": 5, "pieces": 4}),
+    "superpose": (
+        {"terms": [{"coeff": [0.8, 0.0], "state": {"catalog": "sine_mode", "k": 1}},
+                   {"coeff": [0.0, 0.6], "state": {"catalog": "haar_like", "seed": 2}}]},
+        {"terms": [(0.8 + 0.0j, make_state("sine_mode", k=1)),
+                   (0.6j, make_state("haar_like", seed=2))]}),
+}
+
+
+def test_every_catalog_entry_has_an_example():
+    assert set(CATALOG_EXAMPLES) == set(CATALOG)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_EXAMPLES))
+def test_catalog_config_round_trip(name):
+    from jsonschema import Draft202012Validator
+
+    spec_params, params = CATALOG_EXAMPLES[name]
+    spec = {"catalog": name, **spec_params}
+    Draft202012Validator(CONFIG_SCHEMA).validate(base_probability_config(psi=spec))
+    built, want = build_state(spec), make_state(name, **params)
+    assert built == want and built.label == want.label
 
 
 def test_psi_and_density_mutually_exclusive(tmp_path):

@@ -9,9 +9,12 @@ reference built in complex arithmetic from exp(i w x) antiderivatives.
 With d <= 3, the bar chart f_n of f = conj(phi)*psi satisfies the norm
 identity and, with its discretization error, the Pythagorean identity
 ||f_n||^2 + ||f - f_n||^2 = ||f||^2.
-The Cauchy-Schwarz and mass-sum checks also draw products of sine modes
-and power laws, whose pairs take the power series (a power law against a
-power law or a sine mode with k <= 2) or quadrature (k >= 3).
+The Cauchy-Schwarz, mass-sum and resolution-of-identity checks also draw
+products of sine modes and power laws, whose pairs take the power series
+(a power law against a power law or a sine mode with k <= 2) or
+quadrature (k >= 3).  Resolution of identity (the bins' amplitudes sum to
+<phi|psi> and their masses to ||psi||^2) is checked with d <= 3, and every
+jittered grid of feasible parameters passes ``validate_grid``.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from spatialzeno import (
     discretization_error,
     discretize,
+    inner_product,
     jittered_grid,
     make_density,
     make_state,
@@ -30,6 +34,7 @@ from spatialzeno import (
     product_field,
     superpose,
     tensor_product,
+    validate_grid,
 )
 from spatialzeno.measurement import _pair_data
 from spatialzeno.quadrature import DEFAULT_CONFIG, _term_pairs
@@ -133,6 +138,28 @@ def test_per_bin_cauchy_schwarz_and_mass_sum(case):
     assert np.all(amp2 <= m * phi.norm_squared() * (1.0 + 1e-12) + 1e-15)
     assert np.sum(m) == pytest.approx(r.mass_total, rel=1e-12)
     assert np.sum(amp2) == pytest.approx(r.p_y1_raw, rel=1e-12, abs=1e-15)
+
+
+@SETTINGS
+@given(_case(families=tuple(sorted(FAMILIES)) + ("power",), max_d=3))
+def test_resolution_of_identity(case):
+    # the bins tile the cube, so sum_j P_j is the identity
+    _, psi, phi, level = case
+    r = prob_y1_pure(psi, phi, level, keep_per_bin=True)
+    assert np.sum(r.per_bin_amplitude) == pytest.approx(inner_product(phi, psi), abs=1e-12)
+    assert np.sum(r.per_bin_mass) == pytest.approx(psi.norm_squared(), abs=1e-12)
+
+
+@SETTINGS
+@given(st.integers(1, 39).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 3),
+    st.floats(1.0, 4.0, exclude_min=True).flatmap(lambda C: st.tuples(
+        st.just(C), st.one_of(st.none(), st.integers(n, max(n, int(np.floor(C * n))))))),
+    st.integers(0, 2 ** 16))))
+def test_jittered_edges_stay_within_their_bounds(args):
+    n, d, (C, cells_per_axis), seed = args
+    report = validate_grid(jittered_grid(n, d, C, seed, cells_per_axis))
+    assert report.passed, report.details
 
 
 @SETTINGS

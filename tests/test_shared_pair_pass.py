@@ -349,6 +349,33 @@ def test_mixed_masses_are_built_without_amplitudes():
     assert r.mass_total == sum(p_l * q.mass_total for p_l, q in pure)
 
 
+def test_real_cells_build_masses_in_float64():
+    import tracemalloc
+
+    rho = make_density([(0.5, make_state("sine_product", ks=[1, 1])),
+                        (0.3, make_state("sine_product", ks=[1, 2])),
+                        (0.2, make_state("sine_product", ks=[2, 1]))])
+    psi = make_state("sine_product", ks=[1, 2])
+    phi = make_state("uniform", d=2)
+    level = uniform_grid(600, 2)
+    # float64 masses: one output and one term buffer, plus the float64 sum
+    # of a density state (and the complex128 amplitudes of a pure state and
+    # of the joint table's P(Y=1) sum); complex128 masses need 16 more
+    for per_bin, call in (
+            (8 + 8 + 8, lambda: prob_y1_mixed(rho, phi, level, keep_per_bin=True)),
+            (16 + 8 + 8, lambda: prob_y1_pure(psi, phi, level, keep_per_bin=True)),
+            (8 + 8 + 16 + 8 + 8,
+             lambda: joint_distribution(rho, phi, level, keep_per_bin=True))):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= level.num_bins * per_bin + 2 ** 20
+    assert prob_y1_pure(psi, phi, level, keep_per_bin=True).per_bin_mass.dtype == np.float64
+
+
 def test_num_bins_does_not_overflow_and_guard_holds():
     level = uniform_grid(1024, d=7)
     assert level.num_bins == 1024 ** 7

@@ -73,6 +73,50 @@ def test_invalid_parameters_rejected():
         make_state("unknown_entry")
 
 
+@pytest.mark.parametrize("catalog,params,missing", [
+    ("sine_mode", {}, "k"),
+    ("gaussian", {"mu": 0.0}, "sigma"),
+    ("indicator", {"b": 0.5}, "a"),
+    ("haar_like", {"pieces": 4}, "seed"),
+    ("superpose", {}, "terms"),
+])
+def test_missing_parameter_is_named(catalog, params, missing):
+    with pytest.raises(ValueError, match=missing):
+        make_state(catalog, **params)
+
+
+def test_unexpected_parameter_rejected():
+    with pytest.raises(ValueError, match="unexpected parameters"):
+        make_state("sine_mode", k=1, d=2)
+
+
+@pytest.mark.parametrize("catalog,params", [
+    ("sine_mode", {"k": 1.7}),
+    ("complex_exponential", {"k": 0.5}),
+    ("uniform", {"d": 2.5}),
+    ("sine_product", {"ks": [1, 2.2]}),
+    ("haar_like", {"seed": 1, "pieces": 2.9}),
+    ("haar_like", {"seed": 1.5}),
+    ("sine_mode", {"k": "2"}),
+])
+def test_non_integral_integer_parameters_rejected(catalog, params):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_state(catalog, **params)
+
+
+def test_numpy_and_integral_float_integers_build_the_same_state():
+    # the benchmark passes np.int64 modes; JSON's 2.0 is an integer
+    for catalog, a, b in [
+            ("sine_mode", {"k": 3}, {"k": np.int64(3)}),
+            ("sine_mode", {"k": 3}, {"k": 3.0}),
+            ("uniform", {"d": 2}, {"d": np.int32(2)}),
+            ("sine_product", {"ks": [1, 2]}, {"ks": np.array([1, 2])}),
+            ("haar_like", {"seed": 4, "pieces": 16},
+             {"seed": np.int64(4), "pieces": np.uint8(16)})]:
+        x, y = make_state(catalog, **a), make_state(catalog, **b)
+        assert x == y and x.label == y.label
+
+
 def test_exact_bin_integral_uniform():
     u = make_state("uniform")
     assert _exact(u, u, CELL(0.0, 0.25)) == pytest.approx(0.25)
