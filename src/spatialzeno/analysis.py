@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import GridScheme, ProductGrid
-from .measurement import _hull_mass, _pair_pass, prob_y1_mixed
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, l2_norm
+from .grids import GridScheme
+from .measurement import _pair_pass, prob_y1_mixed
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _region_integral, l2_norm
 from .states import DensityState, Domain, WaveFunction, inner_product, product_field
 
 __all__ = [
@@ -224,14 +224,11 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
 
 
 def _captured_mass(state, k: int, d: int) -> float:
-    """Probability mass of |state|^2 inside the box [-k, k)^d.
-
-    One per-axis term-pair product on the box (``_hull_mass``); the unit
-    breakpoints are only summed for an axis pair without a closed form.
-    """
-    box = ProductGrid(1, [np.arange(-k, k + 1, dtype=float)] * d)
+    """Probability mass of |state|^2 inside the box [-k, k)^d, read from
+    the pair table with the box as one cell per axis."""
+    box = [np.array([-k, k], dtype=float)] * d
     states = state.terms if isinstance(state, DensityState) else ((1.0, state),)
-    return sum(w * _hull_mass(wf, box, DEFAULT_CONFIG) for w, wf in states)
+    return sum(w * _region_integral(wf, wf, box).real for w, wf in states)
 
 
 def _centered_cubes(k: int, d: int) -> list[tuple[float, ...]]:

@@ -32,8 +32,8 @@ from .discretizer import discretize, discretization_error
 from .grids import GRID_KINDS, GridScheme
 from .measurement import joint_distribution, prob_y1_mixed, prob_y1_pure, sample_xy
 from .quadrature import QuadratureConfig
-from .states import (CATALOG, CatalogEntry, make_density, make_state, product_field,
-                     superpose)
+from .states import (CATALOG, CatalogEntry, _int, make_density, make_state,
+                     product_field, superpose)
 
 SCHEMA_VERSION = "1"
 
@@ -190,11 +190,12 @@ def build_density(spec: dict):
 
 def build_scheme(spec: dict, d: int) -> GridScheme:
     kind = spec["kind"]
+    cells = spec.get("cells_per_axis")
     kwargs = dict(
         kind=kind, d=d,
         ratio_bound=float(spec.get("C", 2.0)),
-        seed=int(spec.get("seed", 0)),
-        cells_per_axis=spec.get("cells_per_axis"),
+        seed=_int("grid.seed", spec.get("seed", 0)),
+        cells_per_axis=None if cells is None else _int("grid.cells_per_axis", cells),
     )
     if kind == "rd_translated_cubes":
         kwargs["cubes"] = tuple(tuple(float(a) for a in c) for c in spec["cubes"])
@@ -232,11 +233,25 @@ def _csv_lines(header: list[str], columns: list, chash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integers(config: dict) -> dict:
+    """The config with its integer fields as ints: JSON schema's ``integer``
+    also admits integral floats such as 8.0."""
+    config = dict(config)
+    for key in ("d", "n", "count", "seed"):
+        if key in config:
+            config[key] = _int(key, config[key])
+    for key in ("n_list", "fit_window"):
+        if key in config:
+            config[key] = [_int(key, v) for v in config[key]]
+    return config
+
+
 def _run_experiment(config: dict, threads: int) -> tuple[str, float, dict, str]:
     """Returns (key name, key scalar, json payload, csv text body)."""
+    chash = config_hash(config)
+    config = _integers(config)
     experiment = config["experiment"]
     d = config["d"]
-    chash = config_hash(config)
     scheme = build_scheme(config["grid"], d)
     cfg = build_quadrature(config.get("quadrature"))
     state, is_density = _state_or_density(config)

@@ -22,12 +22,19 @@ from typing import Callable
 import numpy as np
 
 from .grids import GridLevel, ProductGrid
-from .measurement import PAIR_BLOCK, PER_BIN_LIMIT, _gram_form, bar_norm_squared
+from .measurement import (
+    PER_BIN_LIMIT,
+    _gram_form,
+    _per_bin_arrays,
+    _should_keep,
+    bar_norm_squared,
+)
 from .quadrature import (
     DEFAULT_CONFIG,
+    PAIR_BLOCK,
     QuadratureConfig,
-    cell_integrals,
     _axis_rule,
+    _pair_data,
     _tensor_values,
 )
 from .states import ONE, SeparableFunction, WaveFunction, product_field
@@ -67,25 +74,17 @@ class DiscretizedFunction:
         return float(np.sum(np.abs(self.averages) ** 2 * self.level.volumes()))
 
 
-def _axis_integrals(f: SeparableFunction, part: ProductGrid,
-                    cfg: QuadratureConfig) -> list[list[np.ndarray]]:
-    """Cell integrals I_ak of every factor of every term of f, one array
-    per axis of the product grid: ``out[a][k]``."""
-    return [[cell_integrals(ONE, factors[k], edges, cfg)[0]
-             for k, edges in enumerate(part.breakpoints)]
-            for _, factors in f.terms]
+def _one_pair_data(f: SeparableFunction, part: ProductGrid, cfg: QuadratureConfig):
+    """The <1|f> pair table on a product grid: the weights c_a and, per
+    axis, the cell integrals I_ak of every term's factor (``cells[a]``)."""
+    one = SeparableFunction(f.domain, ((1.0 + 0.0j, (ONE,) * f.d),))
+    return _pair_data(one, f, part.breakpoints, cfg, keep=True, gram=False)
 
 
 def _bin_integrals_separable(f: SeparableFunction, part: ProductGrid,
                              cfg: QuadratureConfig) -> np.ndarray:
-    total = None
-    for (coeff, _), axes in zip(f.terms, _axis_integrals(f, part, cfg)):
-        term = None
-        for vals in axes:
-            term = vals if term is None else np.multiply.outer(term, vals)
-        term = coeff * term.ravel()
-        total = term if total is None else total + term
-    return total
+    w, axes = _one_pair_data(f, part, cfg)
+    return _per_bin_arrays(w, [ax.cells for ax in axes])
 
 
 def _bin_integrals_callable(f: Callable, part: ProductGrid,
@@ -100,24 +99,38 @@ def _bin_integrals_callable(f: Callable, part: ProductGrid,
     return per_cell.ravel()
 
 
+# bytes per bin at discretize's peak (tracemalloc): a separable f holds the
+# complex128 bin integrals and _per_bin_arrays' complex128 term buffer and,
+# on a 1-d level, the <1|f> table's cells, one complex128 per term and bin;
+# a plain callable holds its tensor-node values, weights and points, at
+# most _NODE_BYTES + 16 d per node (measured on d = 1..3)
+_SEPARABLE_BYTES_PER_BIN = 16 + 16
+_NODE_BYTES = 40
+
+
 def discretize(f, level: GridLevel, cfg: QuadratureConfig = DEFAULT_CONFIG,
                allow_large: bool = False) -> DiscretizedFunction:
     """Per-bin averages of f on the grid level.
 
     ``f`` may be a separable-sum function (wavefunctions, products
-    conj(phi)*psi) or a plain callable of the coordinates.  Bin integrals
-    use the same exact-first path as the measurement module.
+    conj(phi)*psi) or a plain callable of the coordinates.  A separable
+    f's bin integrals come from its <1|f> pair table, the measurement
+    module's exact-first path.  Raises TableTooLargeError, before anything
+    is built, when the tables would not fit in physical memory.
     """
     if level.num_bins > PER_BIN_LIMIT and not allow_large:
         raise ValueError(f"{level.num_bins} bins exceed the size guard; "
                          "pass allow_large=True to override")
-    bin_integrals = (_bin_integrals_separable if isinstance(f, SeparableFunction)
-                     else _bin_integrals_callable)
-    integrals = np.concatenate([bin_integrals(f, part, cfg) for part in level.parts])
-    return DiscretizedFunction(level=level,
-                               averages=np.asarray(integrals, dtype=complex)
-                               / level.volumes(),
-                               source=f)
+    separable = isinstance(f, SeparableFunction)
+    if separable:
+        per_bin = _SEPARABLE_BYTES_PER_BIN + (16 * len(f.terms) if level.d == 1 else 0)
+    else:
+        per_bin = (_NODE_BYTES + 16 * level.d) * cfg.points_per_axis_per_bin ** level.d
+    _should_keep(level, True, per_bin)  # raises TableTooLargeError
+    bin_integrals = _bin_integrals_separable if separable else _bin_integrals_callable
+    averages = np.concatenate([bin_integrals(f, part, cfg) for part in level.parts])
+    averages /= level.volumes()
+    return DiscretizedFunction(level=level, averages=averages, source=f)
 
 
 def _residual_gram(factors, averages: np.ndarray, edges: np.ndarray,
@@ -154,16 +167,15 @@ def _separable_error_sq(f: SeparableFunction, part: ProductGrid,
     """
     p = cfg.points_per_axis_per_bin
     P, d = len(f.terms), part.d
-    ints = _axis_integrals(f, part, cfg)
+    w, axes = _one_pair_data(f, part, cfg)
     grams = []
-    for j, edges in enumerate(part.breakpoints):
-        averages = np.array([axes[j] for axes in ints]) / np.diff(edges)
+    for j, (edges, ax) in enumerate(zip(part.breakpoints, axes)):
+        averages = ax.cells / np.diff(edges)
         G = _residual_gram([factors[j] for _, factors in f.terms], averages, edges, p)
         rows = np.array([(0 if j < k else 1 if j == k else 2) * P + a
                          for k in range(d) for a in range(P)])
         grams.append(G[np.ix_(rows, rows)])
-    weights = np.tile([coeff for coeff, _ in f.terms], d)
-    return _gram_form(weights, grams)
+    return _gram_form(np.tile(w, d), grams)
 
 
 def discretization_error(f, level: GridLevel,

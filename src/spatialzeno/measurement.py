@@ -23,23 +23,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Bin, GridLevel, ProductGrid
+from .grids import Bin, GridLevel
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    _term_pairs,
+    _linear_total,
+    _pair_data,
+    _region_integral,
     bin_inner_product,
     bin_mass,
-    cell_integrals,
 )
-from .states import (
-    DensityState,
-    PhaseTable,
-    SeparableFunction,
-    WaveFunction,
-    exact_cell_integrals,
-    inner_product,
-)
+from .states import DensityState, WaveFunction, inner_product
 
 __all__ = [
     "MeasurementResult",
@@ -154,90 +148,6 @@ class SampleBatch:
 # factorised amplitude machinery
 
 
-# cells per block of the pair pass: the (term pairs x block) buffer and the
-# block's phases stay in cache.  Timed on the unit_exact benchmark pass, a
-# block of 2^13 to 2^15 cells was equally fast, while 2^11 cells or one
-# block per axis were 20-35 % slower.
-PAIR_BLOCK = 2 ** 14
-
-
-class _AxisSums(NamedTuple):
-    """One axis of a term-pair pass; M_a is pair a's cell-integral array.
-
-    Every array is float64 when all of the axis's pairs have real cells,
-    and complex128 otherwise.
-    """
-
-    gram: np.ndarray | None        # (P, P): sum_i M_a[i] conj(M_b[i])
-    gram_bar: np.ndarray | None    # the same with each cell divided by its length
-    extra: np.ndarray | None       # (P,): sum_i 2|M_a[i]| e_a[i] + e_a[i]^2
-    cells: np.ndarray | None       # (P, cells): every M_a, when kept
-
-
-def _distinct_pairs(pairs, k: int):
-    """The distinct (bra, ket) primitive pairs on axis k, and for each term
-    pair the index of its distinct pair."""
-    index: dict = {}
-    rows = [index.setdefault((bf[k], kf[k]), len(index)) for _, bf, kf in pairs]
-    return list(index), np.array(rows)
-
-
-def _axis_pass(pairs, k: int, edges: np.ndarray, cfg: QuadratureConfig,
-               keep: bool, gram: bool, with_bar: bool) -> _AxisSums:
-    """Walk axis k in blocks of PAIR_BLOCK cells.
-
-    Each block gets one phase table.  Every distinct primitive pair's cell
-    integrals are computed once and copied into the rows of all term pairs
-    that share it, in one reused (P, block) buffer V, which is reduced by
-    one matrix product per Gram (or copied out, when kept) before the next
-    block overwrites it.  V and the sums are real while every pair's cells
-    are; a complex block promotes them, exactly.
-    """
-    distinct, rows = _distinct_pairs(pairs, k)
-    P, m = len(pairs), edges.size - 1
-    real = True
-    G = np.zeros((P, P)) if gram else None
-    G_bar = np.zeros((P, P)) if with_bar else None
-    extra = np.zeros(P) if gram else None
-    cells = np.empty((P, m)) if keep else None
-    buf = np.empty((P, min(m, PAIR_BLOCK)))
-    for start in range(0, m, PAIR_BLOCK):
-        block = edges[start:start + PAIR_BLOCK + 1]
-        phases = PhaseTable(block)
-        ints = [cell_integrals(bf, kf, block, cfg, phases=phases) for bf, kf in distinct]
-        if real and any(np.iscomplexobj(v) for v, _ in ints):
-            real = False
-            G, G_bar, cells, buf = (None if x is None else x.astype(complex)
-                                    for x in (G, G_bar, cells, buf))
-        V = buf[:, :block.size - 1]
-        for a, q in enumerate(rows):
-            V[a] = ints[q][0]
-        if gram:
-            for q, (vals, err) in enumerate(ints):
-                # closed-form pairs carry all-zero errors
-                if err.any():
-                    extra[rows == q] += float(np.sum((2.0 * np.abs(vals) + err) * err))
-            V_h = V.T if real else V.conj().T
-            G += V @ V_h
-            if with_bar:
-                G_bar += (V / np.diff(block)) @ V_h
-        if keep:
-            cells[:, start:start + V.shape[1]] = V
-    return _AxisSums(G, G_bar, extra, cells)
-
-
-def _pair_data(phi: SeparableFunction, psi: SeparableFunction,
-               part: ProductGrid, cfg: QuadratureConfig, *, keep: bool = False,
-               gram: bool = True, with_bar: bool = False):
-    """Term-pair weights and one :class:`_AxisSums` per axis of a product
-    grid: the Grams (``gram``, ``with_bar``) and the full per-axis
-    cell-integral arrays (``keep``) from the same blocked walk."""
-    pairs = list(_term_pairs(phi, psi))
-    axes = [_axis_pass(pairs, k, edges, cfg, keep, gram, with_bar)
-            for k, edges in enumerate(part.breakpoints)]
-    return np.array([w for w, _, _ in pairs]), axes
-
-
 def _gram_form(weights: np.ndarray, grams) -> float:
     """Re(w^T (G_0 * ... * G_{d-1}) conj(w)), the product taken entrywise:
     sum_j |sum_a w_a prod_k M_a,k[j_k]|^2 (per-cell lengths folded in by
@@ -273,17 +183,6 @@ def _error_bound(weights: np.ndarray, sq: np.ndarray, extra: np.ndarray) -> floa
     a = np.abs(weights)
     # (sum a s_hi)^2 - (sum a s)^2 = (sum a (s_hi - s)) (sum a s_hi + sum a s)
     return float(np.dot(a, delta) * (np.dot(a, s_hi) + np.dot(a, s)))
-
-
-def _linear_total(weights, axes_cells) -> float:
-    """sum_j sum_a w_a prod_k M_a,k[j_k]; real part (used for mass sums)."""
-    total = 0.0 + 0.0j
-    for a, w in enumerate(weights):
-        prod = w
-        for cells in axes_cells:
-            prod *= complex(np.sum(cells[a]))
-        total += prod
-    return float(np.real(total))
 
 
 def _per_bin_arrays(weights, axes_cells) -> np.ndarray:
@@ -323,32 +222,18 @@ def _should_keep(level: GridLevel, keep,
     return keep
 
 
-def _hull_mass(psi: WaveFunction, part: ProductGrid, cfg: QuadratureConfig) -> float:
-    """sum_j ||P_j psi||^2 over one product grid, from one cell [bp[0], bp[-1]]
-    per axis; an axis pair without a closed form sums its per-cell integrals."""
-    hulls = [np.array([bp[0], bp[-1]]) for bp in part.breakpoints]
-    total = 0.0 + 0.0j
-    for w, bf, kf in _term_pairs(psi, psi):
-        prod = w
-        for k, hull in enumerate(hulls):
-            vals = exact_cell_integrals(bf[k], kf[k], hull)
-            if vals is None:
-                vals, _ = cell_integrals(bf[k], kf[k], part.breakpoints[k], cfg)
-            prod *= complex(np.sum(vals))
-        total += prod
-    return float(np.real(total))
-
-
 def _mass_pass(psi: WaveFunction, level: GridLevel, cfg: QuadratureConfig,
                keep: bool):
     """(mass_total, masses|None); psi-psi per-cell arrays only when kept."""
     if not keep:
-        return sum(_hull_mass(psi, part, cfg) for part in level.parts), None
+        # each part's hull, one cell [bp[0], bp[-1]] per axis
+        hulls = ([bp[[0, -1]] for bp in part.breakpoints] for part in level.parts)
+        return sum(_region_integral(psi, psi, hull, cfg).real for hull in hulls), None
     mass_total, masses = 0.0, []
     for part in level.parts:
-        w, axes = _pair_data(psi, psi, part, cfg, keep=True, gram=False)
+        w, axes = _pair_data(psi, psi, part.breakpoints, cfg, keep=True, gram=False)
         cells = [ax.cells for ax in axes]
-        mass_total += _linear_total(w, cells)
+        mass_total += _linear_total(w, cells).real
         if any(np.iscomplexobj(c) for c in cells):
             masses.append(np.real(_per_bin_arrays(w, cells)))
         else:
@@ -393,7 +278,8 @@ def _pair_pass(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
     p_raw, err, bar = 0.0, 0.0, 0.0
     amps = []
     for part in level.parts:
-        w, axes = _pair_data(phi, psi, part, cfg, keep=keep, with_bar=with_bar)
+        w, axes = _pair_data(phi, psi, part.breakpoints, cfg, keep=keep,
+                             with_bar=with_bar)
         p_raw += _gram_form(w, [ax.gram for ax in axes])
         sq = np.array([ax.gram.diagonal().real for ax in axes]).T
         err += _error_bound(w, sq, np.array([ax.extra for ax in axes]).T)

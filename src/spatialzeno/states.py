@@ -736,46 +736,14 @@ class SeparableFunction:
         return self.evaluate(points)
 
 
-def _axis_hull(f: Primitive1D, g: Primitive1D,
-               bounds: tuple[float, float]) -> tuple[float, float]:
-    lo = max(f.support[0], g.support[0], bounds[0])
-    hi = min(f.support[1], g.support[1], bounds[1])
-    return lo, hi
-
-
-def _full_axis_pair(f: Primitive1D, g: Primitive1D,
-                    bounds: tuple[float, float]) -> complex:
-    """Integral of conj(f)*g over one whole axis, exact or numeric."""
-    lo, hi = _axis_hull(f, g, bounds)
-    if lo >= hi:
-        return 0.0 + 0.0j
-    edges = np.array([lo, hi])
-    vals = exact_cell_integrals(f, g, edges)
-    if vals is not None:
-        return complex(vals[0])
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("no closed form for an infinite-range pair integral")
-    from .quadrature import numeric_cell_integrals, QuadratureConfig
-    # refine into panels so fixed-order quadrature resolves oscillations
-    panels = np.linspace(lo, hi, 65)
-    vals, _ = numeric_cell_integrals(f, g, panels, QuadratureConfig())
-    return complex(vals.sum())
-
-
 def inner_product(f: SeparableFunction, g: SeparableFunction) -> complex:
-    """<f|g> = integral of conj(f)*g over the common domain."""
+    """<f|g> = integral of conj(f)*g over the common domain, read from the
+    pair table on the domain box, one cell per axis."""
     if f.domain != g.domain:
         raise ValueError(f"domain mismatch: {f.domain} vs {g.domain}")
-    total = 0.0 + 0.0j
-    for cf, ff in f.terms:
-        for cg, gf in g.terms:
-            prod = np.conj(cf) * cg
-            for k in range(f.d):
-                prod *= _full_axis_pair(ff[k], gf[k], f.domain.axis_bounds(k))
-                if prod == 0.0:
-                    break
-            total += prod
-    return complex(total)
+    from .quadrature import _region_integral
+    box = [np.array(f.domain.axis_bounds(k)) for k in range(f.d)]
+    return _region_integral(f, g, box)
 
 
 @dataclass(frozen=True)

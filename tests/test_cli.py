@@ -158,6 +158,40 @@ def test_identical_config_reproduces_outputs_byte_for_byte(tmp_path):
     assert (out_a / "sample.json").read_bytes() == (out_b / "sample.json").read_bytes()
 
 
+_JITTERED = {"kind": "jittered", "C": 2.0, "seed": 2, "cells_per_axis": 10}
+_INTEGER_TWINS = {
+    # name: (integer config, the same integers written as floats)
+    "sample": (dict(base_probability_config(), experiment="sample", n=8, count=100,
+                    seed=3, phi={"catalog": "sine_mode", "k": 1}),
+               {"d": 1.0, "n": 8.0, "count": 100.0, "seed": 3.0}),
+    "jittered": (base_probability_config(n=8, grid=dict(_JITTERED)),
+                 {"d": 1.0, "n": 8.0, "grid": dict(_JITTERED, seed=2.0,
+                                                    cells_per_axis=10.0)}),
+    "convergence": (dict(base_probability_config(), experiment="convergence",
+                         psi={"catalog": "sine_mode", "k": 1}, n_list=[2, 4, 8, 16],
+                         fit_window=[4, 16]),
+                    {"n_list": [2.0, 4.0, 8.0, 16.0], "fit_window": [4.0, 16.0]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_TWINS))
+def test_integral_floats_run_as_their_integer_twin(tmp_path, name):
+    """JSON schema's integer admits 8.0; such a config runs and writes the
+    integer config's CSV rows and JSON payload (only the config hash
+    differs)."""
+    config, floats = _INTEGER_TWINS[name]
+    outputs = []
+    for tag, cfg in (("int", config), ("float", dict(config, **floats))):
+        path = write_config(tmp_path, f"{tag}.json", cfg)
+        assert main(["--output-dir", str(tmp_path / tag), "run", path]) == 0
+        (csv,) = (tmp_path / tag).glob("*.csv")
+        (payload,) = (tmp_path / tag).glob("*.json")
+        payload = json.loads(payload.read_text())
+        del payload["config_hash"]
+        outputs.append((csv.read_text().splitlines()[1:], json.dumps(payload)))
+    assert outputs[0] == outputs[1]
+
+
 def test_joint_experiment_table(tmp_path):
     config = {
         "schema_version": "1",

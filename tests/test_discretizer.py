@@ -436,8 +436,8 @@ def test_error_above_the_table_guard_from_per_axis_sums():
 
     import mpmath
 
-    from spatialzeno.measurement import PAIR_BLOCK, PER_BIN_LIMIT
-    from spatialzeno.quadrature import DEFAULT_CONFIG
+    from spatialzeno.measurement import PER_BIN_LIMIT
+    from spatialzeno.quadrature import DEFAULT_CONFIG, PAIR_BLOCK
 
     f = product_field(make_state("uniform", d=2), make_state("sine_product", ks=[1, 2]))
     # 3000 cells per axis: two node blocks per axis
@@ -467,3 +467,61 @@ def test_error_above_the_table_guard_from_per_axis_sums():
                                for c0, c1, a, b in zip(c, c[1:], x, x[1:]))
         want = float(mpmath.sqrt((r ** 2 / 2) ** 2 - bar))
     assert err == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("bin integrals were built although the table was refused")
+
+
+def test_oversized_bar_charts_raise_before_anything_is_built(monkeypatch):
+    from spatialzeno import TableTooLargeError, discretizer, measurement
+
+    f = product_field(make_state("uniform"), make_state("sine_mode", k=1))  # 1 term
+    per_bin = discretizer._SEPARABLE_BYTES_PER_BIN + 16  # and the 1-d <1|f> table
+    monkeypatch.setattr(measurement, "TABLE_BYTE_LIMIT", 41 * per_bin)  # 41 bins
+    assert discretize(f, uniform_grid(41), allow_large=True).averages.size == 41
+    monkeypatch.setattr(discretizer, "_bin_integrals_separable", _refuse)
+    monkeypatch.setattr(discretizer, "_bin_integrals_callable", _refuse)
+    # a plain callable holds 8 tensor nodes per bin at the default order
+    for g, level in ((f, uniform_grid(42)), (lambda x: x, uniform_grid(8))):
+        with pytest.raises(TableTooLargeError, match=f"for {level.num_bins} bins"):
+            discretize(g, level, allow_large=True)
+    # at the real limit, with nothing able to allocate a table
+    monkeypatch.undo()
+    psi7 = make_state("sine_product", ks=[1] * 7)
+    with pytest.raises(TableTooLargeError):
+        discretize(psi7, uniform_grid(1024, 7), allow_large=True)
+
+
+_mix = lambda: superpose([(0.8, make_state("sine_mode", k=1)),
+                          (0.6j, make_state("sine_mode", k=2))])
+
+
+@pytest.mark.parametrize("case", ["separable_2d", "separable_1d", "callable_2d"])
+def test_bar_chart_peak_stays_within_the_counted_bytes(case):
+    import tracemalloc
+
+    from spatialzeno import discretizer, tensor_product
+
+    p = 8  # DEFAULT_CONFIG.points_per_axis_per_bin
+    if case == "separable_2d":
+        f = product_field(tensor_product([_mix(), _mix()]),
+                          tensor_product([_mix(), _mix()]))
+        level, counted = uniform_grid(500, 2), discretizer._SEPARABLE_BYTES_PER_BIN
+    elif case == "separable_1d":
+        # the <1|f> table's 4 x 2^18 cells are as large as the bins
+        f = product_field(_mix(), _mix())
+        level = uniform_grid(2 ** 18)
+        counted = discretizer._SEPARABLE_BYTES_PER_BIN + 16 * len(f.terms)
+    else:
+        f = lambda x, y: np.sin(x) * np.cos(3 * y)
+        level = uniform_grid(60, 2)
+        counted = (discretizer._NODE_BYTES + 16 * 2) * p ** 2
+    tracemalloc.start()
+    try:
+        discretize(f, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # plus the block buffers and phases, which do not grow with the bin count
+    assert peak <= level.num_bins * counted + 2 ** 20

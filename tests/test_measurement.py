@@ -191,6 +191,60 @@ def test_hull_mass_total_on_rd_cubes():
     assert abs(hull - float(np.sum(kept))) <= 1e-14
 
 
+def _mp_state(psi):
+    """psi as an mpmath function of one coordinate, from its terms."""
+    import mpmath
+
+    from spatialzeno.states import Gaussian1D, PowerSingular1D, Sine1D
+
+    def factor(f):
+        if isinstance(f, PowerSingular1D):
+            a = mpmath.mpf(f.alpha)
+            return lambda x: mpmath.sqrt(1 - 2 * a) * x ** -a
+        if isinstance(f, Sine1D):
+            return lambda x: mpmath.sqrt(2) * mpmath.sin(f.k * mpmath.pi * x)
+        assert isinstance(f, Gaussian1D)
+        return lambda x: ((2 * mpmath.pi * mpmath.mpf(f.sigma) ** 2) ** mpmath.mpf(-0.25)
+                          * mpmath.exp(-(x - mpmath.mpf(f.mu)) ** 2
+                                       / (4 * mpmath.mpf(f.sigma) ** 2)))
+
+    terms = [(mpmath.mpc(c), factor(f), f.support) for c, (f,) in psi.terms]
+    return lambda x: mpmath.fsum(c * g(x) for c, g, (lo, hi) in terms if lo <= x < hi)
+
+
+def test_region_integrals_of_numeric_pairs_against_mpmath():
+    """Hull masses, inner products and the R^d captured mass of pairs
+    without a closed form (power x sine(k) with k pi past the series
+    limit, Gaussian x sine): the region is one numeric cell."""
+    import mpmath
+
+    from spatialzeno import ProductGrid
+    from spatialzeno.analysis import _captured_mass
+
+    sine = lambda k: make_state("sine_mode", k=k)
+    psi = superpose([(0.7, make_state("power_singular", alpha=0.3)), (0.5, sine(5))])
+    f = _mp_state(psi)
+    with mpmath.workdps(30):
+        for edges in ([0.25, 0.5, 0.75, 1.0], [0.0, 0.1, 0.5]):
+            got = prob_y1_pure(psi, sine(1), ProductGrid(4, [np.array(edges)]),
+                               keep_per_bin=False).mass_total
+            want = mpmath.quad(lambda x: abs(f(x)) ** 2,
+                               mpmath.linspace(edges[0], edges[-1], 9))
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        # sine(2) pairs have closed forms; power x sine(3) is numeric
+        for k in (2, 3):
+            g = _mp_state(sine(k))
+            want = complex(mpmath.quad(lambda x: mpmath.conj(f(x)) * g(x),
+                                       mpmath.linspace(0, 1, 9)))
+            assert abs(inner_product(psi, sine(k)) - want) <= 1e-12 * abs(want)
+        rd = superpose([(0.8, make_state("gaussian", mu=0.2, sigma=0.8)),
+                        (0.6, sine(5).as_euclidean())])
+        h = _mp_state(rd)
+        for k in (1, 2):
+            want = mpmath.quad(lambda x: abs(h(x)) ** 2, [-k, 0, 0.5, 1, k])
+            assert _captured_mass(rd, k, 1) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
 def test_upper_bound_by_max_volume():
     psi = make_state("sine_mode", k=1)
     phi = make_state("sine_mode", k=2)
@@ -354,8 +408,8 @@ def _axis_sums(w, axes):
 
 def test_gram_error_shortcut_is_exact():
     from spatialzeno import GridScheme, convergence_study
-    from spatialzeno.measurement import _error_bound, _pair_data
-    from spatialzeno.quadrature import DEFAULT_CONFIG
+    from spatialzeno.measurement import _error_bound
+    from spatialzeno.quadrature import DEFAULT_CONFIG, _pair_data
 
     psi = superpose([(0.8, make_state("sine_mode", k=1)),
                      (0.6j, make_state("sine_mode", k=3))])
@@ -364,7 +418,8 @@ def test_gram_error_shortcut_is_exact():
     scheme = GridScheme("jittered", d=2, ratio_bound=2.0, seed=5)
     rec = convergence_study(closed, uniform2, scheme, [2, 4, 8, 16])
     for row in rec.rows:
-        w, axes = _pair_data(uniform2, closed, scheme.level(row.n), DEFAULT_CONFIG)
+        w, axes = _pair_data(uniform2, closed, scheme.level(row.n).breakpoints,
+                             DEFAULT_CONFIG)
         sq, extra = _axis_sums(w, axes)
         assert not extra.any()
         assert _error_bound(w, sq, extra) == 0.0
@@ -397,8 +452,8 @@ def _mp_error_bound(phi, psi, level):
 
 @pytest.mark.parametrize("case", ["power_sine_1d", "two_terms_2d"])
 def test_error_bound_matches_mpmath_on_numeric_pairs(case):
-    from spatialzeno.measurement import _error_bound, _pair_data
-    from spatialzeno.quadrature import DEFAULT_CONFIG
+    from spatialzeno.measurement import _error_bound
+    from spatialzeno.quadrature import DEFAULT_CONFIG, _pair_data
 
     sine = lambda k: make_state("sine_mode", k=k)
     power = lambda a: make_state("power_singular", alpha=a)
@@ -412,7 +467,7 @@ def test_error_bound_matches_mpmath_on_numeric_pairs(case):
         psi = superpose([(0.7, tensor_product([power(0.3), sine(3)])),
                          (0.5j, tensor_product([sine(1), power(0.2)]))])
         level = jittered_grid(24, 2, C=2.0, seed=4)
-    w, axes = _pair_data(phi, psi, level, DEFAULT_CONFIG)
+    w, axes = _pair_data(phi, psi, level.breakpoints, DEFAULT_CONFIG)
     sq, extra = _axis_sums(w, axes)
     assert extra.any()
     got = _error_bound(w, sq, extra)

@@ -36,8 +36,7 @@ from spatialzeno import (
     tensor_product,
     validate_grid,
 )
-from spatialzeno.measurement import _pair_data
-from spatialzeno.quadrature import DEFAULT_CONFIG, _term_pairs
+from spatialzeno.quadrature import DEFAULT_CONFIG, _pair_data, _term_pairs
 from spatialzeno.states import PairFactor, exact_cell_integrals
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -172,7 +171,7 @@ def test_real_and_complex_cells_match_a_complex_reference(case):
     assert np.max(np.abs(r.per_bin_amplitude - amp)) <= TOL * amp_scale
     assert np.max(np.abs(r.per_bin_mass - mass.real)) <= TOL * mass_scale
     # sine pairs are real on every axis; complex exponentials are not
-    _, axes = _pair_data(phi, psi, level, DEFAULT_CONFIG, keep=True)
+    _, axes = _pair_data(phi, psi, level.breakpoints, DEFAULT_CONFIG, keep=True)
     want = np.float64 if family == "sine" else np.complex128
     assert all(ax.cells.dtype == want and ax.gram.dtype == want for ax in axes)
 

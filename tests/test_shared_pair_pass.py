@@ -23,9 +23,15 @@ from spatialzeno import (
     tensor_product,
     uniform_grid,
 )
-from spatialzeno import measurement
-from spatialzeno.measurement import PAIR_BLOCK, _gram_form, _pair_data
-from spatialzeno.quadrature import DEFAULT_CONFIG, _term_pairs, cell_integrals
+from spatialzeno import measurement, quadrature
+from spatialzeno.measurement import _gram_form
+from spatialzeno.quadrature import (
+    DEFAULT_CONFIG,
+    PAIR_BLOCK,
+    _pair_data,
+    _term_pairs,
+    cell_integrals,
+)
 from spatialzeno.states import (
     ONE,
     PhaseTable,
@@ -197,7 +203,8 @@ def test_pair_pass_sums_are_real_when_every_pair_is(phi, real):
     psi = superpose([(0.8, make_state("sine_mode", k=1)),
                      (0.6j, make_state("sine_mode", k=2))])
     level = jittered_grid(100, 1, C=2.0, seed=2)
-    _, (ax,) = _pair_data(phi(), psi, level, DEFAULT_CONFIG, keep=True, with_bar=True)
+    _, (ax,) = _pair_data(phi(), psi, level.breakpoints, DEFAULT_CONFIG, keep=True,
+                          with_bar=True)
     want = np.float64 if real else np.complex128
     assert ax.gram.dtype == ax.gram_bar.dtype == ax.cells.dtype == want
     r = prob_y1_pure(psi, phi(), level, keep_per_bin=True)
@@ -218,17 +225,19 @@ def test_a_complex_block_promotes_the_real_sums(monkeypatch):
         vals, err = cell_integrals(f, g, edges, *args, **kwargs)
         return (vals.astype(complex) if edges[0] > 0.0 else vals), err
 
-    monkeypatch.setattr(measurement, "cell_integrals", late_complex)
+    monkeypatch.setattr(quadrature, "cell_integrals", late_complex)
     r = prob_y1_pure(psi, phi, level, keep_per_bin=True)
     assert r.p_y1_raw == pytest.approx(ref.p_y1_raw, rel=1e-14)
     assert np.array_equal(r.per_bin_amplitude, ref.per_bin_amplitude)
     assert bar_norm_squared(psi, phi, level) == pytest.approx(ref_bar, rel=1e-14)
-    _, (ax,) = _pair_data(phi, psi, level, DEFAULT_CONFIG, keep=True, with_bar=True)
+    _, (ax,) = _pair_data(phi, psi, level.breakpoints, DEFAULT_CONFIG, keep=True,
+                          with_bar=True)
     assert ax.gram.dtype == ax.gram_bar.dtype == ax.cells.dtype == np.complex128
 
 
 def test_equal_primitive_pairs_are_integrated_once(monkeypatch):
-    """mix^3 against uniform: 8 term pairs share 2 primitive pairs per axis."""
+    """mix^3 against uniform: 8 term pairs share 2 primitive pairs per axis,
+    and the 64 psi-psi pairs of the hull mass share 4."""
     psi = tensor_product([_mix(), _mix(), _mix()])
     phi = make_state("uniform", d=3)
     level = jittered_grid(16, 3, C=2.0, seed=6)
@@ -239,9 +248,10 @@ def test_equal_primitive_pairs_are_integrated_once(monkeypatch):
         calls.append((f, g))
         return cell_integrals(f, g, edges, *args, **kwargs)
 
-    monkeypatch.setattr(measurement, "cell_integrals", counting)
+    monkeypatch.setattr(quadrature, "cell_integrals", counting)
     p = prob_y1_pure(psi, phi, level, keep_per_bin=False).p_y1_raw
-    assert len(pairs) == 8 and len(calls) == 3 * 2
+    # 3 axes x 2 distinct phi-psi pairs, then 3 axes x 4 distinct psi-psi pairs
+    assert len(pairs) == 8 and len(calls) == 3 * 2 + 3 * 4
     # one cell-integral row per term pair, one Gram product per axis
     grams = []
     for k, edges in enumerate(level.breakpoints):
@@ -482,7 +492,7 @@ def test_blocked_pass_matches_full_array_pass(name):
     assert r.p_y1_raw == pytest.approx(p_ref, rel=1e-13)
     assert bar_norm_squared(psi, phi, level) == pytest.approx(bar_ref, rel=1e-13)
     # the per-axis sums behind the error bound
-    _, axes = _pair_data(phi, psi, level, DEFAULT_CONFIG)
+    _, axes = _pair_data(phi, psi, level.breakpoints, DEFAULT_CONFIG)
     sq_ref = [[np.sum(np.abs(m) ** 2) for m in m_axes] for m_axes in mats]
     extra_ref = [[np.sum(2.0 * np.abs(m) * e + e ** 2) for m, e in zip(m_axes, e_axes)]
                  for m_axes, e_axes in zip(mats, errs)]
