@@ -16,16 +16,15 @@ from __future__ import annotations
 import itertools
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .grids import GridScheme
-from .measurement import _pair_pass, prob_y1_mixed
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _region_integral, l2_norm
-from .states import DensityState, Domain, WaveFunction, inner_product, product_field
+from .grids import GridScheme, ProductGrid
+from .measurement import _mass_pass, _pair_pass
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, l2_norm
+from .states import Domain, WaveFunction, inner_product, product_field
 
 __all__ = [
     "ConvergenceRow",
@@ -135,27 +134,21 @@ def fit_rate(rows, window: tuple[int, int] | None = None
     return float(-slope), float(np.exp(intercept)), float(np.sqrt(np.mean(resid ** 2)))
 
 
-def _study_rows(state, phi, scheme: GridScheme, n_list, cfg,
-                threads: int = 1, extra_error: float = 0.0
-                ) -> list[ConvergenceRow]:
-    def one(n: int) -> ConvergenceRow:
-        level = scheme.level(n)
-        t0 = time.perf_counter()
-        if isinstance(state, DensityState):
-            r = prob_y1_mixed(state, phi, level, cfg, keep_per_bin=False)
-            p_y1, err, bar = r.p_y1, r.p_y1_error_bound, None
-        else:
-            r = _pair_pass(state, phi, level, cfg, keep=False, with_bar=True)
-            p_y1, err, bar = r.p_y1, r.error_bound, r.bar_norm_sq
-        return ConvergenceRow(
-            n=n, num_bins=level.num_bins, p_y1=p_y1,
-            error_bound=err + extra_error,
-            bar_norm_sq=bar, wall_time=time.perf_counter() - t0)
+def _study_row(state, phi, level, cfg, extra_error: float) -> ConvergenceRow:
+    t0 = time.perf_counter()
+    r = _pair_pass(state, phi, level, cfg, keep=False, with_bar=True)
+    return ConvergenceRow(
+        n=level.n, num_bins=level.num_bins, p_y1=r.p_y1,
+        error_bound=r.error_bound + extra_error,
+        bar_norm_sq=r.bar_norm_sq, wall_time=time.perf_counter() - t0)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, n_list))
-    return [one(n) for n in n_list]
+
+def _study_rows(state, phi, scheme: GridScheme, n_list, cfg,
+                extra_error: float = 0.0) -> list[ConvergenceRow]:
+    """One row per n, in n order, each from one ``_pair_pass`` of the pure
+    or density state (a density state reports no bar norm); each level is
+    freed before the next one is built."""
+    return [_study_row(state, phi, scheme.level(n), cfg, extra_error) for n in n_list]
 
 
 def _fit_record(state, phi, scheme, rows, fit_window) -> ConvergenceRecord:
@@ -177,19 +170,17 @@ def _fit_record(state, phi, scheme, rows, fit_window) -> ConvergenceRecord:
 def convergence_study(state, phi: WaveFunction, scheme: GridScheme,
                       n_list: Sequence[int],
                       cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      fit_window: tuple[int, int] | None = None,
-                      threads: int = 1) -> ConvergenceRecord:
+                      fit_window: tuple[int, int] | None = None) -> ConvergenceRecord:
     """P(Y=1) for every n in ``n_list`` plus the fitted decay rate.
 
-    ``state`` is a WaveFunction or DensityState; rows are always
-    assembled in n order regardless of the thread count.
+    ``state`` is a WaveFunction or DensityState.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3:
         raise ValueError("need at least 3 resolutions")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    rows = _study_rows(state, phi, scheme, n_list, cfg, threads)
+    rows = _study_rows(state, phi, scheme, n_list, cfg)
     return _fit_record(state, phi, scheme, rows, fit_window)
 
 
@@ -210,11 +201,8 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
     if phi.domain.kind != "unit_cube":
         raise ValueError("the Riemann-sum check runs on the unit cube")
     d = phi.d
-    rows = []
-    for n in n_list:
-        level = scheme.level(n)
-        r = _pair_pass(psi, phi, level, cfg, keep=False, with_bar=True)
-        rows.append((int(n), float(n ** d * r.p_y1), float(r.bar_norm_sq)))
+    rows = [(r.n, float(r.n ** d * r.p_y1), float(r.bar_norm_sq))
+            for r in _study_rows(psi, phi, scheme, [int(n) for n in n_list], cfg)]
     f = product_field(phi, psi)
     reference = l2_norm(f, Domain.unit_cube(d), cfg, panels_per_axis=64) ** 2
     limit_estimate = rows[-1][1]
@@ -224,11 +212,10 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
 
 
 def _captured_mass(state, k: int, d: int) -> float:
-    """Probability mass of |state|^2 inside the box [-k, k)^d, read from
-    the pair table with the box as one cell per axis."""
-    box = [np.array([-k, k], dtype=float)] * d
-    states = state.terms if isinstance(state, DensityState) else ((1.0, state),)
-    return sum(w * _region_integral(wf, wf, box).real for w, wf in states)
+    """Probability mass of |state|^2 inside the box [-k, k)^d: the mass
+    pass on the box as one cell per axis."""
+    box = ProductGrid(1, [np.array([-k, k], dtype=float)] * d)
+    return _mass_pass(state, box, DEFAULT_CONFIG, keep=False)[0]
 
 
 def _centered_cubes(k: int, d: int) -> list[tuple[float, ...]]:
@@ -240,8 +227,8 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
              n_list: Sequence[int], mass_target: float,
              cfg: QuadratureConfig = DEFAULT_CONFIG,
              max_cubes: int = 4096,
-             fit_window: tuple[int, int] | None = None,
-             threads: int = 1) -> tuple[ConvergenceRecord, TailBudget]:
+             fit_window: tuple[int, int] | None = None
+             ) -> tuple[ConvergenceRecord, TailBudget]:
     """Convergence study on R^d truncated to a centered cube list.
 
     Grows a symmetric list of translated unit cubes until it captures at
@@ -271,6 +258,6 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
                       tail_bound=phi_norm_sq * max(0.0, 1.0 - cap_psi))
     rd_scheme = scheme.with_cubes(corners)
     rows = _study_rows(state, phi, rd_scheme, [int(n) for n in n_list], cfg,
-                       threads, extra_error=tail.tail_bound)
+                       extra_error=tail.tail_bound)
     record = _fit_record(state, phi, rd_scheme, rows, fit_window)
     return record, tail

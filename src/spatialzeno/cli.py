@@ -6,12 +6,11 @@ Subcommands::
     spatialzeno validate <config.json>  schema check only
     spatialzeno capabilities            stable JSON feature report
 
-Flags: ``--threads`` (default 1 for bit-reproducible runs),
-``--output-dir``, ``--format csv|json|both``.  Exit codes: 0 success,
-2 unreadable/unparsable config, 3 schema violation, 4 compute failure.
-Every output file embeds the schema version and a hash of the config,
-and identical configs reproduce byte-identical outputs in
-single-threaded mode (volatile timings are never serialized).
+Flags: ``--output-dir``, ``--format csv|json|both``.  Exit codes:
+0 success, 2 unreadable/unparsable config, 3 schema violation, 4 compute
+failure.  Every output file embeds the schema version and a hash of the
+config, and identical configs reproduce byte-identical outputs (every
+computation runs serially, and volatile timings are never serialized).
 """
 
 from __future__ import annotations
@@ -246,7 +245,7 @@ def _integers(config: dict) -> dict:
     return config
 
 
-def _run_experiment(config: dict, threads: int) -> tuple[str, float, dict, str]:
+def _run_experiment(config: dict) -> tuple[str, float, dict, str]:
     """Returns (key name, key scalar, json payload, csv text body)."""
     chash = config_hash(config)
     config = _integers(config)
@@ -277,13 +276,13 @@ def _run_experiment(config: dict, threads: int) -> tuple[str, float, dict, str]:
         if experiment == "rd_study":
             record, tail = rd_study(state, phi, scheme, n_list,
                                     config["mass_target"], cfg,
-                                    fit_window=window, threads=threads)
+                                    fit_window=window)
             payload["tail_budget"] = {"num_cubes": len(tail.cubes),
                                       "captured_mass": tail.captured_mass,
                                       "tail_bound": tail.tail_bound}
         else:
             record = convergence_study(state, phi, scheme, n_list, cfg,
-                                       fit_window=window, threads=threads)
+                                       fit_window=window)
         payload["result"] = {
             "scheme": record.scheme, "state": record.state_label,
             "phi": record.phi_label, "fitted_rate": record.fitted_rate,
@@ -376,7 +375,7 @@ def version_and_capabilities() -> dict:
 
 
 def run(config_path: str, output_dir: str | None = None,
-        fmt: str | None = None, threads: int = 1) -> int:
+        fmt: str | None = None) -> int:
     """Execute one experiment config; returns the process exit code."""
     try:
         config = load_config(config_path)
@@ -386,7 +385,7 @@ def run(config_path: str, output_dir: str | None = None,
         stem = out_spec.get("stem", config["experiment"])
         chosen = fmt or out_spec.get("format", "both")
         try:
-            key, value, payload, csv_text = _run_experiment(config, threads)
+            key, value, payload, csv_text = _run_experiment(config)
         except CliError:
             raise
         except Exception as e:
@@ -412,8 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="spatialzeno",
         description="Coarse position measurement + rank-one projection experiments")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="internal parallelism (default 1, reproducible)")
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--format", choices=["csv", "json", "both"], default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -435,8 +432,7 @@ def main(argv: list[str] | None = None) -> int:
             return e.code
         print(f"valid {args.config}")
         return 0
-    return run(args.config, output_dir=args.output_dir, fmt=args.format,
-               threads=args.threads)
+    return run(args.config, output_dir=args.output_dir, fmt=args.format)
 
 
 if __name__ == "__main__":

@@ -100,10 +100,10 @@ def _bin_integrals_callable(f: Callable, part: ProductGrid,
 
 
 # bytes per bin at discretize's peak (tracemalloc): a separable f holds the
-# complex128 bin integrals and _per_bin_arrays' complex128 term buffer and,
-# on a 1-d level, the <1|f> table's cells, one complex128 per term and bin;
-# a plain callable holds its tensor-node values, weights and points, at
-# most _NODE_BYTES + 16 d per node (measured on d = 1..3)
+# complex128 bin integrals and _per_bin_arrays' complex128 term buffer, and
+# the <1|f> pair table's cells (counted by _should_keep); a plain callable
+# holds its tensor-node values, weights and points, at most _NODE_BYTES +
+# 16 d per node (measured on d = 1..3)
 _SEPARABLE_BYTES_PER_BIN = 16 + 16
 _NODE_BYTES = 40
 
@@ -122,11 +122,9 @@ def discretize(f, level: GridLevel, cfg: QuadratureConfig = DEFAULT_CONFIG,
         raise ValueError(f"{level.num_bins} bins exceed the size guard; "
                          "pass allow_large=True to override")
     separable = isinstance(f, SeparableFunction)
-    if separable:
-        per_bin = _SEPARABLE_BYTES_PER_BIN + (16 * len(f.terms) if level.d == 1 else 0)
-    else:
-        per_bin = (_NODE_BYTES + 16 * level.d) * cfg.points_per_axis_per_bin ** level.d
-    _should_keep(level, True, per_bin)  # raises TableTooLargeError
+    per_bin, pairs = ((_SEPARABLE_BYTES_PER_BIN, len(f.terms)) if separable else
+                      ((_NODE_BYTES + 16 * level.d) * cfg.points_per_axis_per_bin ** level.d, 0))
+    _should_keep(level, True, per_bin, pairs)  # raises TableTooLargeError
     bin_integrals = _bin_integrals_separable if separable else _bin_integrals_callable
     averages = np.concatenate([bin_integrals(f, part, cfg) for part in level.parts])
     averages /= level.volumes()

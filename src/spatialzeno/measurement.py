@@ -4,7 +4,9 @@ The position stage records which bin B_j of a grid level contains the
 particle (outcome X); the state collapses to P_j psi / ||P_j psi||.  The
 second stage measures |phi><phi| (outcome Y in {0,1}).  The probability
 of Y=1 is the sum over bins of |<phi|P_j psi>|^2 for pure states, and the
-spectral-weighted sum of pure results for density states.
+spectral-weighted sum of pure results for density states: ``_pair_pass``
+and ``_mass_pass`` loop over the spectral terms (p_l, psi_l), a pure state
+being the single term (1.0, psi), and add up the scaled results in order.
 
 Every grid level is a list of product grids, and for separable-sum states
 the bin amplitudes of a product grid factor axis by axis, so totals are
@@ -23,9 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Bin, GridLevel
+from .grids import Bin, GridLevel, ProductGrid
 from .quadrature import (
     DEFAULT_CONFIG,
+    PAIR_BLOCK,
     QuadratureConfig,
     _linear_total,
     _pair_data,
@@ -74,17 +77,13 @@ def _physical_memory() -> float:
 # per-bin tables larger than this many bytes are refused before any is built
 TABLE_BYTE_LIMIT = _physical_memory()
 # bytes per bin at the peak of building the kept tables: the complex128
-# amplitudes, then the mass table built as a complex128 sum in a reused
-# complex128 term buffer (``_per_bin_arrays``); masses of real psi-psi cells
-# are built in float64, so these counts are the complex worst case
+# amplitudes (or the float64 P(Y=1) and mass sums), then a mass table built
+# as a complex128 sum in a reused complex128 term buffer (``_per_bin_arrays``;
+# real psi-psi cells build it in float64, so this is the worst case)
 _TABLE_BYTES_PER_BIN = 16 + 16 + 16
-# a density state adds the float64 sums of the terms built so far (masses,
-# and for the joint table P(Y=1)), held while the next term's tables are
-# built; the sampler builds one drawn term's tables at a time
-_DENSITY_TABLE_BYTES_PER_BIN = 8 + 8 + _TABLE_BYTES_PER_BIN
-# prob_y1_mixed keeps only the float64 mass sum, and builds one term's
-# masses at a time as a complex128 sum in a reused complex128 buffer
-_MIXED_MASS_BYTES_PER_BIN = 8 + 16 + 16
+# bytes per term pair and cell of a kept pair table: the complex128 cells of
+# every axis, and per cell of one block its phase tables and pair integrals
+_CELL_BYTES = 16
 
 
 @dataclass
@@ -210,36 +209,66 @@ def _per_bin_arrays(weights, axes_cells) -> np.ndarray:
 
 
 def _should_keep(level: GridLevel, keep,
-                 bytes_per_bin: int = _TABLE_BYTES_PER_BIN) -> bool:
+                 bytes_per_bin: int = _TABLE_BYTES_PER_BIN, pairs: int = 1) -> bool:
     """Whether to build per-bin tables; raises TableTooLargeError when
-    they would exceed TABLE_BYTE_LIMIT at ``bytes_per_bin``."""
+    they would exceed TABLE_BYTE_LIMIT: ``bytes_per_bin`` for every bin,
+    and the kept cell table of ``pairs`` term pairs on the widest part."""
     keep = level.num_bins <= PER_BIN_LIMIT if keep == "auto" else bool(keep)
-    nbytes = level.num_bins * bytes_per_bin
-    if keep and nbytes > TABLE_BYTE_LIMIT:
+    if not keep:
+        return False
+    cells = max(sum(part.shape) + min(max(part.shape), PAIR_BLOCK)
+                for part in level.parts)
+    nbytes = level.num_bins * bytes_per_bin + _CELL_BYTES * pairs * cells
+    if nbytes > TABLE_BYTE_LIMIT:
         raise TableTooLargeError(
             f"per-bin tables for {level.num_bins} bins need {nbytes:.3g} bytes, "
             f"more than the {TABLE_BYTE_LIMIT:.3g} bytes of physical memory")
-    return keep
+    return True
 
 
-def _mass_pass(psi: WaveFunction, level: GridLevel, cfg: QuadratureConfig,
-               keep: bool):
-    """(mass_total, masses|None); psi-psi per-cell arrays only when kept."""
-    if not keep:
-        # each part's hull, one cell [bp[0], bp[-1]] per axis
-        hulls = ([bp[[0, -1]] for bp in part.breakpoints] for part in level.parts)
-        return sum(_region_integral(psi, psi, hull, cfg).real for hull in hulls), None
-    mass_total, masses = 0.0, []
-    for part in level.parts:
-        w, axes = _pair_data(psi, psi, part.breakpoints, cfg, keep=True, gram=False)
-        cells = [ax.cells for ax in axes]
-        mass_total += _linear_total(w, cells).real
-        if any(np.iscomplexobj(c) for c in cells):
-            masses.append(np.real(_per_bin_arrays(w, cells)))
+def _spectrum(state):
+    """The spectral terms (p_l, psi_l) of a density state; a pure state is
+    the single term (1.0, psi)."""
+    return state.terms if isinstance(state, DensityState) else ((1.0, state),)
+
+
+def _table_pairs(state, phi) -> int:
+    """Term pairs of the largest kept pair table, phi-psi_l or psi_l-psi_l."""
+    return max(len(psi.terms) * max(len(psi.terms), len(phi.terms))
+               for _, psi in _spectrum(state))
+
+
+def _part_masses(psi: WaveFunction, part: ProductGrid, cfg: QuadratureConfig):
+    """(mass, per-bin masses) of psi on one product part."""
+    w, axes = _pair_data(psi, psi, part.breakpoints, cfg, keep=True, gram=False)
+    cells = [ax.cells for ax in axes]
+    total = _linear_total(w, cells).real
+    if any(np.iscomplexobj(c) for c in cells):
+        return total, np.real(_per_bin_arrays(w, cells))
+    # real cells: Re(w) M is Re(w M) bit for bit, built in float64
+    return total, _per_bin_arrays(w.real, cells)
+
+
+def _mass_pass(state, level: GridLevel, cfg: QuadratureConfig, keep: bool):
+    """(mass_total, masses|None): sum_l p_l ||P_j psi_l||^2 over the
+    spectral terms, per bin when ``keep`` (the only case that builds psi-psi
+    per-cell arrays), else from each part's hull; each term's masses are
+    scaled and added into the sum in place."""
+    mass_total, masses = 0.0, None
+    for p_l, psi in _spectrum(state):
+        if keep:
+            totals, parts = zip(*(_part_masses(psi, part, cfg) for part in level.parts))
+            term_total, term = sum(totals), np.concatenate(parts)
+            del parts
+            term *= p_l
+            masses = term if masses is None else np.add(masses, term, out=masses)
+            del term  # it goes before the next term's masses are built
         else:
-            # real cells: Re(w) M is Re(w M) bit for bit, built in float64
-            masses.append(_per_bin_arrays(w.real, cells))
-    return mass_total, np.concatenate(masses)
+            # each part's hull, one cell [bp[0], bp[-1]] per axis
+            hulls = ([bp[[0, -1]] for bp in part.breakpoints] for part in level.parts)
+            term_total = sum(_region_integral(psi, psi, hull, cfg).real for hull in hulls)
+        mass_total += p_l * term_total
+    return mass_total, masses
 
 
 def _clamp_probability(raw: float) -> float:
@@ -258,40 +287,75 @@ class _PairTotals(NamedTuple):
     p_y1: float
     p_y1_raw: float
     error_bound: float
-    amplitudes: np.ndarray | None
+    table: np.ndarray | None
     bar_norm_sq: float | None
 
 
-def _pair_pass(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
-               cfg: QuadratureConfig, keep: bool, with_bar: bool) -> _PairTotals:
-    """P(Y=1), its error bound, the per-bin amplitudes (``keep``) and the
-    bar norm (``with_bar``) from one phi-psi cell-integral pass.
+def _part_pairs(psi: WaveFunction, phi: WaveFunction, part: ProductGrid,
+                cfg: QuadratureConfig, keep: bool, with_bar: bool):
+    """(P(Y=1), error bound, bar norm, amplitudes|None) of psi on one
+    product part, from one blocked ``_pair_data`` walk."""
+    w, axes = _pair_data(phi, psi, part.breakpoints, cfg, keep=keep, with_bar=with_bar)
+    sq = np.array([ax.gram.diagonal().real for ax in axes]).T
+    return (_gram_form(w, [ax.gram for ax in axes]),
+            _error_bound(w, sq, np.array([ax.extra for ax in axes]).T),
+            _gram_form(w, [ax.gram_bar for ax in axes]) if with_bar else 0.0,
+            _per_bin_arrays(w, [ax.cells for ax in axes]) if keep else None)
 
-    Each product part takes one blocked ``_pair_data`` walk, so a study row
-    that needs both P(Y=1) and the bar norm computes every cell integral
-    once, and no full-length per-axis array exists unless ``keep``.
+
+def _pair_pass(state, phi: WaveFunction, level: GridLevel, cfg: QuadratureConfig,
+               keep: bool, with_bar: bool, squared: bool = False) -> _PairTotals:
+    """P(Y=1), its error bound, the bar norm (``with_bar``) and a per-bin
+    table (``keep``) of a pure or density state, from one phi-psi pass per
+    spectral term and product part; no full-length per-axis array exists
+    unless a table is kept.
+
+    The table is the amplitudes <phi|P_j psi> of a pure state, or with
+    ``squared`` sum_l p_l |<phi|P_j psi_l>|^2.  Amplitudes do not mix, so a
+    density state keeps none and reports no bar norm; its dropped spectral
+    tail adds ||phi||^2 (1 - sum p_l) to the error bound.
     """
-    if psi.domain != phi.domain:
+    if state.domain != phi.domain:
         raise ValueError("psi and phi live on different domains")
-    if psi.d != level.d:
+    if state.d != level.d:
         raise ValueError("state dimension does not match the grid")
-    p_raw, err, bar = 0.0, 0.0, 0.0
-    amps = []
-    for part in level.parts:
-        w, axes = _pair_data(phi, psi, part.breakpoints, cfg, keep=keep,
-                             with_bar=with_bar)
-        p_raw += _gram_form(w, [ax.gram for ax in axes])
-        sq = np.array([ax.gram.diagonal().real for ax in axes]).T
-        err += _error_bound(w, sq, np.array([ax.extra for ax in axes]).T)
-        if with_bar:
-            bar += _gram_form(w, [ax.gram_bar for ax in axes])
+    pure = not isinstance(state, DensityState)
+    keep, with_bar = keep and (squared or pure), with_bar and pure
+    p_raw, err, bar, table = 0.0, 0.0, 0.0, None
+    for p_l, psi in _spectrum(state):
+        raws, errs, bars, amps = zip(*(_part_pairs(psi, phi, part, cfg, keep, with_bar)
+                                       for part in level.parts))
+        p_raw += p_l * sum(raws)
+        err += p_l * max(sum(errs), _EPS_FLOOR * level.num_bins ** 0.5)
+        bar += p_l * sum(bars)
         if keep:
-            amps.append(_per_bin_arrays(w, [ax.cells for ax in axes]))
-    amps = np.concatenate(amps) if keep else None
-    err = max(err, _EPS_FLOOR * level.num_bins ** 0.5)
+            term = np.concatenate(amps)
+            del amps
+            if squared:
+                # |a|^2 p_l, built in place of the float64 |a|
+                term = np.abs(term)
+                np.square(term, out=term)
+                term *= p_l
+            table = term if table is None else np.add(table, term, out=table)
+            del term  # it goes before the next term's table is built
+    tail = 0.0 if pure else state.tail_mass
+    if tail > 0.0:
+        err += float(np.real(inner_product(phi, phi))) * tail
     return _PairTotals(p_y1=_clamp_probability(p_raw), p_y1_raw=p_raw,
-                      error_bound=float(err), amplitudes=amps,
-                      bar_norm_sq=bar if with_bar else None)
+                       error_bound=float(err), table=table,
+                       bar_norm_sq=bar if with_bar else None)
+
+
+def _prob_y1(state, phi, level, cfg, keep_per_bin) -> MeasurementResult:
+    t0 = time.perf_counter()
+    keep = _should_keep(level, keep_per_bin, pairs=_table_pairs(state, phi))
+    r = _pair_pass(state, phi, level, cfg, keep, with_bar=False)
+    mass_total, masses = _mass_pass(state, level, cfg, keep)
+    return MeasurementResult(
+        n=level.n, level=level, p_y1=r.p_y1, p_y1_raw=r.p_y1_raw,
+        p_y1_error_bound=r.error_bound, mass_total=float(mass_total),
+        per_bin_amplitude=r.table, per_bin_mass=masses,
+        wall_time=time.perf_counter() - t0)
 
 
 def prob_y1_pure(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
@@ -302,15 +366,7 @@ def prob_y1_pure(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
     ``keep_per_bin`` controls whether the per-bin amplitude and mass
     tables are stored ("auto": only up to PER_BIN_LIMIT bins).
     """
-    t0 = time.perf_counter()
-    keep = _should_keep(level, keep_per_bin)
-    r = _pair_pass(psi, phi, level, cfg, keep, with_bar=False)
-    mass_total, masses = _mass_pass(psi, level, cfg, keep)
-    return MeasurementResult(
-        n=level.n, level=level, p_y1=r.p_y1, p_y1_raw=r.p_y1_raw,
-        p_y1_error_bound=r.error_bound, mass_total=float(mass_total),
-        per_bin_amplitude=r.amplitudes, per_bin_mass=masses,
-        wall_time=time.perf_counter() - t0)
+    return _prob_y1(psi, phi, level, cfg, keep_per_bin)
 
 
 def prob_y1_mixed(rho: DensityState, phi: WaveFunction, level: GridLevel,
@@ -323,30 +379,7 @@ def prob_y1_mixed(rho: DensityState, phi: WaveFunction, level: GridLevel,
     only the per-bin masses are kept; each term's are built without its
     amplitudes and scaled and added into the sum in place.
     """
-    t0 = time.perf_counter()
-    keep = _should_keep(level, keep_per_bin, _MIXED_MASS_BYTES_PER_BIN)
-    p_raw, err, mass_total = 0.0, 0.0, 0.0
-    masses = None
-    for p_l, psi_l in rho.terms:
-        r = _pair_pass(psi_l, phi, level, cfg, keep=False, with_bar=False)
-        p_raw += p_l * r.p_y1_raw
-        err += p_l * r.error_bound
-        term_total, term_masses = _mass_pass(psi_l, level, cfg, keep)
-        mass_total += p_l * term_total
-        if keep:
-            term_masses *= p_l
-            if masses is None:
-                masses = term_masses
-            else:
-                masses += term_masses
-        del term_masses  # it goes before the next term's masses are built
-    phi_norm_sq = float(np.real(inner_product(phi, phi)))
-    err += phi_norm_sq * rho.tail_mass
-    return MeasurementResult(
-        n=level.n, level=level, p_y1=_clamp_probability(p_raw), p_y1_raw=p_raw,
-        p_y1_error_bound=float(err), mass_total=float(mass_total),
-        per_bin_amplitude=None, per_bin_mass=masses,
-        wall_time=time.perf_counter() - t0)
+    return _prob_y1(rho, phi, level, cfg, keep_per_bin)
 
 
 def bar_norm_squared(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
@@ -387,31 +420,16 @@ def prob_y1_given_bin(psi: WaveFunction, phi: WaveFunction, cell: Bin,
 
 def _per_bin_tables(state, phi, level, cfg, keep_per_bin):
     """Per-bin (masses, p1): sum_l p_l ||P_j psi_l||^2 and
-    sum_l p_l |<phi|P_j psi_l>|^2 over the spectral terms of a density
-    state, a pure state being the single term (1.0, psi).
+    sum_l p_l |<phi|P_j psi_l>|^2 over the spectral terms.
 
-    Each term's tables are scaled and added into the sums in place, so a
-    pure state's tables keep their bits.
+    The P(Y=1) table is built first, so a pure state's amplitudes are gone
+    before the masses are built.
     """
-    density = isinstance(state, DensityState)
-    terms = state.terms if density else ((1.0, state),)
-    if not _should_keep(level, keep_per_bin, _DENSITY_TABLE_BYTES_PER_BIN
-                        if density else _TABLE_BYTES_PER_BIN):
+    if not _should_keep(level, keep_per_bin, pairs=_table_pairs(state, phi)):
         raise ValueError(f"per-bin tables for {level.num_bins} bins exceed the "
                          f"size guard; pass keep_per_bin=True to override")
-    masses = p1 = None
-    for p_l, psi_l in terms:
-        r = prob_y1_pure(psi_l, phi, level, cfg, keep_per_bin=True)
-        if masses is None:
-            masses, p1 = r.per_bin_mass, np.abs(r.per_bin_amplitude)
-            np.square(p1, out=p1)
-            masses *= p_l
-            p1 *= p_l
-        else:
-            masses += p_l * r.per_bin_mass
-            p1 += p_l * np.abs(r.per_bin_amplitude) ** 2
-        del r  # its amplitudes go before the next term's tables are built
-    return masses, p1
+    p1 = _pair_pass(state, phi, level, cfg, keep=True, with_bar=False, squared=True).table
+    return _mass_pass(state, level, cfg, keep=True)[1], p1
 
 
 def joint_distribution(state, phi: WaveFunction, level: GridLevel,
@@ -473,7 +491,7 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
     x = np.empty(count, dtype=np.int64)
     y = np.empty(count, dtype=np.int8)
     # one term's tables at a time, built only when the term was drawn
-    for l, (_, psi_l) in enumerate(state.terms if density else ((1.0, state),)):
+    for l, (_, psi_l) in enumerate(_spectrum(state)):
         pick = which == l if density else slice(None)
         u = u_x[pick]
         if u.size:

@@ -257,56 +257,47 @@ class _AxisSums(NamedTuple):
     cells: np.ndarray | None       # (P, cells): every M_a, when kept
 
 
-def _distinct_pairs(pairs, k: int):
-    """The distinct (bra, ket) primitive pairs on axis k, and for each term
-    pair the index of its distinct pair."""
-    index: dict = {}
-    rows = [index.setdefault((bf[k], kf[k]), len(index)) for _, bf, kf in pairs]
-    return list(index), np.array(rows)
-
-
 def _axis_pass(pairs, k: int, edges: np.ndarray, cfg: QuadratureConfig,
                keep: bool, gram: bool, with_bar: bool) -> _AxisSums:
     """Walk axis k in blocks of PAIR_BLOCK cells.
 
     Each block gets one phase table.  Every distinct primitive pair's cell
     integrals are computed once and copied into the rows of all term pairs
-    that share it, in one reused (P, block) buffer V, which is reduced by
-    one matrix product per Gram (or copied out, when kept) before the next
-    block overwrites it.  V and the sums are real while every pair's cells
-    are; a complex block promotes them, exactly.
+    that share it: straight into the kept cells, or else into one reused
+    (P, block) buffer.  The block's rows V are reduced by one matrix product
+    per Gram before the next block is walked.  V and the sums are real
+    while every pair's cells are; a complex pair promotes them, exactly.
     """
-    distinct, rows = _distinct_pairs(pairs, k)
+    shared_by: dict = {}  # each distinct (bra, ket) primitive pair: its term pairs
+    for a, (_, bf, kf) in enumerate(pairs):
+        shared_by.setdefault((bf[k], kf[k]), []).append(a)
     P, m = len(pairs), edges.size - 1
-    real = True
     G = np.zeros((P, P)) if gram else None
     G_bar = np.zeros((P, P)) if with_bar else None
     extra = np.zeros(P) if gram else None
-    cells = np.empty((P, m)) if keep else None
-    buf = np.empty((P, min(m, PAIR_BLOCK)))
+    rows = np.empty((P, m if keep else min(m, PAIR_BLOCK)))
     for start in range(0, m, PAIR_BLOCK):
         block = edges[start:start + PAIR_BLOCK + 1]
         phases = PhaseTable(block)
-        ints = [cell_integrals(bf, kf, block, cfg, phases=phases) for bf, kf in distinct]
-        if real and any(np.iscomplexobj(v) for v, _ in ints):
-            real = False
-            G, G_bar, cells, buf = (None if x is None else x.astype(complex)
-                                    for x in (G, G_bar, cells, buf))
-        V = buf[:, :block.size - 1]
-        for a, q in enumerate(rows):
-            V[a] = ints[q][0]
+        lo = start if keep else 0
+        span = slice(lo, lo + block.size - 1)
+        for (bf, kf), shared in shared_by.items():
+            vals, err = cell_integrals(bf, kf, block, cfg, phases=phases)
+            if np.iscomplexobj(vals) and not np.iscomplexobj(rows):
+                G, G_bar, rows = (None if x is None else x.astype(complex)
+                                  for x in (G, G_bar, rows))
+            for a in shared:
+                rows[a, span] = vals
+            # closed-form pairs carry all-zero errors
+            if gram and err.any():
+                extra[shared] += float(np.sum((2.0 * np.abs(vals) + err) * err))
         if gram:
-            for q, (vals, err) in enumerate(ints):
-                # closed-form pairs carry all-zero errors
-                if err.any():
-                    extra[rows == q] += float(np.sum((2.0 * np.abs(vals) + err) * err))
-            V_h = V.T if real else V.conj().T
+            V = rows[:, span]
+            V_h = V.conj().T if np.iscomplexobj(V) else V.T
             G += V @ V_h
             if with_bar:
                 G_bar += (V / np.diff(block)) @ V_h
-        if keep:
-            cells[:, start:start + V.shape[1]] = V
-    return _AxisSums(G, G_bar, extra, cells)
+    return _AxisSums(G, G_bar, extra, rows if keep else None)
 
 
 def _pair_data(phi: SeparableFunction, psi: SeparableFunction,

@@ -415,6 +415,19 @@ def _real_cells(terms, cells: int) -> np.ndarray:
     return np.zeros(cells) if anti is None else np.diff(anti)
 
 
+def _fold(terms) -> tuple[complex, dict[float, list[complex]]]:
+    """(c_0, {|w|: [c+, c-]}) of sum_m c_m exp(i w_m x): the w = 0 and the
+    +-|w| coefficients summed, each |w| in order of first appearance."""
+    lin = 0j
+    folded: dict[float, list[complex]] = {}
+    for c, w in terms:
+        if w == 0.0:
+            lin += c
+        else:
+            folded.setdefault(abs(w), [0j, 0j])[w < 0.0] += c
+    return lin, folded
+
+
 def _trig_cells(terms, edges: np.ndarray,
                 phases: PhaseTable | None = None) -> np.ndarray:
     """Cells of sum_m c_m exp(i w_m x), float64 when the result is real.
@@ -427,13 +440,7 @@ def _trig_cells(terms, edges: np.ndarray,
     """
     if phases is None or phases.edges is not edges:
         phases = PhaseTable(edges)
-    lin = 0j
-    folded: dict[float, list[complex]] = {}  # |w| -> [c+, c-]
-    for c, w in terms:
-        if w == 0.0:
-            lin += c
-        else:
-            folded.setdefault(abs(w), [0j, 0j])[w < 0.0] += c
+    lin, folded = _fold(terms)
     anti_terms = [(lin, lambda: edges)]
     for a, (cp, cm) in folded.items():
         d, s = cp - cm, cp + cm
@@ -485,13 +492,7 @@ def _power_series(coeff: float, p: float, terms: tuple, b: float) -> tuple:
     series stops at the first M whose remainder sum_t |c_t| (|w_t| b)^(M+1)
     / (M+1)! is below 2^-53 sum_t |c_t|.
     """
-    lin = 0j
-    folded: dict[float, list[complex]] = {}  # |w| -> [c+, c-]
-    for c, w in terms:
-        if w == 0.0:
-            lin += c
-        else:
-            folded.setdefault(abs(w), [0j, 0j])[w < 0.0] += c
+    lin, folded = _fold(terms)
     # (|w|, cosine weight c+ + c-, sine weight i (c+ - c-))
     parts = [(a, cp + cm, complex(-(cp - cm).imag, (cp - cm).real))
              for a, (cp, cm) in folded.items()]

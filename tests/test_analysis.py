@@ -237,13 +237,6 @@ def test_jittered_sandwich_property_for_all_rows():
         assert row.bar_norm_sq / C ** d - 1e-9 <= scaled <= row.bar_norm_sq + 1e-9
 
 
-def test_threads_do_not_change_results():
-    s = make_state("sine_mode", k=1)
-    a = convergence_study(s, s, UNIFORM, [4, 8, 16, 32], threads=1)
-    b = convergence_study(s, s, UNIFORM, [4, 8, 16, 32], threads=4)
-    assert [r.p_y1 for r in a.rows] == [r.p_y1 for r in b.rows]
-
-
 def test_box_captured_mass_matches_per_cube_sum():
     from spatialzeno import Bin, Interval, bin_inner_product
     from spatialzeno.analysis import _captured_mass, _centered_cubes

@@ -477,7 +477,8 @@ def test_oversized_bar_charts_raise_before_anything_is_built(monkeypatch):
     from spatialzeno import TableTooLargeError, discretizer, measurement
 
     f = product_field(make_state("uniform"), make_state("sine_mode", k=1))  # 1 term
-    per_bin = discretizer._SEPARABLE_BYTES_PER_BIN + 16  # and the 1-d <1|f> table
+    # and the <1|f> table's cells of the axis and of one block
+    per_bin = discretizer._SEPARABLE_BYTES_PER_BIN + 2 * measurement._CELL_BYTES
     monkeypatch.setattr(measurement, "TABLE_BYTE_LIMIT", 41 * per_bin)  # 41 bins
     assert discretize(f, uniform_grid(41), allow_large=True).averages.size == 41
     monkeypatch.setattr(discretizer, "_bin_integrals_separable", _refuse)

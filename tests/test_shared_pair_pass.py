@@ -18,12 +18,13 @@ from spatialzeno import (
     make_state,
     prob_y1_mixed,
     prob_y1_pure,
+    riemann_limit_check,
     sample_xy,
     superpose,
     tensor_product,
     uniform_grid,
 )
-from spatialzeno import measurement, quadrature
+from spatialzeno import analysis, measurement, quadrature
 from spatialzeno.measurement import _gram_form
 from spatialzeno.quadrature import (
     DEFAULT_CONFIG,
@@ -36,7 +37,9 @@ from spatialzeno.states import (
     ONE,
     PhaseTable,
     PiecewiseConstant1D,
+    WaveFunction,
     exact_cell_integrals,
+    inner_product,
 )
 
 
@@ -48,14 +51,21 @@ def _superpose24():
                       for k, c in zip(modes, coeffs)])
 
 
+def _density3(trace=1.0):
+    return make_density([(0.5 * trace, make_state("sine_mode", k=1)),
+                         (0.3 * trace, make_state("sine_mode", k=2)),
+                         (0.2 * trace, make_state("sine_mode", k=3))])
+
+
 STUDIES = {
     "superpose24/uniform": (_superpose24, lambda: make_state("uniform"),
                             [2 ** e for e in range(2, 10)]),
     "haar512/sine1": (lambda: make_state("haar_like", seed=17, pieces=512),
                       lambda: make_state("sine_mode", k=1),
                       [2 ** e for e in range(2, 11)]),
+    "density3/uniform": (_density3, lambda: make_state("uniform"),
+                         [2 ** e for e in range(2, 10)]),
 }
-FIELDS = ("n", "p_y1", "error_bound", "bar_norm_sq")
 
 
 @pytest.fixture(scope="module", params=sorted(STUDIES))
@@ -65,23 +75,57 @@ def study(request):
     return make_psi(), make_phi(), scheme, n_list
 
 
-def test_threaded_rows_equal_serial_rows_bitwise(study):
-    psi, phi, scheme, n_list = study
-    serial = convergence_study(psi, phi, scheme, n_list, threads=1)
-    threaded = convergence_study(psi, phi, scheme, n_list, threads=2)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert [getattr(a, f) for f in FIELDS] == [getattr(b, f) for f in FIELDS]
-
-
 def test_rows_equal_the_public_calls_bitwise(study):
     psi, phi, scheme, n_list = study
     rec = convergence_study(psi, phi, scheme, n_list)
+    pure = isinstance(psi, WaveFunction)
     for row in rec.rows:
         level = scheme.level(row.n)
-        r = prob_y1_pure(psi, phi, level, keep_per_bin=False)
+        r = (prob_y1_pure if pure else prob_y1_mixed)(psi, phi, level, keep_per_bin=False)
         assert row.p_y1 == r.p_y1
         assert row.error_bound == r.p_y1_error_bound
-        assert row.bar_norm_sq == bar_norm_squared(psi, phi, level)
+        # a density state's rows carry no bar norm
+        assert row.bar_norm_sq == (bar_norm_squared(psi, phi, level) if pure else None)
+
+
+@pytest.mark.parametrize("trace", [1.0, 0.9])
+def test_density_rows_run_no_mass_pass(monkeypatch, trace):
+    rho, phi = _density3(trace), make_state("uniform")
+    scheme = GridScheme("jittered", d=1, ratio_bound=2.0, seed=41)
+    n_list = [4, 16, 64]
+    want = [prob_y1_mixed(rho, phi, scheme.level(n), keep_per_bin=False) for n in n_list]
+    bras, norms = [], []
+
+    def pair_data(bra, ket, *args, **kwargs):
+        bras.append(bra)
+        return _pair_data(bra, ket, *args, **kwargs)
+
+    def norm_spy(f, g):
+        norms.append((f, g))
+        return inner_product(f, g)
+
+    monkeypatch.setattr(measurement, "_mass_pass", _no_pass)
+    monkeypatch.setattr(measurement, "_pair_data", pair_data)
+    monkeypatch.setattr(measurement, "inner_product", norm_spy)
+    rows = analysis._study_rows(rho, phi, scheme, n_list, DEFAULT_CONFIG)
+    # one phi-psi walk per term and row, and no psi-psi one
+    assert len(bras) == 3 * len(n_list) and all(b is phi for b in bras)
+    # ||phi||^2 is read only for the error of a dropped spectral tail
+    assert norms == ([(phi, phi)] * len(n_list) if rho.tail_mass > 0.0 else [])
+    assert [(r.p_y1, r.error_bound, r.bar_norm_sq) for r in rows] == \
+        [(r.p_y1, r.p_y1_error_bound, None) for r in want]
+
+
+def test_riemann_rows_are_the_study_rows():
+    phi = make_state("sine_mode", k=3)
+    psi = superpose([(0.8, make_state("sine_mode", k=1)),
+                     (0.6j, make_state("sine_mode", k=2))])
+    scheme = GridScheme("jittered", d=2, ratio_bound=2.0, seed=3)
+    phi2, psi2 = tensor_product([phi, phi]), tensor_product([psi, psi])
+    n_list = [2, 4, 8, 16]
+    check = riemann_limit_check(phi2, psi2, scheme, n_list)
+    rows = convergence_study(psi2, phi2, scheme, n_list).rows
+    assert check.rows == [(r.n, r.n ** 2 * r.p_y1, r.bar_norm_sq) for r in rows]
 
 
 def _per_cell_pieces(pcw, pcw_is_bra, other, edges):
@@ -260,17 +304,19 @@ def test_equal_primitive_pairs_are_integrated_once(monkeypatch):
     assert p == _gram_form(np.array([w for w, _, _ in pairs]), grams)
 
 
-def _no_pair_pass(*args, **kwargs):
-    raise AssertionError("a pair pass ran although the tables were refused")
+def _no_pass(*args, **kwargs):
+    raise AssertionError("a pass ran that should not have")
 
 
 def test_oversized_tables_raise_before_anything_is_built(monkeypatch):
     psi, phi = make_state("sine_mode", k=1), make_state("uniform")
     small, fits = uniform_grid(64), uniform_grid(32)
+    # 41 bins of one term pair: the per-bin tables, and the kept cells of
+    # the axis and of one block
     monkeypatch.setattr(measurement, "TABLE_BYTE_LIMIT",
-                        41 * measurement._TABLE_BYTES_PER_BIN)  # 41 bins
+                        41 * (measurement._TABLE_BYTES_PER_BIN + 2 * measurement._CELL_BYTES))
     assert prob_y1_pure(psi, phi, fits, keep_per_bin=True).per_bin_mass.size == 32
-    monkeypatch.setattr(measurement, "_pair_pass", _no_pair_pass)
+    monkeypatch.setattr(measurement, "_pair_pass", _no_pass)
     for call in (lambda: prob_y1_pure(psi, phi, small, keep_per_bin=True),
                  lambda: joint_distribution(psi, phi, small),
                  lambda: sample_xy(psi, phi, small, count=5),
@@ -307,29 +353,93 @@ def test_table_build_peak_stays_within_the_counted_bytes():
         assert peak <= counted + 2 ** 20
 
 
+def _exponentials(ks, seed):
+    """A superposition of complex exponentials with random complex weights."""
+    c = np.random.default_rng(seed).standard_normal((len(ks), 2))
+    return superpose([(complex(*w), make_state("complex_exponential", k=k))
+                      for w, k in zip(c, ks)])
+
+
+DENSITIES = {
+    "sine_products": lambda: make_density([
+        (0.5, make_state("sine_product", ks=[1, 1])),
+        (0.3, make_state("sine_product", ks=[1, 2])),
+        (0.2, make_state("sine_product", ks=[2, 1]))]),
+    # complex psi-psi cells: the masses are built in complex128
+    "exponentials": lambda: make_density([
+        (0.5, tensor_product([_exponentials([1, -2], 1), _exponentials([0, 3], 2)])),
+        (0.3, tensor_product([_exponentials([2, 4], 3), _exponentials([1, -1], 4)])),
+        (0.2, tensor_product([_exponentials([-3, 5], 5), _exponentials([2], 6)]))]),
+}
+
+
 def test_density_table_peak_stays_within_the_counted_bytes():
     import tracemalloc
 
-    rho = make_density([(0.5, make_state("sine_product", ks=[1, 1])),
-                        (0.3, make_state("sine_product", ks=[1, 2])),
-                        (0.2, make_state("sine_product", ks=[2, 1]))])
     phi = make_state("uniform", d=2)
     level = uniform_grid(300, 2)
-    # the sampler builds one term's tables at a time, so it counts as pure
-    for per_bin, call in (
-            (measurement._MIXED_MASS_BYTES_PER_BIN,
-             lambda: prob_y1_mixed(rho, phi, level, keep_per_bin=True)),
-            (measurement._DENSITY_TABLE_BYTES_PER_BIN,
-             lambda: joint_distribution(rho, phi, level, keep_per_bin=True)),
-            (measurement._TABLE_BYTES_PER_BIN,
-             lambda: sample_xy(rho, phi, level, count=1000, keep_per_bin=True))):
-        tracemalloc.start()
-        try:
+    # prob_y1_mixed keeps the float64 mass sum and builds one term's masses
+    # at a time with their buffer; the joint table holds the float64 P(Y=1)
+    # and mass sums instead of a pure state's amplitudes; the sampler builds
+    # one drawn term's tables at a time
+    for rho in (make_rho() for make_rho in DENSITIES.values()):
+        for per_bin, call in (
+                (8 + 16 + 16, lambda: prob_y1_mixed(rho, phi, level, keep_per_bin=True)),
+                (measurement._TABLE_BYTES_PER_BIN,
+                 lambda: joint_distribution(rho, phi, level, keep_per_bin=True)),
+                (measurement._TABLE_BYTES_PER_BIN,
+                 lambda: sample_xy(rho, phi, level, count=1000, keep_per_bin=True))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= level.num_bins * per_bin + 2 ** 20
+
+
+def _kept_count(level, pairs):
+    """The bytes the table guard counts for a 1-d level."""
+    m = level.num_bins
+    return (m * measurement._TABLE_BYTES_PER_BIN
+            + measurement._CELL_BYTES * pairs * (m + min(m, PAIR_BLOCK)))
+
+
+@pytest.mark.parametrize("exponent", [13, 16])
+def test_kept_cell_tables_peak_within_the_count(exponent):
+    import tracemalloc
+
+    psi, phi = _superpose24(), make_state("uniform")
+    level = uniform_grid(2 ** exponent)
+    tracemalloc.start()
+    try:
+        prob_y1_pure(psi, phi, level, keep_per_bin=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 24 x 24 psi-psi pairs' cells outweigh the per-bin tables
+    assert peak > level.num_bins * 24 * 24 * 8
+    assert peak <= _kept_count(level, 24 * 24) + 2 ** 20
+
+
+def test_kept_cell_tables_count_against_the_limit(monkeypatch):
+    from spatialzeno import discretize, discretizer, product_field
+
+    psi, phi = _superpose24(), make_state("uniform")
+    level = uniform_grid(2 ** 13)
+    tables = level.num_bins * measurement._TABLE_BYTES_PER_BIN
+    # room for the per-bin tables and half the kept cells
+    monkeypatch.setattr(measurement, "TABLE_BYTE_LIMIT",
+                        (tables + _kept_count(level, 24 * 24)) / 2)
+    for name in ("_pair_pass", "_mass_pass"):
+        monkeypatch.setattr(measurement, name, _no_pass)
+    monkeypatch.setattr(discretizer, "_bin_integrals_separable", _no_pass)
+    for call in (lambda: prob_y1_pure(psi, phi, level, keep_per_bin=True),
+                 lambda: joint_distribution(psi, phi, level),
+                 lambda: sample_xy(psi, phi, level, count=5),
+                 lambda: discretize(product_field(_superpose24(), psi), level)):
+        with pytest.raises(TableTooLargeError, match="8192 bins"):
             call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= level.num_bins * per_bin + 2 ** 20
 
 
 def test_mixed_masses_are_built_without_amplitudes():
@@ -346,8 +456,9 @@ def test_mixed_masses_are_built_without_amplitudes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # no complex128 amplitude table
-    assert peak <= level.num_bins * measurement._MIXED_MASS_BYTES_PER_BIN + 2 ** 20
+    # the float64 mass sum and one term's masses with their buffer, and no
+    # complex128 amplitude table
+    assert peak <= level.num_bins * (8 + 16 + 16) + 2 ** 20
     assert r.per_bin_amplitude is None
     pure = [(p_l, prob_y1_pure(psi_l, phi, level, keep_per_bin=True))
             for p_l, psi_l in rho.terms]
