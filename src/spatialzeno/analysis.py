@@ -23,8 +23,8 @@ import numpy as np
 
 from .grids import GridScheme, ProductGrid
 from .measurement import _mass_pass, _pair_pass
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, l2_norm
-from .states import Domain, WaveFunction, inner_product, product_field
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _region_integral
+from .states import WaveFunction, inner_product, product_field
 
 __all__ = [
     "ConvergenceRow",
@@ -151,6 +151,17 @@ def _study_rows(state, phi, scheme: GridScheme, n_list, cfg,
     return [_study_row(state, phi, scheme.level(n), cfg, extra_error) for n in n_list]
 
 
+def _resolutions(n_list: Sequence[int]) -> list[int]:
+    """``n_list`` as ints, checked before any level is built: at least 3
+    resolutions, strictly increasing."""
+    n_list = [int(n) for n in n_list]
+    if len(n_list) < 3:
+        raise ValueError("need at least 3 resolutions")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
+    return n_list
+
+
 def _fit_record(state, phi, scheme, rows, fit_window) -> ConvergenceRecord:
     usable = [r for r in rows if r.p_y1 > NOISE_FACTOR * r.error_bound]
     if len(usable) < 3:
@@ -175,12 +186,7 @@ def convergence_study(state, phi: WaveFunction, scheme: GridScheme,
 
     ``state`` is a WaveFunction or DensityState.
     """
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 3:
-        raise ValueError("need at least 3 resolutions")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    rows = _study_rows(state, phi, scheme, n_list, cfg)
+    rows = _study_rows(state, phi, scheme, _resolutions(n_list), cfg)
     return _fit_record(state, phi, scheme, rows, fit_window)
 
 
@@ -189,8 +195,12 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> RiemannCheck:
     """Compare n^d * P(Y=1) with the integral of |phi|^2 |psi|^2.
 
-    Requires both states bounded (the limit statement needs essential
-    boundedness); raises UnboundedStateError otherwise.  For uneven
+    The reference is read from the per-axis pair table of
+    f = conj(phi)*psi against itself on the unit cube, one cell per axis:
+    closed form for trig, indicator and superposition pairs at any d, and
+    one numeric cell per axis (split at the jumps) for the rest, such as
+    Haar pieces.  Requires both states bounded (the limit statement needs
+    essential boundedness); raises UnboundedStateError otherwise.  For uneven
     grids the scaled probability is only sandwiched between
     bar_norm_sq / C^d and bar_norm_sq, which the returned rows expose.
     """
@@ -204,18 +214,18 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
     rows = [(r.n, float(r.n ** d * r.p_y1), float(r.bar_norm_sq))
             for r in _study_rows(psi, phi, scheme, [int(n) for n in n_list], cfg)]
     f = product_field(phi, psi)
-    reference = l2_norm(f, Domain.unit_cube(d), cfg, panels_per_axis=64) ** 2
+    reference = _region_integral(f, f, [np.array([0.0, 1.0])] * d, cfg).real
     limit_estimate = rows[-1][1]
     rel = abs(limit_estimate - reference) / reference if reference > 0 else np.inf
     return RiemannCheck(limit_estimate=limit_estimate, reference=reference,
                         rel_error=rel, rows=rows)
 
 
-def _captured_mass(state, k: int, d: int) -> float:
-    """Probability mass of |state|^2 inside the box [-k, k)^d: the mass
-    pass on the box as one cell per axis."""
+def _captured_masses(states, k: int, d: int) -> list[float]:
+    """Probability mass of each |state|^2 inside the box [-k, k)^d: the
+    mass pass on the box, built once, as one cell per axis."""
     box = ProductGrid(1, [np.array([-k, k], dtype=float)] * d)
-    return _mass_pass(state, box, DEFAULT_CONFIG, keep=False)[0]
+    return [_mass_pass(state, box, DEFAULT_CONFIG, keep=False)[0] for state in states]
 
 
 def _centered_cubes(k: int, d: int) -> list[tuple[float, ...]]:
@@ -240,14 +250,14 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
         raise ValueError("mass_target must be in (0, 1)")
     if state.domain.kind != "euclidean":
         raise ValueError("rd_study expects states on R^d")
+    n_list = _resolutions(n_list)
     d = state.domain.d
     k = 1
     while True:
         if (2 * k) ** d > max_cubes:
             raise CubeBudgetExceededError(
                 f"capturing {mass_target!r} needs more than {max_cubes} cubes")
-        cap_psi = _captured_mass(state, k, d)
-        cap_phi = _captured_mass(phi, k, d)
+        cap_psi, cap_phi = _captured_masses((state, phi), k, d)
         if cap_psi >= mass_target and cap_phi >= mass_target:
             break
         k += 1
@@ -257,7 +267,7 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
                       captured_mass=cap_psi,
                       tail_bound=phi_norm_sq * max(0.0, 1.0 - cap_psi))
     rd_scheme = scheme.with_cubes(corners)
-    rows = _study_rows(state, phi, rd_scheme, [int(n) for n in n_list], cfg,
+    rows = _study_rows(state, phi, rd_scheme, n_list, cfg,
                        extra_error=tail.tail_bound)
     record = _fit_record(state, phi, rd_scheme, rows, fit_window)
     return record, tail

@@ -15,8 +15,13 @@ order, so single-threaded runs are reproducible bit for bit.
 The module also owns the per-axis pair table (``_pair_data``), which
 every region integral of a separable sum reads: P(Y=1) and the bin tables
 of a product grid, hull masses, inner products over the domain box, the
-R^d captured mass and the bar-chart averages.  A region without a closed
-form is integrated numerically as one cell, as a bin is.
+R^d captured mass, the bar-chart averages and the Riemann-check reference
+(the integral of |phi psi|^2 over the unit cube).  A region without a
+closed form is integrated numerically as one cell, as a bin is.
+
+``l2_distance`` and ``l2_norm`` integrate over a grid level only: tensor
+Gauss-Legendre on each part's cells, with every operand evaluated at the
+tensor nodes.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from scipy.special import roots_jacobi
 
 from .grids import Bin, GridLevel
 from .states import (
-    Domain,
     PairFactor,
     PhaseTable,
     Primitive1D,
@@ -106,14 +110,21 @@ def _pair_eval(f: Primitive1D, g: Primitive1D, x: np.ndarray) -> np.ndarray:
     return np.conj(f(x)) * g(x)
 
 
-def _gl_cells(f, g, edges: np.ndarray, p: int) -> np.ndarray:
-    """Order-p Gauss-Legendre on every cell of ``edges`` at once."""
+def _axis_rule(edges: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-p Gauss-Legendre nodes and weights on every cell of one axis,
+    cell by cell (the p nodes of cell 0 first)."""
     xi, wi = _gl_rule(p)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    nodes = mid[:, None] + half[:, None] * xi[None, :]
-    vals = _pair_eval(f, g, nodes.ravel()).reshape(nodes.shape)
-    return (vals @ wi) * half
+    return ((mid[:, None] + half[:, None] * xi[None, :]).ravel(),
+            (half[:, None] * wi[None, :]).ravel())
+
+
+def _gl_cells(f, g, edges: np.ndarray, p: int) -> np.ndarray:
+    """Order-p Gauss-Legendre on every cell of ``edges`` at once."""
+    nodes, _ = _axis_rule(edges, p)
+    vals = _pair_eval(f, g, nodes).reshape(-1, p)
+    return (vals @ _gl_rule(p)[1]) * (0.5 * np.diff(edges))
 
 
 def _gj_single(f, g, a: float, b: float, gamma: float, p: int) -> complex:
@@ -208,22 +219,17 @@ def numeric_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray,
 
 
 def cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG,
-                   method: str = "auto", *,
+                   cfg: QuadratureConfig = DEFAULT_CONFIG, *,
                    phases: PhaseTable | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of conj(f)*g per cell: exact when supported, else numeric.
 
-    ``method`` is "auto", "exact" (raise if no closed form) or "numeric";
     ``phases`` is passed to :func:`exact_cell_integrals`.
     """
     edges = np.asarray(edges, dtype=float)
-    if method != "numeric":
-        vals = exact_cell_integrals(f, g, edges, phases=phases)
-        if vals is not None:
-            return vals, np.zeros(vals.size)
-        if method == "exact":
-            raise ValueError(f"no closed form for the pair ({f!r}, {g!r})")
+    vals = exact_cell_integrals(f, g, edges, phases=phases)
+    if vals is not None:
+        return vals, np.zeros(vals.size)
     return numeric_cell_integrals(f, g, edges, cfg)
 
 
@@ -334,8 +340,7 @@ def _region_integral(phi: SeparableFunction, psi: SeparableFunction,
 
 
 def bin_inner_product(phi: SeparableFunction, psi: SeparableFunction, cell: Bin,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      method: str = "auto") -> Integral:
+                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> Integral:
     """<phi|P_B psi> = integral of conj(phi)*psi over the bin, with error estimate."""
     if phi.domain != psi.domain:
         raise ValueError("states live on different domains")
@@ -347,8 +352,7 @@ def bin_inner_product(phi: SeparableFunction, psi: SeparableFunction, cell: Bin,
         prod = w
         abs_prod, abs_hi = abs(w), abs(w)
         for k, e in enumerate(cell.edges):
-            vals, errs = cell_integrals(bf[k], kf[k], np.array([e.lo, e.hi]),
-                                        cfg, method)
+            vals, errs = cell_integrals(bf[k], kf[k], np.array([e.lo, e.hi]), cfg)
             prod *= complex(vals[0])
             abs_prod *= abs(vals[0])
             abs_hi *= abs(vals[0]) + float(errs[0])
@@ -358,29 +362,14 @@ def bin_inner_product(phi: SeparableFunction, psi: SeparableFunction, cell: Bin,
 
 
 def bin_mass(psi: SeparableFunction, cell: Bin,
-             cfg: QuadratureConfig = DEFAULT_CONFIG,
-             method: str = "auto") -> float:
+             cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """||P_B psi||^2, the collapse weight of the bin; clamped below at 0."""
-    val = bin_inner_product(psi, psi, cell, cfg, method).value
+    val = bin_inner_product(psi, psi, cell, cfg).value
     mass = float(np.real(val))
     if mass < 0.0:
         logger.debug("bin mass %r clamped to 0", mass)
         mass = 0.0
     return mass
-
-
-def _region_cells(region, panels_per_axis: int):
-    """Yield (edges per axis) blocks that tile the integration region."""
-    if isinstance(region, GridLevel):
-        for part in region.parts:
-            yield part.breakpoints
-    elif isinstance(region, Domain):
-        if region.kind != "unit_cube":
-            raise ValueError("pass a grid level for R^d regions")
-        bp = np.linspace(0.0, 1.0, panels_per_axis + 1)
-        yield (bp,) * region.d
-    else:
-        raise TypeError(f"cannot integrate over region of type {type(region)!r}")
 
 
 def _call_at(func, pts: np.ndarray) -> np.ndarray:
@@ -392,16 +381,6 @@ def _call_at(func, pts: np.ndarray) -> np.ndarray:
                       dtype=complex)
 
 
-def _axis_rule(edges: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Order-p Gauss-Legendre nodes and weights on every cell of one axis,
-    cell by cell (the p nodes of cell 0 first)."""
-    xi, wi = _gl_rule(p)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    return ((mid[:, None] + half[:, None] * xi[None, :]).ravel(),
-            (half[:, None] * wi[None, :]).ravel())
-
-
 def _outer_ravel(arrays) -> np.ndarray:
     out = arrays[0]
     for a in arrays[1:]:
@@ -409,63 +388,43 @@ def _outer_ravel(arrays) -> np.ndarray:
     return out.ravel()
 
 
-def _separable_on_axes(f: SeparableFunction, nodes, size: int) -> np.ndarray:
-    """f at the product of the per-axis node sets, flat in C order.
-
-    Each factor is evaluated once on its own axis's nodes and the axes are
-    joined by outer products in the multiplication order of
-    ``SeparableFunction.evaluate``, so the values equal ``f.evaluate`` at
-    the (N, d) point array bit for bit.
-    """
-    out = np.zeros(size, dtype=complex)
-    for coeff, factors in f.terms:
-        term = np.full(nodes[0].size, coeff, dtype=complex)
-        term *= factors[0](nodes[0])
-        out += _outer_ravel([term] + [fk(x) for fk, x in zip(factors[1:], nodes[1:])])
-    return out
-
-
 def _tensor_values(funcs, axes_edges: Sequence[np.ndarray], p: int):
     """([each func's values], weights) at the tensor Gauss-Legendre nodes of
-    a product of per-axis cell partitions, all flat in C order.
-
-    Separable functions are evaluated one axis at a time; an (N, d) point
-    array is built only when a plain callable needs it.
-    """
+    a product of per-axis cell partitions, all flat in C order."""
     nodes, w_1d = zip(*(_axis_rule(edges, p) for edges in axes_edges))
     w = _outer_ravel(w_1d)
-    pts = None
+    grids = np.meshgrid(*nodes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
     vals = []
     for f in funcs:
         if f is None or (np.isscalar(f) and f == 0):
             vals.append(np.zeros(w.size, dtype=complex))
         elif isinstance(f, SeparableFunction):
-            vals.append(_separable_on_axes(f, nodes, w.size))
+            vals.append(f.evaluate(pts))
         else:
-            if pts is None:
-                grids = np.meshgrid(*nodes, indexing="ij")
-                pts = np.stack([g.ravel() for g in grids], axis=-1)
             vals.append(_call_at(f, pts))
     return vals, w
 
 
-def l2_distance(f, g, region, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                panels_per_axis: int = 64) -> float:
-    """sqrt(integral of |f-g|^2) over a grid level or the unit cube
-    (a ``Domain``, split into ``panels_per_axis`` panels per axis).
+def l2_distance(f, g, level: GridLevel,
+                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """sqrt(integral of |f-g|^2) over a grid level, by tensor Gauss-Legendre
+    on every part's cells.
 
     ``f`` and ``g`` may be separable functions, plain callables of the
-    coordinates, discretized functions, or 0 for the zero function.
+    coordinates, discretized functions, or 0 for the zero function; each
+    is evaluated at the level's tensor nodes.
     """
+    if not isinstance(level, GridLevel):
+        raise TypeError(f"cannot integrate over region of type {type(level)!r}")
     p = cfg.points_per_axis_per_bin
     total = 0.0
-    for axes_edges in _region_cells(region, panels_per_axis):
-        (f_vals, g_vals), w = _tensor_values((f, g), axes_edges, p)
+    for part in level.parts:
+        (f_vals, g_vals), w = _tensor_values((f, g), part.breakpoints, p)
         total += float(np.real(np.dot(w, np.abs(f_vals - g_vals) ** 2)))
     return float(np.sqrt(max(total, 0.0)))
 
 
-def l2_norm(f, region, cfg: QuadratureConfig = DEFAULT_CONFIG,
-            panels_per_axis: int = 64) -> float:
-    """sqrt(integral of |f|^2) over the region."""
-    return l2_distance(f, 0, region, cfg, panels_per_axis)
+def l2_norm(f, level: GridLevel, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """sqrt(integral of |f|^2) over a grid level."""
+    return l2_distance(f, 0, level, cfg)

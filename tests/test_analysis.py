@@ -1,9 +1,12 @@
 """Rate fitting, convergence studies, the Riemann-sum check, and R^d truncation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from spatialzeno import analysis
 from spatialzeno import (
     CubeBudgetExceededError,
     DegenerateWindowError,
@@ -159,6 +162,32 @@ def test_riemann_jittered_sandwich():
         assert bar / C - 1e-9 <= scaled <= bar + 1e-9
 
 
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_riemann_reference_is_closed_form_at_high_d(d):
+    # the integral of (2 sin^2)^2 is 3/2 on every axis
+    s = make_state("sine_product", ks=[1] * d)
+    tracemalloc.start()
+    try:
+        rc = riemann_limit_check(s, s, GridScheme("uniform", d=d), [1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(rc.reference - 1.5 ** d) <= 1e-14 * 1.5 ** d
+    assert peak < 5e6
+
+
+def test_riemann_reference_of_haar_pieces_is_one_numeric_cell():
+    from spatialzeno.states import PairFactor, exact_cell_integrals
+
+    h = make_state("haar_like", seed=5)
+    ((_, (prim,)),) = h.terms
+    pair = PairFactor(prim, prim)
+    assert exact_cell_integrals(pair, pair, np.array([0.0, 1.0])) is None
+    values = np.abs(np.array(prim.values))
+    rc = riemann_limit_check(h, h, UNIFORM, [8, 16])
+    assert rc.reference == pytest.approx(np.sum(values ** 4) / values.size, abs=1e-13)
+
+
 def test_rd_study_gaussian_cube_span():
     g = make_state("gaussian", mu=0.0, sigma=1.0)
     _, tail = rd_study(g, g, UNIFORM, [4, 8, 16], mass_target=1 - 1e-6)
@@ -219,6 +248,22 @@ def test_rd_study_cube_budget():
         rd_study(g, g, UNIFORM, [4, 8, 16], mass_target=1 - 1e-10, max_cubes=8)
 
 
+@pytest.mark.parametrize("n_list, message", [
+    ([8, 4, 16], "strictly increasing"),
+    ([4, 4, 8, 16], "strictly increasing"),
+    ([4, 8], "at least 3"),
+])
+def test_rd_study_checks_n_list_before_any_pass(n_list, message, monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran before n_list was checked")
+
+    monkeypatch.setattr(analysis, "_mass_pass", no_pass)
+    monkeypatch.setattr(analysis, "_study_rows", no_pass)
+    g = make_state("gaussian", mu=0.0, sigma=1.0)
+    with pytest.raises(ValueError, match=message):
+        rd_study(g, g, UNIFORM, n_list, mass_target=1 - 1e-6)
+
+
 def test_rd_study_rejects_unit_cube_domain():
     s = make_state("sine_mode", k=1)
     with pytest.raises(ValueError):
@@ -239,7 +284,7 @@ def test_jittered_sandwich_property_for_all_rows():
 
 def test_box_captured_mass_matches_per_cube_sum():
     from spatialzeno import Bin, Interval, bin_inner_product
-    from spatialzeno.analysis import _captured_mass, _centered_cubes
+    from spatialzeno.analysis import _captured_masses, _centered_cubes
 
     g = make_state("gaussian", mu=[0.4, -0.3], sigma=[0.9, 1.3])
     rho = make_density([(0.7, make_state("gaussian", mu=[-2.2, 0.2], sigma=[0.4, 0.4])),
@@ -252,4 +297,5 @@ def test_box_captured_mass_matches_per_cube_sum():
                 for corner in _centered_cubes(k, 2):
                     cube = Bin(tuple(Interval(a, a + 1.0) for a in corner))
                     per_cube += w * float(np.real(bin_inner_product(wf, wf, cube).value))
-            assert _captured_mass(state, k, 2) == pytest.approx(per_cube, abs=1e-14)
+            (got,) = _captured_masses((state,), k, 2)
+            assert got == pytest.approx(per_cube, abs=1e-14)

@@ -251,6 +251,25 @@ def test_rd_study_experiment(tmp_path):
     assert payload["result"]["fitted_rate"] == pytest.approx(1.0, abs=0.1)
 
 
+def test_rd_study_with_repeated_resolution_exits_4(tmp_path, capsys):
+    config = {
+        "schema_version": "1",
+        "experiment": "rd_study",
+        "d": 1,
+        "psi": {"catalog": "gaussian", "mu": 0.0, "sigma": 1.0},
+        "phi": {"catalog": "gaussian", "mu": 0.0, "sigma": 1.0},
+        "grid": {"kind": "uniform"},
+        "n_list": [4, 4, 8, 16],
+        "mass_target": 0.9999999,
+    }
+    cfg = write_config(tmp_path, "rd.json", config)
+    assert main(["--output-dir", str(tmp_path), "run", cfg]) == EXIT_COMPUTE
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["kind"] == "compute-failure"
+    assert "strictly increasing" in err["error"]["message"]
+    assert not list(tmp_path.glob("rd_study.*"))
+
+
 def test_density_config(tmp_path, capsys):
     config = {
         "schema_version": "1",

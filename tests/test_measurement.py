@@ -219,7 +219,7 @@ def test_region_integrals_of_numeric_pairs_against_mpmath():
     import mpmath
 
     from spatialzeno import ProductGrid
-    from spatialzeno.analysis import _captured_mass
+    from spatialzeno.analysis import _captured_masses
 
     sine = lambda k: make_state("sine_mode", k=k)
     psi = superpose([(0.7, make_state("power_singular", alpha=0.3)), (0.5, sine(5))])
@@ -242,7 +242,8 @@ def test_region_integrals_of_numeric_pairs_against_mpmath():
         h = _mp_state(rd)
         for k in (1, 2):
             want = mpmath.quad(lambda x: abs(h(x)) ** 2, [-k, 0, 0.5, 1, k])
-            assert _captured_mass(rd, k, 1) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+            (got,) = _captured_masses((rd,), k, 1)
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_upper_bound_by_max_volume():

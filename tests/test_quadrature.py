@@ -18,8 +18,17 @@ from spatialzeno import (
     discretize,
     uniform_grid,
 )
+from spatialzeno.quadrature import numeric_cell_integrals
+from spatialzeno.states import exact_cell_integrals
 
 CELL = lambda a, b: Bin((Interval(a, b),))
+
+
+def _factor(state):
+    """The one axis factor of a one-term 1-d state (its coefficient is 1)."""
+    ((coeff, (factor,)),) = state.terms
+    assert coeff == 1.0
+    return factor
 
 
 def test_config_validation():
@@ -61,17 +70,23 @@ def test_bin_mass_examples():
 
 def test_bin_mass_numeric_singular_path():
     # same singular mass through Gauss-Jacobi instead of the antiderivative
-    p = make_state("power_singular", alpha=0.25)
-    numeric = bin_inner_product(p, p, CELL(0.0, 0.25), method="numeric").value
+    p = _factor(make_state("power_singular", alpha=0.25))
+    numeric = numeric_cell_integrals(p, p, np.array([0.0, 0.25]))[0][0]
     assert numeric.real == pytest.approx(0.5, abs=1e-11)
-    interior = bin_inner_product(p, p, CELL(0.25, 0.5), method="numeric").value
-    exact = bin_inner_product(p, p, CELL(0.25, 0.5), method="exact").value
+    interior = numeric_cell_integrals(p, p, np.array([0.25, 0.5]))[0][0]
+    exact = exact_cell_integrals(p, p, np.array([0.25, 0.5]))[0]
     assert interior.real == pytest.approx(exact.real, abs=1e-12)
 
 
 def test_l2_distance_identical_is_zero():
     u = make_state("uniform")
-    assert l2_distance(u, u, Domain.unit_cube(1)) == pytest.approx(0.0, abs=1e-12)
+    assert l2_distance(u, u, uniform_grid(64)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_l2_regions_are_grid_levels_only():
+    u = make_state("uniform")
+    with pytest.raises(TypeError):
+        l2_distance(u, u, Domain.unit_cube(1))
 
 
 def test_l2_distance_linear_vs_bar_chart():
@@ -83,7 +98,7 @@ def test_l2_distance_linear_vs_bar_chart():
 
 def test_l2_norm_of_unit_state():
     s = make_state("sine_mode", k=1)
-    assert l2_norm(s, Domain.unit_cube(1)) == pytest.approx(1.0, abs=1e-12)
+    assert l2_norm(s, uniform_grid(64)) == pytest.approx(1.0, abs=1e-12)
 
 
 def _callable(f):
@@ -96,13 +111,13 @@ def _callable(f):
     ("sine_product", "uniform", 2),
 ])
 def test_l2_separable_operands_equal_callable_path(bra, ket, d):
-    # the Riemann-check reference is l2_norm(product_field(phi, psi), cube)^2
+    # separable operands, product fields included, take the callable path's bits
     from spatialzeno import product_field
 
     params = {"uniform": {"d": d} if d > 1 else {},
               "sine_mode": {"k": 1}, "sine_product": {"ks": [1, 2]}}
     f = product_field(make_state(bra, **params[bra]), make_state(ket, **params[ket]))
-    cube = Domain.unit_cube(d)
+    cube = uniform_grid(64, d)
     assert l2_norm(f, cube) == l2_norm(_callable(f), cube)
     g = make_state("sine_product", ks=[2] * d) if d > 1 else make_state("sine_mode", k=2)
     level = jittered_grid(8, d=d, C=2.0, seed=1)
@@ -131,25 +146,22 @@ def test_resolution_of_identity():
 
 def test_error_estimate_shrinks_with_order():
     # numeric-path pair: gaussian against a sine read as an R state
-    g = make_state("gaussian", mu=0.3, sigma=0.4)
-    s = make_state("sine_mode", k=2).as_euclidean()
-    cell = CELL(0.1, 0.9)
-    err_lo = bin_inner_product(g, s, cell, QuadratureConfig(points_per_axis_per_bin=4),
-                               method="numeric").error
-    err_hi = bin_inner_product(g, s, cell, QuadratureConfig(points_per_axis_per_bin=8),
-                               method="numeric").error
-    err_hi2 = bin_inner_product(g, s, cell, QuadratureConfig(points_per_axis_per_bin=16),
-                                method="numeric").error
+    g = _factor(make_state("gaussian", mu=0.3, sigma=0.4))
+    s = _factor(make_state("sine_mode", k=2))
+    cell = np.array([0.1, 0.9])
+    err_lo, err_hi, err_hi2 = (
+        numeric_cell_integrals(g, s, cell, QuadratureConfig(points_per_axis_per_bin=p))[1][0]
+        for p in (4, 8, 16))
     assert err_hi <= err_lo
     assert err_hi2 <= err_hi
 
 
 def test_numeric_matches_exact_for_gaussian_pair():
-    g1 = make_state("gaussian", mu=0.0, sigma=1.0)
-    g2 = make_state("gaussian", mu=0.5, sigma=0.7)
-    cell = CELL(-1.0, 1.5)
-    exact = bin_inner_product(g1, g2, cell, method="exact").value
-    numeric = bin_inner_product(g1, g2, cell, method="numeric").value
+    g1 = _factor(make_state("gaussian", mu=0.0, sigma=1.0))
+    g2 = _factor(make_state("gaussian", mu=0.5, sigma=0.7))
+    cell = np.array([-1.0, 1.5])
+    exact = exact_cell_integrals(g1, g2, cell)[0]
+    numeric = numeric_cell_integrals(g1, g2, cell)[0][0]
     assert abs(exact - numeric) < 1e-12
 
 
@@ -175,14 +187,12 @@ def test_tolerance_not_met_raises():
         def smooth_eval(self, x):
             return self(x)
 
-    from spatialzeno.quadrature import numeric_cell_integrals
     cfg = QuadratureConfig(subdivision_limit=3, abs_tol=1e-12, rel_tol=1e-12)
     with pytest.raises(ToleranceNotMetError):
         numeric_cell_integrals(Spike(), Spike(), np.array([0.0, 1.0]), cfg)
 
 
-def test_exact_method_raises_when_unsupported():
-    g = make_state("gaussian", mu=0.0, sigma=1.0)
-    c = make_state("complex_exponential", k=1).as_euclidean()
-    with pytest.raises(ValueError):
-        bin_inner_product(g, c, CELL(0.0, 1.0), method="exact")
+def test_exact_cell_integrals_none_when_unsupported():
+    g = _factor(make_state("gaussian", mu=0.0, sigma=1.0))
+    c = _factor(make_state("complex_exponential", k=1))
+    assert exact_cell_integrals(g, c, np.array([0.0, 1.0])) is None

@@ -32,6 +32,7 @@ from spatialzeno.quadrature import (
     _pair_data,
     _term_pairs,
     cell_integrals,
+    numeric_cell_integrals,
 )
 from spatialzeno.states import (
     ONE,
@@ -235,7 +236,7 @@ def test_cell_dtype_follows_the_coefficients(bra, ket, dtype):
     edges = jittered_grid(64, 1, C=2.0, seed=8).breakpoints[0]
     vals = exact_cell_integrals(f, g, edges)
     assert vals.dtype == dtype
-    ref, _ = cell_integrals(f, g, edges, method="numeric")
+    ref, _ = numeric_cell_integrals(f, g, edges)
     assert np.allclose(vals, ref, rtol=0.0, atol=1e-12)
 
 
