@@ -151,12 +151,12 @@ def _study_rows(state, phi, scheme: GridScheme, n_list, cfg,
     return [_study_row(state, phi, scheme.level(n), cfg, extra_error) for n in n_list]
 
 
-def _resolutions(n_list: Sequence[int]) -> list[int]:
-    """``n_list`` as ints, checked before any level is built: at least 3
-    resolutions, strictly increasing."""
+def _resolutions(n_list: Sequence[int], minimum: int = 3) -> list[int]:
+    """``n_list`` as ints, checked before any level is built: at least
+    ``minimum`` resolutions, strictly increasing."""
     n_list = [int(n) for n in n_list]
-    if len(n_list) < 3:
-        raise ValueError("need at least 3 resolutions")
+    if len(n_list) < minimum:
+        raise ValueError(f"n_list needs at least {minimum} entries, got {len(n_list)}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     return n_list
@@ -195,6 +195,9 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> RiemannCheck:
     """Compare n^d * P(Y=1) with the integral of |phi|^2 |psi|^2.
 
+    ``n_list`` holds one or more strictly increasing resolutions, checked
+    before anything is computed; the limit estimate is the last, finest row.
+
     The reference is read from the per-axis pair table of
     f = conj(phi)*psi against itself on the unit cube, one cell per axis:
     closed form for trig, indicator and superposition pairs at any d, and
@@ -204,6 +207,7 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
     grids the scaled probability is only sandwiched between
     bar_norm_sq / C^d and bar_norm_sq, which the returned rows expose.
     """
+    n_list = _resolutions(n_list, minimum=1)
     if not (phi.bounded and psi.bounded):
         raise UnboundedStateError(
             "riemann_limit_check needs bounded states; "
@@ -212,7 +216,7 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
         raise ValueError("the Riemann-sum check runs on the unit cube")
     d = phi.d
     rows = [(r.n, float(r.n ** d * r.p_y1), float(r.bar_norm_sq))
-            for r in _study_rows(psi, phi, scheme, [int(n) for n in n_list], cfg)]
+            for r in _study_rows(psi, phi, scheme, n_list, cfg)]
     f = product_field(phi, psi)
     reference = _region_integral(f, f, [np.array([0.0, 1.0])] * d, cfg).real
     limit_estimate = rows[-1][1]
@@ -221,11 +225,11 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
                         rel_error=rel, rows=rows)
 
 
-def _captured_masses(states, k: int, d: int) -> list[float]:
+def _captured_masses(states, k: int, d: int, cfg: QuadratureConfig) -> list[float]:
     """Probability mass of each |state|^2 inside the box [-k, k)^d: the
     mass pass on the box, built once, as one cell per axis."""
     box = ProductGrid(1, [np.array([-k, k], dtype=float)] * d)
-    return [_mass_pass(state, box, DEFAULT_CONFIG, keep=False)[0] for state in states]
+    return [_mass_pass(state, box, cfg, keep=False)[0] for state in states]
 
 
 def _centered_cubes(k: int, d: int) -> list[tuple[float, ...]]:
@@ -257,7 +261,7 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
         if (2 * k) ** d > max_cubes:
             raise CubeBudgetExceededError(
                 f"capturing {mass_target!r} needs more than {max_cubes} cubes")
-        cap_psi, cap_phi = _captured_masses((state, phi), k, d)
+        cap_psi, cap_phi = _captured_masses((state, phi), k, d, cfg)
         if cap_psi >= mass_target and cap_phi >= mass_target:
             break
         k += 1

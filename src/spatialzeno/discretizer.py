@@ -23,10 +23,9 @@ import numpy as np
 
 from .grids import GridLevel, ProductGrid
 from .measurement import (
-    PER_BIN_LIMIT,
     _gram_form,
     _per_bin_arrays,
-    _should_keep,
+    _require_tables,
     bar_norm_squared,
 )
 from .quadrature import (
@@ -115,16 +114,15 @@ def discretize(f, level: GridLevel, cfg: QuadratureConfig = DEFAULT_CONFIG,
     ``f`` may be a separable-sum function (wavefunctions, products
     conj(phi)*psi) or a plain callable of the coordinates.  A separable
     f's bin integrals come from its <1|f> pair table, the measurement
-    module's exact-first path.  Raises TableTooLargeError, before anything
-    is built, when the tables would not fit in physical memory.
+    module's exact-first path.  Before anything is built, raises
+    ValueError above ``measurement.PER_BIN_LIMIT`` bins unless
+    ``allow_large``, and TableTooLargeError when the tables would not fit
+    in physical memory.
     """
-    if level.num_bins > PER_BIN_LIMIT and not allow_large:
-        raise ValueError(f"{level.num_bins} bins exceed the size guard; "
-                         "pass allow_large=True to override")
     separable = isinstance(f, SeparableFunction)
     per_bin, pairs = ((_SEPARABLE_BYTES_PER_BIN, len(f.terms)) if separable else
                       ((_NODE_BYTES + 16 * level.d) * cfg.points_per_axis_per_bin ** level.d, 0))
-    _should_keep(level, True, per_bin, pairs)  # raises TableTooLargeError
+    _require_tables(level, True if allow_large else "auto", per_bin, pairs, "allow_large")
     bin_integrals = _bin_integrals_separable if separable else _bin_integrals_callable
     averages = np.concatenate([bin_integrals(f, part, cfg) for part in level.parts])
     averages /= level.volumes()

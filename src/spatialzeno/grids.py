@@ -351,18 +351,18 @@ class ConcatenatedGrid(GridLevel):
 
     ``parts`` tile the union of the cubes in ``cubes`` (corners, one tuple
     per cube); a part may span one cube or a whole box of them, and bins
-    never straddle a cube boundary.
+    never straddle a cube boundary.  Only the number of cubes is kept.
     """
 
     def __init__(self, n: int, parts: Sequence[ProductGrid],
                  cubes: Sequence[tuple[float, ...]],
                  ratio_bound: float = DEFAULT_RATIO_BOUND):
         super().__init__(n, parts, ratio_bound)
-        self.cubes = tuple(map(tuple, np.asarray(cubes, dtype=float).tolist()))
+        self.num_cubes = len(cubes)
 
     @property
     def domain_volume(self) -> float:
-        return float(len(self.cubes))
+        return float(self.num_cubes)
 
 
 def uniform_grid(n: int, d: int = 1,

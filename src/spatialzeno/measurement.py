@@ -226,6 +226,19 @@ def _should_keep(level: GridLevel, keep,
     return True
 
 
+def _require_tables(level: GridLevel, keep, bytes_per_bin: int = _TABLE_BYTES_PER_BIN,
+                    pairs: int = 1, option: str = "keep_per_bin") -> None:
+    """``_should_keep`` for a call that cannot run without the per-bin
+    tables: raises ValueError, naming ``option``, where they are not kept."""
+    if _should_keep(level, keep, bytes_per_bin, pairs):
+        return
+    if keep == "auto":
+        raise ValueError(f"per-bin tables for {level.num_bins} bins exceed the size "
+                         f"guard of {PER_BIN_LIMIT} bins; pass {option}=True to override")
+    raise ValueError(f"this call needs per-bin tables, and {option}={keep!r} "
+                     "does not request them")
+
+
 def _spectrum(state):
     """The spectral terms (p_l, psi_l) of a density state; a pure state is
     the single term (1.0, psi)."""
@@ -425,9 +438,7 @@ def _per_bin_tables(state, phi, level, cfg, keep_per_bin):
     The P(Y=1) table is built first, so a pure state's amplitudes are gone
     before the masses are built.
     """
-    if not _should_keep(level, keep_per_bin, pairs=_table_pairs(state, phi)):
-        raise ValueError(f"per-bin tables for {level.num_bins} bins exceed the "
-                         f"size guard; pass keep_per_bin=True to override")
+    _require_tables(level, keep_per_bin, pairs=_table_pairs(state, phi))
     p1 = _pair_pass(state, phi, level, cfg, keep=True, with_bar=False, squared=True).table
     return _mass_pass(state, level, cfg, keep=True)[1], p1
 

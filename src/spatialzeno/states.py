@@ -13,13 +13,15 @@ with a power or with the trig family integrate as x^p times a power
 series.  Pairs without a closed form, or with a trig frequency too high
 for the series, report ``None`` so the quadrature module can take over.
 
-Catalog factors and their natural (unit-norm) scaling:
+Catalog factors and their natural (unit-norm) scaling.  The first four
+are each a ``Trig1D`` whose ``terms`` (c_m, w_m) of sum_m c_m exp(i w_m x)
+are listed, with c = sqrt(2) / 2i:
 
 ==================  =====================================================
-uniform             1 on [0,1)
-sine_mode(k)        sqrt(2) sin(k pi x) on [0,1)
-complex_exponential exp(2 pi i k x) on [0,1)
-indicator(a,b)      (b-a)^(-1/2) on [a,b)
+uniform             1 on [0,1); terms (1, 0)
+sine_mode(k)        sqrt(2) sin(k pi x) on [0,1); terms (c, k pi), (-c, -k pi)
+complex_exponential exp(2 pi i k x) on [0,1); terms (1, 2 pi k)
+indicator(a,b)      (b-a)^(-1/2) on [a,b); terms ((b-a)^(-1/2), 0)
 power_singular(a)   sqrt(1-2a) x^(-a) on [0,1), 0 < a < 1/2 (``alpha``)
 gaussian(mu,sigma)  (2 pi sigma^2)^(-1/4) exp(-(x-mu)^2/(4 sigma^2)) on R
 haar_like(seed)     seeded random constant on ``pieces`` equal cells
@@ -112,7 +114,8 @@ class Primitive1D:
         return None
 
     def discontinuities(self) -> tuple[float, ...]:
-        """Interior jump points; quadrature cells are split on these."""
+        """Jump points, finite support ends included; quadrature splits a
+        cell on those strictly inside it."""
         return ()
 
     def smooth_eval(self, x: np.ndarray) -> np.ndarray:
@@ -126,83 +129,44 @@ class Primitive1D:
         return np.where((x >= lo) & (x < hi), values, 0.0)
 
 
-class _One(Primitive1D):
-    """Internal constant 1 on the whole line; pairs with f to give plain int f."""
-
-    def __call__(self, x):
-        return np.ones_like(np.asarray(x, dtype=float), dtype=complex)
-
-    def fourier_terms(self):
-        return [(1.0 + 0.0j, 0.0)]
-
-
-ONE = _One()
-
-
 @dataclass(frozen=True)
-class Uniform1D(Primitive1D):
-    support: tuple[float, float] = (0.0, 1.0)
+class Trig1D(Primitive1D):
+    """sum_m c_m exp(i w_m x) on [support), the whole trig family: the
+    catalog's constants, sine modes, complex exponentials and indicators
+    are each one tuple of (c_m, w_m) ``terms`` on an interval."""
+
+    terms: tuple[tuple[complex, float], ...]
+    support: tuple[float, float] = (-np.inf, np.inf)
 
     def __call__(self, x):
+        # each +-w pair folded as in _trig_cells, into (c+ + c-) cos(|w| x)
+        # + i (c+ - c-) sin(|w| x); a zero coefficient builds no array
         x = np.asarray(x, dtype=float)
-        return self._mask(x, np.ones_like(x, dtype=complex))
+        lin, folded = _fold(self.terms)
+        parts = [(lin, lambda: 1.0)]
+        for a, (cp, cm) in folded.items():
+            d = cp - cm
+            parts += [(cp + cm, lambda a=a: np.cos(a * x)),
+                      (complex(-d.imag, d.real), lambda a=a: np.sin(a * x))]
+        out = np.zeros(x.shape, dtype=complex)
+        for c, basis in parts:
+            if c != 0.0:
+                b = basis()
+                if c.real:
+                    out.real += c.real * b
+                if c.imag:
+                    out.imag += c.imag * b
+        return self._mask(x, out)
 
     def fourier_terms(self):
-        return [(1.0 + 0.0j, 0.0)]
-
-
-@dataclass(frozen=True)
-class Sine1D(Primitive1D):
-    k: int
-    support: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("sine mode index k must be >= 1")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._mask(x, np.sqrt(2.0) * np.sin(self.k * np.pi * x) + 0.0j)
-
-    def fourier_terms(self):
-        c = np.sqrt(2.0) / 2.0j
-        w = self.k * np.pi
-        return [(c, w), (-c, -w)]
-
-
-@dataclass(frozen=True)
-class Cexp1D(Primitive1D):
-    k: int
-    support: tuple[float, float] = (0.0, 1.0)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._mask(x, np.exp(2j * np.pi * self.k * x))
-
-    def fourier_terms(self):
-        return [(1.0 + 0.0j, 2.0 * np.pi * self.k)]
-
-
-@dataclass(frozen=True)
-class Indicator1D(Primitive1D):
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.a < self.b <= 1.0):
-            raise ValueError("indicator needs 0 <= a < b <= 1")
-        object.__setattr__(self, "support", (self.a, self.b))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        h = 1.0 / np.sqrt(self.b - self.a)
-        return self._mask(x, np.full_like(x, h, dtype=complex))
-
-    def fourier_terms(self):
-        return [(1.0 / np.sqrt(self.b - self.a) + 0.0j, 0.0)]
+        return self.terms
 
     def discontinuities(self) -> tuple[float, ...]:
-        return (self.a, self.b)
+        return tuple(e for e in self.support if np.isfinite(e))
+
+
+# the constant 1 on the whole line; pairs with f to give plain int f
+ONE = Trig1D(((1.0 + 0.0j, 0.0),))
 
 
 @dataclass(frozen=True)
@@ -644,9 +608,9 @@ def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
     f, g = _unwrap(f), _unwrap(g)
 
     # resolve nested pair factors against the trivial partner
-    if isinstance(f, _One) and isinstance(g, PairFactor):
+    if isinstance(g, PairFactor) and f == ONE:
         return exact_cell_integrals(g.bra, g.ket, edges, phases=phases)
-    if isinstance(g, _One) and isinstance(f, PairFactor):
+    if isinstance(f, PairFactor) and g == ONE:
         inner = exact_cell_integrals(f.bra, f.ket, edges, phases=phases)
         return None if inner is None else np.conj(inner)
 
@@ -936,37 +900,50 @@ def _state_1d(prim: Primitive1D, label: str) -> WaveFunction:
     return WaveFunction(Domain.unit_cube(1), ((1.0 + 0.0j, (prim,)),), label=label)
 
 
+def _sine(k: int) -> Trig1D:
+    """sqrt(2) sin(k pi x) on [0, 1)."""
+    if k < 1:
+        raise ValueError("sine mode index k must be >= 1")
+    c, w = np.sqrt(2.0) / 2.0j, k * np.pi
+    return Trig1D(((c, w), (-c, -w)), (0.0, 1.0))
+
+
 @_catalog("uniform", d=_POS_INT)
 def _uniform(d=1):
     d = _int("d", d)
-    return WaveFunction(Domain.unit_cube(d), ((1.0 + 0.0j, (Uniform1D(),) * d),),
+    one = Trig1D(((1.0 + 0.0j, 0.0),), (0.0, 1.0))
+    return WaveFunction(Domain.unit_cube(d), ((1.0 + 0.0j, (one,) * d),),
                         label=f"uniform(d={d})")
 
 
 @_catalog("sine_mode", k=_POS_INT)
 def _sine_mode(k):
     k = _int("k", k)
-    return _state_1d(Sine1D(k), f"sine_mode({k})")
+    return _state_1d(_sine(k), f"sine_mode({k})")
 
 
 @_catalog("sine_product", ks={"type": "array", "minItems": 1, "items": _POS_INT})
 def _sine_product(ks):
     ks = [_int("ks", k) for k in ks]
     return WaveFunction(Domain.unit_cube(len(ks)),
-                        ((1.0 + 0.0j, tuple(Sine1D(k) for k in ks)),),
+                        ((1.0 + 0.0j, tuple(_sine(k) for k in ks)),),
                         label=f"sine_product({ks})")
 
 
 @_catalog("complex_exponential", k=_INT)
 def _complex_exponential(k):
     k = _int("k", k)
-    return _state_1d(Cexp1D(k), f"complex_exponential({k})")
+    return _state_1d(Trig1D(((1.0 + 0.0j, 2.0 * np.pi * k),), (0.0, 1.0)),
+                     f"complex_exponential({k})")
 
 
 @_catalog("indicator", a=_NUM, b=_NUM)
 def _indicator(a, b):
     a, b = float(a), float(b)
-    return _state_1d(Indicator1D(a, b), f"indicator({a},{b})")
+    if not (0.0 <= a < b <= 1.0):
+        raise ValueError("indicator needs 0 <= a < b <= 1")
+    return _state_1d(Trig1D(((1.0 / np.sqrt(b - a) + 0.0j, 0.0),), (a, b)),
+                     f"indicator({a},{b})")
 
 
 @_catalog("power_singular", alpha=_NUM)

@@ -162,6 +162,21 @@ def test_riemann_jittered_sandwich():
         assert bar / C - 1e-9 <= scaled <= bar + 1e-9
 
 
+@pytest.mark.parametrize("n_list, message", [
+    ([64, 8, 8], "strictly increasing"),
+    ([], "at least 1"),
+])
+def test_riemann_check_checks_n_list_before_any_pass(n_list, message, monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran before n_list was checked")
+
+    monkeypatch.setattr(analysis, "_study_rows", no_pass)
+    monkeypatch.setattr(analysis, "_region_integral", no_pass)
+    s = make_state("sine_mode", k=1)
+    with pytest.raises(ValueError, match=message):
+        riemann_limit_check(s, s, UNIFORM, n_list)
+
+
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_riemann_reference_is_closed_form_at_high_d(d):
     # the integral of (2 sin^2)^2 is 3/2 on every axis
@@ -264,6 +279,27 @@ def test_rd_study_checks_n_list_before_any_pass(n_list, message, monkeypatch):
         rd_study(g, g, UNIFORM, n_list, mass_target=1 - 1e-6)
 
 
+def test_rd_study_searches_the_captured_mass_with_its_cfg():
+    """A pair without a closed form (a Gaussian plus a sine mode read on R):
+    the captured mass and its tail come from the caller's config, as the
+    rows do."""
+    from spatialzeno import ProductGrid, QuadratureConfig
+    from spatialzeno.quadrature import DEFAULT_CONFIG
+
+    psi = superpose([(0.8, make_state("gaussian", mu=0.2, sigma=0.8)),
+                     (0.6, make_state("sine_mode", k=5).as_euclidean())])
+    cfg = QuadratureConfig(points_per_axis_per_bin=4, abs_tol=1e-4, rel_tol=1e-4)
+    _, tail = rd_study(psi, psi, UNIFORM, [4, 8, 16], 1 - 1e-6, cfg)
+    k = int(-min(c[0] for c in tail.cubes))
+    # the mass inside [-k, k), read as one cell
+    box = ProductGrid(1, [np.array([-k, k], dtype=float)])
+    mass = lambda c: prob_y1_pure(psi, psi, box, c, keep_per_bin=False).mass_total
+    want = mass(cfg)
+    assert want != mass(DEFAULT_CONFIG)
+    assert tail.captured_mass == want
+    assert tail.tail_bound == pytest.approx(1.0 - want, rel=1e-9)
+
+
 def test_rd_study_rejects_unit_cube_domain():
     s = make_state("sine_mode", k=1)
     with pytest.raises(ValueError):
@@ -285,6 +321,7 @@ def test_jittered_sandwich_property_for_all_rows():
 def test_box_captured_mass_matches_per_cube_sum():
     from spatialzeno import Bin, Interval, bin_inner_product
     from spatialzeno.analysis import _captured_masses, _centered_cubes
+    from spatialzeno.quadrature import DEFAULT_CONFIG
 
     g = make_state("gaussian", mu=[0.4, -0.3], sigma=[0.9, 1.3])
     rho = make_density([(0.7, make_state("gaussian", mu=[-2.2, 0.2], sigma=[0.4, 0.4])),
@@ -297,5 +334,5 @@ def test_box_captured_mass_matches_per_cube_sum():
                 for corner in _centered_cubes(k, 2):
                     cube = Bin(tuple(Interval(a, a + 1.0) for a in corner))
                     per_cube += w * float(np.real(bin_inner_product(wf, wf, cube).value))
-            (got,) = _captured_masses((state,), k, 2)
+            (got,) = _captured_masses((state,), k, 2, DEFAULT_CONFIG)
             assert got == pytest.approx(per_cube, abs=1e-14)

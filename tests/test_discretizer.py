@@ -330,16 +330,12 @@ def _mp_value(prim, x):
     """A catalog factor at the mpmath point x, from the float constants the
     library evaluates with."""
     import mpmath
-    from spatialzeno.states import Cexp1D, PairFactor, PowerSingular1D, Sine1D, Uniform1D
+    from spatialzeno.states import PairFactor, PowerSingular1D, Trig1D
 
     if isinstance(prim, PairFactor):
         return mpmath.conj(_mp_value(prim.bra, x)) * _mp_value(prim.ket, x)
-    if isinstance(prim, Uniform1D):
-        return mpmath.mpf(1)
-    if isinstance(prim, Sine1D):
-        return mpmath.mpf(float(np.sqrt(2.0))) * mpmath.sin(prim.k * mpmath.pi * x)
-    if isinstance(prim, Cexp1D):
-        return mpmath.expjpi(2 * prim.k * x)
+    if isinstance(prim, Trig1D):
+        return mpmath.fsum(mpmath.mpc(c) * mpmath.expj(w * x) for c, w in prim.terms)
     if isinstance(prim, PowerSingular1D):
         return mpmath.mpf(prim.coeff) * x ** (-mpmath.mpf(prim.alpha))
     raise TypeError(prim)

@@ -195,14 +195,15 @@ def _mp_state(psi):
     """psi as an mpmath function of one coordinate, from its terms."""
     import mpmath
 
-    from spatialzeno.states import Gaussian1D, PowerSingular1D, Sine1D
+    from spatialzeno.states import Gaussian1D, PowerSingular1D, Trig1D
 
     def factor(f):
         if isinstance(f, PowerSingular1D):
             a = mpmath.mpf(f.alpha)
             return lambda x: mpmath.sqrt(1 - 2 * a) * x ** -a
-        if isinstance(f, Sine1D):
-            return lambda x: mpmath.sqrt(2) * mpmath.sin(f.k * mpmath.pi * x)
+        if isinstance(f, Trig1D):
+            return lambda x: mpmath.fsum(mpmath.mpc(c) * mpmath.expj(w * x)
+                                         for c, w in f.terms)
         assert isinstance(f, Gaussian1D)
         return lambda x: ((2 * mpmath.pi * mpmath.mpf(f.sigma) ** 2) ** mpmath.mpf(-0.25)
                           * mpmath.exp(-(x - mpmath.mpf(f.mu)) ** 2
@@ -220,6 +221,7 @@ def test_region_integrals_of_numeric_pairs_against_mpmath():
 
     from spatialzeno import ProductGrid
     from spatialzeno.analysis import _captured_masses
+    from spatialzeno.quadrature import DEFAULT_CONFIG
 
     sine = lambda k: make_state("sine_mode", k=k)
     psi = superpose([(0.7, make_state("power_singular", alpha=0.3)), (0.5, sine(5))])
@@ -242,7 +244,7 @@ def test_region_integrals_of_numeric_pairs_against_mpmath():
         h = _mp_state(rd)
         for k in (1, 2):
             want = mpmath.quad(lambda x: abs(h(x)) ** 2, [-k, 0, 0.5, 1, k])
-            (got,) = _captured_masses((rd,), k, 1)
+            (got,) = _captured_masses((rd,), k, 1, DEFAULT_CONFIG)
             assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 

@@ -28,7 +28,6 @@ from spatialzeno import quadrature, states
 from spatialzeno.states import (
     PowerSingular1D,
     Restricted1D,
-    Sine1D,
     exact_cell_integrals,
 )
 
@@ -165,7 +164,7 @@ def _near_limit_pair(factor):
     """sine(3) against the power law restricted to [0, hi), with
     3 pi hi = factor * _POWER_SERIES_WMAX."""
     hi = factor * states._POWER_SERIES_WMAX / (3.0 * np.pi)
-    return Sine1D(3), Restricted1D(PowerSingular1D(0.3), 0.0, hi)
+    return _prim("sine_mode", k=3), Restricted1D(PowerSingular1D(0.3), 0.0, hi)
 
 
 @pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])

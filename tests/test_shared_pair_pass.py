@@ -332,6 +332,24 @@ def test_oversized_tables_raise_before_anything_is_built(monkeypatch):
         prob_y1_pure(psi7, make_state("uniform", d=7), level, keep_per_bin=True)
 
 
+def test_refused_tables_say_why(monkeypatch):
+    from spatialzeno import discretize, product_field
+
+    psi, phi = make_state("sine_mode", k=1), make_state("uniform")
+    monkeypatch.setattr(measurement, "_pair_pass", _no_pass)
+    # tables that were not asked for are refused as such, at any size
+    for call in (joint_distribution, lambda *a, **kw: sample_xy(*a, count=3, **kw)):
+        with pytest.raises(ValueError, match="keep_per_bin=False does not request"):
+            call(psi, phi, uniform_grid(4), keep_per_bin=False)
+    # above the bin guard, each call names its own override
+    monkeypatch.setattr(measurement, "PER_BIN_LIMIT", 10)
+    with pytest.raises(ValueError, match="guard of 10 bins; pass keep_per_bin=True"):
+        joint_distribution(psi, phi, uniform_grid(11))
+    with pytest.raises(ValueError, match="guard of 10 bins; pass allow_large=True"):
+        discretize(product_field(phi, psi), uniform_grid(11))
+    assert discretize(product_field(phi, psi), uniform_grid(10)).averages.size == 10
+
+
 def test_table_build_peak_stays_within_the_counted_bytes():
     import tracemalloc
 

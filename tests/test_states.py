@@ -53,6 +53,63 @@ def test_uniform_is_constant_one():
     assert psi.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
 
+def _on(lo, hi, x, values):
+    """values on [lo, hi), 0 elsewhere."""
+    return np.where((x >= lo) & (x < hi), values, 0.0)
+
+
+def _cexp(k):
+    return lambda x: _on(0.0, 1.0, x, np.cos(2 * np.pi * k * x)
+                         + 1j * np.sin(2 * np.pi * k * x))
+
+
+def _sine(k):
+    return lambda x: _on(0.0, 1.0, x, np.sqrt(2.0) * np.sin(k * np.pi * x) + 0j)
+
+
+@pytest.mark.parametrize("catalog, params, definition", [
+    ("uniform", {}, lambda x: _on(0.0, 1.0, x, np.ones_like(x) + 0j)),
+    ("sine_mode", {"k": 1}, _sine(1)),
+    ("sine_mode", {"k": 6}, _sine(6)),
+    ("complex_exponential", {"k": 0}, _cexp(0)),
+    ("complex_exponential", {"k": 3}, _cexp(3)),
+    ("complex_exponential", {"k": -2}, _cexp(-2)),
+    ("indicator", {"a": 0.1, "b": 0.6},
+     lambda x: _on(0.1, 0.6, x, np.full_like(x, 1.0 / np.sqrt(0.6 - 0.1)) + 0j)),
+])
+def test_catalog_factor_values_match_their_definitions(catalog, params, definition):
+    """Each trig-family factor, bit for bit, against the formula of the
+    catalog table written in plain numpy: at seeded points, at +-0.0, at
+    and just below the support ends, and outside the support."""
+    ends = [0.0, -0.0, 0.1, 0.6, 1.0, -1.0, 2.0]
+    x = np.concatenate([np.random.default_rng(14).uniform(-0.5, 1.5, 64), ends,
+                        np.nextafter(ends, -np.inf)])
+    ((_, (prim,)),) = make_state(catalog, **params).terms
+    got, want = prim(x), definition(x)
+    assert got.dtype == want.dtype == complex
+    assert got.tobytes() == want.tobytes()
+
+
+def test_trig_factors_are_their_fourier_terms():
+    from spatialzeno.states import ONE, Trig1D
+
+    c = np.sqrt(2.0) / 2.0j
+    cases = [
+        ("uniform", {}, [(1.0 + 0j, 0.0)], (0.0, 1.0)),
+        ("sine_mode", {"k": 3}, [(c, 3 * np.pi), (-c, -3 * np.pi)], (0.0, 1.0)),
+        ("complex_exponential", {"k": -2}, [(1.0 + 0j, 2.0 * np.pi * -2)], (0.0, 1.0)),
+        ("indicator", {"a": 0.1, "b": 0.6}, [(1.0 / np.sqrt(0.6 - 0.1) + 0j, 0.0)], (0.1, 0.6)),
+    ]
+    for catalog, params, terms, support in cases:
+        ((_, (prim,)),) = make_state(catalog, **params).terms
+        assert type(prim) is Trig1D and prim.support == support
+        assert list(prim.fourier_terms()) == terms
+        assert prim.discontinuities() == support
+    assert ONE.fourier_terms() == ((1.0 + 0j, 0.0),) and ONE.discontinuities() == ()
+    x = np.array([-1e300, -1.0, -0.0, 0.0, 0.5, 1.0, 7.0])
+    assert ONE(x).tobytes() == np.ones(x.size, dtype=complex).tobytes()
+
+
 @pytest.mark.parametrize("catalog,params", [
     ("uniform", {}),
     ("sine_mode", {"k": 1}),
