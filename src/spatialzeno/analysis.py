@@ -261,7 +261,8 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
         if (2 * k) ** d > max_cubes:
             raise CubeBudgetExceededError(
                 f"capturing {mass_target!r} needs more than {max_cubes} cubes")
-        cap_psi, cap_phi = _captured_masses((state, phi), k, d, cfg)
+        masses = _captured_masses((state,) if phi == state else (state, phi), k, d, cfg)
+        cap_psi, cap_phi = masses[0], masses[-1]
         if cap_psi >= mass_target and cap_phi >= mass_target:
             break
         k += 1

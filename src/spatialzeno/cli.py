@@ -146,8 +146,9 @@ CONFIG_SCHEMA = {
          "then": {"required": ["phi", "n", "count", "seed"]}},
         {"if": {"properties": {"experiment": {"const": "joint"}}},
          "then": {"required": ["phi", "n"]}},
+        # discretize reads a pure psi: a density has no bar chart of conj(phi) psi
         {"if": {"properties": {"experiment": {"const": "discretize"}}},
-         "then": {"required": ["n"]}},
+         "then": {"required": ["n", "psi"]}},
         {"if": {"properties": {"experiment": {"const": "rd_study"}}},
          "then": {"required": ["phi", "n_list", "mass_target"]}},
     ],

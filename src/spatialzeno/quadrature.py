@@ -1,13 +1,17 @@
 """Numeric bin integrals: tensor Gauss-Legendre with singular-endpoint care.
 
 Every integral first tries the closed-form route in :mod:`states`; only
-unsupported pairs fall through to quadrature.  Bins are already O(1/n)
-small, so a fixed-order Gauss-Legendre rule per bin is spectrally
-accurate for the smooth catalog, and integrable power singularities at a
-cell endpoint are handled with a Gauss-Jacobi rule whose weight carries
-the singular exponent, never by pointwise evaluation at the singular
-point.  The reported error estimate is the difference between the
-order-p and order-p/2 results.
+unsupported pairs fall through to quadrature, which reads the pair helpers
+the closed forms use: the pair's common support clips the cells, and one
+refinement step splits them at the pair's jump points and folds the
+pieces back onto the caller's cells.  Bins are already O(1/n) small, so a
+fixed-order Gauss-Legendre rule per cell is spectrally accurate for the
+smooth catalog.  A cell that starts at the pair's singular point a (the
+lower end of its support) takes a Gauss-Jacobi rule whose weight
+(x - a)^-gamma carries the singular exponent; the rule weights the pair's
+own values times (x - a)^gamma at nodes inside the cell, never the value
+at a.  The reported error estimate is the difference between the order-p
+and order-p/2 results.
 
 Sums over bins use numpy reductions (pairwise summation) in bin-index
 order, so single-threaded runs are reproducible bit for bit.
@@ -40,6 +44,10 @@ from .states import (
     PhaseTable,
     Primitive1D,
     SeparableFunction,
+    _clipped,
+    _fold_back,
+    _refine,
+    _term_pairs,
     exact_cell_integrals,
 )
 
@@ -106,10 +114,6 @@ def _gj_rule(p: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _pair_eval(f: Primitive1D, g: Primitive1D, x: np.ndarray) -> np.ndarray:
-    return np.conj(f(x)) * g(x)
-
-
 def _axis_rule(edges: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Order-p Gauss-Legendre nodes and weights on every cell of one axis,
     cell by cell (the p nodes of cell 0 first)."""
@@ -120,31 +124,32 @@ def _axis_rule(edges: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             (half[:, None] * wi[None, :]).ravel())
 
 
-def _gl_cells(f, g, edges: np.ndarray, p: int) -> np.ndarray:
+def _gl_cells(pair: PairFactor, edges: np.ndarray, p: int) -> np.ndarray:
     """Order-p Gauss-Legendre on every cell of ``edges`` at once."""
     nodes, _ = _axis_rule(edges, p)
-    vals = _pair_eval(f, g, nodes).reshape(-1, p)
+    vals = pair(nodes).reshape(-1, p)
     return (vals @ _gl_rule(p)[1]) * (0.5 * np.diff(edges))
 
 
-def _gj_single(f, g, a: float, b: float, gamma: float, p: int) -> complex:
-    """Gauss-Jacobi for a cell whose left endpoint is the singular point."""
+def _gj_single(pair: PairFactor, a: float, b: float, gamma: float, p: int) -> complex:
+    """Gauss-Jacobi for a cell whose left endpoint a is the singular point:
+    the rule's weight (x - a)^-gamma is divided out of the pair's values."""
     t, w = _gj_rule(p, gamma)
     x = a + (b - a) * (1.0 + t) / 2.0
-    smooth = np.conj(f.smooth_eval(x)) * g.smooth_eval(x)
+    smooth = pair(x) * (x - a) ** gamma
     return complex(((b - a) / 2.0) ** (1.0 - gamma) * np.dot(w, smooth))
 
 
-def _adaptive(f, g, a: float, b: float, cfg: QuadratureConfig, sing,
+def _adaptive(pair: PairFactor, a: float, b: float, cfg: QuadratureConfig, sing,
               depth: int) -> tuple[complex, float]:
     p = cfg.points_per_axis_per_bin
     if sing is not None and abs(a - sing[0]) < 1e-300:
-        v_hi = _gj_single(f, g, a, b, sing[1], p)
-        v_lo = _gj_single(f, g, a, b, sing[1], max(2, p // 2))
+        v_hi = _gj_single(pair, a, b, sing[1], p)
+        v_lo = _gj_single(pair, a, b, sing[1], max(2, p // 2))
     else:
         edges = np.array([a, b])
-        v_hi = complex(_gl_cells(f, g, edges, p)[0])
-        v_lo = complex(_gl_cells(f, g, edges, max(2, p // 2))[0])
+        v_hi = complex(_gl_cells(pair, edges, p)[0])
+        v_lo = complex(_gl_cells(pair, edges, max(2, p // 2))[0])
     err = abs(v_hi - v_lo)
     if err <= max(cfg.abs_tol, cfg.rel_tol * abs(v_hi)):
         return v_hi, err
@@ -153,8 +158,8 @@ def _adaptive(f, g, a: float, b: float, cfg: QuadratureConfig, sing,
             f"integral over [{a}, {b}] has error estimate {err:.3e} after "
             f"{depth} subdivisions (abs_tol={cfg.abs_tol}, rel_tol={cfg.rel_tol})")
     mid = 0.5 * (a + b)
-    vl, el = _adaptive(f, g, a, mid, cfg, sing, depth + 1)
-    vr, er = _adaptive(f, g, mid, b, cfg, sing, depth + 1)
+    vl, el = _adaptive(pair, a, mid, cfg, sing, depth + 1)
+    vr, er = _adaptive(pair, mid, b, cfg, sing, depth + 1)
     return vl + vr, el + er
 
 
@@ -162,60 +167,33 @@ def numeric_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray,
                            cfg: QuadratureConfig = DEFAULT_CONFIG
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature of conj(f)*g on consecutive cells; returns (values, errors)."""
-    orig_edges = np.asarray(edges, dtype=float)
-    lo = max(f.support[0], g.support[0])
-    hi = min(f.support[1], g.support[1])
-    m = orig_edges.size - 1
-    if lo >= hi:
+    edges = np.asarray(edges, dtype=float)
+    m = edges.size - 1
+    pair = PairFactor(f, g)
+    clipped = _clipped(edges, pair.support)
+    if clipped is None:
         return np.zeros(m, dtype=complex), np.zeros(m)
-    if not (np.isfinite(orig_edges[0]) and np.isfinite(orig_edges[-1])):
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("numeric quadrature needs finite integration bounds")
-    base_edges = np.clip(orig_edges, lo if np.isfinite(lo) else None,
-                         hi if np.isfinite(hi) else None)
-    sing = PairFactor(f, g).singularity()
-
+    if not (np.isfinite(clipped[0]) and np.isfinite(clipped[-1])):
+        raise ValueError("numeric quadrature needs finite integration bounds")
+    sing = pair.singularity()
     # split cells at declared jump points so fixed-order rules stay accurate
-    jumps = np.array(sorted({b for b in f.discontinuities() + g.discontinuities()
-                             if base_edges[0] < b < base_edges[-1]}))
-    if jumps.size:
-        edges = np.union1d(base_edges, jumps)
-    else:
-        edges = base_edges
+    refined, pos = _refine(clipped, pair.discontinuities())
 
     p = cfg.points_per_axis_per_bin
-    values = _gl_cells(f, g, edges, p)
-    coarse = _gl_cells(f, g, edges, max(2, p // 2))
-    errors = np.abs(values - coarse)
+    values = _gl_cells(pair, refined, p)
+    errors = np.abs(values - _gl_cells(pair, refined, max(2, p // 2)))
 
-    # replace cells that touch or fail tolerance with careful per-cell work
+    # cells that fail tolerance or start at the singular point get per-cell work
     needs_care = errors > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values))
     if sing is not None:
-        touches = np.abs(edges[:-1] - sing[0]) < 1e-300
-        inside = (edges[:-1] < sing[0]) & (sing[0] < edges[1:])
-        needs_care |= touches | inside
+        needs_care |= np.abs(refined[:-1] - sing[0]) < 1e-300
     for i in np.nonzero(needs_care)[0]:
-        a, b = float(edges[i]), float(edges[i + 1])
+        a, b = float(refined[i]), float(refined[i + 1])
         if a == b:
             values[i], errors[i] = 0.0, 0.0
-            continue
-        if sing is not None and a < sing[0] < b:
-            v1, e1 = _adaptive(f, g, a, sing[0], cfg, sing, 0)
-            v2, e2 = _adaptive(f, g, sing[0], b, cfg, sing, 0)
-            values[i], errors[i] = v1 + v2, e1 + e2
         else:
-            values[i], errors[i] = _adaptive(f, g, a, b, cfg, sing, 0)
-
-    if edges is base_edges:
-        return values, errors
-    # re-aggregate refined cells back onto the caller's cells
-    out_v = np.zeros(m, dtype=complex)
-    out_e = np.zeros(m)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    pos = np.clip(np.searchsorted(base_edges, mids, side="right") - 1, 0, m - 1)
-    np.add.at(out_v, pos, values)
-    np.add.at(out_e, pos, errors)
-    return out_v, out_e
+            values[i], errors[i] = _adaptive(pair, a, b, cfg, sing, 0)
+    return _fold_back(values, pos, m), _fold_back(errors, pos, m)
 
 
 def cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray,
@@ -231,12 +209,6 @@ def cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray,
     if vals is not None:
         return vals, np.zeros(vals.size)
     return numeric_cell_integrals(f, g, edges, cfg)
-
-
-def _term_pairs(phi: SeparableFunction, psi: SeparableFunction):
-    for cb, bf in phi.terms:
-        for ck, kf in psi.terms:
-            yield complex(np.conj(cb) * ck), bf, kf
 
 
 # ---------------------------------------------------------------------------

@@ -110,17 +110,15 @@ class Primitive1D:
         return None
 
     def singularity(self):
-        """(point, exponent) of an integrable power singularity, or None."""
+        """(point, exponent) of an integrable singularity |x - point|^-exponent
+        at the lower end of the support, or None.  Quadrature integrates the
+        factor with that weight on the cells that start at the point."""
         return None
 
     def discontinuities(self) -> tuple[float, ...]:
         """Jump points, finite support ends included; quadrature splits a
         cell on those strictly inside it."""
         return ()
-
-    def smooth_eval(self, x: np.ndarray) -> np.ndarray:
-        """Value with the singular power factor stripped (used by quadrature)."""
-        return self(x)
 
     def _mask(self, x: np.ndarray, values: np.ndarray) -> np.ndarray:
         lo, hi = self.support
@@ -196,10 +194,6 @@ class PowerSingular1D(Primitive1D):
 
     def singularity(self):
         return (0.0, self.alpha)
-
-    def smooth_eval(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._mask(x, np.full_like(x, self.coeff, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -278,10 +272,6 @@ class Restricted1D(Primitive1D):
     def discontinuities(self) -> tuple[float, ...]:
         return self.base.discontinuities() + (self.lo, self.hi)
 
-    def smooth_eval(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._mask(x, self.base.smooth_eval(x))
-
 
 @dataclass(frozen=True)
 class PairFactor(Primitive1D):
@@ -291,19 +281,14 @@ class PairFactor(Primitive1D):
     ket: Primitive1D
 
     def __post_init__(self):
-        lo = max(self.bra.support[0], self.ket.support[0])
-        hi = min(self.bra.support[1], self.ket.support[1])
-        object.__setattr__(self, "support", (lo, hi))
+        object.__setattr__(self, "support", _common_support(self.bra, self.ket))
         object.__setattr__(self, "bounded", self.bra.bounded and self.ket.bounded)
 
     def __call__(self, x):
         return np.conj(self.bra(x)) * self.ket(x)
 
     def fourier_terms(self):
-        tb, tk = self.bra.fourier_terms(), self.ket.fourier_terms()
-        if tb is None or tk is None:
-            return None
-        return [(np.conj(cb) * ck, -wb + wk) for cb, wb in tb for ck, wk in tk]
+        return _pair_terms(self.bra.fourier_terms(), self.ket.fourier_terms())
 
     def singularity(self):
         sb, sk = self.bra.singularity(), self.ket.singularity()
@@ -318,8 +303,63 @@ class PairFactor(Primitive1D):
     def discontinuities(self) -> tuple[float, ...]:
         return self.bra.discontinuities() + self.ket.discontinuities()
 
-    def smooth_eval(self, x):
-        return np.conj(self.bra.smooth_eval(x)) * self.ket.smooth_eval(x)
+
+# ---------------------------------------------------------------------------
+# factor pairs: what the closed forms and the numeric fallback share
+
+
+def _common_support(bra: Primitive1D, ket: Primitive1D) -> tuple[float, float]:
+    """[lo, hi) where both factors of a pair may be nonzero (empty when lo >= hi)."""
+    return max(bra.support[0], ket.support[0]), min(bra.support[1], ket.support[1])
+
+
+def _clipped(edges: np.ndarray, support: tuple[float, float]) -> np.ndarray | None:
+    """``edges`` clipped into ``support``, or None when the support is empty.
+
+    Edges already inside come back as the same array object, so a
+    PhaseTable made for them still applies.
+    """
+    lo, hi = support
+    if lo >= hi:
+        return None
+    if edges[0] < lo or edges[-1] > hi:
+        edges = np.clip(edges, lo if np.isfinite(lo) else None,
+                        hi if np.isfinite(hi) else None)
+    return edges
+
+
+def _pair_terms(tb, tk) -> list | None:
+    """Fourier terms (c, w) of conj(bra) * ket, or None unless both sides
+    have terms."""
+    if tb is None or tk is None:
+        return None
+    return [(np.conj(cb) * ck, -wb + wk) for cb, wb in tb for ck, wk in tk]
+
+
+def _refine(edges: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+    """(refined, pos): ``edges`` split at the ``points`` strictly inside
+    them, and for each refined cell the caller's cell that holds it."""
+    points = np.asarray(points, dtype=float)
+    inner = points[(edges[0] < points) & (points < edges[-1])]
+    refined = np.union1d(edges, inner) if inner.size else edges
+    mids = 0.5 * (refined[:-1] + refined[1:])
+    pos = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, edges.size - 2)
+    return refined, pos
+
+
+def _fold_back(values: np.ndarray, pos: np.ndarray, cells: int) -> np.ndarray:
+    """Refined-cell ``values`` summed onto the caller's ``cells`` cells."""
+    out = np.zeros(cells, dtype=values.dtype)
+    np.add.at(out, pos, values)
+    return out
+
+
+def _term_pairs(phi: SeparableFunction, psi: SeparableFunction):
+    """(conj(c_b) c_k, bra factors, ket factors) of every term pair of two
+    separable sums, bra terms outermost."""
+    for cb, bf in phi.terms:
+        for ck, kf in psi.terms:
+            yield complex(np.conj(cb) * ck), bf, kf
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +603,11 @@ def _split_on_pieces(pcw: PiecewiseConstant1D, pcw_is_bra: bool,
                      other: Primitive1D, edges: np.ndarray,
                      phases: PhaseTable | None):
     """Refine edges on the piecewise breaks, integrate per piece, re-aggregate."""
-    breaks = np.asarray(pcw.breaks)
-    inner = breaks[(edges[0] < breaks) & (breaks < edges[-1])]
-    refined = np.union1d(edges, inner) if inner.size else edges
+    refined, pos = _refine(edges, pcw.breaks)
     plain = exact_cell_integrals(ONE, other, refined, phases=phases)
     if plain is None:
         return None
-    mids = 0.5 * (refined[:-1] + refined[1:])
-    consts = pcw.pieces_at(mids)
+    consts = pcw.pieces_at(0.5 * (refined[:-1] + refined[1:]))
     if not any(np.imag(pcw.values)):
         consts = consts.real
     if pcw_is_bra:
@@ -578,10 +615,7 @@ def _split_on_pieces(pcw: PiecewiseConstant1D, pcw_is_bra: bool,
     else:
         # integral of conj(other) = conj(integral of other)
         contrib = consts * np.conj(plain)
-    out = np.zeros(edges.size - 1, dtype=contrib.dtype)
-    pos = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, out.size - 1)
-    np.add.at(out, pos, contrib)
-    return out
+    return _fold_back(contrib, pos, edges.size - 1)
 
 
 def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
@@ -598,21 +632,15 @@ def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
     once.
     """
     edges = np.asarray(edges, dtype=float)
-    lo = max(f.support[0], g.support[0])
-    hi = min(f.support[1], g.support[1])
-    if lo >= hi:
+    support = _common_support(f, g)
+    clipped = _clipped(edges, support)
+    if clipped is None:
         return np.zeros(edges.size - 1)
-    if edges[0] < lo or edges[-1] > hi:
-        edges = np.clip(edges, lo if np.isfinite(lo) else None,
-                        hi if np.isfinite(hi) else None)
-    f, g = _unwrap(f), _unwrap(g)
+    f, g, edges = _unwrap(f), _unwrap(g), clipped
 
-    # resolve nested pair factors against the trivial partner
+    # a pair factor against the trivial bra (``ONE`` is only ever the bra)
     if isinstance(g, PairFactor) and f == ONE:
         return exact_cell_integrals(g.bra, g.ket, edges, phases=phases)
-    if isinstance(f, PairFactor) and g == ONE:
-        inner = exact_cell_integrals(f.bra, f.ket, edges, phases=phases)
-        return None if inner is None else np.conj(inner)
 
     if isinstance(f, PiecewiseConstant1D):
         return _split_on_pieces(f, True, g, edges, phases)
@@ -620,22 +648,22 @@ def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
         return _split_on_pieces(g, False, f, edges, phases)
 
     tf, tg = f.fourier_terms(), g.fourier_terms()
-    if tf is not None and tg is not None:
-        prod = [(np.conj(cf) * cg, -wf + wg) for cf, wf in tf for cg, wg in tg]
+    prod = _pair_terms(tf, tg)
+    if prod is not None:
         return _trig_cells(prod, edges, phases)
 
     fp = isinstance(f, PowerSingular1D)
     gp = isinstance(g, PowerSingular1D)
     if fp and gp:
         return _power_cells(f.coeff * g.coeff, f.alpha + g.alpha, [(1.0, 0.0)],
-                            hi, edges)
+                            support[1], edges)
     if fp or gp:
         power, terms = (f, tg) if fp else (g, tf)
         if terms is None:
             return None
         if gp:  # conjugate the bra side
             terms = [(np.conj(c), -w) for c, w in terms]
-        return _power_cells(power.coeff, power.alpha, terms, hi, edges)
+        return _power_cells(power.coeff, power.alpha, terms, support[1], edges)
 
     f_gauss, g_gauss = isinstance(f, Gaussian1D), isinstance(g, Gaussian1D)
     if f_gauss and g_gauss:
@@ -752,12 +780,9 @@ def product_field(phi: SeparableFunction, psi: SeparableFunction) -> SeparableFu
     """The function conj(phi)*psi as a separable sum (not normalised)."""
     if phi.domain != psi.domain:
         raise ValueError("states live on different domains")
-    terms = []
-    for cb, bf in phi.terms:
-        for ck, kf in psi.terms:
-            factors = tuple(PairFactor(b, k) for b, k in zip(bf, kf))
-            terms.append((complex(np.conj(cb) * ck), factors))
-    return SeparableFunction(domain=phi.domain, terms=tuple(terms),
+    terms = tuple((w, tuple(PairFactor(b, k) for b, k in zip(bf, kf)))
+                  for w, bf, kf in _term_pairs(phi, psi))
+    return SeparableFunction(domain=phi.domain, terms=terms,
                              label=f"conj({phi.label})*{psi.label}")
 
 

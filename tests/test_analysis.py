@@ -279,6 +279,23 @@ def test_rd_study_checks_n_list_before_any_pass(n_list, message, monkeypatch):
         rd_study(g, g, UNIFORM, n_list, mass_target=1 - 1e-6)
 
 
+def test_rd_study_reads_one_captured_mass_per_k_when_phi_is_psi(monkeypatch):
+    calls, mass_pass = [], analysis._mass_pass
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return mass_pass(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_mass_pass", counted)
+    g = make_state("gaussian", mu=0.0, sigma=1.0)
+    # the same object, and an equal state built apart (as the CLI builds phi)
+    for phi in (g, make_state("gaussian", mu=0.0, sigma=1.0)):
+        calls.clear()
+        _, tail = rd_study(g, phi, UNIFORM, [4, 8, 16], mass_target=1 - 1e-6)
+        k = int(-min(c[0] for c in tail.cubes))
+        assert calls == [g] * k
+
+
 def test_rd_study_searches_the_captured_mass_with_its_cfg():
     """A pair without a closed form (a Gaussian plus a sine mode read on R):
     the captured mass and its tail come from the caller's config, as the

@@ -232,6 +232,45 @@ def test_discretize_experiment(tmp_path, capsys):
     assert avg == pytest.approx(2.0 * np.sqrt(2.0) / np.pi, abs=1e-12)
 
 
+@pytest.mark.parametrize("phi", [None, {"catalog": "uniform"}])
+def test_discretize_with_a_density_is_a_schema_violation(tmp_path, capsys, phi):
+    config = {
+        "schema_version": "1",
+        "experiment": "discretize",
+        "d": 1,
+        "density": {"terms": [{"weight": 1.0, "state": {"catalog": "sine_mode", "k": 1}}]},
+        "grid": {"kind": "uniform"},
+        "n": 2,
+    }
+    if phi is not None:
+        config["phi"] = phi
+    cfg = write_config(tmp_path, "d.json", config)
+    for command in (["validate", cfg], ["--output-dir", str(tmp_path), "run", cfg]):
+        assert main(command) == EXIT_SCHEMA
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "schema-violation"
+        assert err["field"] == "psi" and "psi" in err["message"]
+    assert not list(tmp_path.glob("discretize.*"))
+
+
+def test_probability_on_an_explicit_cube_list(tmp_path):
+    from spatialzeno import GridScheme, prob_y1_pure
+
+    gauss = {"catalog": "gaussian", "mu": 0.0, "sigma": 1.0}
+    config = base_probability_config(
+        psi=gauss, phi=gauss, n=4,
+        grid={"kind": "rd_translated_cubes", "cubes": [[-1], [0], [2]],
+              "sub_kind": "jittered", "seed": 3},
+        output={"stem": "cubes", "format": "json"})
+    cfg = write_config(tmp_path, "cubes.json", config)
+    assert main(["--output-dir", str(tmp_path), "run", cfg]) == 0
+    payload = json.loads((tmp_path / "cubes.json").read_text())
+    g = make_state("gaussian", mu=0.0, sigma=1.0)
+    scheme = GridScheme("rd_translated_cubes", d=1, cubes=((-1.0,), (0.0,), (2.0,)),
+                        sub_kind="jittered", seed=3)
+    assert payload["result"]["p_y1"] == prob_y1_pure(g, g, scheme.level(4)).p_y1
+
+
 def test_rd_study_experiment(tmp_path):
     config = {
         "schema_version": "1",
@@ -378,6 +417,8 @@ def _jsonschema_error(config):
       "quadrature": {"points_per_axis_per_bin": 1, "abs_tol": -1.0}}, ()),
     ({"experiment": "sample", "schema_version": "2"}, ("phi", "psi")),
     ({"density": {"terms": []}, "output": {"format": "xml"}}, ()),
+    ({"experiment": "discretize", "n": 0, "density": {"terms": [
+        {"weight": 1.0, "state": {"catalog": "uniform"}}]}}, ("psi",)),
 ])
 def test_schema_errors_match_jsonschema_validate(overrides, drop):
     from jsonschema import Draft202012Validator

@@ -192,6 +192,14 @@ def test_volume_bounds():
         level = jittered_grid(n, 2, C=2.0, seed=n)
         assert level.max_bin_volume <= n ** (-2) + 1e-12
         assert level.min_bin_volume >= (2.0 * n) ** (-2) - 1e-12
+    # a multi-part level takes the extremes over its parts' bins
+    custom = CustomGrid(2, [Bin((Interval(0.0, 0.25),)), Bin((Interval(0.25, 1.0),))])
+    gapped = GridScheme("rd_translated_cubes", d=2, cubes=((0.0, 0.0), (2.0, 1.0)),
+                        sub_kind="jittered", seed=1).level(3)
+    assert len(custom.parts) == 2 and len(gapped.parts) == 2
+    for level in (jittered_grid(9, 2, C=2.0, seed=9), custom, gapped):
+        assert level.max_bin_volume == level.volumes().max()
+        assert level.min_bin_volume == level.volumes().min()
 
 
 def test_rd_grid_two_cubes():

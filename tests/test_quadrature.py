@@ -163,6 +163,12 @@ def test_numeric_matches_exact_for_gaussian_pair():
     exact = exact_cell_integrals(g1, g2, cell)[0]
     numeric = numeric_cell_integrals(g1, g2, cell)[0][0]
     assert abs(exact - numeric) < 1e-12
+    # an infinite edge is fine once the pair's support clips it
+    from spatialzeno.states import Restricted1D
+
+    half, cell = Restricted1D(g1, 0.0, np.inf), np.array([-np.inf, 0.5])
+    exact = exact_cell_integrals(half, g2, cell)[0]
+    assert abs(exact - numeric_cell_integrals(half, g2, cell)[0][0]) < 1e-12
 
 
 def test_tolerance_not_met_raises():
@@ -184,12 +190,33 @@ def test_tolerance_not_met_raises():
         def discontinuities(self):
             return ()
 
-        def smooth_eval(self, x):
-            return self(x)
-
     cfg = QuadratureConfig(subdivision_limit=3, abs_tol=1e-12, rel_tol=1e-12)
     with pytest.raises(ToleranceNotMetError):
         numeric_cell_integrals(Spike(), Spike(), np.array([0.0, 1.0]), cfg)
+
+
+def test_singular_factor_declares_only_its_singularity():
+    # Gauss-Jacobi weights the pair's own values, so a factor with an
+    # endpoint singularity needs no value with the power stripped
+    import mpmath
+    from spatialzeno.states import Primitive1D
+
+    class PowerCos(Primitive1D):
+        support = (0.0, 1.0)
+        bounded = False
+
+        def __call__(self, x):
+            x = np.asarray(x, dtype=float)
+            safe = np.where(x > 0.0, x, 1.0)
+            return self._mask(x, safe ** -0.3 * np.cos(x) + 0.0j)
+
+        def singularity(self):
+            return (0.0, 0.3)
+
+    one = _factor(make_state("uniform"))
+    got = numeric_cell_integrals(one, PowerCos(), np.array([0.0, 0.25]))[0][0]
+    want = complex(mpmath.quad(lambda x: x ** -0.3 * mpmath.cos(x), [0, 0.25]))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_exact_cell_integrals_none_when_unsupported():
