@@ -176,6 +176,9 @@ def numeric_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray,
     if not (np.isfinite(clipped[0]) and np.isfinite(clipped[-1])):
         raise ValueError("numeric quadrature needs finite integration bounds")
     sing = pair.singularity()
+    if sing is not None and pair.support[0] < sing[0] < pair.support[1]:
+        raise ValueError(f"singular point {sing[0]} lies inside the support "
+                         f"{pair.support}: it must be the support's lower end")
     # split cells at declared jump points so fixed-order rules stay accurate
     refined, pos = _refine(clipped, pair.discontinuities())
 

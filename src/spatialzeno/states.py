@@ -6,24 +6,25 @@ one-dimensional factors.  That representation is closed under linear
 combination and tensor products, keeps evaluation cheap, and lets bin
 integrals factor axis by axis: the integral of conj(phi)*psi over a
 rectangular cell is a sum over term pairs of products of 1-d cell
-integrals, which have elementary antiderivatives for the whole trig
-family (constants, sine modes, complex exponentials, indicators,
-piecewise constants) and for Gaussian pairs; power singularities paired
-with a power or with the trig family integrate as x^p times a power
+integrals.  The trig family, Gaussian envelopes included (constants, sine
+modes, complex exponentials, indicators, Gaussians, piecewise constants),
+has closed-form cells for every pair; power singularities paired with a
+power or with an unenveloped trig factor integrate as x^p times a power
 series.  Pairs without a closed form, or with a trig frequency too high
 for the series, report ``None`` so the quadrature module can take over.
 
-Catalog factors and their natural (unit-norm) scaling.  The first four
-are each a ``Trig1D`` whose ``terms`` (c_m, w_m) of sum_m c_m exp(i w_m x)
-are listed, with c = sqrt(2) / 2i:
+Catalog factors and their natural (unit-norm) scaling.  All but the power
+law and the Haar pieces are each a ``Trig1D`` whose ``terms`` (c_m, w_m) of
+sum_m c_m exp(i w_m x) are listed, with c = sqrt(2) / 2i:
 
 ==================  =====================================================
 uniform             1 on [0,1); terms (1, 0)
 sine_mode(k)        sqrt(2) sin(k pi x) on [0,1); terms (c, k pi), (-c, -k pi)
 complex_exponential exp(2 pi i k x) on [0,1); terms (1, 2 pi k)
 indicator(a,b)      (b-a)^(-1/2) on [a,b); terms ((b-a)^(-1/2), 0)
+gaussian(mu,sigma)  (2 pi sigma^2)^(-1/4) exp(-(x-mu)^2/(4 sigma^2)) on R;
+                    terms ((2 pi sigma^2)^(-1/4), 0), envelope (4 sigma^2, mu)
 power_singular(a)   sqrt(1-2a) x^(-a) on [0,1), 0 < a < 1/2 (``alpha``)
-gaussian(mu,sigma)  (2 pi sigma^2)^(-1/4) exp(-(x-mu)^2/(4 sigma^2)) on R
 haar_like(seed)     seeded random constant on ``pieces`` equal cells
 ==================  =====================================================
 """
@@ -37,7 +38,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erfc, wofz
 
 from .grids import Bin
 
@@ -101,19 +102,28 @@ class Primitive1D:
 
     support: tuple[float, float] = (-np.inf, np.inf)
     bounded: bool = True
+    # (v, m): the factor's Fourier terms are multiplied by exp(-(x - m)^2 / v);
+    # v = inf is no envelope
+    envelope: tuple[float, float] = (np.inf, 0.0)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def fourier_terms(self):
-        """Expansion sum_m c_m exp(i w_m x) on the support, or None."""
+        """Expansion sum_m c_m exp(i w_m x) of the factor over its envelope,
+        on the support, or None."""
         return None
 
     def singularity(self):
-        """(point, exponent) of an integrable singularity |x - point|^-exponent
-        at the lower end of the support, or None.  Quadrature integrates the
-        factor with that weight on the cells that start at the point."""
+        """(point, exponent) of an integrable singularity |x - point|^-exponent,
+        or None.  The point must be the lower end of the support: quadrature
+        integrates the factor with that weight on the cells that start at
+        the point, and rejects a point inside the support."""
         return None
+
+    def restricted(self, lo: float, hi: float) -> "Primitive1D":
+        """The factor times the indicator of [lo, hi): its support narrowed."""
+        return replace(self, support=(max(lo, self.support[0]), min(hi, self.support[1])))
 
     def discontinuities(self) -> tuple[float, ...]:
         """Jump points, finite support ends included; quadrature splits a
@@ -129,12 +139,14 @@ class Primitive1D:
 
 @dataclass(frozen=True)
 class Trig1D(Primitive1D):
-    """sum_m c_m exp(i w_m x) on [support), the whole trig family: the
-    catalog's constants, sine modes, complex exponentials and indicators
-    are each one tuple of (c_m, w_m) ``terms`` on an interval."""
+    """exp(-(x - m)^2 / v) sum_m c_m exp(i w_m x) on [support), the whole
+    trig family: the catalog's constants, sine modes, complex exponentials,
+    indicators and Gaussians are each one tuple of (c_m, w_m) ``terms`` on
+    an interval, with the ``envelope`` (v, m) of a Gaussian."""
 
     terms: tuple[tuple[complex, float], ...]
     support: tuple[float, float] = (-np.inf, np.inf)
+    envelope: tuple[float, float] = (np.inf, 0.0)
 
     def __call__(self, x):
         # each +-w pair folded as in _trig_cells, into (c+ + c-) cos(|w| x)
@@ -154,6 +166,9 @@ class Trig1D(Primitive1D):
                     out.real += c.real * b
                 if c.imag:
                     out.imag += c.imag * b
+        v, m = self.envelope
+        if v < np.inf:
+            out *= np.exp(-((x - m) ** 2) / v)
         return self._mask(x, out)
 
     def fourier_terms(self):
@@ -193,40 +208,25 @@ class PowerSingular1D(Primitive1D):
         return self._mask(x, self.coeff * safe ** (-self.alpha) + 0.0j)
 
     def singularity(self):
-        return (0.0, self.alpha)
-
-
-@dataclass(frozen=True)
-class Gaussian1D(Primitive1D):
-    """Unit-norm Gaussian wave packet; |psi|^2 is the Normal(mu, sigma^2) pdf."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    @property
-    def amp(self) -> float:
-        return float((2.0 * np.pi * self.sigma ** 2) ** (-0.25))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.amp * np.exp(-((x - self.mu) ** 2) / (4.0 * self.sigma ** 2)) + 0.0j
+        return (0.0, self.alpha) if self.support[0] == 0.0 else None
 
 
 @dataclass(frozen=True)
 class PiecewiseConstant1D(Primitive1D):
+    """values[i] on [breaks[i], breaks[i+1]), within [support)."""
+
     breaks: tuple[float, ...]
     values: tuple[complex, ...]
+    support: tuple[float, float] = (-np.inf, np.inf)
 
     def __post_init__(self):
         if len(self.breaks) != len(self.values) + 1:
             raise ValueError("need len(breaks) == len(values) + 1")
         if not all(a < b for a, b in zip(self.breaks, self.breaks[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "support", (self.breaks[0], self.breaks[-1]))
+        lo, hi = self.support
+        object.__setattr__(self, "support", (max(lo, self.breaks[0]),
+                                             min(hi, self.breaks[-1])))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -243,37 +243,6 @@ class PiecewiseConstant1D(Primitive1D):
 
 
 @dataclass(frozen=True)
-class Restricted1D(Primitive1D):
-    """Factor multiplied by the indicator of [lo, hi); used by collapse."""
-
-    base: Primitive1D
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        blo, bhi = self.base.support
-        object.__setattr__(self, "support", (max(self.lo, blo), min(self.hi, bhi)))
-        object.__setattr__(self, "bounded", self.base.bounded)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._mask(x, self.base(x))
-
-    def fourier_terms(self):
-        return self.base.fourier_terms()
-
-    def singularity(self):
-        s = self.base.singularity()
-        if s is None:
-            return None
-        lo, hi = self.support
-        return s if lo <= s[0] < hi or s[0] == lo else None
-
-    def discontinuities(self) -> tuple[float, ...]:
-        return self.base.discontinuities() + (self.lo, self.hi)
-
-
-@dataclass(frozen=True)
 class PairFactor(Primitive1D):
     """Pointwise product conj(bra) * ket, itself usable as an axis factor."""
 
@@ -287,8 +256,13 @@ class PairFactor(Primitive1D):
     def __call__(self, x):
         return np.conj(self.bra(x)) * self.ket(x)
 
+    @property
+    def envelope(self) -> tuple[float, float]:
+        _, a, m = _pair_family(self.bra, self.ket)
+        return (1.0 / a if a else np.inf, m)
+
     def fourier_terms(self):
-        return _pair_terms(self.bra.fourier_terms(), self.ket.fourier_terms())
+        return _pair_family(self.bra, self.ket)[0]
 
     def singularity(self):
         sb, sk = self.bra.singularity(), self.ket.singularity()
@@ -336,6 +310,27 @@ def _pair_terms(tb, tk) -> list | None:
     return [(np.conj(cb) * ck, -wb + wk) for cb, wb in tb for ck, wk in tk]
 
 
+def _pair_family(bra: Primitive1D, ket: Primitive1D):
+    """(terms, a, m): conj(bra) * ket as exp(-a (x - m)^2) sum_t c_t exp(i w_t x).
+
+    The two envelopes multiply into one, with a = a_b + a_k, m = (a_b m_b
+    + a_k m_k) / a and a constant exp(-a_b a_k (m_b - m_k)^2 / a) that joins
+    the terms; a = 0 when neither side has an envelope.  ``terms`` is None
+    unless both sides have Fourier terms.
+    """
+    terms = _pair_terms(bra.fourier_terms(), ket.fourier_terms())
+    (vb, mb), (vk, mk) = bra.envelope, ket.envelope
+    ab, ak = 1.0 / vb, 1.0 / vk
+    if not (ab and ak):
+        return terms, ab + ak, (mk if ak else mb)
+    a = ab + ak
+    r = ab * ak * (mb - mk) ** 2 / a
+    if r and terms is not None:
+        decay = np.exp(-r)
+        terms = [(c * decay, w) for c, w in terms]
+    return terms, a, (ab * mb + ak * mk) / a
+
+
 def _refine(edges: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
     """(refined, pos): ``edges`` split at the ``points`` strictly inside
     them, and for each refined cell the caller's cell that holds it."""
@@ -366,12 +361,6 @@ def _term_pairs(phi: SeparableFunction, psi: SeparableFunction):
 # exact cell integrals
 
 
-def _unwrap(p: Primitive1D) -> Primitive1D:
-    while isinstance(p, Restricted1D):
-        p = p.base
-    return p
-
-
 class PhaseTable:
     """cos(|w| x) and sin(|w| x) on one edges array, each computed once per
     distinct |w| and only when a kernel asks for it.
@@ -400,12 +389,6 @@ class PhaseTable:
 
     def sin(self, w: float) -> np.ndarray:
         return self._cached(self._sin, np.sin, w)
-
-
-def _real_or_complex(c: complex) -> float | complex:
-    """A coefficient as a float when its imaginary part is exactly 0."""
-    c = complex(c)
-    return c.real if c.imag == 0.0 else c
 
 
 def _real_cells(terms, cells: int) -> np.ndarray:
@@ -456,6 +439,47 @@ def _trig_cells(terms, edges: np.ndarray,
     out = np.empty(re.shape, dtype=complex)
     out.real = re
     out.imag = _real_cells([(c.imag, basis) for c, basis in anti_terms], edges.size - 1)
+    return out
+
+
+def _gauss_cells(terms, a: float, m: float, edges: np.ndarray) -> np.ndarray:
+    """Cells of exp(-a (x - m)^2) sum_t c_t exp(i w_t x), float64 when the
+    coefficients are real.
+
+    With t = x - m and s = sqrt(a), a term integrates to (sqrt(pi)/2s) c
+    e^{iwm} e^{-w^2/4a} erf(s t - iw/2s).  The erf is never formed: on the
+    side sigma = sign(t), e^{-w^2/4a} (1 - sigma erf) is
+    S(t) = e^{-a t^2 + i w t} wofz(sigma (i s t + w/2s)), its argument in the
+    upper half plane (erfc(s|t|) when w = 0; 0 at an infinite edge).  A cell
+    is sigma_1 S(t_1) - sigma_2 S(t_2) + (sigma_2 - sigma_1) e^{-w^2/4a}: one
+    side's difference, or across m, 2 e^{-w^2/4a} minus both sides, so tail
+    cells do not cancel.  Each +-w pair is folded as in ``_trig_cells``.
+    """
+    t = edges - m
+    s = np.sqrt(a)
+    sign = np.copysign(1.0, t)
+    jump = sign[1:] - sign[:-1]  # 2 on the cell across m, else 0
+
+    def cells(side: np.ndarray, across: np.ndarray) -> np.ndarray:
+        v = sign * side
+        return v[:-1] - v[1:] + across
+
+    lin, folded = _fold(terms)
+    parts = [(lin, cells(erfc(s * np.abs(t)), jump))] if lin != 0.0 else []
+    for w, (cp, cm) in folded.items():
+        finite = np.isfinite(t)
+        tf = t[finite]
+        side = np.zeros(t.size, dtype=complex)
+        side[finite] = (np.exp(tf * (1j * w - a * tf))
+                        * wofz(sign[finite] * (1j * s * tf + w / (2.0 * s))))
+        b = np.exp(1j * w * m) * cells(side, jump * np.exp(-w * w / (4.0 * a)))
+        d = cp - cm
+        parts += [(cp + cm, b.real), (complex(-d.imag, d.real), b.imag)]
+    pref = 0.5 * np.sqrt(np.pi / a)
+    real = not any(c.imag for c, _ in parts)
+    out = np.zeros(edges.size - 1, dtype=float if real else complex)
+    for c, basis in parts:
+        out += (pref * (c.real if real else c)) * basis
     return out
 
 
@@ -576,29 +600,6 @@ def _power_cells(coeff: float, gamma: float, terms, b: float,
     return dp * s_b + ap * ds
 
 
-def _gauss_const_cells(g: Gaussian1D, const: complex, edges: np.ndarray) -> np.ndarray:
-    a = 1.0 / (4.0 * g.sigma ** 2)
-    pref = _real_or_complex(const) * g.amp * 0.5 * np.sqrt(np.pi / a)
-    return pref * np.diff(erf(np.sqrt(a) * (edges - g.mu)))
-
-
-def _gauss_pair_cells(f: Gaussian1D, g: Gaussian1D, edges: np.ndarray) -> np.ndarray:
-    a1 = 1.0 / (4.0 * f.sigma ** 2)
-    a2 = 1.0 / (4.0 * g.sigma ** 2)
-    a = a1 + a2
-    m = (a1 * f.mu + a2 * g.mu) / a
-    r = a1 * a2 * (f.mu - g.mu) ** 2 / a
-    pref = f.amp * g.amp * np.exp(-r) * 0.5 * np.sqrt(np.pi / a)
-    return pref * np.diff(erf(np.sqrt(a) * (edges - m)))
-
-
-def _const_of(p: Primitive1D) -> complex | None:
-    terms = p.fourier_terms()
-    if terms is not None and len(terms) == 1 and terms[0][1] == 0.0:
-        return complex(terms[0][0])
-    return None
-
-
 def _split_on_pieces(pcw: PiecewiseConstant1D, pcw_is_bra: bool,
                      other: Primitive1D, edges: np.ndarray,
                      phases: PhaseTable | None):
@@ -625,8 +626,8 @@ def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
     ``edges`` is a sorted 1-d array; the result has one entry per cell
     [edges[i], edges[i+1]).  Cells outside the common support contribute 0.
     The result is float64 when the pair's coefficients are real (sine
-    modes, constants, indicators, Gaussians, real pieces) and complex128
-    otherwise.
+    modes, constants, indicators, Gaussians and their products, real
+    pieces) and complex128 otherwise.
     ``phases`` is an optional PhaseTable made for ``edges``, shared by
     calls on the same edges so each cos(|w|x) and sin(|w|x) is evaluated
     once.
@@ -636,7 +637,7 @@ def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
     clipped = _clipped(edges, support)
     if clipped is None:
         return np.zeros(edges.size - 1)
-    f, g, edges = _unwrap(f), _unwrap(g), clipped
+    edges = clipped
 
     # a pair factor against the trivial bra (``ONE`` is only ever the bra)
     if isinstance(g, PairFactor) and f == ONE:
@@ -647,10 +648,9 @@ def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
     if isinstance(g, PiecewiseConstant1D):
         return _split_on_pieces(g, False, f, edges, phases)
 
-    tf, tg = f.fourier_terms(), g.fourier_terms()
-    prod = _pair_terms(tf, tg)
-    if prod is not None:
-        return _trig_cells(prod, edges, phases)
+    terms, a, m = _pair_family(f, g)
+    if terms is not None:
+        return _gauss_cells(terms, a, m, edges) if a else _trig_cells(terms, edges, phases)
 
     fp = isinstance(f, PowerSingular1D)
     gp = isinstance(g, PowerSingular1D)
@@ -658,24 +658,13 @@ def exact_cell_integrals(f: Primitive1D, g: Primitive1D, edges: np.ndarray, *,
         return _power_cells(f.coeff * g.coeff, f.alpha + g.alpha, [(1.0, 0.0)],
                             support[1], edges)
     if fp or gp:
-        power, terms = (f, tg) if fp else (g, tf)
-        if terms is None:
+        power, terms = (f, g.fourier_terms()) if fp else (g, f.fourier_terms())
+        # the series has no room for the partner's envelope
+        if terms is None or a:
             return None
         if gp:  # conjugate the bra side
             terms = [(np.conj(c), -w) for c, w in terms]
         return _power_cells(power.coeff, power.alpha, terms, support[1], edges)
-
-    f_gauss, g_gauss = isinstance(f, Gaussian1D), isinstance(g, Gaussian1D)
-    if f_gauss and g_gauss:
-        return _gauss_pair_cells(f, g, edges)
-    if f_gauss or g_gauss:
-        gauss = f if f_gauss else g
-        other = g if f_gauss else f
-        c = _const_of(other)
-        if c is not None:
-            # the gaussian factor is real, so only the constant's side matters
-            return _gauss_const_cells(gauss, c if f_gauss else np.conj(c), edges)
-        return None
     return None
 
 
@@ -750,7 +739,7 @@ class WaveFunction(SeparableFunction):
         super().__post_init__()
         if self.check_norm:
             nsq = self.norm_squared()
-            if abs(nsq - 1.0) > NORM_TOL:
+            if not abs(nsq - 1.0) <= NORM_TOL:
                 raise ValueError(f"state {self.label!r} has ||psi||^2 = {nsq!r}, not 1")
 
     def norm_squared(self) -> float:
@@ -763,7 +752,7 @@ class WaveFunction(SeparableFunction):
         """State multiplied by the cell indicator and rescaled by norm_const."""
         new_terms = tuple(
             (coeff * norm_const,
-             tuple(Restricted1D(f, e.lo, e.hi) for f, e in zip(factors, cell.edges)))
+             tuple(f.restricted(e.lo, e.hi) for f, e in zip(factors, cell.edges)))
             for coeff, factors in self.terms)
         return WaveFunction(domain=self.domain, terms=new_terms,
                             label=f"{self.label}|restricted", check_norm=False,
@@ -983,7 +972,12 @@ def _gaussian(mu, sigma):
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     if mu.size != sigma.size:
         raise ValueError("mu and sigma need the same length")
-    factors = tuple(Gaussian1D(float(m), float(s)) for m, s in zip(mu, sigma))
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all() and (sigma > 0.0).all()):
+        raise ValueError(f"gaussian needs finite mu and finite sigma > 0, got "
+                         f"mu={mu.tolist()}, sigma={sigma.tolist()}")
+    factors = tuple(Trig1D((((2.0 * np.pi * s ** 2) ** -0.25 + 0j, 0.0),),
+                           envelope=(4.0 * s ** 2, m))
+                    for m, s in zip(mu.tolist(), sigma.tolist()))
     return WaveFunction(Domain.euclidean(mu.size), ((1.0 + 0.0j, factors),),
                         label=f"gaussian(mu={mu.tolist()},sigma={sigma.tolist()})")
 

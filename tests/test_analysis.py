@@ -297,14 +297,14 @@ def test_rd_study_reads_one_captured_mass_per_k_when_phi_is_psi(monkeypatch):
 
 
 def test_rd_study_searches_the_captured_mass_with_its_cfg():
-    """A pair without a closed form (a Gaussian plus a sine mode read on R):
+    """A pair without a closed form (a Gaussian plus a power law read on R):
     the captured mass and its tail come from the caller's config, as the
     rows do."""
     from spatialzeno import ProductGrid, QuadratureConfig
     from spatialzeno.quadrature import DEFAULT_CONFIG
 
     psi = superpose([(0.8, make_state("gaussian", mu=0.2, sigma=0.8)),
-                     (0.6, make_state("sine_mode", k=5).as_euclidean())])
+                     (0.6, make_state("power_singular", alpha=0.3).as_euclidean())])
     cfg = QuadratureConfig(points_per_axis_per_bin=4, abs_tol=1e-4, rel_tol=1e-4)
     _, tail = rd_study(psi, psi, UNIFORM, [4, 8, 16], 1 - 1e-6, cfg)
     k = int(-min(c[0] for c in tail.cubes))

@@ -1,5 +1,6 @@
 """Config-driven runner: schema validation, outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -127,6 +128,26 @@ def test_capabilities_report():
     a = json.dumps(version_and_capabilities(), sort_keys=True)
     b = json.dumps(version_and_capabilities(), sort_keys=True)
     assert a == b
+
+
+def test_config_schema_is_pinned():
+    # the catalog feeds the schema, so a catalog change that alters it shows
+    text = json.dumps(CONFIG_SCHEMA, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6b898c8fe25b79ca46f19d4a4c576f3e395a8a388ffeeedaf8eba7e96eec3d13")
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, float("nan")), (float("nan"), 1.0),
+                                       (0.0, float("inf"))])
+def test_non_finite_gaussian_config_exits_4(tmp_path, capsys, mu, sigma):
+    g = {"catalog": "gaussian", "mu": mu, "sigma": sigma}
+    cfg = write_config(tmp_path, "g.json", base_probability_config(
+        psi=g, phi=g, output={"stem": "out"}))
+    assert main(["--output-dir", str(tmp_path), "run", cfg]) == EXIT_COMPUTE
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["kind"] == "compute-failure"
+    assert "finite" in err["error"]["message"]
+    assert not list(tmp_path.glob("out.*"))
 
 
 def test_capabilities_stdout_byte_identical(capsys):

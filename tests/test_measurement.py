@@ -195,19 +195,17 @@ def _mp_state(psi):
     """psi as an mpmath function of one coordinate, from its terms."""
     import mpmath
 
-    from spatialzeno.states import Gaussian1D, PowerSingular1D, Trig1D
+    from spatialzeno.states import PowerSingular1D, Trig1D
 
     def factor(f):
         if isinstance(f, PowerSingular1D):
             a = mpmath.mpf(f.alpha)
             return lambda x: mpmath.sqrt(1 - 2 * a) * x ** -a
-        if isinstance(f, Trig1D):
-            return lambda x: mpmath.fsum(mpmath.mpc(c) * mpmath.expj(w * x)
-                                         for c, w in f.terms)
-        assert isinstance(f, Gaussian1D)
-        return lambda x: ((2 * mpmath.pi * mpmath.mpf(f.sigma) ** 2) ** mpmath.mpf(-0.25)
-                          * mpmath.exp(-(x - mpmath.mpf(f.mu)) ** 2
-                                       / (4 * mpmath.mpf(f.sigma) ** 2)))
+        assert isinstance(f, Trig1D)
+        v, m = (mpmath.mpf(e) for e in f.envelope)
+        return lambda x: (mpmath.exp(-(x - m) ** 2 / v)
+                          * mpmath.fsum(mpmath.mpc(c) * mpmath.expj(w * x)
+                                        for c, w in f.terms))
 
     terms = [(mpmath.mpc(c), factor(f), f.support) for c, (f,) in psi.terms]
     return lambda x: mpmath.fsum(c * g(x) for c, g, (lo, hi) in terms if lo <= x < hi)
@@ -216,7 +214,8 @@ def _mp_state(psi):
 def test_region_integrals_of_numeric_pairs_against_mpmath():
     """Hull masses, inner products and the R^d captured mass of pairs
     without a closed form (power x sine(k) with k pi past the series
-    limit, Gaussian x sine): the region is one numeric cell."""
+    limit) next to closed-form ones (Gaussian x sine): a numeric region is
+    one cell."""
     import mpmath
 
     from spatialzeno import ProductGrid

@@ -27,7 +27,6 @@ from spatialzeno import (
 from spatialzeno import quadrature, states
 from spatialzeno.states import (
     PowerSingular1D,
-    Restricted1D,
     exact_cell_integrals,
 )
 
@@ -148,7 +147,7 @@ def test_collapsed_power_state(lo, hi):
     collapsed = collapse(make_state("power_singular", alpha=0.3),
                          Bin((Interval(lo, hi),)))
     norm_const, (factor,) = collapsed.terms[0]
-    assert isinstance(factor, Restricted1D)
+    assert isinstance(factor, PowerSingular1D) and factor.support == (lo, hi)
     edges = jittered_grid(64, 1, C=2.0, seed=9).breakpoints[0]
     for partner in ("sine1", "cexp1"):
         catalog, params, terms = PARTNERS[partner]
@@ -164,7 +163,7 @@ def _near_limit_pair(factor):
     """sine(3) against the power law restricted to [0, hi), with
     3 pi hi = factor * _POWER_SERIES_WMAX."""
     hi = factor * states._POWER_SERIES_WMAX / (3.0 * np.pi)
-    return _prim("sine_mode", k=3), Restricted1D(PowerSingular1D(0.3), 0.0, hi)
+    return _prim("sine_mode", k=3), PowerSingular1D(0.3).restricted(0.0, hi)
 
 
 @pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])

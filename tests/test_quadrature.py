@@ -145,7 +145,7 @@ def test_resolution_of_identity():
 
 
 def test_error_estimate_shrinks_with_order():
-    # numeric-path pair: gaussian against a sine read as an R state
+    # quadrature of a gaussian against a sine read as an R state
     g = _factor(make_state("gaussian", mu=0.3, sigma=0.4))
     s = _factor(make_state("sine_mode", k=2))
     cell = np.array([0.1, 0.9])
@@ -164,9 +164,7 @@ def test_numeric_matches_exact_for_gaussian_pair():
     numeric = numeric_cell_integrals(g1, g2, cell)[0][0]
     assert abs(exact - numeric) < 1e-12
     # an infinite edge is fine once the pair's support clips it
-    from spatialzeno.states import Restricted1D
-
-    half, cell = Restricted1D(g1, 0.0, np.inf), np.array([-np.inf, 0.5])
+    half, cell = g1.restricted(0.0, np.inf), np.array([-np.inf, 0.5])
     exact = exact_cell_integrals(half, g2, cell)[0]
     assert abs(exact - numeric_cell_integrals(half, g2, cell)[0][0]) < 1e-12
 
@@ -219,7 +217,28 @@ def test_singular_factor_declares_only_its_singularity():
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_singular_point_inside_the_support_is_rejected():
+    # the singular point must be the lower end of the support
+    from spatialzeno.states import ONE, Primitive1D
+
+    class Inner(Primitive1D):
+        support = (0.0, 0.5)
+        bounded = False
+
+        def __call__(self, x):
+            x = np.asarray(x, dtype=float)
+            return self._mask(x, np.abs(x - 0.375) ** -0.3 + 0.0j)
+
+        def singularity(self):
+            return (0.375, 0.3)
+
+    with pytest.raises(ValueError, match="lower end"):
+        numeric_cell_integrals(ONE, Inner(), np.linspace(0.0, 0.5, 5))
+
+
 def test_exact_cell_integrals_none_when_unsupported():
+    # the power series has no room for the Gaussian's envelope
     g = _factor(make_state("gaussian", mu=0.0, sigma=1.0))
-    c = _factor(make_state("complex_exponential", k=1))
-    assert exact_cell_integrals(g, c, np.array([0.0, 1.0])) is None
+    p = _factor(make_state("power_singular", alpha=0.3))
+    for f, h in ((g, p), (p, g)):
+        assert exact_cell_integrals(f, h, np.array([0.0, 1.0])) is None

@@ -223,6 +223,9 @@ _REAL_HAAR = PiecewiseConstant1D((0.0, 0.25, 0.5, 1.0), (1.0, -0.5, 0.75))
     (("gaussian", {"mu": 0.3, "sigma": 0.5}), ("gaussian", {"mu": 0.0, "sigma": 1.0}),
      np.float64),
     (("gaussian", {"mu": 0.3, "sigma": 0.5}), ("uniform", {}), np.float64),
+    (("gaussian", {"mu": 0.3, "sigma": 0.5}), ("sine_mode", {"k": 3}), np.float64),
+    (("complex_exponential", {"k": 2}), ("gaussian", {"mu": 0.3, "sigma": 0.5}),
+     np.complex128),
     (("real_haar", {}), ("sine_mode", {"k": 2}), np.float64),
     (("sine_mode", {"k": 2}), ("real_haar", {}), np.float64),
     (("complex_exponential", {"k": 1}), ("complex_exponential", {"k": 1}), np.float64),

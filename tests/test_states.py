@@ -67,6 +67,11 @@ def _sine(k):
     return lambda x: _on(0.0, 1.0, x, np.sqrt(2.0) * np.sin(k * np.pi * x) + 0j)
 
 
+def _gauss(mu, sigma):
+    amp = (2.0 * np.pi * sigma ** 2) ** -0.25
+    return lambda x: amp * np.exp(-((x - mu) ** 2) / (4.0 * sigma ** 2)) + 0j
+
+
 @pytest.mark.parametrize("catalog, params, definition", [
     ("uniform", {}, lambda x: _on(0.0, 1.0, x, np.ones_like(x) + 0j)),
     ("sine_mode", {"k": 1}, _sine(1)),
@@ -76,6 +81,8 @@ def _sine(k):
     ("complex_exponential", {"k": -2}, _cexp(-2)),
     ("indicator", {"a": 0.1, "b": 0.6},
      lambda x: _on(0.1, 0.6, x, np.full_like(x, 1.0 / np.sqrt(0.6 - 0.1)) + 0j)),
+    ("gaussian", {"mu": 0.3, "sigma": 0.7}, _gauss(0.3, 0.7)),
+    ("gaussian", {"mu": -0.2, "sigma": 2.5}, _gauss(-0.2, 2.5)),
 ])
 def test_catalog_factor_values_match_their_definitions(catalog, params, definition):
     """Each trig-family factor, bit for bit, against the formula of the
@@ -139,6 +146,23 @@ def test_power_singular_invalid_alpha():
         make_state("power_singular", alpha=0.5)
     with pytest.raises(ValueError):
         make_state("power_singular", alpha=-0.1)
+
+
+@pytest.mark.parametrize("mu, sigma", [
+    (0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0), (0.0, -1.0),
+    ([0.0, 0.5], [1.0, np.nan]),
+])
+def test_gaussian_rejects_non_finite_and_non_positive_parameters(mu, sigma):
+    with pytest.raises(ValueError, match="finite mu and finite sigma > 0"):
+        make_state("gaussian", mu=mu, sigma=sigma)
+
+
+def test_nan_norm_fails_the_norm_check():
+    from spatialzeno.states import Domain, WaveFunction
+
+    ((_, factors),) = make_state("uniform").terms
+    with pytest.raises(ValueError, match="nan"):
+        WaveFunction(Domain.unit_cube(1), ((complex(np.nan), factors),))
 
 
 def test_invalid_parameters_rejected():
@@ -279,6 +303,79 @@ def test_gaussian_pair_integral_matches_erf_oracle():
     got = _exact(g1, g3, CELL(-2.0, 2.0))
     ref = quad(lambda x: np.real(np.conj(g1.evaluate(x)) * g3.evaluate(x)), -2, 2)[0]
     assert got.real == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [5.0, 7.0, 9.0, 20.0, -5.0, -7.0, -9.0, -20.0])
+def test_gaussian_tail_cells_against_mpmath(x):
+    """sigma = 1 self-pair cells of width 1/8 far in the tails: conj(g) g is
+    the standard normal density, so a cell is a difference of erfc values
+    taken on its own side of the mean."""
+    import mpmath
+
+    ((_, (g,)),) = make_state("gaussian", mu=0.0, sigma=1.0).terms
+    lo, hi = (x, x + 0.125) if x > 0 else (x - 0.125, x)
+    got = exact_cell_integrals(g, g, np.array([lo, hi]))[0]
+    with mpmath.workdps(40):
+        tail = lambda t: mpmath.erfc(abs(mpmath.mpf(t)) / mpmath.sqrt(2)) / 2
+        want = abs(tail(lo) - tail(hi))
+    assert abs(got - float(want)) <= 1e-13 * float(want)
+
+
+def test_gaussian_fourier_transform_over_the_line():
+    """Infinite edges contribute 0 on their side, without a warning: the
+    cells of g(x) exp(i w x) over a partition of R sum to the Fourier
+    transform of g."""
+    from spatialzeno.states import Trig1D
+
+    mu, sigma, w = 0.3, 0.8, 2.5
+    ((_, (g,)),) = make_state("gaussian", mu=mu, sigma=sigma).terms
+    a, amp = 1.0 / (4.0 * sigma ** 2), (2.0 * np.pi * sigma ** 2) ** -0.25
+    want = amp * np.sqrt(np.pi / a) * np.exp(1j * w * mu - w * w / (4.0 * a))
+    for edges in ([-np.inf, np.inf], [-np.inf, mu, np.inf], [-np.inf, -1.0, 2.0, np.inf]):
+        cells = exact_cell_integrals(g, Trig1D(((1.0 + 0j, w),)), np.array(edges))
+        assert abs(cells.sum() - want) <= 1e-14 * abs(want)
+
+
+def test_gaussian_against_trig_cells_against_mpmath():
+    """Gaussian x sine(k) and x exp(2 pi i k x), k <= 16, on 1024 cells of
+    [0, 1]: closed-form cells against mpmath relative to h max|integrand|,
+    on every 32nd cell and the cells around the Gaussian's mean.
+
+    The bound is 2e-12, not 1e-12: scipy's wofz switches algorithm at
+    Im z = 0.1 for 6 < Re z < 8, and its relative error jumps from 2e-16
+    to 9e-15 there.  The cell whose edges straddle the switch (sine(2) and
+    exp(2 pi i x) at x = 0.1 and x = 0.5) keeps that jump, amplified by the
+    narrow-cell cancellation to 1.1e-12; every other cell is within 3e-13.
+    """
+    import mpmath
+
+    mu, sigma = 0.3, 1.0
+    ((_, (g,)),) = make_state("gaussian", mu=mu, sigma=sigma).terms
+    edges = np.linspace(0.0, 1.0, 1025)
+    idx = np.unique(np.r_[np.arange(0, 1024, 32), 305:310])
+    a, amp = 1.0 / (4.0 * sigma ** 2), (2.0 * np.pi * sigma ** 2) ** -0.25
+    refs = {}
+
+    def ref(w):
+        """Cells of exp(-a (x - mu)^2 + i w x) = sqrt(pi) / 2s
+        e^{iw mu - w^2/4a} erf(s (x - mu) - iw / 2s) differences, w > 0."""
+        if w not in refs:
+            with mpmath.workdps(30):
+                s, m, mw = mpmath.sqrt(mpmath.mpf(a)), mpmath.mpf(mu), mpmath.mpf(w)
+                anti = lambda x: mpmath.erf(s * (mpmath.mpf(x) - m) - 1j * mw / (2 * s))
+                scale = (mpmath.sqrt(mpmath.pi) / (2 * s) * mpmath.expj(mw * m)
+                         * mpmath.exp(-mw ** 2 / (4 * a)))
+                refs[w] = np.array([complex(scale * (anti(edges[i + 1]) - anti(edges[i])))
+                                    for i in idx])
+        return refs[w]
+
+    for catalog in ("sine_mode", "complex_exponential"):
+        for k in range(1, 17):
+            ((_, (trig,)),) = make_state(catalog, k=k).as_euclidean().terms
+            got = exact_cell_integrals(g, trig, edges)
+            want = sum(amp * c * (ref(w) if w > 0 else np.conj(ref(-w))) for c, w in trig.terms)
+            size = amp * sum(abs(c) for c, _ in trig.terms) / 1024  # h max|integrand|
+            assert np.max(np.abs(got[idx] - want)) <= 2e-12 * size, (catalog, k)
 
 
 def test_superposition_norm_two_ways():
