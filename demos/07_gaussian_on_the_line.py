@@ -2,9 +2,10 @@
 """States on the whole line: truncate to unit cubes, budget the tail.
 
 A grid scheme for R^d tiles a finite list of translated unit cubes.  The
-study grows a centered cube list until it captures the requested
-probability mass; what's left over bounds the truncation error of every
-reported probability.
+study grows a centered box of cubes until it captures the requested
+probability mass, and holds that box (``tail.cubes``, a lazy ``CubeBox``);
+what's left over bounds the truncation error of every reported
+probability.
 """
 
 from spatialzeno import GridScheme, make_state, rd_study

@@ -10,6 +10,7 @@ P(Y=1) as the grids refine.
 from .grids import (
     Bin,
     ConcatenatedGrid,
+    CubeBox,
     CustomGrid,
     GridLevel,
     GridScheme,

@@ -6,14 +6,13 @@ squares, skipping rows whose probability sits below ten times the
 accumulated error bound (those are numerical noise, not signal).  The
 Riemann-sum check compares n^d * P(Y=1) against the integral of
 |phi|^2 |psi|^2, which is the limiting value for bounded states on
-uniform grids.  Studies over R^d truncate to a centered list of unit
+uniform grids.  Studies over R^d truncate to a centered box of unit
 cubes capturing a requested probability mass; the dropped tail bounds
 the truncation error additively.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 import warnings
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import GridScheme, ProductGrid
+from .grids import CubeBox, GridScheme, ProductGrid
 from .measurement import _mass_pass, _pair_pass
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _region_integral
 from .states import WaveFunction, inner_product, product_field
@@ -100,9 +99,14 @@ class RiemannCheck:
 
 @dataclass
 class TailBudget:
-    """Captured probability mass of a centered cube truncation of R^d."""
+    """Captured probability mass of a centered cube truncation of R^d.
 
-    cubes: tuple[tuple[float, ...], ...]
+    ``cubes`` is the :class:`CubeBox` [-k, k)^d of the truncation: a lazy
+    sequence of its (2k)^d corner tuples in C order, with ``len``,
+    indexing and per-axis ``axes``, so no corner list is built.
+    """
+
+    cubes: CubeBox
     captured_mass: float
     tail_bound: float
 
@@ -232,23 +236,22 @@ def _captured_masses(states, k: int, d: int, cfg: QuadratureConfig) -> list[floa
     return [_mass_pass(state, box, cfg, keep=False)[0] for state in states]
 
 
-def _centered_cubes(k: int, d: int) -> list[tuple[float, ...]]:
-    return [tuple(float(c) for c in corner)
-            for corner in itertools.product(range(-k, k), repeat=d)]
-
-
 def rd_study(state, phi: WaveFunction, scheme: GridScheme,
              n_list: Sequence[int], mass_target: float,
              cfg: QuadratureConfig = DEFAULT_CONFIG,
              max_cubes: int = 4096,
              fit_window: tuple[int, int] | None = None
              ) -> tuple[ConvergenceRecord, TailBudget]:
-    """Convergence study on R^d truncated to a centered cube list.
+    """Convergence study on R^d truncated to a centered box of unit cubes.
 
-    Grows a symmetric list of translated unit cubes until it captures at
-    least ``mass_target`` of both |psi|^2 and |phi|^2, then runs the
-    study on that region.  Every row's error bound includes the tail
-    bound ||phi||^2 * (1 - captured mass).
+    Grows the box [-k, k)^d until it captures at least ``mass_target`` of
+    both |psi|^2 and |phi|^2, then runs the study on that box.  The box is
+    decided once: one :class:`CubeBox` goes into ``TailBudget.cubes`` and
+    into the study's scheme, and each level is one product grid built
+    from its per-axis coordinates.  ``max_cubes`` caps (2k)^d; no corner
+    list is built.  Every row's error bound includes the tail bound
+    ||phi||^2 * (1 - captured mass).  Raises ValueError when the state's
+    dimension is not ``scheme.d``, before any mass is computed.
     """
     if not 0.0 < mass_target < 1.0:
         raise ValueError("mass_target must be in (0, 1)")
@@ -256,6 +259,8 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
         raise ValueError("rd_study expects states on R^d")
     n_list = _resolutions(n_list)
     d = state.domain.d
+    if d != scheme.d:
+        raise ValueError("state dimension does not match the grid")
     k = 1
     while True:
         if (2 * k) ** d > max_cubes:
@@ -266,12 +271,12 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
         if cap_psi >= mass_target and cap_phi >= mass_target:
             break
         k += 1
-    corners = _centered_cubes(k, d)
+    box = CubeBox((k,) * d)
     phi_norm_sq = float(np.real(inner_product(phi, phi)))
-    tail = TailBudget(cubes=tuple(corners),
+    tail = TailBudget(cubes=box,
                       captured_mass=cap_psi,
                       tail_bound=phi_norm_sq * max(0.0, 1.0 - cap_psi))
-    rd_scheme = scheme.with_cubes(corners)
+    rd_scheme = scheme.with_cubes(box)
     rows = _study_rows(state, phi, rd_scheme, n_list, cfg,
                        extra_error=tail.tail_bound)
     record = _fit_record(state, phi, rd_scheme, rows, fit_window)

@@ -169,10 +169,6 @@ class CliError(Exception):
         self.payload = {"error": {"kind": error_kind, "message": message, **extra}}
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def build_state(spec: dict):
     spec = dict(spec)
     tag = spec.pop("catalog")
@@ -218,18 +214,15 @@ def _state_or_density(config: dict):
     return build_state(config["psi"]), False
 
 
-def _column_cells(values):
-    """One CSV column as text: floats with 17 significant digits, other
-    values (integers) with ``str``."""
-    arr = np.asarray(values)
-    return map(_fmt if arr.dtype.kind == "f" else str, arr.tolist())
-
-
 def _csv_lines(header: list[str], columns: list, chash: str) -> str:
-    """CSV text from one sequence of values per header field."""
+    """CSV text from one sequence of values per header field: float columns
+    with 17 significant digits (``%.17g``, the digits of ``f"{x:.17g}"``),
+    other columns (integers) with ``%s``, one ``%`` format per row."""
+    arrays = [np.asarray(c) for c in columns]
+    row = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in arrays)
     lines = [f"# schema_version={SCHEMA_VERSION} config_hash={chash}",
              ",".join(header)]
-    lines.extend(map(",".join, zip(*map(_column_cells, columns))))
+    lines.extend(map(row.__mod__, zip(*(a.tolist() for a in arrays))))
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,8 @@ one one-cell product grid per bin.  Grids over R^d are finite unions of
 translated unit cubes, each carrying a translated copy of the sub-scheme's
 breakpoints, so no bin ever straddles a cube boundary; a cube list that
 fills a box of the unit lattice is one product grid over the whole box.
+A centred box is held as a :class:`CubeBox`, which names its cubes
+without listing them.
 
 All grid objects are immutable after construction and all operations are
 pure, so they are safe to share between threads.
@@ -17,9 +19,11 @@ pure, so they are safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +34,7 @@ __all__ = [
     "ProductGrid",
     "CustomGrid",
     "ConcatenatedGrid",
+    "CubeBox",
     "GridScheme",
     "GRID_KINDS",
     "GridValidationReport",
@@ -465,6 +470,58 @@ def _lattice_box(corners: np.ndarray) -> list[np.ndarray] | None:
     return axes
 
 
+@dataclass(frozen=True)
+class CubeBox(Sequence):
+    """The unit cubes of the centred box prod_k [-k_k, k_k), as a lazy sequence.
+
+    ``half_widths`` holds one integer k_k >= 1 per axis, so the box has
+    prod_k 2 k_k cubes.  Item i is the corner tuple (floats) of the i-th
+    cube in C order, axis 0 slowest: the order of
+    ``itertools.product(range(-k_0, k_0), ...)``.  No corner list is built;
+    ``len``, indexing and the sorted per-axis corner coordinates ``axes``
+    come from the half-widths.  Boxes are equal, and hash equal, when their
+    half-widths are.
+    """
+
+    half_widths: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        hw = tuple(operator.index(k) for k in self.half_widths)
+        if not hw or min(hw) < 1:
+            raise ValueError("a cube box needs at least one axis and half-widths >= 1")
+        object.__setattr__(self, "half_widths", hw)
+
+    @property
+    def d(self) -> int:
+        return len(self.half_widths)
+
+    @property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.arange(-k, k, dtype=float) for k in self.half_widths)
+
+    def __len__(self) -> int:
+        return math.prod(2 * k for k in self.half_widths)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = operator.index(i)
+        size = len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("cube index out of range")
+        corner = []
+        for k in reversed(self.half_widths):
+            i, r = divmod(i, 2 * k)
+            corner.append(float(r - k))
+        return tuple(reversed(corner))
+
+    def __iter__(self) -> Iterator[tuple[float, ...]]:
+        for corner in itertools.product(*(range(-k, k) for k in self.half_widths)):
+            yield tuple(map(float, corner))
+
+
 def _coordinate_key(a: float) -> int:
     # the float's bit pattern, with -0.0 folded onto 0.0
     return int(np.float64(a + 0.0).view(np.uint64))
@@ -501,12 +558,14 @@ GRID_KINDS = ("uniform", "jittered", "rd_translated_cubes")
 class GridScheme:
     """Family of grid levels indexed by the resolution n.
 
-    kind is one of :data:`GRID_KINDS`; rd schemes carry a cube list plus
-    the sub-scheme used inside every cube.  A jittered sub-scheme draws
-    each axis segment of a cube from (seed, n, axis, cell count, cube
-    coordinate), so a cube box is one product grid and a cube's bins do not
-    depend on the rest of the list.  A hand-built partition is a
-    :class:`CustomGrid` level, not a scheme.
+    kind is one of :data:`GRID_KINDS`; rd schemes carry ``cubes`` plus the
+    sub-scheme used inside every cube.  ``cubes`` is a tuple of corner
+    tuples, or the :class:`CubeBox` that ``rd_study`` holds, whose levels
+    are built from its per-axis coordinates without reading a corner.  A
+    jittered sub-scheme draws each axis segment of a cube from (seed, n,
+    axis, cell count, cube coordinate), so a cube box is one product grid
+    and a cube's bins do not depend on the rest of the list.  A hand-built
+    partition is a :class:`CustomGrid` level, not a scheme.
     """
 
     kind: str
@@ -514,7 +573,7 @@ class GridScheme:
     ratio_bound: float = DEFAULT_RATIO_BOUND
     seed: int = 0
     cells_per_axis: int | None = None
-    cubes: tuple[tuple[float, ...], ...] | None = None
+    cubes: tuple[tuple[float, ...], ...] | CubeBox | None = None
     sub_kind: str = "uniform"
 
     def __post_init__(self) -> None:
@@ -532,13 +591,25 @@ class GridScheme:
         return rd_grid(self, n, self.cubes)
 
     def with_cubes(self, cubes: Sequence[Sequence[float]]) -> "GridScheme":
-        """Copy of this scheme turned into an R^d scheme over ``cubes``."""
+        """Copy of this scheme turned into an R^d scheme over ``cubes``.
+
+        A :class:`CubeBox` is kept as it is; any other list is stored as
+        corner tuples of floats.  Raises ValueError when a cube's dimension
+        is not ``d``.
+        """
+        if isinstance(cubes, CubeBox):
+            dims = {cubes.d}
+        else:
+            cubes = tuple(tuple(float(a) for a in c) for c in cubes)
+            dims = {len(c) for c in cubes}
+        if dims - {self.d}:
+            raise ValueError(f"cubes of dimension {sorted(dims)} for a scheme "
+                             f"with d={self.d}")
         sub = self.sub_kind if self.kind == "rd_translated_cubes" else self.kind
         return GridScheme(
             kind="rd_translated_cubes", d=self.d, ratio_bound=self.ratio_bound,
             seed=self.seed, cells_per_axis=self.cells_per_axis,
-            cubes=tuple(tuple(float(a) for a in c) for c in cubes),
-            sub_kind=sub)
+            cubes=cubes, sub_kind=sub)
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "d": self.d, "ratio_bound": self.ratio_bound}
@@ -556,34 +627,44 @@ def rd_grid(scheme: GridScheme, n: int,
     """Grid over a union of pairwise disjoint translated unit cubes.
 
     Every cube Q_l = prod_k [a_k, a_k+1) is cut on each axis k by the
-    sub-scheme's breakpoints translated to a_k.  When the distinct corners
-    fill a box of the unit lattice, the result has a single product part
-    over the box whose axis breakpoints are those segments joined end to
-    end, and its bins come in C order over the box whatever the order of
-    the list; such corners are disjoint by construction.  Any other list
-    gets one part per cube, in list order, after a pairwise check that no
-    two cubes overlap.
+    sub-scheme's breakpoints translated to a_k.  A :class:`CubeBox` gives a
+    single product part over its box directly from its ``axes``: the axis
+    breakpoints are those segments joined end to end, and no corner is
+    read.  An explicit list whose distinct corners fill a box of the unit
+    lattice gets the same part, found by sorting its corners, and its bins
+    come in C order over the box whatever the order of the list; such
+    corners are disjoint by construction.  Any other list gets one part
+    per cube, in list order, after a pairwise check that no two cubes
+    overlap.
 
     Raises
     ------
+    ValueError
+        If the cubes' dimension is not ``scheme.d``.
     OverlappingCubesError
         If two listed cubes overlap (a repeated corner included).
     """
-    try:
-        corners = np.array(cube_list, dtype=float)
-    except ValueError as exc:
-        raise ValueError("all cubes must share the same dimension") from exc
-    if corners.size == 0:
-        raise ValueError("need at least one cube")
-    if corners.ndim != 2:
-        raise ValueError("all cubes must share the same dimension")
-    if not np.all(np.isfinite(corners)):
-        raise ValueError("cube corners must be finite")
+    if isinstance(cube_list, CubeBox):
+        corners, d = None, cube_list.d
+    else:
+        try:
+            corners = np.array(cube_list, dtype=float)
+        except ValueError as exc:
+            raise ValueError("all cubes must share the same dimension") from exc
+        if corners.size == 0:
+            raise ValueError("need at least one cube")
+        if corners.ndim != 2:
+            raise ValueError("all cubes must share the same dimension")
+        if not np.all(np.isfinite(corners)):
+            raise ValueError("cube corners must be finite")
+        d = corners.shape[1]
+    if d != scheme.d:
+        raise ValueError(f"cubes of dimension {d} for a scheme with d={scheme.d}")
     if n < 1:
         raise ValueError("resolution index n must be >= 1")
     segment = _cube_segments(scheme, n)
     C = scheme.ratio_bound
-    box = _lattice_box(corners)
+    box = cube_list.axes if corners is None else _lattice_box(corners)
     if box is not None:
         bps = []
         for k, coords in enumerate(box):
@@ -600,7 +681,7 @@ def rd_grid(scheme: GridScheme, n: int,
                 f"(corner distance < 1 on every axis)")
         parts = [ProductGrid(n, [segment(k, a) for k, a in enumerate(c)], ratio_bound=C)
                  for c in cubes]
-    return ConcatenatedGrid(n, parts, corners, ratio_bound=C)
+    return ConcatenatedGrid(n, parts, cube_list, ratio_bound=C)
 
 
 @dataclass

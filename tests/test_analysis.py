@@ -8,6 +8,7 @@ from scipy.special import erf
 
 from spatialzeno import analysis
 from spatialzeno import (
+    CubeBox,
     CubeBudgetExceededError,
     DegenerateWindowError,
     GridScheme,
@@ -317,6 +318,53 @@ def test_rd_study_searches_the_captured_mass_with_its_cfg():
     assert tail.tail_bound == pytest.approx(1.0 - want, rel=1e-9)
 
 
+def test_rd_study_rejects_a_state_of_another_dimension(monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a captured mass was computed")
+
+    monkeypatch.setattr(analysis, "_mass_pass", no_pass)
+    g = make_state("gaussian", mu=0.0, sigma=1.0)
+    with pytest.raises(ValueError, match="state dimension does not match the grid"):
+        rd_study(g, g, GridScheme("uniform", d=2), [4, 8, 16], mass_target=1 - 1e-6)
+
+
+def test_rd_study_holds_its_box_and_never_reads_corners(monkeypatch):
+    from spatialzeno import grids
+
+    def no_detection(*args, **kwargs):
+        raise AssertionError("the box was re-detected from a corner list")
+
+    monkeypatch.setattr(grids, "_lattice_box", no_detection)
+    for sub in ("uniform", "jittered"):
+        scheme = GridScheme(sub, d=2, ratio_bound=2.0, seed=3)
+        g = make_state("gaussian", mu=[0.2, -0.1], sigma=[0.7, 1.2])
+        rec, tail = rd_study(g, g, scheme, [2, 4, 8], mass_target=1 - 1e-8)
+        k = int(-tail.cubes[0][0])
+        assert tail.cubes == CubeBox((k, k)) and rec.scheme["num_cubes"] == (2 * k) ** 2
+        assert len(rec.rows) == 3
+
+
+def test_rd_study_3d_sigma4_box_is_small_and_equals_the_explicit_list():
+    g = make_state("gaussian", mu=[0.0] * 3, sigma=[4.0] * 3)
+    scheme = GridScheme("uniform", d=3)
+    args = (g, g, scheme, [2, 4, 8], 1 - 1e-8)
+    rd_study(*args, max_cubes=200000)  # lazy imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        rec, tail = rd_study(*args, max_cubes=200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tail.cubes) == 110592
+    assert peak < 1e6
+    listed = analysis._study_rows(g, g, scheme.with_cubes(list(tail.cubes)), [2, 4, 8],
+                                  analysis.DEFAULT_CONFIG, tail.tail_bound)
+    assert len(rec.rows) == len(listed) == 3
+    for a, b in zip(rec.rows, listed):
+        assert (a.n, a.num_bins, a.p_y1, a.error_bound, a.bar_norm_sq) == (
+            b.n, b.num_bins, b.p_y1, b.error_bound, b.bar_norm_sq)
+
+
 def test_rd_study_rejects_unit_cube_domain():
     s = make_state("sine_mode", k=1)
     with pytest.raises(ValueError):
@@ -337,7 +385,7 @@ def test_jittered_sandwich_property_for_all_rows():
 
 def test_box_captured_mass_matches_per_cube_sum():
     from spatialzeno import Bin, Interval, bin_inner_product
-    from spatialzeno.analysis import _captured_masses, _centered_cubes
+    from spatialzeno.analysis import _captured_masses
     from spatialzeno.quadrature import DEFAULT_CONFIG
 
     g = make_state("gaussian", mu=[0.4, -0.3], sigma=[0.9, 1.3])
@@ -348,7 +396,7 @@ def test_box_captured_mass_matches_per_cube_sum():
         for k in (1, 2, 4):
             per_cube = 0.0
             for w, wf in terms:
-                for corner in _centered_cubes(k, 2):
+                for corner in CubeBox((k, k)):
                     cube = Bin(tuple(Interval(a, a + 1.0) for a in corner))
                     per_cube += w * float(np.real(bin_inner_product(wf, wf, cube).value))
             (got,) = _captured_masses((state,), k, 2, DEFAULT_CONFIG)

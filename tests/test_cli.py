@@ -330,6 +330,19 @@ def test_rd_study_with_repeated_resolution_exits_4(tmp_path, capsys):
     assert not list(tmp_path.glob("rd_study.*"))
 
 
+def test_rd_study_with_a_state_of_another_dimension_exits_4(tmp_path, capsys):
+    gauss = {"catalog": "gaussian", "mu": 0.0, "sigma": 1.0}
+    config = {"schema_version": "1", "experiment": "rd_study", "d": 2,
+              "psi": gauss, "phi": gauss, "grid": {"kind": "uniform"},
+              "n_list": [4, 8, 16], "mass_target": 0.9999999}
+    cfg = write_config(tmp_path, "rd.json", config)
+    assert main(["--output-dir", str(tmp_path), "run", cfg]) == EXIT_COMPUTE
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "compute-failure"
+    assert "state dimension does not match the grid" in err["message"]
+    assert not list(tmp_path.glob("rd_study.*"))
+
+
 def test_density_config(tmp_path, capsys):
     config = {
         "schema_version": "1",
@@ -491,3 +504,26 @@ def test_csv_columns_match_row_formatter():
     cols = [[4, 8], [2 ** 70, 3], [0.25, -0.0], [5e-324, 1e300]]
     assert _csv_lines(["n", "num_bins", "p", "q"], cols, "h") == _csv_rows_reference(
         ["n", "num_bins", "p", "q"], [list(r) for r in zip(*cols)], "h")
+
+
+def test_csv_writer_pins_special_values_and_empty_tables():
+    from spatialzeno.cli import _csv_lines
+
+    header = ["i8", "i64", "x", "y"]
+    cols = [np.array([-128, 0, 127, 5], dtype=np.int8),
+            np.array([-2 ** 63, 0, 2 ** 63 - 1, 7], dtype=np.int64),
+            np.array([np.nan, np.inf, -np.inf, -0.0]),
+            np.array([5e-324, 1e300, 0.1, 1.0])]
+    got = _csv_lines(header, cols, "h")
+    assert got == ("# schema_version=1 config_hash=h\n"
+                   "i8,i64,x,y\n"
+                   "-128,-9223372036854775808,nan,4.9406564584124654e-324\n"
+                   "0,0,inf,1.0000000000000001e+300\n"
+                   "127,9223372036854775807,-inf,0.10000000000000001\n"
+                   "5,7,-0,1\n")
+    rows = [[int(a), int(b), float(x), float(y)] for a, b, x, y in zip(*cols)]
+    assert got == _csv_rows_reference(header, rows, "h")
+    empty = [np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64),
+             np.zeros(0), np.zeros(0)]
+    assert _csv_lines(header, empty, "h") == _csv_rows_reference(header, [], "h") == (
+        "# schema_version=1 config_hash=h\ni8,i64,x,y\n")

@@ -8,6 +8,7 @@ import pytest
 from spatialzeno import (
     Bin,
     ConcatenatedGrid,
+    CubeBox,
     GridScheme,
     InfeasibleGridError,
     Interval,
@@ -295,6 +296,64 @@ def test_jittered_cube_alone_matches_its_box_segment():
         # cube (1, -2): fourth segment on axis 0, first on axis 1
         assert np.array_equal(alone.breakpoints[0], box.breakpoints[0][3 * m:4 * m + 1])
         assert np.array_equal(alone.breakpoints[1], box.breakpoints[1][:m + 1])
+
+
+def test_cube_box_is_a_lazy_sequence_of_corners_in_c_order():
+    box = CubeBox((2, 1, 3))
+    want = [tuple(float(a) for a in c)
+            for c in itertools.product(range(-2, 2), range(-1, 1), range(-3, 3))]
+    assert list(box) == want
+    assert len(box) == 48 and box.d == 3
+    assert [box[i] for i in range(-48, 48)] == want + want
+    assert all(type(a) is float for a in box[5])
+    for i in (48, -49):
+        with pytest.raises(IndexError):
+            box[i]
+    for sl in (slice(None), slice(3, 17), slice(-5, None), slice(None, None, -7),
+               slice(40, 2, -3), slice(50, 60)):
+        assert box[sl] == tuple(want[sl])
+    assert box[np.int64(-1)] == want[-1]
+    assert [ax.tolist() for ax in box.axes] == [[-2, -1, 0, 1], [-1, 0], [-3, -2, -1, 0, 1, 2]]
+    assert box == CubeBox([np.int64(2), 1, 3]) and hash(box) == hash(CubeBox((2, 1, 3)))
+    assert box != CubeBox((2, 1, 2)) and len({box, CubeBox((2, 1, 3))}) == 1
+    assert box != want and box != tuple(want)
+    for bad in ((), (0,), (2, -1)):
+        with pytest.raises(ValueError):
+            CubeBox(bad)
+    with pytest.raises(TypeError):
+        CubeBox((1.5,))
+
+
+@pytest.mark.parametrize("half_widths", [(3,), (2, 1), (1, 2, 1)])
+@pytest.mark.parametrize("sub", ["uniform", "jittered"])
+def test_cube_box_level_equals_the_shuffled_explicit_list(half_widths, sub):
+    d = len(half_widths)
+    box = CubeBox(half_widths)
+    base = GridScheme(sub, d=d, ratio_bound=2.0, seed=17)
+    held = base.with_cubes(box)
+    assert held.cubes is box
+    corners = list(box)
+    np.random.default_rng(2).shuffle(corners)
+    listed = base.with_cubes(corners)
+    assert held.describe() == listed.describe()
+    for n in (1, 3, 4):
+        a, b = held.level(n), rd_grid(listed, n, listed.cubes)
+        assert len(a.parts) == len(b.parts) == 1
+        assert a.num_cubes == b.num_cubes == len(box)
+        for x, y in zip(a.parts[0].breakpoints, b.parts[0].breakpoints):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_cubes_of_another_dimension_are_rejected():
+    base = GridScheme("uniform", d=2)
+    for cubes in (CubeBox((1,)), CubeBox((1, 1, 1)), [(0.0, 0.0), (1.0,)], [(0.0,)]):
+        with pytest.raises(ValueError, match="dimension"):
+            base.with_cubes(cubes)
+    for scheme, cubes in ((GridScheme("rd_translated_cubes", d=1, cubes=((0.0, 0.0),)),
+                           ((0.0, 0.0),)),
+                          (GridScheme("rd_translated_cubes", d=2), CubeBox((1,)))):
+        with pytest.raises(ValueError, match="dimension"):
+            rd_grid(scheme, 2, cubes)
 
 
 def test_validate_concatenated_checks_cube_list():
