@@ -99,7 +99,8 @@ def _bin_integrals_callable(f: Callable, part: ProductGrid,
 
 
 # bytes per bin at discretize's peak (tracemalloc): a separable f holds the
-# complex128 bin integrals and _per_bin_arrays' complex128 term buffer, and
+# complex128 bin integrals and, for two or more terms, _per_bin_arrays'
+# complex128 term buffer, and
 # the <1|f> pair table's cells (counted by _should_keep); a plain callable
 # holds its tensor-node values, weights and points, at most _NODE_BYTES +
 # 16 d per node (measured on d = 1..3)

@@ -253,7 +253,7 @@ class ProductGrid(GridLevel):
             bp = np.asarray(bp, dtype=float)
             if bp.ndim != 1 or bp.size < 2:
                 raise ValueError("each axis needs at least two breakpoints")
-            if not np.all(np.diff(bp) > 0):
+            if not (bp[1:] > bp[:-1]).all():
                 raise ValueError("breakpoints must be strictly increasing")
             bp.setflags(write=False)
             bps.append(bp)
@@ -389,10 +389,20 @@ def _auto_cells(n: int, C: float) -> int:
 
 
 def _jitter_axis(n: int, C: float, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m + 1 breakpoints on [0, 1] whose gaps lie in [1/(C n), 1/n].
+
+    The uniforms are drawn into the breakpoint array, turned into lengths
+    and then into edges there, so the array is the only full-length one.
+    """
     lo, hi = 1.0 / (C * n), 1.0 / n
-    u = rng.random(m)
-    u /= u.sum()
-    lengths = lo + u * (1.0 - m * lo)
+    bp = np.empty(m + 1)
+    bp[0] = 0.0
+    lengths = bp[1:]
+    rng.random(out=lengths)
+    lengths /= lengths.sum()
+    # lo + u (1 - m lo)
+    lengths *= 1.0 - m * lo
+    lengths += lo
     over = lengths > hi
     if over.any():
         excess = float((lengths[over] - hi).sum())
@@ -402,10 +412,10 @@ def _jitter_axis(n: int, C: float, m: int, rng: np.random.Generator) -> np.ndarr
         if total_room > 0.0:
             # feasibility (m >= n) guarantees excess <= total_room, so one
             # proportional pass keeps every length inside [lo, hi]
-            lengths = lengths + excess * room / total_room
-    bp = np.empty(m + 1)
-    bp[0] = 0.0
-    np.cumsum(lengths, out=bp[1:])
+            room *= excess
+            room /= total_room
+            lengths += room
+    np.cumsum(lengths, out=lengths)
     bp[-1] = 1.0
     return bp
 

@@ -57,6 +57,9 @@ logger = logging.getLogger(__name__)
 
 # per-bin tables above this size are dropped unless explicitly requested
 PER_BIN_LIMIT = 10 ** 6
+# draws per chunk of the sampler: its index, sort and gather arrays have
+# this length whatever the draw count
+DRAW_BLOCK = 2 ** 14
 
 
 class ZeroMassBinError(ValueError):
@@ -78,7 +81,8 @@ def _physical_memory() -> float:
 TABLE_BYTE_LIMIT = _physical_memory()
 # bytes per bin at the peak of building the kept tables: the complex128
 # amplitudes (or the float64 P(Y=1) and mass sums), then a mass table built
-# as a complex128 sum in a reused complex128 term buffer (``_per_bin_arrays``;
+# as a complex128 sum in a reused complex128 term buffer (``_per_bin_arrays``
+# with two or more term pairs;
 # real psi-psi cells build it in float64, so this is the worst case)
 _TABLE_BYTES_PER_BIN = 16 + 16 + 16
 # bytes per term pair and cell of a kept pair table: the complex128 cells of
@@ -187,20 +191,21 @@ def _error_bound(weights: np.ndarray, sq: np.ndarray, extra: np.ndarray) -> floa
 def _per_bin_arrays(weights, axes_cells) -> np.ndarray:
     """Materialise the flat per-bin amplitude array (C order over axes).
 
-    The array is sum_a w_a outer_k(M_a,k), raveled.  Each term's outer
-    product is written into one reused buffer, scaled there and added into
-    the output, so the build holds two full-size arrays; the values are
-    bitwise those of summing the scaled outer products one by one.
+    The array is sum_a w_a outer_k(M_a,k), raveled.  The first term's outer
+    product is built in the output and scaled there; each later term's is
+    written into one reused buffer, scaled there and added into the output.
+    A single term so holds one full-size array, several hold two; the
+    values are bitwise those of summing the scaled outer products one by one.
     """
     shape = tuple(cells.shape[1] for cells in axes_cells)
     out = np.empty(shape, dtype=np.result_type(weights, *axes_cells))
-    buf = np.empty_like(out)
+    buf = np.empty_like(out) if len(weights) > 1 else None
     for a, w in enumerate(weights):
         term = axes_cells[0][a]
         if len(shape) > 1:
             for cells in axes_cells[1:-1]:
                 term = np.multiply.outer(term, cells[a])
-            term = np.multiply.outer(term, axes_cells[-1][a], out=buf)
+            term = np.multiply.outer(term, axes_cells[-1][a], out=out if a == 0 else buf)
         if a == 0:
             np.multiply(w, term, out=out)
         else:
@@ -239,6 +244,19 @@ def _require_tables(level: GridLevel, keep, bytes_per_bin: int = _TABLE_BYTES_PE
                      "does not request them")
 
 
+def _joined(parts) -> np.ndarray:
+    """The parts' flat per-bin tables end to end; a single contiguous table
+    is returned as it is, not copied."""
+    return np.concatenate(parts) if len(parts) > 1 else np.ascontiguousarray(parts[0])
+
+
+def _check_pair(state, phi: WaveFunction, level: GridLevel) -> None:
+    if state.domain != phi.domain:
+        raise ValueError("psi and phi live on different domains")
+    if state.d != level.d:
+        raise ValueError("state dimension does not match the grid")
+
+
 def _spectrum(state):
     """The spectral terms (p_l, psi_l) of a density state; a pure state is
     the single term (1.0, psi)."""
@@ -271,7 +289,7 @@ def _mass_pass(state, level: GridLevel, cfg: QuadratureConfig, keep: bool):
     for p_l, psi in _spectrum(state):
         if keep:
             totals, parts = zip(*(_part_masses(psi, part, cfg) for part in level.parts))
-            term_total, term = sum(totals), np.concatenate(parts)
+            term_total, term = sum(totals), _joined(parts)
             del parts
             term *= p_l
             masses = term if masses is None else np.add(masses, term, out=masses)
@@ -328,10 +346,7 @@ def _pair_pass(state, phi: WaveFunction, level: GridLevel, cfg: QuadratureConfig
     density state keeps none and reports no bar norm; its dropped spectral
     tail adds ||phi||^2 (1 - sum p_l) to the error bound.
     """
-    if state.domain != phi.domain:
-        raise ValueError("psi and phi live on different domains")
-    if state.d != level.d:
-        raise ValueError("state dimension does not match the grid")
+    _check_pair(state, phi, level)
     pure = not isinstance(state, DensityState)
     keep, with_bar = keep and (squared or pure), with_bar and pure
     p_raw, err, bar, table = 0.0, 0.0, 0.0, None
@@ -342,7 +357,7 @@ def _pair_pass(state, phi: WaveFunction, level: GridLevel, cfg: QuadratureConfig
         err += p_l * max(sum(errs), _EPS_FLOOR * level.num_bins ** 0.5)
         bar += p_l * sum(bars)
         if keep:
-            term = np.concatenate(amps)
+            term = _joined(amps)
             del amps
             if squared:
                 # |a|^2 p_l, built in place of the float64 |a|
@@ -466,15 +481,30 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw(psi, phi, level, cfg, keep_per_bin, u_x, u_y):
-    """(X, Y) of a pure state at the uniforms u_x, u_y: X by inverse CDF
-    over the bin masses, Y = 1 when u_y is below P(Y=1 | X)."""
-    masses, p1 = _per_bin_tables(psi, phi, level, cfg, keep_per_bin)
-    cdf = np.cumsum(masses)
+def _draw(psi, phi, level, cfg, keep_per_bin, u_x, u_y, x, y, which=None, l=0):
+    """Fill x, y with the (X, Y) draws of a pure state at the uniforms u_x,
+    u_y: X by inverse CDF over the bin masses, Y = 1 when u_y is below
+    P(Y=1 | X).  With ``which``, only the draws whose term index is ``l``.
+
+    The CDF is built in place of the masses and P(Y=1 | X) in place of the
+    P(Y=1) table, and the draws are made DRAW_BLOCK at a time, so the two
+    tables and one chunk are all this adds to the draw arrays.
+    """
+    masses, cond = _per_bin_tables(psi, phi, level, cfg, keep_per_bin)
+    cond[masses <= 0] = 0.0
+    np.divide(cond, masses, out=cond, where=masses > 0)
+    cdf = np.cumsum(masses, out=masses)
+    if not cdf[-1] > 0.0:
+        raise ZeroMassBinError(f"state {psi.label!r} has no mass on the level")
     cdf /= cdf[-1]
-    x = _inverse_cdf(cdf, u_x)
-    cond = np.divide(p1, masses, out=np.zeros_like(p1), where=masses > 0)
-    return x, (u_y < cond[x]).astype(np.int8)
+    for s in range(0, x.size, DRAW_BLOCK):
+        if which is None:
+            pick = slice(s, s + DRAW_BLOCK)
+        else:
+            pick = np.flatnonzero(which[s:s + DRAW_BLOCK] == l)
+            pick += s
+        x[pick] = xs = _inverse_cdf(cdf, u_x[pick])
+        y[pick] = u_y[pick] < cond[xs]
 
 
 def sample_xy(state, phi: WaveFunction, level: GridLevel,
@@ -486,25 +516,41 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
 
     Deterministic for fixed (seed, stream); distinct streams are
     independent substreams for concurrent use.  Zero-mass bins are never
-    drawn.  For density states the spectral term is drawn first.
+    drawn, and a level where the state has no mass raises ZeroMassBinError.
+    For density states the spectral term l is drawn first, with weight
+    p_l M_l for M_l its mass on the level, so X follows the normalised
+    marginal of ``joint_distribution`` also where the level holds only part
+    of a term's mass; a term with no mass on the level is never drawn.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_pair(state, phi, level)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=int(seed), spawn_key=(int(stream),)))
-    density = isinstance(state, DensityState)
-    if density:
-        term_cdf = np.cumsum([p for p, _ in state.terms])
+    terms = _spectrum(state)
+    u_x, u_y = np.empty(count), np.empty(count)
+    which, drawn = None, (True,)
+    if isinstance(state, DensityState):
+        weights = np.array([p_l * max(_mass_pass(psi, level, cfg, keep=False)[0], 0.0)
+                            for p_l, psi in terms])
+        term_cdf = np.cumsum(weights)
+        if not term_cdf[-1] > 0.0:
+            raise ZeroMassBinError("the density state has no mass on the level")
         term_cdf /= term_cdf[-1]
-        which = np.searchsorted(term_cdf, rng.random(count), side="right")
-    u_x = rng.random(count)
-    u_y = rng.random(count)
+        # the term uniforms go through u_x, before the X uniforms are drawn
+        which = np.empty(count, dtype=np.min_scalar_type(len(terms) - 1))
+        drawn = np.zeros(len(terms), dtype=bool)
+        rng.random(out=u_x)
+        for s in range(0, count, DRAW_BLOCK):
+            chunk = np.searchsorted(term_cdf, u_x[s:s + DRAW_BLOCK], side="right")
+            which[s:s + DRAW_BLOCK] = chunk
+            drawn[chunk] = True
+    rng.random(out=u_x)
+    rng.random(out=u_y)
     x = np.empty(count, dtype=np.int64)
     y = np.empty(count, dtype=np.int8)
     # one term's tables at a time, built only when the term was drawn
-    for l, (_, psi_l) in enumerate(_spectrum(state)):
-        pick = which == l if density else slice(None)
-        u = u_x[pick]
-        if u.size:
-            x[pick], y[pick] = _draw(psi_l, phi, level, cfg, keep_per_bin, u, u_y[pick])
+    for l, (_, psi_l) in enumerate(terms):
+        if drawn[l]:
+            _draw(psi_l, phi, level, cfg, keep_per_bin, u_x, u_y, x, y, which, l)
     return SampleBatch(x=x, y=y, seed=seed, stream=stream)

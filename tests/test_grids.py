@@ -1,6 +1,8 @@
 """Grid construction, validation, and point location."""
 
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +107,55 @@ def test_jittered_pure_function_of_args():
 def test_jittered_validates(n):
     report = validate_grid(jittered_grid(n, 1, C=2.0, seed=n))
     assert report.passed, report.details
+
+
+def _breakpoints_digest(levels) -> str:
+    h = hashlib.sha256()
+    for level in levels:
+        for part in level.parts:
+            for bp in part.breakpoints:
+                h.update(np.ascontiguousarray(bp, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("C, digest", [
+    (1.5, "6856eb72487ce2e7e7eec092b186441a6a82bb7e04c1618796879d61f8a1e890"),
+    (2.0, "cb03e6bef3c6cd00c31d60716c0c3d432701388539a94717c645ab8cf480f488"),
+    (3.0, "52c818ff9e9ee532444646cdcf2da0221a58bfa7e8ee0c8c6a5af891815d05ac"),
+])
+def test_jittered_breakpoints_pinned(C, digest):
+    # seeds 0-4, n = 2 .. 2^16 at the default cell count
+    levels = (jittered_grid(2 ** e, C=C, seed=s) for s in range(5) for e in range(1, 17))
+    assert _breakpoints_digest(levels) == digest
+
+
+def test_jittered_breakpoints_pinned_clip_path():
+    # m = n cells at C = 1.01 push lengths over 1/n on every level, so the
+    # clip-and-redistribute pass runs
+    levels = (jittered_grid(2 ** e, C=1.01, seed=s, cells_per_axis=2 ** e)
+              for s in range(5) for e in range(1, 17))
+    assert _breakpoints_digest(levels) == (
+        "6f54e5ec51e34f054e6cb0ff371bbaf1d5b9b636139045b62ac832c6e99e11f5")
+
+
+def test_jittered_breakpoints_pinned_2d_and_cube_box():
+    assert _breakpoints_digest([jittered_grid(96, d=2, C=2.0, seed=3)]) == (
+        "64502da450182bab7e7d0fd89b5d6afbc058a802c07076d049bab78e8603e8f5")
+    box = GridScheme("jittered", d=2, seed=4).with_cubes(CubeBox((3, 3))).level(8)
+    assert _breakpoints_digest([box]) == (
+        "452077cf3e12d2abb563fe487b2397b9622815d99ed1cf68d90ec15ec8d9cfc7")
+
+
+def test_jittered_level_build_holds_one_breakpoint_array():
+    # the uniforms are drawn into the breakpoint array and turned into
+    # lengths and edges there; the strictly-increasing check adds 1 B/cell
+    tracemalloc.start()
+    try:
+        g = jittered_grid(2 ** 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * g.breakpoints[0].nbytes, peak / g.breakpoints[0].nbytes
 
 
 def test_validate_flags_oversized_edge():

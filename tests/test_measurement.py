@@ -531,6 +531,102 @@ def test_sampler_draws_pinned_density_1d_jittered():
         "b92e8451e890ba8e5160c7e0d440f2b0f56d0392f5df5b9437ca4b4fb6cfd153")
 
 
+def test_sampler_chunks_equal_one_block():
+    # the draws are made DRAW_BLOCK at a time; every draw is a function of
+    # its own uniforms, so the chunk size does not change any of them
+    from spatialzeno import measurement
+
+    rho = make_density([(0.3, make_state("sine_mode", k=2)),
+                        (0.7, make_state("sine_mode", k=5))])
+    psi = make_state("sine_product", ks=[2, 3])
+    cases = [(rho, make_state("uniform"), jittered_grid(32, C=2.0, seed=12)),
+             (psi, make_state("uniform", d=2), jittered_grid(12, d=2, C=2.0, seed=11))]
+    for state, phi, level in cases:
+        chunked = sample_xy(state, phi, level, count=5_000, seed=6)
+        block = measurement.DRAW_BLOCK
+        try:
+            measurement.DRAW_BLOCK = 10 ** 6
+            whole = sample_xy(state, phi, level, count=5_000, seed=6)
+        finally:
+            measurement.DRAW_BLOCK = block
+        assert np.array_equal(chunked.x, whole.x) and np.array_equal(chunked.y, whole.y)
+
+
+def test_sampler_raises_on_a_level_without_mass():
+    from spatialzeno import CustomGrid
+
+    level = CustomGrid(2, [CELL(0.5, 0.75), CELL(0.75, 1.0)])
+    psi = make_state("indicator", a=0.0, b=0.5)
+    with pytest.raises(ZeroMassBinError):
+        sample_xy(psi, make_state("uniform"), level, count=10, seed=1)
+    rho = make_density([(0.5, make_state("indicator", a=0.0, b=0.25)),
+                        (0.5, make_state("indicator", a=0.25, b=0.5))])
+    with pytest.raises(ZeroMassBinError):
+        sample_xy(rho, make_state("uniform"), level, count=10, seed=1)
+
+
+def test_sampler_never_draws_a_density_term_without_mass_on_the_level():
+    from spatialzeno import CustomGrid
+
+    level = CustomGrid(2, [CELL(0.5, 0.75), CELL(0.75, 1.0)])
+    rho = make_density([(0.5, make_state("indicator", a=0.0, b=0.5)),
+                        (0.5, make_state("indicator", a=0.5, b=1.0))])
+    batch = sample_xy(rho, make_state("uniform"), level, count=20_000, seed=2)
+    # only the second term lives on the level: X is uniform over the two bins
+    frac = np.mean(batch.x == 0)
+    assert abs(frac - 0.5) < 5 * np.sqrt(0.25 / batch.count)
+
+
+def test_density_sampler_follows_the_joint_marginal_on_a_partial_level():
+    from spatialzeno import CustomGrid
+
+    # the level holds half of the first term's mass and all of the second's,
+    # so the normalised marginal of X is (1/3, 2/3), not (1/2, 1/2)
+    level = CustomGrid(2, [CELL(0.25, 0.5), CELL(0.5, 1.0)])
+    rho = make_density([(0.5, make_state("indicator", a=0.0, b=0.5)),
+                        (0.5, make_state("indicator", a=0.5, b=1.0))])
+    phi = make_state("uniform")
+    jd = joint_distribution(rho, phi, level)
+    want = jd.marginal_x / jd.total
+    assert want == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
+    batch = sample_xy(rho, phi, level, count=200_000, seed=1)
+    freq = np.bincount(batch.x, minlength=2) / batch.count
+    se = np.sqrt(want * (1 - want) / batch.count)
+    assert np.all(np.abs(freq - want) < 5 * se), (freq, want)
+    # Y given X follows the joint table too
+    for j in range(2):
+        p = jd.p_y1_bins[j] / jd.marginal_x[j]
+        got = batch.y[batch.x == j].mean()
+        assert abs(got - p) < 5 * np.sqrt(p * (1 - p) / np.sum(batch.x == j)) + 1e-12
+
+
+@pytest.mark.parametrize("case", ["pure_2d", "density_1d"])
+def test_sampler_holds_the_draws_one_term_tables_and_a_chunk(case):
+    # the draw arrays (u_x, u_y, x, y and a density state's term index) take
+    # at most 27 B per draw; above them one term's two tables, built in the
+    # counted table bytes, and one chunk of DRAW_BLOCK draws
+    import tracemalloc
+
+    from spatialzeno import measurement
+
+    if case == "pure_2d":
+        state = make_state("sine_product", ks=[2, 3])
+        phi, level = make_state("uniform", d=2), jittered_grid(512, d=2, C=2.0, seed=7)
+    else:
+        state = make_density([(0.3, make_state("sine_mode", k=2)),
+                              (0.7, make_state("sine_mode", k=5))])
+        phi, level = make_state("uniform"), jittered_grid(2 ** 18, C=2.0, seed=8)
+    count = 10 ** 6
+    tracemalloc.start()
+    try:
+        sample_xy(state, phi, level, count=count, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 27 * count + measurement._TABLE_BYTES_PER_BIN * level.num_bins + 2 ** 20
+    assert peak <= bound, (peak - 27 * count) / level.num_bins
+
+
 def test_custom_grid_equals_a_per_bin_reference():
     # a hand-built bin list takes the product-grid path, one one-cell part
     # per bin; the reference integrates bin by bin.  phi's sine(3) against
