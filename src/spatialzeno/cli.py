@@ -217,13 +217,16 @@ def _state_or_density(config: dict):
 def _csv_lines(header: list[str], columns: list, chash: str) -> str:
     """CSV text from one sequence of values per header field: float columns
     with 17 significant digits (``%.17g``, the digits of ``f"{x:.17g}"``),
-    other columns (integers) with ``%s``, one ``%`` format per row."""
+    other columns (integers) with ``%s``.  The whole table is one ``%``
+    format: the row format once per row, applied to the values row by row."""
     arrays = [np.asarray(c) for c in columns]
-    row = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in arrays)
-    lines = [f"# schema_version={SCHEMA_VERSION} config_hash={chash}",
-             ",".join(header)]
-    lines.extend(map(row.__mod__, zip(*(a.tolist() for a in arrays))))
-    return "\n".join(lines) + "\n"
+    row = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
+    rows = len(arrays[0])
+    values = [None] * (rows * len(arrays))
+    for k, a in enumerate(arrays):
+        values[k::len(arrays)] = a.tolist()
+    return (f"# schema_version={SCHEMA_VERSION} config_hash={chash}\n"
+            + ",".join(header) + "\n" + (row * rows) % tuple(values))
 
 
 def _integers(config: dict) -> dict:

@@ -229,6 +229,12 @@ class GridLevel:
         return min(p.min_bin_volume for p in self.parts)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place."""
+    a.setflags(write=False)
+    return a
+
+
 class ProductGrid(GridLevel):
     """Tensor-product grid defined by one breakpoint array per axis.
 
@@ -250,13 +256,15 @@ class ProductGrid(GridLevel):
         self.ratio_bound = float(ratio_bound)
         bps = []
         for bp in breakpoints:
-            bp = np.asarray(bp, dtype=float)
+            # a caller's writeable array is copied, so it stays writeable and
+            # writing to it leaves the grid as it is; a read-only one is kept
+            writeable = isinstance(bp, np.ndarray) and bp.flags.writeable
+            bp = np.array(bp, dtype=float) if writeable else np.asarray(bp, dtype=float)
             if bp.ndim != 1 or bp.size < 2:
                 raise ValueError("each axis needs at least two breakpoints")
             if not (bp[1:] > bp[:-1]).all():
                 raise ValueError("breakpoints must be strictly increasing")
-            bp.setflags(write=False)
-            bps.append(bp)
+            bps.append(_read_only(bp))
         self.breakpoints: tuple[np.ndarray, ...] = tuple(bps)
         self.shape: tuple[int, ...] = tuple(bp.size - 1 for bp in bps)
 
@@ -377,7 +385,7 @@ def uniform_grid(n: int, d: int = 1,
         raise ValueError("need n >= 1 and d >= 1")
     bp = np.arange(n + 1) / n
     bp[-1] = 1.0
-    return ProductGrid(n, (bp,) * d, ratio_bound=ratio_bound)
+    return ProductGrid(n, (_read_only(bp),) * d, ratio_bound=ratio_bound)
 
 
 def _auto_cells(n: int, C: float) -> int:
@@ -453,7 +461,7 @@ def jittered_grid(n: int, d: int = 1, C: float = DEFAULT_RATIO_BOUND,
     bps = []
     for axis in range(d):
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(n), axis, m))
-        bps.append(_jitter_axis(n, C, m, np.random.default_rng(ss)))
+        bps.append(_read_only(_jitter_axis(n, C, m, np.random.default_rng(ss))))
     return ProductGrid(n, bps, ratio_bound=C)
 
 
@@ -680,7 +688,7 @@ def rd_grid(scheme: GridScheme, n: int,
         for k, coords in enumerate(box):
             segs = [segment(k, a) for a in coords]
             # each segment starts where the previous one ends
-            bps.append(np.concatenate([segs[0]] + [sg[1:] for sg in segs[1:]]))
+            bps.append(_read_only(np.concatenate([segs[0]] + [sg[1:] for sg in segs[1:]])))
         parts = [ProductGrid(n, bps, ratio_bound=C)]
     else:
         cubes = [tuple(c) for c in corners.tolist()]
@@ -689,7 +697,8 @@ def rd_grid(scheme: GridScheme, n: int,
             raise OverlappingCubesError(
                 f"cubes at {cubes[overlap[0]]} and {cubes[overlap[1]]} overlap "
                 f"(corner distance < 1 on every axis)")
-        parts = [ProductGrid(n, [segment(k, a) for k, a in enumerate(c)], ratio_bound=C)
+        parts = [ProductGrid(n, [_read_only(segment(k, a)) for k, a in enumerate(c)],
+                             ratio_bound=C)
                  for c in cubes]
     return ConcatenatedGrid(n, parts, cube_list, ratio_bound=C)
 

@@ -57,9 +57,12 @@ logger = logging.getLogger(__name__)
 
 # per-bin tables above this size are dropped unless explicitly requested
 PER_BIN_LIMIT = 10 ** 6
-# draws per chunk of the sampler: its index, sort and gather arrays have
+# draws per chunk of the sampler: its index, bucket and gather arrays have
 # this length whatever the draw count
 DRAW_BLOCK = 2 ** 14
+# vectorised guide-table steps per draw; a key with more entries of its
+# bucket at or below it goes to the sorted-key search
+_GUIDE_STEPS = 2
 
 
 class ZeroMassBinError(ValueError):
@@ -468,16 +471,60 @@ def joint_distribution(state, phi: WaveFunction, level: GridLevel,
     return JointDistribution(level=level, p_y1_bins=p1, p_y0_bins=p0)
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")``, element for element.
+def _buckets(v: np.ndarray, n: int) -> np.ndarray:
+    """Guide bucket ``int(v * n)`` of values in [0, 1]: monotone in v, so
+    a sorted CDF has its entries of one bucket side by side."""
+    return (v * n).astype(np.intp)
 
-    The keys are searched in ascending order and the indices scattered
-    back: successive binary searches then walk nearby parts of a large
-    CDF instead of jumping across it for every key.
+
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a sorted CDF of n entries (Chen & Asau 1974): ``g[k]``
+    is the number of entries whose bucket is below k, for k = 0..n+1.
+
+    int32 (4 B per entry), built DRAW_BLOCK entries at a time: ``g[b + 1]``
+    is set to one past the last entry of bucket b, and a running maximum in
+    place carries it over the empty buckets above.
     """
+    n = cdf.size
+    g = np.zeros(n + 2, dtype=np.int32 if n < 2 ** 31 - 1 else np.intp)
+    for s in range(0, n, DRAW_BLOCK):
+        b = _buckets(cdf[s:s + DRAW_BLOCK], n)
+        last = np.flatnonzero(b[:-1] != b[1:])  # where a bucket ends within the chunk
+        g[b[last] + 1] = last + (s + 1)
+        g[b[-1] + 1] = s + b.size
+    return np.maximum.accumulate(g, out=g)
+
+
+def _sorted_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` with the keys searched in
+    ascending order and the indices scattered back: successive binary
+    searches then walk nearby parts of a large CDF."""
     order = np.argsort(u)
     out = np.empty(u.size, dtype=np.intp)
     out[order] = np.searchsorted(cdf, u[order], side="right")
+    return out
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray,
+                 guide: np.ndarray | None = None) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")``, element for element, for
+    a sorted CDF and keys in [0, 1]; ``guide`` is ``_guide(cdf)``.
+
+    Indexed search: the entries of a lower bucket than u's are all below u
+    and those of a higher one all above it, so the answer is ``guide[b]``
+    plus the entries of u's bucket b that are <= u.  _GUIDE_STEPS
+    vectorised steps count them; a key that would still step further goes
+    to the sorted-key search.  Keys past the last entry step onto the
+    clipped index n - 1 and fall back as well.
+    """
+    if guide is None:
+        guide = _guide(cdf)
+    out = guide.take(_buckets(u, cdf.size)).astype(np.intp)
+    for _ in range(_GUIDE_STEPS):
+        out += cdf.take(out, mode="clip") <= u
+    more = np.flatnonzero(cdf.take(out, mode="clip") <= u)
+    if more.size:
+        out[more] = _sorted_search(cdf, u[more])
     return out
 
 
@@ -488,7 +535,8 @@ def _draw(psi, phi, level, cfg, keep_per_bin, u_x, u_y, x, y, which=None, l=0):
 
     The CDF is built in place of the masses and P(Y=1 | X) in place of the
     P(Y=1) table, and the draws are made DRAW_BLOCK at a time, so the two
-    tables and one chunk are all this adds to the draw arrays.
+    tables, the CDF's int32 guide and one chunk are all this adds to the
+    draw arrays.
     """
     masses, cond = _per_bin_tables(psi, phi, level, cfg, keep_per_bin)
     cond[masses <= 0] = 0.0
@@ -497,13 +545,14 @@ def _draw(psi, phi, level, cfg, keep_per_bin, u_x, u_y, x, y, which=None, l=0):
     if not cdf[-1] > 0.0:
         raise ZeroMassBinError(f"state {psi.label!r} has no mass on the level")
     cdf /= cdf[-1]
+    guide = _guide(cdf)
     for s in range(0, x.size, DRAW_BLOCK):
         if which is None:
             pick = slice(s, s + DRAW_BLOCK)
         else:
             pick = np.flatnonzero(which[s:s + DRAW_BLOCK] == l)
             pick += s
-        x[pick] = xs = _inverse_cdf(cdf, u_x[pick])
+        x[pick] = xs = _inverse_cdf(cdf, u_x[pick], guide)
         y[pick] = u_y[pick] < cond[xs]
 
 
@@ -537,12 +586,13 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
         if not term_cdf[-1] > 0.0:
             raise ZeroMassBinError("the density state has no mass on the level")
         term_cdf /= term_cdf[-1]
+        term_guide = _guide(term_cdf)
         # the term uniforms go through u_x, before the X uniforms are drawn
         which = np.empty(count, dtype=np.min_scalar_type(len(terms) - 1))
         drawn = np.zeros(len(terms), dtype=bool)
         rng.random(out=u_x)
         for s in range(0, count, DRAW_BLOCK):
-            chunk = np.searchsorted(term_cdf, u_x[s:s + DRAW_BLOCK], side="right")
+            chunk = _inverse_cdf(term_cdf, u_x[s:s + DRAW_BLOCK], term_guide)
             which[s:s + DRAW_BLOCK] = chunk
             drawn[chunk] = True
     rng.random(out=u_x)

@@ -527,3 +527,44 @@ def test_csv_writer_pins_special_values_and_empty_tables():
              np.zeros(0), np.zeros(0)]
     assert _csv_lines(header, empty, "h") == _csv_rows_reference(header, [], "h") == (
         "# schema_version=1 config_hash=h\ni8,i64,x,y\n")
+
+
+_PINNED_CONFIGS = {
+    "sample": {"schema_version": "1", "experiment": "sample", "d": 1,
+               "density": {"terms": [
+                   {"weight": 0.3, "state": {"catalog": "sine_mode", "k": 2}},
+                   {"weight": 0.7, "state": {"catalog": "sine_mode", "k": 5}}]},
+               "phi": {"catalog": "sine_mode", "k": 1},
+               "grid": {"kind": "jittered", "C": 2.0, "seed": 3},
+               "n": 24, "count": 3000, "seed": 9, "output": {"stem": "sample"}},
+    "joint": {"schema_version": "1", "experiment": "joint", "d": 2,
+              "psi": {"catalog": "sine_product", "ks": [2, 3]},
+              "phi": {"catalog": "uniform", "d": 2},
+              "grid": {"kind": "jittered", "C": 2.0, "seed": 4},
+              "n": 6, "output": {"stem": "joint"}},
+    "discretize": {"schema_version": "1", "experiment": "discretize", "d": 1,
+                   "psi": {"catalog": "power_singular", "alpha": 0.3},
+                   "phi": {"catalog": "complex_exponential", "k": 2},
+                   "grid": {"kind": "jittered", "C": 1.5, "seed": 6},
+                   "n": 40, "output": {"stem": "disc"}},
+}
+# sha256 of each file those configs write, as the row-by-row CSV writer wrote them
+_PINNED_DIGESTS = {
+    "sample.csv": "c0b6b078bd40347cff8e93f4500d59a08ca9948247357c5a4450eda43cfc9553",
+    "sample.json": "bc89b52b97efdbf42ceb7ad740f5690bc087d3ada017419956cfe1d1b4f7fdd8",
+    "joint.csv": "1ca400d09ee518198674cd4212fd5c347c4abbba380abbf18db25152a9dc9e9b",
+    "joint.json": "58cfc0ffdedca012487c5b3decf699ddbcc583930c11c57da50c02038cdeae26",
+    "disc.csv": "91c1366361bbbf92d3aaeea58f8aaac159819ca350c238827d0c8b6b576fbf52",
+    "disc.json": "239eab08fccc51c23b2e52364aa70f7eb48f6cbee7e49ea9e874e15e60f85987",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+def test_cli_output_bytes_pinned(tmp_path, name):
+    config = _PINNED_CONFIGS[name]
+    path = write_config(tmp_path, "c.json", config)
+    assert main(["--output-dir", str(tmp_path / "out"), "run", path]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "out").iterdir()}
+    stem = config["output"]["stem"]
+    assert got == {f: _PINNED_DIGESTS[f] for f in (f"{stem}.csv", f"{stem}.json")}

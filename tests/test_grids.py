@@ -158,6 +158,17 @@ def test_jittered_level_build_holds_one_breakpoint_array():
     assert peak <= 1.25 * g.breakpoints[0].nbytes, peak / g.breakpoints[0].nbytes
 
 
+def test_product_grid_leaves_the_callers_array_writeable():
+    a = np.array([0.0, 0.5, 1.0])
+    g = ProductGrid(1, [a])
+    assert a.flags.writeable and not g.breakpoints[0].flags.writeable
+    a[1] = 0.3
+    assert g.breakpoints[0].tolist() == [0.0, 0.5, 1.0]
+    # a read-only array is kept as it is, not copied
+    a.setflags(write=False)
+    assert ProductGrid(1, [a]).breakpoints[0] is a
+
+
 def test_validate_flags_oversized_edge():
     bins = [Bin((Interval(0.0, 0.4),)), Bin((Interval(0.4, 1.0),))]
     report = validate_grid(CustomGrid(2, bins, ratio_bound=2.0))

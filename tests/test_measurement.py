@@ -675,3 +675,25 @@ def test_custom_grid_equals_a_per_bin_reference():
     assert np.max(np.abs(disc.averages - averages)) <= tol * np.max(np.abs(averages))
     assert discretization_error(f, level) == pytest.approx(np.sqrt(err_sq), rel=tol)
     assert l2_distance(f, disc, level) == pytest.approx(np.sqrt(err_sq), rel=tol)
+
+
+def test_guided_inverse_cdf_falls_back_for_a_crowded_bucket(monkeypatch):
+    # all mass in the last bin: bucket 0 holds the other 999 entries, so a
+    # key below 1/1000 goes to the sorted-key search; every other key is
+    # answered by its bucket alone
+    from spatialzeno import measurement
+
+    cdf = np.zeros(1000)
+    cdf[-1] = 1.0
+    u = np.array([0.0, 0.2, 5e-4, 0.999, 1e-3, np.nextafter(1e-3, 0.0)])
+    searched = []
+
+    def search(c, keys):
+        searched.append(keys.copy())
+        return np.searchsorted(c, keys, side="right")
+
+    monkeypatch.setattr(measurement, "_sorted_search", search)
+    x = measurement._inverse_cdf(cdf, u)
+    assert x.tolist() == np.searchsorted(cdf, u, side="right").tolist() == [999] * 6
+    assert len(searched) == 1
+    assert searched[0].tolist() == [0.0, 5e-4, np.nextafter(1e-3, 0.0)]

@@ -14,7 +14,9 @@ products of sine modes and power laws, whose pairs take the power series
 (a power law against a power law or a sine mode with k <= 2) or
 quadrature (k >= 3).  Resolution of identity (the bins' amplitudes sum to
 <phi|psi> and their masses to ||psi||^2) is checked with d <= 3, and every
-jittered grid of feasible parameters passes ``validate_grid``.
+jittered grid of feasible parameters passes ``validate_grid``.  The
+sampler's guided inverse CDF equals ``np.searchsorted`` on CDFs with
+zero-mass runs, a single massive bin or geometric masses.
 """
 
 import numpy as np
@@ -241,3 +243,45 @@ def test_bar_chart_and_its_error_split_the_norm(args):
     bar = discretize(f, level).norm_squared()
     err = discretization_error(f, level)
     assert bar + err ** 2 == pytest.approx(_norm_squared(f), rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _cdfs(draw):
+    """A normalised CDF of 1 to 5,000 bins: random masses with a run of
+    zero-mass bins, all mass in one bin, or geometric masses from 1 down to
+    1e-300 in either direction."""
+    n = draw(st.integers(1, 5000))
+    kind = draw(st.sampled_from(["zero_run", "one_bin", "geometric"]))
+    if kind == "zero_run":
+        masses = np.random.default_rng(draw(st.integers(0, 2 ** 16))).random(n)
+        start = draw(st.integers(0, n - 1))
+        masses[start:start + draw(st.integers(1, n))] = 0.0
+        if not masses.any():
+            masses[-1] = 1.0
+    elif kind == "one_bin":
+        masses = np.zeros(n)
+        masses[draw(st.integers(0, n - 1))] = 1.0
+    else:
+        masses = np.geomspace(1.0, 1e-300, n)
+        if draw(st.booleans()):
+            masses = masses[::-1].copy()
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    return cdf
+
+
+@SETTINGS
+@given(_cdfs(), st.sampled_from([7, 64, 2 ** 14]))
+def test_guided_inverse_cdf_equals_searchsorted(cdf, block):
+    # keys at 0, at every CDF entry, one ulp below each, and the largest
+    # key below 1; the guide is built `block` entries at a time
+    from spatialzeno import measurement
+
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf, np.nextafter(cdf, 0.0)])
+    saved = measurement.DRAW_BLOCK
+    try:
+        measurement.DRAW_BLOCK = block
+        got = measurement._inverse_cdf(cdf, u)
+    finally:
+        measurement.DRAW_BLOCK = saved
+    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
