@@ -13,6 +13,7 @@ the truncation error additively.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -20,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import CubeBox, GridScheme, ProductGrid
-from .measurement import _mass_pass, _pair_pass
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _region_integral
+from .grids import CubeBox, GridScheme
+from .measurement import _pair_pass, _spectrum
+from .quadrature import DEFAULT_CONFIG, PAIR_BLOCK, QuadratureConfig, _pair_data, \
+    _region_integral
 from .states import WaveFunction, inner_product, product_field
 
 __all__ = [
@@ -42,6 +44,10 @@ __all__ = [
 
 # a probability is treated as signal only this far above its error bound
 NOISE_FACTOR = 10.0
+
+# half-width of the first captured-mass walk; it doubles while the target
+# is missed
+_FIRST_HALF_WIDTH = 16
 
 
 class UnboundedStateError(ValueError):
@@ -166,6 +172,19 @@ def _resolutions(n_list: Sequence[int], minimum: int = 3) -> list[int]:
     return n_list
 
 
+def _check_window(fit_window: tuple[int, int] | None, n_list: list[int]) -> None:
+    """Raise DegenerateWindowError, before any level is built, when the
+    window is empty or holds fewer than 3 resolutions of ``n_list``."""
+    if fit_window is None:
+        return
+    lo, hi = fit_window
+    inside = sum(lo <= n <= hi for n in n_list)
+    if lo >= hi or inside < 3:
+        raise DegenerateWindowError(
+            f"fit window {tuple(fit_window)} holds {inside} of the resolutions "
+            f"{n_list}; a rate fit needs lo < hi and at least 3 rows")
+
+
 def _fit_record(state, phi, scheme, rows, fit_window) -> ConvergenceRecord:
     usable = [r for r in rows if r.p_y1 > NOISE_FACTOR * r.error_bound]
     if len(usable) < 3:
@@ -188,9 +207,12 @@ def convergence_study(state, phi: WaveFunction, scheme: GridScheme,
                       fit_window: tuple[int, int] | None = None) -> ConvergenceRecord:
     """P(Y=1) for every n in ``n_list`` plus the fitted decay rate.
 
-    ``state`` is a WaveFunction or DensityState.
+    ``state`` is a WaveFunction or DensityState.  ``n_list`` and
+    ``fit_window`` are checked before any level is built.
     """
-    rows = _study_rows(state, phi, scheme, _resolutions(n_list), cfg)
+    n_list = _resolutions(n_list)
+    _check_window(fit_window, n_list)
+    rows = _study_rows(state, phi, scheme, n_list, cfg)
     return _fit_record(state, phi, scheme, rows, fit_window)
 
 
@@ -229,11 +251,36 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
                         rel_error=rel, rows=rows)
 
 
-def _captured_masses(states, k: int, d: int, cfg: QuadratureConfig) -> list[float]:
-    """Probability mass of each |state|^2 inside the box [-k, k)^d: the
-    mass pass on the box, built once, as one cell per axis."""
-    box = ProductGrid(1, [np.array([-k, k], dtype=float)] * d)
-    return [_mass_pass(state, box, cfg, keep=False)[0] for state in states]
+def _box_masses(state, K: int, d: int, cfg: QuadratureConfig) -> np.ndarray:
+    """Probability mass of |state|^2 inside each centred box [-k, k)^d,
+    k = 1..K.
+
+    One pair-table walk per spectral term over the unit cells of [-K, K)
+    on every axis: an axis's cells folded about 0 and summed cumulatively
+    give each term pair's window [-k, k), so the box mass of term l is
+    Re(w @ prod_axes S_axis(k)).
+    """
+    edges = [np.arange(-K, K + 1, dtype=float)] * d
+    masses = np.zeros(K)
+    for p_l, psi in _spectrum(state):
+        w, axes = _pair_data(psi, psi, edges, cfg, keep=True, gram=False)
+        windows = math.prod(np.cumsum(ax.cells[:, K - 1::-1] + ax.cells[:, K:], axis=1)
+                            for ax in axes)
+        masses += p_l * np.real(w @ windows)
+    return masses
+
+
+def _max_half_width(d: int, max_cubes: int) -> int:
+    """The largest k with (2k)^d <= ``max_cubes`` and k <= PAIR_BLOCK // 2
+    (0 when none), by bisection on integers."""
+    lo, hi = 0, PAIR_BLOCK // 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (2 * mid) ** d <= max_cubes:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def rd_study(state, phi: WaveFunction, scheme: GridScheme,
@@ -244,14 +291,21 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
              ) -> tuple[ConvergenceRecord, TailBudget]:
     """Convergence study on R^d truncated to a centered box of unit cubes.
 
-    Grows the box [-k, k)^d until it captures at least ``mass_target`` of
-    both |psi|^2 and |phi|^2, then runs the study on that box.  The box is
-    decided once: one :class:`CubeBox` goes into ``TailBudget.cubes`` and
-    into the study's scheme, and each level is one product grid built
-    from its per-axis coordinates.  ``max_cubes`` caps (2k)^d; no corner
-    list is built.  Every row's error bound includes the tail bound
+    Picks the smallest box [-k, k)^d that captures at least
+    ``mass_target`` of both |psi|^2 and |phi|^2, then runs the study on
+    that box.  The masses of every box up to [-K, K)^d come from one
+    pair-table walk over the unit cells of [-K, K) per axis and spectral
+    term (an equal phi is not walked again); K starts at 16 and doubles
+    while the target is missed, up to the largest k with
+    (2k)^d <= ``max_cubes`` and k <= PAIR_BLOCK // 2.
+    The box is decided once: one :class:`CubeBox` goes into
+    ``TailBudget.cubes`` and into the study's scheme, and each level is
+    one product grid built from its per-axis coordinates; no corner list
+    is built.  Every row's error bound includes the tail bound
     ||phi||^2 * (1 - captured mass).  Raises ValueError when the state's
-    dimension is not ``scheme.d``, before any mass is computed.
+    dimension is not ``scheme.d``, and DegenerateWindowError for a
+    ``fit_window`` that holds fewer than 3 resolutions, before any mass is
+    computed.
     """
     if not 0.0 < mass_target < 1.0:
         raise ValueError("mass_target must be in (0, 1)")
@@ -261,16 +315,22 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
     d = state.domain.d
     if d != scheme.d:
         raise ValueError("state dimension does not match the grid")
-    k = 1
-    while True:
-        if (2 * k) ** d > max_cubes:
-            raise CubeBudgetExceededError(
-                f"capturing {mass_target!r} needs more than {max_cubes} cubes")
-        masses = _captured_masses((state,) if phi == state else (state, phi), k, d, cfg)
-        cap_psi, cap_phi = masses[0], masses[-1]
-        if cap_psi >= mass_target and cap_phi >= mass_target:
+    _check_window(fit_window, n_list)
+    k_max = _max_half_width(d, max_cubes)
+    K, reached = min(_FIRST_HALF_WIDTH, k_max), np.zeros(0, dtype=bool)
+    while K >= 1:
+        cap_psi = _box_masses(state, K, d, cfg)
+        cap_phi = cap_psi if phi == state else _box_masses(phi, K, d, cfg)
+        reached = (cap_psi >= mass_target) & (cap_phi >= mass_target)
+        if reached.any() or K == k_max:
             break
-        k += 1
+        K = min(2 * K, k_max)
+    if not reached.any():
+        raise CubeBudgetExceededError(
+            f"capturing {mass_target!r} needs more than {max_cubes} cubes "
+            f"or more than {PAIR_BLOCK} per axis")
+    k = int(np.argmax(reached)) + 1
+    cap_psi = float(cap_psi[k - 1])
     box = CubeBox((k,) * d)
     phi_norm_sq = float(np.real(inner_product(phi, phi)))
     tail = TailBudget(cubes=box,

@@ -396,35 +396,46 @@ def _auto_cells(n: int, C: float) -> int:
     return max(n, min(m, m_max))
 
 
-def _jitter_axis(n: int, C: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m + 1 breakpoints on [0, 1] whose gaps lie in [1/(C n), 1/n].
+def _jitter_axis(n: int, C: float, m: int, rngs: Sequence[np.random.Generator],
+                 coords: np.ndarray | None = None) -> np.ndarray:
+    """Jittered segments [a, a + 1], a in ``coords`` (each one past the
+    last; default a single segment [0, 1]), joined end to end: r m + 1
+    breakpoints for r = len(rngs) rows, whose gaps lie in [1/(C n), 1/n].
 
-    The uniforms are drawn into the breakpoint array, turned into lengths
-    and then into edges there, so the array is the only full-length one.
+    Row i draws its m uniforms from ``rngs[i]`` straight into its slice of
+    the joined array.  Normalising, scaling, the offset, the cumulative sum
+    and the coordinate shift then run once over the (rows, m) view, so the
+    array is the only full-length one; a row with a length over 1/n gets
+    the clip pass on its own.
     """
     lo, hi = 1.0 / (C * n), 1.0 / n
-    bp = np.empty(m + 1)
-    bp[0] = 0.0
-    lengths = bp[1:]
-    rng.random(out=lengths)
-    lengths /= lengths.sum()
+    bp = np.empty(len(rngs) * m + 1)
+    # the first segment's 0.0 shifted by a (so a = -0.0 gives 0.0)
+    bp[0] = 0.0 if coords is None else coords[0] + 0.0
+    lengths = bp[1:].reshape(len(rngs), m)
+    for rng, row in zip(rngs, lengths):
+        rng.random(out=row)
+    lengths /= lengths.sum(axis=1, keepdims=True)
     # lo + u (1 - m lo)
     lengths *= 1.0 - m * lo
     lengths += lo
     over = lengths > hi
-    if over.any():
-        excess = float((lengths[over] - hi).sum())
-        lengths[over] = hi
-        room = hi - lengths
+    for i in np.flatnonzero(over.any(axis=1)):
+        row, row_over = lengths[i], over[i]
+        excess = float((row[row_over] - hi).sum())
+        row[row_over] = hi
+        room = hi - row
         total_room = float(room.sum())
         if total_room > 0.0:
             # feasibility (m >= n) guarantees excess <= total_room, so one
             # proportional pass keeps every length inside [lo, hi]
             room *= excess
             room /= total_room
-            lengths += room
-    np.cumsum(lengths, out=lengths)
-    bp[-1] = 1.0
+            row += room
+    np.cumsum(lengths, axis=1, out=lengths)
+    lengths[:, -1] = 1.0
+    if coords is not None:
+        lengths += coords[:, None]
     return bp
 
 
@@ -461,7 +472,7 @@ def jittered_grid(n: int, d: int = 1, C: float = DEFAULT_RATIO_BOUND,
     bps = []
     for axis in range(d):
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(n), axis, m))
-        bps.append(_read_only(_jitter_axis(n, C, m, np.random.default_rng(ss))))
+        bps.append(_read_only(_jitter_axis(n, C, m, [np.random.default_rng(ss)])))
     return ProductGrid(n, bps, ratio_bound=C)
 
 
@@ -545,8 +556,10 @@ def _coordinate_key(a: float) -> int:
     return int(np.float64(a + 0.0).view(np.uint64))
 
 
-def _cube_segments(scheme: "GridScheme", n: int) -> Callable[[int, float], np.ndarray]:
-    """``segment(axis, a)``: the sub-scheme's breakpoints on [a, a+1] for one axis.
+def _cube_axis(scheme: "GridScheme", n: int) -> Callable[[int, np.ndarray], np.ndarray]:
+    """``joined(axis, coords)``: the sub-scheme's breakpoints on the
+    segments [a, a+1] of one axis, a in ``coords`` (each one past the
+    last), joined end to end; one coordinate gives one cube's segment.
 
     A jittered segment is seeded from (scheme seed, n, axis, cell count,
     coordinate a), so it does not depend on which other cubes are listed.
@@ -555,16 +568,22 @@ def _cube_segments(scheme: "GridScheme", n: int) -> Callable[[int, float], np.nd
     C = scheme.ratio_bound
     if sub == "uniform":
         base = uniform_grid(n, 1, ratio_bound=C).breakpoints[0]
-        return lambda axis, a: base + a
+
+        def joined(axis: int, coords: np.ndarray) -> np.ndarray:
+            bp = np.empty(coords.size * n + 1)
+            bp[0] = base[0] + coords[0]
+            np.add(base[1:], coords[:, None], out=bp[1:].reshape(coords.size, n))
+            return bp
+        return joined
     if sub == "jittered":
         m = _jitter_cells(n, C, scheme.cells_per_axis)
 
-        def segment(axis: int, a: float) -> np.ndarray:
-            ss = np.random.SeedSequence(
-                entropy=int(scheme.seed),
-                spawn_key=(int(n), axis, m, _coordinate_key(a)))
-            return _jitter_axis(n, C, m, np.random.default_rng(ss)) + a
-        return segment
+        def joined(axis: int, coords: np.ndarray) -> np.ndarray:
+            rngs = [np.random.default_rng(np.random.SeedSequence(
+                entropy=int(scheme.seed), spawn_key=(int(n), axis, m, _coordinate_key(a))))
+                for a in coords.tolist()]
+            return _jitter_axis(n, C, m, rngs, coords)
+        return joined
     raise ValueError(f"unsupported per-cube scheme {sub!r}")
 
 
@@ -680,15 +699,11 @@ def rd_grid(scheme: GridScheme, n: int,
         raise ValueError(f"cubes of dimension {d} for a scheme with d={scheme.d}")
     if n < 1:
         raise ValueError("resolution index n must be >= 1")
-    segment = _cube_segments(scheme, n)
+    joined = _cube_axis(scheme, n)
     C = scheme.ratio_bound
     box = cube_list.axes if corners is None else _lattice_box(corners)
     if box is not None:
-        bps = []
-        for k, coords in enumerate(box):
-            segs = [segment(k, a) for a in coords]
-            # each segment starts where the previous one ends
-            bps.append(_read_only(np.concatenate([segs[0]] + [sg[1:] for sg in segs[1:]])))
+        bps = [_read_only(joined(k, coords)) for k, coords in enumerate(box)]
         parts = [ProductGrid(n, bps, ratio_bound=C)]
     else:
         cubes = [tuple(c) for c in corners.tolist()]
@@ -697,8 +712,8 @@ def rd_grid(scheme: GridScheme, n: int,
             raise OverlappingCubesError(
                 f"cubes at {cubes[overlap[0]]} and {cubes[overlap[1]]} overlap "
                 f"(corner distance < 1 on every axis)")
-        parts = [ProductGrid(n, [_read_only(segment(k, a)) for k, a in enumerate(c)],
-                             ratio_bound=C)
+        parts = [ProductGrid(n, [_read_only(joined(k, np.array([a])))
+                                 for k, a in enumerate(c)], ratio_bound=C)
                  for c in cubes]
     return ConcatenatedGrid(n, parts, cube_list, ratio_bound=C)
 

@@ -262,6 +262,10 @@ def test_rd_study_cube_budget():
     g = make_state("gaussian", mu=0.0, sigma=50.0)
     with pytest.raises(CubeBudgetExceededError):
         rd_study(g, g, UNIFORM, [4, 8, 16], mass_target=1 - 1e-10, max_cubes=8)
+    # a box wider than PAIR_BLOCK cells per side is refused at any budget
+    g = make_state("gaussian", mu=0.0, sigma=5000.0)
+    with pytest.raises(CubeBudgetExceededError, match="16384 per axis"):
+        rd_study(g, g, UNIFORM, [4, 8, 16], mass_target=1 - 1e-10, max_cubes=10 ** 6)
 
 
 @pytest.mark.parametrize("n_list, message", [
@@ -273,28 +277,32 @@ def test_rd_study_checks_n_list_before_any_pass(n_list, message, monkeypatch):
     def no_pass(*args, **kwargs):
         raise AssertionError("a pass ran before n_list was checked")
 
-    monkeypatch.setattr(analysis, "_mass_pass", no_pass)
+    monkeypatch.setattr(analysis, "_box_masses", no_pass)
     monkeypatch.setattr(analysis, "_study_rows", no_pass)
     g = make_state("gaussian", mu=0.0, sigma=1.0)
     with pytest.raises(ValueError, match=message):
         rd_study(g, g, UNIFORM, n_list, mass_target=1 - 1e-6)
 
 
-def test_rd_study_reads_one_captured_mass_per_k_when_phi_is_psi(monkeypatch):
-    calls, mass_pass = [], analysis._mass_pass
+def test_rd_study_walks_the_pair_table_once_per_distinct_state(monkeypatch):
+    calls, pair_data = [], analysis._pair_data
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return mass_pass(*args, **kwargs)
+        return pair_data(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "_mass_pass", counted)
+    monkeypatch.setattr(analysis, "_pair_data", counted)
     g = make_state("gaussian", mu=0.0, sigma=1.0)
     # the same object, and an equal state built apart (as the CLI builds phi)
     for phi in (g, make_state("gaussian", mu=0.0, sigma=1.0)):
         calls.clear()
-        _, tail = rd_study(g, phi, UNIFORM, [4, 8, 16], mass_target=1 - 1e-6)
-        k = int(-min(c[0] for c in tail.cubes))
-        assert calls == [g] * k
+        rd_study(g, phi, UNIFORM, [4, 8, 16], mass_target=1 - 1e-6)
+        assert calls == [g]
+    # a different phi is walked once more
+    wide = make_state("gaussian", mu=0.0, sigma=1.5)
+    calls.clear()
+    rd_study(g, wide, UNIFORM, [4, 8, 16], mass_target=1 - 1e-6)
+    assert calls == [g, wide]
 
 
 def test_rd_study_searches_the_captured_mass_with_its_cfg():
@@ -322,7 +330,7 @@ def test_rd_study_rejects_a_state_of_another_dimension(monkeypatch):
     def no_pass(*args, **kwargs):
         raise AssertionError("a captured mass was computed")
 
-    monkeypatch.setattr(analysis, "_mass_pass", no_pass)
+    monkeypatch.setattr(analysis, "_box_masses", no_pass)
     g = make_state("gaussian", mu=0.0, sigma=1.0)
     with pytest.raises(ValueError, match="state dimension does not match the grid"):
         rd_study(g, g, GridScheme("uniform", d=2), [4, 8, 16], mass_target=1 - 1e-6)
@@ -385,7 +393,7 @@ def test_jittered_sandwich_property_for_all_rows():
 
 def test_box_captured_mass_matches_per_cube_sum():
     from spatialzeno import Bin, Interval, bin_inner_product
-    from spatialzeno.analysis import _captured_masses
+    from spatialzeno.analysis import _box_masses
     from spatialzeno.quadrature import DEFAULT_CONFIG
 
     g = make_state("gaussian", mu=[0.4, -0.3], sigma=[0.9, 1.3])
@@ -393,11 +401,101 @@ def test_box_captured_mass_matches_per_cube_sum():
                         (0.3, make_state("gaussian", mu=[2.8, -0.1], sigma=[0.4, 0.4]))])
     for state in (g, rho):
         terms = rho.terms if state is rho else ((1.0, g),)
+        masses = _box_masses(state, 4, 2, DEFAULT_CONFIG)
+        assert masses.shape == (4,)
         for k in (1, 2, 4):
             per_cube = 0.0
             for w, wf in terms:
                 for corner in CubeBox((k, k)):
                     cube = Bin(tuple(Interval(a, a + 1.0) for a in corner))
                     per_cube += w * float(np.real(bin_inner_product(wf, wf, cube).value))
-            (got,) = _captured_masses((state,), k, 2, DEFAULT_CONFIG)
-            assert got == pytest.approx(per_cube, abs=1e-14)
+            assert masses[k - 1] == pytest.approx(per_cube, abs=1e-14)
+
+
+def _linear_search(state, phi, d, mass_target, max_cubes):
+    """The box search as a reference: k = 1, 2, ... with one mass pass per
+    state on the one-cell box [-k, k)^d, until both masses reach the target."""
+    from spatialzeno import ProductGrid
+    from spatialzeno.measurement import _mass_pass
+
+    k = 1
+    while True:
+        if (2 * k) ** d > max_cubes:
+            raise CubeBudgetExceededError(f"more than {max_cubes} cubes")
+        box = ProductGrid(1, [np.array([-k, k], dtype=float)] * d)
+        cap_psi, cap_phi = (_mass_pass(s, box, analysis.DEFAULT_CONFIG, keep=False)[0]
+                            for s in (state, phi))
+        if cap_psi >= mass_target and cap_phi >= mass_target:
+            return k, cap_psi
+        k += 1
+
+
+def _search_cases(d):
+    def gauss(mu, sigma):
+        return make_state("gaussian", mu=[mu] * d, sigma=[sigma] * d)
+
+    return {
+        "pure": (gauss(0.3, 0.9), None),
+        "superposition": (superpose([(0.8, gauss(-0.7, 0.6)), (0.6, gauss(1.1, 0.8))]),
+                          None),
+        "density": (make_density([(0.7, gauss(-2.2, 0.4)), (0.3, gauss(2.8, 0.4))]),
+                    gauss(0.0, 0.8)),
+        "off-centre": (gauss(2.6, 0.7), None),
+        "psi != phi": (gauss(0.0, 0.6), gauss(-0.4, 1.1)),
+        # k = 43-45: the walk's half-width K doubles from 16 to 32 to 64
+        "wide": (gauss(0.5, 7.0), None),
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("case", ["pure", "superposition", "density", "off-centre",
+                                  "psi != phi", "wide"])
+def test_rd_study_box_equals_the_linear_search(case, d):
+    state, phi = _search_cases(d)[case]
+    phi = state if phi is None else phi
+    target = 1 - 1e-9
+    k, want = _linear_search(state, phi, d, target, 10 ** 6)
+    _, tail = rd_study(state, phi, GridScheme("uniform", d=d), [1, 2, 3], target,
+                       max_cubes=10 ** 6)
+    assert tail.cubes == CubeBox((k,) * d)
+    assert abs(tail.captured_mass - want) <= 1e-14
+    # a budget of exactly the chosen box suffices; one cube less does not
+    _, tail = rd_study(state, phi, GridScheme("uniform", d=d), [1, 2, 3], target,
+                       max_cubes=(2 * k) ** d)
+    assert tail.cubes == CubeBox((k,) * d)
+    with pytest.raises(CubeBudgetExceededError):
+        _linear_search(state, phi, d, target, (2 * k) ** d - 1)
+    with pytest.raises(CubeBudgetExceededError):
+        rd_study(state, phi, GridScheme("uniform", d=d), [1, 2, 3], target,
+                 max_cubes=(2 * k) ** d - 1)
+
+
+def test_rd_study_with_a_vast_cube_budget_walks_a_small_box():
+    g = make_state("gaussian", mu=0.4, sigma=1.3)
+    k, want = _linear_search(g, g, 1, 1 - 1e-9, 10 ** 12)
+    args = (g, g, UNIFORM, [1, 2, 3], 1 - 1e-9)
+    rd_study(*args, max_cubes=10 ** 12)  # lazy imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        _, tail = rd_study(*args, max_cubes=10 ** 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tail.cubes == CubeBox((k,)) and abs(tail.captured_mass - want) <= 1e-14
+    assert peak < 100_000, peak
+
+
+@pytest.mark.parametrize("window", [(32, 4), (8, 8), (4, 8), (20, 40)])
+def test_fit_window_is_checked_before_any_level(window, monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran before the fit window was checked")
+
+    monkeypatch.setattr(analysis, "_study_rows", no_pass)
+    monkeypatch.setattr(analysis, "_box_masses", no_pass)
+    message = rf"fit window \({window[0]}, {window[1]}\)"
+    with pytest.raises(DegenerateWindowError, match=message):
+        convergence_study(make_state("sine_mode", k=1), make_state("uniform"), UNIFORM,
+                          [4, 8, 16, 32], fit_window=window)
+    g = make_state("gaussian", mu=0.0, sigma=1.0)
+    with pytest.raises(DegenerateWindowError, match=message):
+        rd_study(g, g, UNIFORM, [4, 8, 16, 32], mass_target=1 - 1e-6, fit_window=window)

@@ -146,6 +146,24 @@ def test_jittered_breakpoints_pinned_2d_and_cube_box():
         "452077cf3e12d2abb563fe487b2397b9622815d99ed1cf68d90ec15ec8d9cfc7")
 
 
+def test_box_and_cube_list_breakpoints_pinned():
+    # a jittered box whose forced cell count (m = 10 for n = 9 at C = 1.3)
+    # sends 7 of its 10 axis segments through the clip pass
+    clip = GridScheme("jittered", d=2, ratio_bound=1.3, seed=6,
+                      cells_per_axis=10).with_cubes(CubeBox((2, 3))).level(9)
+    assert _breakpoints_digest([clip]) == (
+        "8a524ea4df4782d3216f43e6befb0e5904c2f00bd842f5ed3927a6b9421ed54a")
+    # an explicit jittered list that is not a box: one part per cube
+    listed = GridScheme("jittered", d=2, seed=8).with_cubes(
+        [(0.0, 0.0), (2.0, -1.0), (-3.0, 5.0), (-1.0, 0.0)]).level(5)
+    assert len(listed.parts) == 4
+    assert _breakpoints_digest([listed]) == (
+        "a8a22e7362ca33b5cca6b7865ff9f76fe11cc31bbaa194c2a8c8ef968cbbec63")
+    uniform = GridScheme("uniform", d=3).with_cubes(CubeBox((2, 1, 3))).level(7)
+    assert _breakpoints_digest([uniform]) == (
+        "d2ec668d4ca7e96a96d5b440c409b7eb9b7bfcf94d0a328727ddbb71a7f48092")
+
+
 def test_jittered_level_build_holds_one_breakpoint_array():
     # the uniforms are drawn into the breakpoint array and turned into
     # lengths and edges there; the strictly-increasing check adds 1 B/cell
