@@ -9,8 +9,11 @@ Subcommands::
 Flags: ``--output-dir``, ``--format csv|json|both``.  Exit codes:
 0 success, 2 unreadable/unparsable config, 3 schema violation, 4 compute
 failure.  Every output file embeds the schema version and a hash of the
-config, and identical configs reproduce byte-identical outputs (every
-computation runs serially, and volatile timings are never serialized).
+config, and identical configs reproduce byte-identical outputs at a fixed
+BLAS thread count (every computation runs in one Python thread, and
+volatile timings are never serialized; a BLAS product split over threads,
+such as the one-term bar Gram's dot product, can change in its last bit
+with the thread count).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .discretizer import discretize, discretization_error
 from .grids import GRID_KINDS, GridScheme
 from .measurement import joint_distribution, prob_y1_mixed, prob_y1_pure, sample_xy
 from .quadrature import QuadratureConfig
-from .states import (CATALOG, CatalogEntry, _int, make_density, make_state,
+from .states import (CATALOG, CatalogEntry, _SEED, _int, make_density, make_state,
                      product_field, superpose)
 
 SCHEMA_VERSION = "1"
@@ -101,7 +104,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kind": {"enum": list(GRID_KINDS)},
                 "C": {"type": "number", "exclusiveMinimum": 1},
-                "seed": _INT,
+                "seed": _SEED,
                 "cells_per_axis": {"type": ["integer", "null"]},
                 "cubes": {"type": "array", "minItems": 1,
                           "items": {"type": "array", "items": _NUM, "minItems": 1}},
@@ -121,7 +124,7 @@ CONFIG_SCHEMA = {
                 "subdivision_limit": {"type": "integer", "minimum": 0},
             },
         },
-        "seed": _INT,
+        "seed": _SEED,
         "count": {"type": "integer", "minimum": 1},
         "mass_target": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "fit_window": {"type": "array", "items": _INT, "minItems": 2, "maxItems": 2},

@@ -396,25 +396,39 @@ def _auto_cells(n: int, C: float) -> int:
     return max(n, min(m, m_max))
 
 
-def _jitter_axis(n: int, C: float, m: int, rngs: Sequence[np.random.Generator],
+def _jitter_axis(n: int, C: float, m: int, seed: int, axis: int,
                  coords: np.ndarray | None = None) -> np.ndarray:
     """Jittered segments [a, a + 1], a in ``coords`` (each one past the
-    last; default a single segment [0, 1]), joined end to end: r m + 1
-    breakpoints for r = len(rngs) rows, whose gaps lie in [1/(C n), 1/n].
+    last; default the single segment [0, 1] of a = 0.0), joined end to
+    end: r m + 1 breakpoints for r segments, whose gaps lie in
+    [1/(C n), 1/n].
 
-    Row i draws its m uniforms from ``rngs[i]`` straight into its slice of
-    the joined array.  Normalising, scaling, the offset, the cumulative sum
-    and the coordinate shift then run once over the (rows, m) view, so the
-    array is the only full-length one; a row with a length over 1/n gets
-    the clip pass on its own.
+    The axis draws from one PCG64 stream seeded from (seed, n, axis, m).
+    The row of coordinate a is the stream's block [key(a) m, key(a) m + m),
+    key(a) the float's bit pattern with -0.0 folded onto 0.0, reached by
+    PCG64's jump-ahead: blocks of distinct coordinates are disjoint and
+    below 2^128, a row does not depend on the other coordinates, and
+    a = 0.0 draws the stream's first m values.  Each row is drawn straight
+    into its slice of the joined array.  Normalising, scaling, the offset,
+    the cumulative sum and the coordinate shift then run once over the
+    (rows, m) view, so the array is the only full-length one; a row with a
+    length over 1/n gets the clip pass on its own.
     """
     lo, hi = 1.0 / (C * n), 1.0 / n
-    bp = np.empty(len(rngs) * m + 1)
-    # the first segment's 0.0 shifted by a (so a = -0.0 gives 0.0)
+    # bit patterns of a + 0.0, so a = -0.0 has key 0 and shifts to 0.0
+    keys = [0] if coords is None else (coords + 0.0).view(np.uint64).tolist()
+    bp = np.empty(len(keys) * m + 1)
     bp[0] = 0.0 if coords is None else coords[0] + 0.0
-    lengths = bp[1:].reshape(len(rngs), m)
-    for rng, row in zip(rngs, lengths):
-        rng.random(out=row)
+    lengths = bp[1:].reshape(len(keys), m)
+    stream = np.random.PCG64(np.random.SeedSequence(entropy=seed,
+                                                    spawn_key=(int(n), axis, m)))
+    draw = np.random.Generator(stream).random
+    pos = 0
+    for key, row in zip(keys, lengths):
+        # a negative step wraps modulo 2^128, so rows come in any order
+        stream.advance(key * m - pos)
+        draw(out=row)
+        pos = key * m + m
     lengths /= lengths.sum(axis=1, keepdims=True)
     # lo + u (1 - m lo)
     lengths *= 1.0 - m * lo
@@ -437,6 +451,14 @@ def _jitter_axis(n: int, C: float, m: int, rngs: Sequence[np.random.Generator],
     if coords is not None:
         lengths += coords[:, None]
     return bp
+
+
+def _seed(name: str, value) -> int:
+    """``value`` as a seed: an int >= 0, or a ValueError that names ``name``."""
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _jitter_cells(n: int, C: float, cells_per_axis: int | None) -> int:
@@ -462,18 +484,18 @@ def jittered_grid(n: int, d: int = 1, C: float = DEFAULT_RATIO_BOUND,
 
     Raises
     ------
+    ValueError
+        If ``seed`` is negative.
     InfeasibleGridError
         If no partition with the requested cell count can satisfy the
         bounds, i.e. unless n <= cells_per_axis <= C*n.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    seed = _seed("seed", seed)
     m = _jitter_cells(n, C, cells_per_axis)
-    bps = []
-    for axis in range(d):
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(n), axis, m))
-        bps.append(_read_only(_jitter_axis(n, C, m, [np.random.default_rng(ss)])))
-    return ProductGrid(n, bps, ratio_bound=C)
+    return ProductGrid(n, [_read_only(_jitter_axis(n, C, m, seed, axis))
+                           for axis in range(d)], ratio_bound=C)
 
 
 def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int] | None:
@@ -551,18 +573,16 @@ class CubeBox(Sequence):
             yield tuple(map(float, corner))
 
 
-def _coordinate_key(a: float) -> int:
-    # the float's bit pattern, with -0.0 folded onto 0.0
-    return int(np.float64(a + 0.0).view(np.uint64))
-
-
 def _cube_axis(scheme: "GridScheme", n: int) -> Callable[[int, np.ndarray], np.ndarray]:
     """``joined(axis, coords)``: the sub-scheme's breakpoints on the
     segments [a, a+1] of one axis, a in ``coords`` (each one past the
     last), joined end to end; one coordinate gives one cube's segment.
 
-    A jittered segment is seeded from (scheme seed, n, axis, cell count,
-    coordinate a), so it does not depend on which other cubes are listed.
+    A jittered axis is one PCG64 stream seeded from (scheme seed, n,
+    axis, cell count), and the segment of coordinate a is its block at
+    offset (bit pattern of a) * (cell count), so a segment does not depend
+    on which other cubes are listed; the cube at the origin has the axes
+    of the unit-cube ``jittered_grid``.
     """
     sub = scheme.sub_kind if scheme.kind == "rd_translated_cubes" else scheme.kind
     C = scheme.ratio_bound
@@ -576,13 +596,10 @@ def _cube_axis(scheme: "GridScheme", n: int) -> Callable[[int, np.ndarray], np.n
             return bp
         return joined
     if sub == "jittered":
-        m = _jitter_cells(n, C, scheme.cells_per_axis)
+        m, seed = _jitter_cells(n, C, scheme.cells_per_axis), int(scheme.seed)
 
         def joined(axis: int, coords: np.ndarray) -> np.ndarray:
-            rngs = [np.random.default_rng(np.random.SeedSequence(
-                entropy=int(scheme.seed), spawn_key=(int(n), axis, m, _coordinate_key(a))))
-                for a in coords.tolist()]
-            return _jitter_axis(n, C, m, rngs, coords)
+            return _jitter_axis(n, C, m, seed, axis, coords)
         return joined
     raise ValueError(f"unsupported per-cube scheme {sub!r}")
 
@@ -599,10 +616,12 @@ class GridScheme:
     sub-scheme used inside every cube.  ``cubes`` is a tuple of corner
     tuples, or the :class:`CubeBox` that ``rd_study`` holds, whose levels
     are built from its per-axis coordinates without reading a corner.  A
-    jittered sub-scheme draws each axis segment of a cube from (seed, n,
-    axis, cell count, cube coordinate), so a cube box is one product grid
+    jittered sub-scheme draws the axis-k segment of a cube at coordinate a
+    from one PCG64 stream per (seed, n, k, cell count), at the offset
+    (bit pattern of a) * (cell count), so a cube box is one product grid
     and a cube's bins do not depend on the rest of the list.  A hand-built
-    partition is a :class:`CustomGrid` level, not a scheme.
+    partition is a :class:`CustomGrid` level, not a scheme.  A negative
+    ``seed`` raises ValueError on construction.
     """
 
     kind: str
@@ -616,6 +635,7 @@ class GridScheme:
     def __post_init__(self) -> None:
         if self.kind not in GRID_KINDS:
             raise ValueError(f"unknown grid kind {self.kind!r}")
+        _seed("seed", self.seed)
 
     def level(self, n: int) -> GridLevel:
         if self.kind == "uniform":

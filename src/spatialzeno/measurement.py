@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Bin, GridLevel, ProductGrid
+from .grids import Bin, GridLevel, ProductGrid, _seed
 from .quadrature import (
     DEFAULT_CONFIG,
     PAIR_BLOCK,
@@ -570,12 +570,14 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
     p_l M_l for M_l its mass on the level, so X follows the normalised
     marginal of ``joint_distribution`` also where the level holds only part
     of a term's mass; a term with no mass on the level is never drawn.
+    A negative ``seed`` or ``stream`` raises ValueError before any table
+    is built.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_pair(state, phi, level)
     rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(int(stream),)))
+        entropy=_seed("seed", seed), spawn_key=(_seed("stream", stream),)))
     terms = _spectrum(state)
     u_x, u_y = np.empty(count), np.empty(count)
     which, drawn = None, (True,)

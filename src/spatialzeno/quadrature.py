@@ -14,7 +14,10 @@ at a.  The reported error estimate is the difference between the order-p
 and order-p/2 results.
 
 Sums over bins use numpy reductions (pairwise summation) in bin-index
-order, so single-threaded runs are reproducible bit for bit.
+order, so runs are reproducible bit for bit at a fixed BLAS thread count.
+A Gram product that BLAS splits over its threads can change in its last
+bit with that count: with one term pair the bar Gram ``(V / h) @ V.T`` is
+a threaded ``ddot`` (the plain Gram, a ``syrk``, does not move).
 
 The module also owns the per-axis pair table (``_pair_data``), which
 every region integral of a separable sum reads: P(Y=1) and the bin tables
@@ -287,10 +290,22 @@ def _pair_data(phi: SeparableFunction, psi: SeparableFunction,
     """Term-pair weights and one :class:`_AxisSums` per axis of the product
     of the per-axis cell partitions ``axes_edges``: the Grams (``gram``,
     ``with_bar``) and the full per-axis cell-integral arrays (``keep``)
-    from the same blocked walk."""
+    from the same blocked walk.
+
+    An axis whose (bra, ket) factor pairs equal an earlier axis's, on the
+    same or equal edges, is not walked again: it gets that axis's sums,
+    the same object, which no caller writes to.
+    """
     pairs = list(_term_pairs(phi, psi))
-    axes = [_axis_pass(pairs, k, edges, cfg, keep, gram, with_bar)
-            for k, edges in enumerate(axes_edges)]
+    walked, axes = [], []  # walked: (factor pairs, edges, sums) per walk
+    for k, edges in enumerate(axes_edges):
+        factors = [(bf[k], kf[k]) for _, bf, kf in pairs]
+        sums = next((s for f, e, s in walked if f == factors
+                     and (e is edges or np.array_equal(e, edges))), None)
+        if sums is None:
+            sums = _axis_pass(pairs, k, edges, cfg, keep, gram, with_bar)
+            walked.append((factors, edges, sums))
+        axes.append(sums)
     return np.array([w for w, _, _ in pairs]), axes
 
 

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import erfc, wofz
 
-from .grids import Bin
+from .grids import Bin, _seed
 
 __all__ = [
     "Domain",
@@ -886,6 +886,7 @@ class CatalogEntry(NamedTuple):
 CATALOG: dict[str, CatalogEntry] = {}
 _NUM, _INT = {"type": "number"}, {"type": "integer"}
 _POS_INT = {"type": "integer", "minimum": 1}
+_SEED = {"type": "integer", "minimum": 0}
 _NUMS = {"anyOf": [_NUM, {"type": "array", "items": _NUM}]}
 
 
@@ -982,9 +983,9 @@ def _gaussian(mu, sigma):
                         label=f"gaussian(mu={mu.tolist()},sigma={sigma.tolist()})")
 
 
-@_catalog("haar_like", seed=_INT, pieces=_POS_INT)
+@_catalog("haar_like", seed=_SEED, pieces=_POS_INT)
 def _haar_like(seed, pieces=8):
-    seed, pieces = _int("seed", seed), _int("pieces", pieces)
+    seed, pieces = _seed("seed", _int("seed", seed)), _int("pieces", pieces)
     if pieces < 1:
         raise ValueError("pieces must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,

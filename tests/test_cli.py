@@ -130,11 +130,24 @@ def test_capabilities_report():
     assert a == b
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"grid": {"kind": "jittered", "seed": -3}}, "grid.seed"),
+    ({"experiment": "sample", "count": 10, "seed": -1}, "seed"),
+    ({"psi": {"catalog": "haar_like", "seed": -1}}, "psi"),
+])
+def test_negative_seeds_are_schema_violations(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, "neg.json", base_probability_config(**overrides))
+    for command in (["validate", cfg], ["--output-dir", str(tmp_path), "run", cfg]):
+        assert main(command) == EXIT_SCHEMA
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "schema-violation" and err["field"] == field
+
+
 def test_config_schema_is_pinned():
     # the catalog feeds the schema, so a catalog change that alters it shows
     text = json.dumps(CONFIG_SCHEMA, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "6b898c8fe25b79ca46f19d4a4c576f3e395a8a388ffeeedaf8eba7e96eec3d13")
+        "59f8ff6ecdaba58d00a7f98564a9e8e37404f606396f31d6ffa760b8d9cc90f2")
 
 
 @pytest.mark.parametrize("mu, sigma", [(0.0, float("nan")), (float("nan"), 1.0),

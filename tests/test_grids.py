@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spatialzeno import (
     Bin,
@@ -143,22 +144,22 @@ def test_jittered_breakpoints_pinned_2d_and_cube_box():
         "64502da450182bab7e7d0fd89b5d6afbc058a802c07076d049bab78e8603e8f5")
     box = GridScheme("jittered", d=2, seed=4).with_cubes(CubeBox((3, 3))).level(8)
     assert _breakpoints_digest([box]) == (
-        "452077cf3e12d2abb563fe487b2397b9622815d99ed1cf68d90ec15ec8d9cfc7")
+        "93869330033a5257ceeeff40a949c3fc0e686f2da231faa05d0120fa800b90ed")
 
 
 def test_box_and_cube_list_breakpoints_pinned():
     # a jittered box whose forced cell count (m = 10 for n = 9 at C = 1.3)
-    # sends 7 of its 10 axis segments through the clip pass
+    # sends all 10 of its axis segments through the clip pass
     clip = GridScheme("jittered", d=2, ratio_bound=1.3, seed=6,
                       cells_per_axis=10).with_cubes(CubeBox((2, 3))).level(9)
     assert _breakpoints_digest([clip]) == (
-        "8a524ea4df4782d3216f43e6befb0e5904c2f00bd842f5ed3927a6b9421ed54a")
+        "fe528566eac230119bfa4402564ca7f98372e75968d45f959f79060e5164defc")
     # an explicit jittered list that is not a box: one part per cube
     listed = GridScheme("jittered", d=2, seed=8).with_cubes(
         [(0.0, 0.0), (2.0, -1.0), (-3.0, 5.0), (-1.0, 0.0)]).level(5)
     assert len(listed.parts) == 4
     assert _breakpoints_digest([listed]) == (
-        "a8a22e7362ca33b5cca6b7865ff9f76fe11cc31bbaa194c2a8c8ef968cbbec63")
+        "eabdb195eaca110559799dd4679576eb1f125b1612bd0df29ecfd4132b165c73")
     uniform = GridScheme("uniform", d=3).with_cubes(CubeBox((2, 1, 3))).level(7)
     assert _breakpoints_digest([uniform]) == (
         "d2ec668d4ca7e96a96d5b440c409b7eb9b7bfcf94d0a328727ddbb71a7f48092")
@@ -376,6 +377,68 @@ def test_jittered_cube_alone_matches_its_box_segment():
         # cube (1, -2): fourth segment on axis 0, first on axis 1
         assert np.array_equal(alone.breakpoints[0], box.breakpoints[0][3 * m:4 * m + 1])
         assert np.array_equal(alone.breakpoints[1], box.breakpoints[1][:m + 1])
+
+
+def _segments(part: ProductGrid, k: int, m: int) -> dict:
+    """Axis k of a part as {cube coordinate a: its segment's m + 1 breakpoints}."""
+    bp = part.breakpoints[k]
+    lo = part.domain_bounds[k][0]
+    return {lo + i: bp[i * m:(i + 1) * m + 1] for i in range((bp.size - 1) // m)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.integers(0, 2 ** 32), st.integers(1, 12),
+    st.floats(1.0, 3.0, exclude_min=True),
+    st.tuples(*[st.integers(1, 3)] * d), st.booleans(),
+    st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))))
+def test_jittered_cube_rows_do_not_depend_on_the_list(args):
+    seed, n, C, half_widths, force, picks = args
+    # a forced count of n or n + 1 cells pushes lengths over 1/n: the clip path
+    m = min(n + 1, int(np.floor(C * n))) if force else None
+    scheme = GridScheme("jittered", d=len(half_widths), ratio_bound=C, seed=seed,
+                        cells_per_axis=m)
+    box = CubeBox(half_widths)
+    held = scheme.with_cubes(box).level(n).parts[0]
+    m = held.shape[0] // (2 * half_widths[0])
+    # an explicit sub-list of the box: a smaller box, or one part per cube
+    sub = sorted({box[i % len(box)] for i in picks})
+    listed = scheme.with_cubes(sub).level(n)
+    for k in range(len(half_widths)):
+        whole = _segments(held, k, m)
+        for part in listed.parts:
+            for a, seg in _segments(part, k, m).items():
+                assert seg.tobytes() == whole[a].tobytes()
+        for a, seg in whole.items():
+            assert seg[0] == a and seg[-1] == a + 1.0
+            gaps = np.diff(seg)
+            assert gaps.min() >= 1.0 / (C * n) - 1e-12 and gaps.max() <= 1.0 / n + 1e-12
+
+
+@pytest.mark.parametrize("n, d, C, seed, cells", [(8, 2, 2.0, 4, None), (9, 3, 1.3, 6, 10),
+                                                  (1, 1, 2.5, 0, None)])
+def test_origin_cube_has_the_unit_cube_jittered_axes(n, d, C, seed, cells):
+    unit = jittered_grid(n, d, C=C, seed=seed, cells_per_axis=cells)
+    m = unit.shape[0]
+    scheme = GridScheme("jittered", d=d, ratio_bound=C, seed=seed, cells_per_axis=cells)
+    box = scheme.with_cubes(CubeBox((2,) * d)).level(n).parts[0]
+    for corner in ((0.0,) * d, (-0.0,) * d):
+        alone = scheme.with_cubes([corner]).level(n).parts[0]
+        for k in range(d):
+            assert alone.breakpoints[k].tobytes() == unit.breakpoints[k].tobytes()
+            # the origin is the third of the box's four segments
+            assert box.breakpoints[k][2 * m:3 * m + 1].tobytes() == \
+                unit.breakpoints[k].tobytes()
+
+
+def test_negative_seeds_raise_before_any_level_is_built():
+    for make in (lambda: GridScheme("jittered", seed=-1),
+                 lambda: GridScheme("uniform", d=2, seed=-1),
+                 lambda: GridScheme("rd_translated_cubes", cubes=((0.0,),),
+                                    sub_kind="jittered", seed=-5),
+                 lambda: jittered_grid(4, seed=-1)):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            make()
 
 
 def test_cube_box_is_a_lazy_sequence_of_corners_in_c_order():

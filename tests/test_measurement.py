@@ -336,6 +336,21 @@ def test_sampler_reproducible_and_stream_split():
     assert not np.array_equal(a.x, c.x)
 
 
+def test_negative_seeds_raise_up_front(monkeypatch):
+    from spatialzeno import measurement
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(measurement, "_draw", no_table)
+    psi = make_state("sine_mode", k=1)
+    for kwargs, name in (({"seed": -2}, "seed"), ({"stream": -1}, "stream")):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+            sample_xy(psi, psi, uniform_grid(8), count=10, **kwargs)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        make_state("haar_like", seed=-1)
+
+
 def test_sampler_zero_mass_bins_never_drawn():
     psi = make_state("indicator", a=0.0, b=0.5)
     phi = make_state("uniform")

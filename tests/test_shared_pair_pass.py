@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spatialzeno import (
+    CubeBox,
     GridScheme,
     ProductGrid,
     TableTooLargeError,
@@ -637,3 +638,117 @@ def test_blocked_pass_matches_full_array_pass(name):
     assert np.array_equal(r.per_bin_amplitude, _per_bin(w, mats))
     w_m, mats_m, _ = _full_axis_pass(psi, psi, level)
     assert np.array_equal(r.per_bin_mass, np.real(_per_bin(w_m, mats_m)))
+
+
+# ---------------------------------------------------------------------------
+# equal axes: an axis with an earlier axis's factor pairs and edges is not
+# walked again
+
+
+def _per_axis_reference(phi, psi, axes_edges, **flags):
+    """``_pair_data`` as it was before equal axes were shared: one walk per axis."""
+    pairs = list(_term_pairs(phi, psi))
+    return (np.array([w for w, _, _ in pairs]),
+            [quadrature._axis_pass(pairs, k, edges, DEFAULT_CONFIG, flags["keep"],
+                                   flags["gram"], flags["with_bar"])
+             for k, edges in enumerate(axes_edges)])
+
+
+def _same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _isotropic(kind: str, d: int):
+    """(phi, [psi_l]): a pure, superposed or density state that is the same
+    on every axis, against a state that is, too."""
+    def product(k):
+        return tensor_product([make_state("sine_mode", k=k)] * d) if d > 1 else \
+            make_state("sine_mode", k=k)
+    phi = make_state("uniform", d=d)
+    if kind == "pure":
+        return phi, [product(1)]
+    if kind == "superposition":
+        return phi, [superpose([(0.6, product(1)), (0.8j, product(3))])]
+    return phi, [psi for _, psi in make_density([(0.7, product(1)), (0.3, product(2))]).terms]
+
+
+def _counting_walks(monkeypatch):
+    walks = []
+
+    def counting(pairs, k, *args):
+        walks.append(k)
+        return axis_pass(pairs, k, *args)
+
+    axis_pass = quadrature._axis_pass
+    monkeypatch.setattr(quadrature, "_axis_pass", counting)
+    return walks
+
+
+@pytest.mark.parametrize("kind", ["pure", "superposition", "density"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("keep, gram, with_bar", [(True, True, True), (False, True, True),
+                                                  (True, False, False), (False, True, False)])
+def test_equal_axes_give_the_per_axis_sums_bitwise(monkeypatch, kind, d, keep, gram,
+                                                   with_bar):
+    phi, terms = _isotropic(kind, d)
+    flags = dict(keep=keep, gram=gram, with_bar=with_bar)
+    walks = _counting_walks(monkeypatch)
+    for level in (uniform_grid(12, d), jittered_grid(12, d, C=2.0, seed=3)):
+        for bra, ket in [(phi, psi) for psi in terms] + [(psi, psi) for psi in terms]:
+            del walks[:]
+            w, axes = _pair_data(bra, ket, level.breakpoints, DEFAULT_CONFIG, **flags)
+            # the uniform grid holds one edges array for every axis
+            assert len(walks) == (1 if level.breakpoints[0] is level.breakpoints[-1] else d)
+            w_ref, axes_ref = _per_axis_reference(bra, ket, level.breakpoints, **flags)
+            assert _same_bits(w, w_ref)
+            for ax, ref in zip(axes, axes_ref, strict=True):
+                assert all(_same_bits(x, y) for x, y in zip(ax, ref, strict=True))
+
+
+def test_only_equal_factors_on_equal_edges_share_a_walk(monkeypatch):
+    walks = _counting_walks(monkeypatch)
+
+    def count(phi, psi, axes_edges):
+        del walks[:]
+        _pair_data(phi, psi, axes_edges, DEFAULT_CONFIG, keep=True, with_bar=True)
+        return len(walks)
+
+    iso = make_state("gaussian", mu=[0.0] * 3, sigma=[1.5] * 3)
+    aniso = make_state("gaussian", mu=[0.0] * 3, sigma=[1.0, 1.5, 2.0])
+    # axes 0 and 1 share a walk, axis 2 has its own
+    two_equal = make_state("gaussian", mu=[0.0] * 3, sigma=[1.5, 1.5, 2.0])
+    box = GridScheme("uniform", d=3).with_cubes(CubeBox((2, 2, 2))).level(4).parts[0]
+    jittered = GridScheme("jittered", d=3, seed=2).with_cubes(
+        CubeBox((2, 2, 2))).level(4).parts[0]
+    # the uniform box's axes are equal arrays, not one object
+    assert box.breakpoints[0] is not box.breakpoints[1]
+    assert count(iso, iso, box.breakpoints) == 1
+    assert count(aniso, aniso, box.breakpoints) == 3
+    assert count(two_equal, two_equal, box.breakpoints) == 2
+    assert count(iso, iso, jittered.breakpoints) == 3
+    cube = uniform_grid(8, 3)
+    assert count(make_state("sine_product", ks=[1, 1, 1]), make_state("uniform", d=3),
+                 cube.breakpoints) == 1
+    assert count(make_state("sine_product", ks=[1, 2, 3]), make_state("uniform", d=3),
+                 cube.breakpoints) == 3
+
+
+def test_isotropic_box_study_walks_each_pair_table_once(monkeypatch):
+    # the box masses, the norm over the domain box and every row's pair pass
+    walks = _counting_walks(monkeypatch)
+    per_call = []
+    pair_data = quadrature._pair_data
+
+    def counting(*args, **kwargs):
+        before = len(walks)
+        out = pair_data(*args, **kwargs)
+        per_call.append(len(walks) - before)
+        return out
+
+    for module in (quadrature, analysis, measurement):
+        monkeypatch.setattr(module, "_pair_data", counting)
+    g = make_state("gaussian", mu=[0.0] * 3, sigma=[0.7] * 3)
+    analysis.rd_study(g, g, GridScheme("uniform", d=3), [2, 4, 8], 1 - 1e-8)
+    assert len(per_call) >= 4 and set(per_call) == {1}
