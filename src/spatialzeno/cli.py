@@ -31,10 +31,10 @@ from jsonschema.exceptions import best_match
 from . import __version__
 from .analysis import convergence_study, rd_study
 from .discretizer import discretize, discretization_error
-from .grids import GRID_KINDS, GridScheme
+from .grids import GRID_KINDS, GridScheme, _int
 from .measurement import joint_distribution, prob_y1_mixed, prob_y1_pure, sample_xy
 from .quadrature import QuadratureConfig
-from .states import (CATALOG, CatalogEntry, _SEED, _int, make_density, make_state,
+from .states import (CATALOG, CatalogEntry, _SEED, make_density, make_state,
                      product_field, superpose)
 
 SCHEMA_VERSION = "1"

@@ -453,9 +453,20 @@ def _jitter_axis(n: int, C: float, m: int, seed: int, axis: int,
     return bp
 
 
+def _int(name: str, value) -> int:
+    """An integer parameter; integral floats pass, as in JSON schema."""
+    try:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _seed(name: str, value) -> int:
-    """``value`` as a seed: an int >= 0, or a ValueError that names ``name``."""
-    seed = int(value)
+    """``value`` as a seed: an integer >= 0 (an integral float passes), or
+    a ValueError that names ``name``."""
+    seed = _int(name, value)
     if seed < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return seed
@@ -485,7 +496,7 @@ def jittered_grid(n: int, d: int = 1, C: float = DEFAULT_RATIO_BOUND,
     Raises
     ------
     ValueError
-        If ``seed`` is negative.
+        If ``seed`` is negative or not an integer.
     InfeasibleGridError
         If no partition with the requested cell count can satisfy the
         bounds, i.e. unless n <= cells_per_axis <= C*n.
@@ -620,8 +631,8 @@ class GridScheme:
     from one PCG64 stream per (seed, n, k, cell count), at the offset
     (bit pattern of a) * (cell count), so a cube box is one product grid
     and a cube's bins do not depend on the rest of the list.  A hand-built
-    partition is a :class:`CustomGrid` level, not a scheme.  A negative
-    ``seed`` raises ValueError on construction.
+    partition is a :class:`CustomGrid` level, not a scheme.  A negative or
+    non-integral ``seed`` raises ValueError on construction.
     """
 
     kind: str

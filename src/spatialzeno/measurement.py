@@ -570,8 +570,8 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
     p_l M_l for M_l its mass on the level, so X follows the normalised
     marginal of ``joint_distribution`` also where the level holds only part
     of a term's mass; a term with no mass on the level is never drawn.
-    A negative ``seed`` or ``stream`` raises ValueError before any table
-    is built.
+    A negative or non-integral ``seed`` or ``stream`` raises ValueError
+    before any table is built.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -32,7 +32,6 @@ haar_like(seed)     seeded random constant on ``pieces`` equal cells
 from __future__ import annotations
 
 import inspect
-import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -40,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import erfc, wofz
 
-from .grids import Bin, _seed
+from .grids import Bin, _int, _seed
 
 __all__ = [
     "Domain",
@@ -901,16 +900,6 @@ def _catalog(name: str, **params):
     return register
 
 
-def _int(name: str, value) -> int:
-    """An integer parameter; integral floats pass, as in JSON schema."""
-    try:
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _state_1d(prim: Primitive1D, label: str) -> WaveFunction:
     return WaveFunction(Domain.unit_cube(1), ((1.0 + 0.0j, (prim,)),), label=label)
 
@@ -985,7 +974,7 @@ def _gaussian(mu, sigma):
 
 @_catalog("haar_like", seed=_SEED, pieces=_POS_INT)
 def _haar_like(seed, pieces=8):
-    seed, pieces = _seed("seed", _int("seed", seed)), _int("pieces", pieces)
+    seed, pieces = _seed("seed", seed), _int("pieces", pieces)
     if pieces < 1:
         raise ValueError("pieces must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,

@@ -431,14 +431,19 @@ def test_origin_cube_has_the_unit_cube_jittered_axes(n, d, C, seed, cells):
                 unit.breakpoints[k].tobytes()
 
 
-def test_negative_seeds_raise_before_any_level_is_built():
-    for make in (lambda: GridScheme("jittered", seed=-1),
-                 lambda: GridScheme("uniform", d=2, seed=-1),
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be a non-negative integer"),
+                                           (2.5, "seed must be an integer")])
+def test_bad_seeds_raise_before_any_level_is_built(seed, message):
+    for make in (lambda: GridScheme("jittered", seed=seed),
+                 lambda: GridScheme("uniform", d=2, seed=seed),
                  lambda: GridScheme("rd_translated_cubes", cubes=((0.0,),),
-                                    sub_kind="jittered", seed=-5),
-                 lambda: jittered_grid(4, seed=-1)):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                                    sub_kind="jittered", seed=seed),
+                 lambda: jittered_grid(4, seed=seed)):
+        with pytest.raises(ValueError, match=message):
             make()
+    # an integral float is its integer twin, as in a config
+    assert GridScheme("jittered", seed=3.0).level(5).breakpoints[0].tobytes() == \
+        jittered_grid(5, seed=3).breakpoints[0].tobytes()
 
 
 def test_cube_box_is_a_lazy_sequence_of_corners_in_c_order():

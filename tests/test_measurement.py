@@ -336,7 +336,7 @@ def test_sampler_reproducible_and_stream_split():
     assert not np.array_equal(a.x, c.x)
 
 
-def test_negative_seeds_raise_up_front(monkeypatch):
+def test_bad_seeds_raise_up_front(monkeypatch):
     from spatialzeno import measurement
 
     def no_table(*args, **kwargs):
@@ -344,11 +344,15 @@ def test_negative_seeds_raise_up_front(monkeypatch):
 
     monkeypatch.setattr(measurement, "_draw", no_table)
     psi = make_state("sine_mode", k=1)
-    for kwargs, name in (({"seed": -2}, "seed"), ({"stream": -1}, "stream")):
-        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+    for kwargs, message in (({"seed": -2}, "seed must be a non-negative integer"),
+                            ({"stream": -1}, "stream must be a non-negative integer"),
+                            ({"seed": 1.9}, "seed must be an integer")):
+        with pytest.raises(ValueError, match=message):
             sample_xy(psi, psi, uniform_grid(8), count=10, **kwargs)
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        make_state("haar_like", seed=-1)
+    for seed, message in ((-1, "seed must be a non-negative integer"),
+                          (1.5, "seed must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            make_state("haar_like", seed=seed)
 
 
 def test_sampler_zero_mass_bins_never_drawn():
