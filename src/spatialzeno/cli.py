@@ -41,6 +41,9 @@ SCHEMA_VERSION = "1"
 
 EXPERIMENTS = ("probability", "convergence", "sample", "discretize", "joint", "rd_study")
 
+# rows per ``%`` format of the CSV writer
+CSV_BLOCK = 2 ** 12
+
 EXIT_CONFIG_PARSE = 2
 EXIT_SCHEMA = 3
 EXIT_COMPUTE = 4
@@ -220,16 +223,21 @@ def _state_or_density(config: dict):
 def _csv_lines(header: list[str], columns: list, chash: str) -> str:
     """CSV text from one sequence of values per header field: float columns
     with 17 significant digits (``%.17g``, the digits of ``f"{x:.17g}"``),
-    other columns (integers) with ``%s``.  The whole table is one ``%``
-    format: the row format once per row, applied to the values row by row."""
+    other columns (integers) with ``%s``.  Each block of CSV_BLOCK rows is
+    one ``%`` format, the row format once per row applied to the block's
+    values row by row, so the boxed values never outnumber one block's."""
     arrays = [np.asarray(c) for c in columns]
     row = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
-    rows = len(arrays[0])
-    values = [None] * (rows * len(arrays))
-    for k, a in enumerate(arrays):
-        values[k::len(arrays)] = a.tolist()
-    return (f"# schema_version={SCHEMA_VERSION} config_hash={chash}\n"
-            + ",".join(header) + "\n" + (row * rows) % tuple(values))
+    rows, k = len(arrays[0]), len(arrays)
+    pieces = [f"# schema_version={SCHEMA_VERSION} config_hash={chash}\n",
+              ",".join(header) + "\n"]
+    for s in range(0, rows, CSV_BLOCK):
+        n = min(CSV_BLOCK, rows - s)
+        values = [None] * (n * k)
+        for j, a in enumerate(arrays):
+            values[j::k] = a[s:s + n].tolist()
+        pieces.append((row * n) % tuple(values))
+    return "".join(pieces)
 
 
 def _integers(config: dict) -> dict:

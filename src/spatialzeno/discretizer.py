@@ -73,11 +73,15 @@ class DiscretizedFunction:
         return float(np.sum(np.abs(self.averages) ** 2 * self.level.volumes()))
 
 
+def _one(f: SeparableFunction) -> SeparableFunction:
+    """The constant 1 as the bra of f's <1|f> pair table."""
+    return SeparableFunction(f.domain, ((1.0 + 0.0j, (ONE,) * f.d),))
+
+
 def _one_pair_data(f: SeparableFunction, part: ProductGrid, cfg: QuadratureConfig):
     """The <1|f> pair table on a product grid: the weights c_a and, per
     axis, the cell integrals I_ak of every term's factor (``cells[a]``)."""
-    one = SeparableFunction(f.domain, ((1.0 + 0.0j, (ONE,) * f.d),))
-    return _pair_data(one, f, part.breakpoints, cfg, keep=True, gram=False)
+    return _pair_data(_one(f), f, part.breakpoints, cfg, keep=True, gram=False)
 
 
 def _bin_integrals_separable(f: SeparableFunction, part: ProductGrid,
@@ -121,9 +125,9 @@ def discretize(f, level: GridLevel, cfg: QuadratureConfig = DEFAULT_CONFIG,
     in physical memory.
     """
     separable = isinstance(f, SeparableFunction)
-    per_bin, pairs = ((_SEPARABLE_BYTES_PER_BIN, len(f.terms)) if separable else
-                      ((_NODE_BYTES + 16 * level.d) * cfg.points_per_axis_per_bin ** level.d, 0))
-    _require_tables(level, True if allow_large else "auto", per_bin, pairs, "allow_large")
+    per_bin, tables = ((_SEPARABLE_BYTES_PER_BIN, ((_one(f), f),)) if separable else
+                       ((_NODE_BYTES + 16 * level.d) * cfg.points_per_axis_per_bin ** level.d, ()))
+    _require_tables(level, True if allow_large else "auto", per_bin, tables, "allow_large")
     bin_integrals = _bin_integrals_separable if separable else _bin_integrals_callable
     averages = np.concatenate([bin_integrals(f, part, cfg) for part in level.parts])
     averages /= level.volumes()

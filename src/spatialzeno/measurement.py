@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Bin, GridLevel, ProductGrid, _seed
+from .grids import Bin, GridLevel, ProductGrid, _int, _seed
 from .quadrature import (
     DEFAULT_CONFIG,
     PAIR_BLOCK,
@@ -36,7 +36,8 @@ from .quadrature import (
     bin_inner_product,
     bin_mass,
 )
-from .states import DensityState, WaveFunction, inner_product
+from .states import (DensityState, WaveFunction, _term_pairs, exact_cell_integrals,
+                     inner_product)
 
 __all__ = [
     "MeasurementResult",
@@ -57,11 +58,11 @@ logger = logging.getLogger(__name__)
 
 # per-bin tables above this size are dropped unless explicitly requested
 PER_BIN_LIMIT = 10 ** 6
-# draws per chunk of the sampler: its index, bucket and gather arrays have
-# this length whatever the draw count
+# draws per chunk of the sampler: its uniforms, index, bucket and gather
+# arrays have this length whatever the draw count
 DRAW_BLOCK = 2 ** 14
 # vectorised guide-table steps per draw; a key with more entries of its
-# bucket at or below it goes to the sorted-key search
+# bucket at or below it goes to the bisection of its bucket
 _GUIDE_STEPS = 2
 
 
@@ -82,15 +83,18 @@ def _physical_memory() -> float:
 
 # per-bin tables larger than this many bytes are refused before any is built
 TABLE_BYTE_LIMIT = _physical_memory()
-# bytes per bin at the peak of building the kept tables: the complex128
-# amplitudes (or the float64 P(Y=1) and mass sums), then a mass table built
-# as a complex128 sum in a reused complex128 term buffer (``_per_bin_arrays``
-# with two or more term pairs;
-# real psi-psi cells build it in float64, so this is the worst case)
+# bytes per bin at the peak of building the kept tables (tracemalloc, the
+# worst case): ``prob_y1_pure`` keeps the complex128 amplitudes, then builds
+# complex psi-psi masses as a complex128 sum in a reused complex128 term
+# buffer (``_per_bin_arrays`` with two or more term pairs).  The joint
+# table and the sampler peak lower: they square real amplitudes in place
+# and hold the float64 P(Y=1) and mass tables.
 _TABLE_BYTES_PER_BIN = 16 + 16 + 16
-# bytes per term pair and cell of a kept pair table: the complex128 cells of
-# every axis, and per cell of one block its phase tables and pair integrals
-_CELL_BYTES = 16
+# bytes per term pair and cell of a kept float64 pair table: the cells of
+# every axis, and per cell of one block its phase tables and pair
+# integrals (``_kept_cell_bytes`` counts a complex128 table at three times
+# this)
+_CELL_BYTES = 8
 
 
 @dataclass
@@ -216,17 +220,24 @@ def _per_bin_arrays(weights, axes_cells) -> np.ndarray:
     return out.ravel()
 
 
+def _table_bytes(level: GridLevel, bytes_per_bin: int, tables) -> int:
+    """The bytes the table guard counts: ``bytes_per_bin`` for every bin,
+    and the largest kept cell table of the (bra, ket) pairs ``tables``
+    (``_kept_cell_bytes``) on the widest part."""
+    cells = max(sum(part.shape) + min(max(part.shape), PAIR_BLOCK)
+                for part in level.parts)
+    cell_bytes = max((_kept_cell_bytes(bra, ket, level) for bra, ket in tables), default=0)
+    return level.num_bins * bytes_per_bin + cell_bytes * cells
+
+
 def _should_keep(level: GridLevel, keep,
-                 bytes_per_bin: int = _TABLE_BYTES_PER_BIN, pairs: int = 1) -> bool:
+                 bytes_per_bin: int = _TABLE_BYTES_PER_BIN, tables=()) -> bool:
     """Whether to build per-bin tables; raises TableTooLargeError when
-    they would exceed TABLE_BYTE_LIMIT: ``bytes_per_bin`` for every bin,
-    and the kept cell table of ``pairs`` term pairs on the widest part."""
+    they would exceed TABLE_BYTE_LIMIT (``_table_bytes``)."""
     keep = level.num_bins <= PER_BIN_LIMIT if keep == "auto" else bool(keep)
     if not keep:
         return False
-    cells = max(sum(part.shape) + min(max(part.shape), PAIR_BLOCK)
-                for part in level.parts)
-    nbytes = level.num_bins * bytes_per_bin + _CELL_BYTES * pairs * cells
+    nbytes = _table_bytes(level, bytes_per_bin, tables)
     if nbytes > TABLE_BYTE_LIMIT:
         raise TableTooLargeError(
             f"per-bin tables for {level.num_bins} bins need {nbytes:.3g} bytes, "
@@ -235,10 +246,10 @@ def _should_keep(level: GridLevel, keep,
 
 
 def _require_tables(level: GridLevel, keep, bytes_per_bin: int = _TABLE_BYTES_PER_BIN,
-                    pairs: int = 1, option: str = "keep_per_bin") -> None:
+                    tables=(), option: str = "keep_per_bin") -> None:
     """``_should_keep`` for a call that cannot run without the per-bin
     tables: raises ValueError, naming ``option``, where they are not kept."""
-    if _should_keep(level, keep, bytes_per_bin, pairs):
+    if _should_keep(level, keep, bytes_per_bin, tables):
         return
     if keep == "auto":
         raise ValueError(f"per-bin tables for {level.num_bins} bins exceed the size "
@@ -266,10 +277,29 @@ def _spectrum(state):
     return state.terms if isinstance(state, DensityState) else ((1.0, state),)
 
 
-def _table_pairs(state, phi) -> int:
-    """Term pairs of the largest kept pair table, phi-psi_l or psi_l-psi_l."""
-    return max(len(psi.terms) * max(len(psi.terms), len(phi.terms))
-               for _, psi in _spectrum(state))
+def _kept_cell_bytes(bra, ket, level: GridLevel) -> int:
+    """Bytes per cell of the kept cell table of the term pairs of bra and
+    ket: _CELL_BYTES per pair when every pair's cells are float64.  A table
+    that meets a complex pair is promoted from float64 to complex128, and
+    both exist while it is copied, so it counts 3 * _CELL_BYTES per pair.
+
+    Each distinct factor pair's closed form on the level's hull, one cell
+    per axis, has the dtype of its cells; a pair without a closed form
+    counts as complex.
+    """
+    pairs = list(_term_pairs(bra, ket))
+    hull = [np.array(bounds) for bounds in level.domain_bounds]
+    for f, g, k in {(bf[k], kf[k], k) for _, bf, kf in pairs for k in range(level.d)}:
+        cells = exact_cell_integrals(f, g, hull[k])
+        if cells is None or np.iscomplexobj(cells):
+            return 3 * _CELL_BYTES * len(pairs)
+    return _CELL_BYTES * len(pairs)
+
+
+def _kept_tables(state, phi):
+    """The (bra, ket) pairs of the kept pair tables: phi-psi_l and
+    psi_l-psi_l for every spectral term."""
+    return [pair for _, psi in _spectrum(state) for pair in ((phi, psi), (psi, psi))]
 
 
 def _part_masses(psi: WaveFunction, part: ProductGrid, cfg: QuadratureConfig):
@@ -326,15 +356,22 @@ class _PairTotals(NamedTuple):
 
 
 def _part_pairs(psi: WaveFunction, phi: WaveFunction, part: ProductGrid,
-                cfg: QuadratureConfig, keep: bool, with_bar: bool):
+                cfg: QuadratureConfig, keep: bool, with_bar: bool, squared: bool):
     """(P(Y=1), error bound, bar norm, amplitudes|None) of psi on one
-    product part, from one blocked ``_pair_data`` walk."""
+    product part, from one blocked ``_pair_data`` walk.  With ``squared``,
+    real weights and cells give float64 amplitudes: their squares are
+    those of the complex128 ones bit for bit."""
     w, axes = _pair_data(phi, psi, part.breakpoints, cfg, keep=keep, with_bar=with_bar)
     sq = np.array([ax.gram.diagonal().real for ax in axes]).T
+    table = None
+    if keep:
+        cells = [ax.cells for ax in axes]
+        real = squared and not w.imag.any() and not any(np.iscomplexobj(c) for c in cells)
+        table = _per_bin_arrays(w.real if real else w, cells)
     return (_gram_form(w, [ax.gram for ax in axes]),
             _error_bound(w, sq, np.array([ax.extra for ax in axes]).T),
             _gram_form(w, [ax.gram_bar for ax in axes]) if with_bar else 0.0,
-            _per_bin_arrays(w, [ax.cells for ax in axes]) if keep else None)
+            table)
 
 
 def _pair_pass(state, phi: WaveFunction, level: GridLevel, cfg: QuadratureConfig,
@@ -354,8 +391,8 @@ def _pair_pass(state, phi: WaveFunction, level: GridLevel, cfg: QuadratureConfig
     keep, with_bar = keep and (squared or pure), with_bar and pure
     p_raw, err, bar, table = 0.0, 0.0, 0.0, None
     for p_l, psi in _spectrum(state):
-        raws, errs, bars, amps = zip(*(_part_pairs(psi, phi, part, cfg, keep, with_bar)
-                                       for part in level.parts))
+        raws, errs, bars, amps = zip(*(_part_pairs(psi, phi, part, cfg, keep, with_bar,
+                                                   squared) for part in level.parts))
         p_raw += p_l * sum(raws)
         err += p_l * max(sum(errs), _EPS_FLOOR * level.num_bins ** 0.5)
         bar += p_l * sum(bars)
@@ -363,8 +400,10 @@ def _pair_pass(state, phi: WaveFunction, level: GridLevel, cfg: QuadratureConfig
             term = _joined(amps)
             del amps
             if squared:
-                # |a|^2 p_l, built in place of the float64 |a|
-                term = np.abs(term)
+                # |a|^2 p_l, built in place of real amplitudes (a a is
+                # |a|^2 bit for bit) or of the float64 |a| of complex ones
+                if np.iscomplexobj(term):
+                    term = np.abs(term)
                 np.square(term, out=term)
                 term *= p_l
             table = term if table is None else np.add(table, term, out=table)
@@ -379,7 +418,7 @@ def _pair_pass(state, phi: WaveFunction, level: GridLevel, cfg: QuadratureConfig
 
 def _prob_y1(state, phi, level, cfg, keep_per_bin) -> MeasurementResult:
     t0 = time.perf_counter()
-    keep = _should_keep(level, keep_per_bin, pairs=_table_pairs(state, phi))
+    keep = _should_keep(level, keep_per_bin, tables=_kept_tables(state, phi))
     r = _pair_pass(state, phi, level, cfg, keep, with_bar=False)
     mass_total, masses = _mass_pass(state, level, cfg, keep)
     return MeasurementResult(
@@ -456,7 +495,7 @@ def _per_bin_tables(state, phi, level, cfg, keep_per_bin):
     The P(Y=1) table is built first, so a pure state's amplitudes are gone
     before the masses are built.
     """
-    _require_tables(level, keep_per_bin, pairs=_table_pairs(state, phi))
+    _require_tables(level, keep_per_bin, tables=_kept_tables(state, phi))
     p1 = _pair_pass(state, phi, level, cfg, keep=True, with_bar=False, squared=True).table
     return _mass_pass(state, level, cfg, keep=True)[1], p1
 
@@ -466,8 +505,9 @@ def joint_distribution(state, phi: WaveFunction, level: GridLevel,
                        keep_per_bin="auto") -> JointDistribution:
     """Exact joint table P(X=j, Y=y); rows sum to the bin masses."""
     masses, p1 = _per_bin_tables(state, phi, level, cfg, keep_per_bin)
-    p1 = np.minimum(p1, masses)  # Cauchy-Schwarz per bin, up to roundoff
-    p0 = np.maximum(masses - p1, 0.0)
+    np.minimum(p1, masses, out=p1)  # Cauchy-Schwarz per bin, up to roundoff
+    p0 = np.subtract(masses, p1, out=masses)
+    np.maximum(p0, 0.0, out=p0)
     return JointDistribution(level=level, p_y1_bins=p1, p_y0_bins=p0)
 
 
@@ -495,14 +535,21 @@ def _guide(cdf: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(g, out=g)
 
 
-def _sorted_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")`` with the keys searched in
-    ascending order and the indices scattered back: successive binary
-    searches then walk nearby parts of a large CDF."""
-    order = np.argsort(u)
-    out = np.empty(u.size, dtype=np.intp)
-    out[order] = np.searchsorted(cdf, u[order], side="right")
-    return out
+def _bisect(cdf: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per key, the first index i in [lo, hi] with i == hi or cdf[i] > u,
+    in place of lo, for a sorted CDF whose entries below lo are <= u and
+    whose entries from hi on are > u: a bisection vectorised over the keys.
+
+    Steps of halving powers of two, from the largest within the widest
+    range down to 1: a key steps on when the last entry it steps over is
+    <= u.  An index past the last entry reads the last entry, so a key
+    above every entry ends past hi = n and is clipped back to it.
+    """
+    step = 1 << int((hi - lo).max()).bit_length()
+    while step > 1:
+        step >>= 1
+        np.add(lo, step, out=lo, where=cdf.take(lo + (step - 1), mode="clip") <= u)
+    return np.minimum(lo, hi, out=lo)
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray,
@@ -513,9 +560,10 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray,
     Indexed search: the entries of a lower bucket than u's are all below u
     and those of a higher one all above it, so the answer is ``guide[b]``
     plus the entries of u's bucket b that are <= u.  _GUIDE_STEPS
-    vectorised steps count them; a key that would still step further goes
-    to the sorted-key search.  Keys past the last entry step onto the
-    clipped index n - 1 and fall back as well.
+    vectorised steps count them; a key that would still step further is
+    answered by bisecting its bucket, between where the steps stopped and
+    ``guide[b + 1]``.  Keys past the last entry step onto the clipped index
+    n - 1 and are bisected as well.
     """
     if guide is None:
         guide = _guide(cdf)
@@ -524,19 +572,37 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray,
         out += cdf.take(out, mode="clip") <= u
     more = np.flatnonzero(cdf.take(out, mode="clip") <= u)
     if more.size:
-        out[more] = _sorted_search(cdf, u[more])
+        keys = u[more]
+        hi = guide.take(_buckets(keys, cdf.size) + 1).astype(np.intp)
+        out[more] = _bisect(cdf, keys, np.minimum(out[more], hi), hi)
     return out
 
 
-def _draw(psi, phi, level, cfg, keep_per_bin, u_x, u_y, x, y, which=None, l=0):
-    """Fill x, y with the (X, Y) draws of a pure state at the uniforms u_x,
-    u_y: X by inverse CDF over the bin masses, Y = 1 when u_y is below
+def _uniform_chunks(seq: np.random.SeedSequence, start: int, count: int):
+    """Uniforms ``start`` to ``start + count`` of the PCG64 stream seeded
+    by ``seq``, as (offset, chunk) pairs of DRAW_BLOCK uniforms in one
+    reused buffer: the stream is opened at ``start`` by PCG64's jump-ahead,
+    so the chunks are those of one ``random`` call over the whole range."""
+    stream = np.random.PCG64(seq)
+    stream.advance(start)
+    draw = np.random.Generator(stream).random
+    buf = np.empty(min(count, DRAW_BLOCK))
+    for s in range(0, count, DRAW_BLOCK):
+        chunk = buf[:min(DRAW_BLOCK, count - s)]
+        draw(out=chunk)
+        yield s, chunk
+
+
+def _draw(psi, phi, level, cfg, keep_per_bin, seq, start, x, y, which=None, l=0):
+    """Fill x, y with the (X, Y) draws of a pure state: X by inverse CDF
+    over the bin masses at the uniforms ``start`` onwards of the stream of
+    ``seq``, Y = 1 when the uniform ``x.size`` further on is below
     P(Y=1 | X).  With ``which``, only the draws whose term index is ``l``.
 
     The CDF is built in place of the masses and P(Y=1 | X) in place of the
-    P(Y=1) table, and the draws are made DRAW_BLOCK at a time, so the two
-    tables, the CDF's int32 guide and one chunk are all this adds to the
-    draw arrays.
+    P(Y=1) table, and the draws are made DRAW_BLOCK at a time from two
+    stream cursors, so the two tables, the CDF's int32 guide and one chunk
+    are all this adds to the draw arrays.
     """
     masses, cond = _per_bin_tables(psi, phi, level, cfg, keep_per_bin)
     cond[masses <= 0] = 0.0
@@ -546,14 +612,15 @@ def _draw(psi, phi, level, cfg, keep_per_bin, u_x, u_y, x, y, which=None, l=0):
         raise ZeroMassBinError(f"state {psi.label!r} has no mass on the level")
     cdf /= cdf[-1]
     guide = _guide(cdf)
-    for s in range(0, x.size, DRAW_BLOCK):
+    for (s, u_x), (_, u_y) in zip(_uniform_chunks(seq, start, x.size),
+                                  _uniform_chunks(seq, start + x.size, x.size)):
         if which is None:
-            pick = slice(s, s + DRAW_BLOCK)
+            pick, at = slice(None), slice(s, s + u_x.size)
         else:
-            pick = np.flatnonzero(which[s:s + DRAW_BLOCK] == l)
-            pick += s
-        x[pick] = xs = _inverse_cdf(cdf, u_x[pick], guide)
-        y[pick] = u_y[pick] < cond[xs]
+            pick = np.flatnonzero(which[s:s + u_x.size] == l)
+            at = pick + s
+        x[at] = xs = _inverse_cdf(cdf, u_x[pick], guide)
+        y[at] = u_y[pick] < cond[xs]
 
 
 def sample_xy(state, phi: WaveFunction, level: GridLevel,
@@ -570,17 +637,24 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
     p_l M_l for M_l its mass on the level, so X follows the normalised
     marginal of ``joint_distribution`` also where the level holds only part
     of a term's mass; a term with no mass on the level is never drawn.
-    A negative or non-integral ``seed`` or ``stream`` raises ValueError
-    before any table is built.
+    A non-integral ``count``, a ``count`` below 1, and a negative or
+    non-integral ``seed`` or ``stream`` raise ValueError before any table
+    is built.
+
+    The uniforms come from one PCG64 stream: a pure state's X uniforms
+    are its first ``count`` and its Y uniforms the next ``count``; a
+    density state's term uniforms come first, then X and Y.  They are
+    drawn DRAW_BLOCK at a time, so beyond the tables a sample holds its
+    9 B per draw (x and y), and a density state's 1 B term index.
     """
+    count = _int("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_pair(state, phi, level)
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=_seed("seed", seed), spawn_key=(_seed("stream", stream),)))
+    seq = np.random.SeedSequence(entropy=_seed("seed", seed),
+                                 spawn_key=(_seed("stream", stream),))
     terms = _spectrum(state)
-    u_x, u_y = np.empty(count), np.empty(count)
-    which, drawn = None, (True,)
+    which, drawn, start = None, (True,), 0
     if isinstance(state, DensityState):
         weights = np.array([p_l * max(_mass_pass(psi, level, cfg, keep=False)[0], 0.0)
                             for p_l, psi in terms])
@@ -589,20 +663,17 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
             raise ZeroMassBinError("the density state has no mass on the level")
         term_cdf /= term_cdf[-1]
         term_guide = _guide(term_cdf)
-        # the term uniforms go through u_x, before the X uniforms are drawn
         which = np.empty(count, dtype=np.min_scalar_type(len(terms) - 1))
         drawn = np.zeros(len(terms), dtype=bool)
-        rng.random(out=u_x)
-        for s in range(0, count, DRAW_BLOCK):
-            chunk = _inverse_cdf(term_cdf, u_x[s:s + DRAW_BLOCK], term_guide)
-            which[s:s + DRAW_BLOCK] = chunk
+        for s, u in _uniform_chunks(seq, 0, count):
+            chunk = _inverse_cdf(term_cdf, u, term_guide)
+            which[s:s + u.size] = chunk
             drawn[chunk] = True
-    rng.random(out=u_x)
-    rng.random(out=u_y)
+        start = count
     x = np.empty(count, dtype=np.int64)
     y = np.empty(count, dtype=np.int8)
     # one term's tables at a time, built only when the term was drawn
     for l, (_, psi_l) in enumerate(terms):
         if drawn[l]:
-            _draw(psi_l, phi, level, cfg, keep_per_bin, u_x, u_y, x, y, which, l)
+            _draw(psi_l, phi, level, cfg, keep_per_bin, seq, start, x, y, which, l)
     return SampleBatch(x=x, y=y, seed=seed, stream=stream)

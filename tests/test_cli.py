@@ -542,6 +542,25 @@ def test_csv_writer_pins_special_values_and_empty_tables():
         "# schema_version=1 config_hash=h\ni8,i64,x,y\n")
 
 
+def test_csv_writer_blocks_equal_one_block(monkeypatch):
+    from spatialzeno import cli
+
+    B = cli.CSV_BLOCK
+    values = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 2.0 ** 60])
+    for rows in (0, 1, B - 1, B, B + 1):
+        cols = [np.arange(rows), np.resize(np.array([-1, 0, 2 ** 62], dtype=np.int64), rows),
+                np.resize(values, rows), np.resize(values[::-1], rows)]
+        header = ["index", "int", "x", "y"]
+        blocks = cli._csv_lines(header, cols, "h")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "CSV_BLOCK", 10 ** 9)
+            whole = cli._csv_lines(header, cols, "h")
+        assert blocks == whole
+        assert blocks.count("\n") == rows + 2
+    for token in (",-0,", ",nan,", ",inf,", ",-inf,", ",4611686018427387904,"):
+        assert token in blocks
+
+
 _PINNED_CONFIGS = {
     "sample": {"schema_version": "1", "experiment": "sample", "d": 1,
                "density": {"terms": [

@@ -355,6 +355,26 @@ def test_bad_seeds_raise_up_front(monkeypatch):
             make_state("haar_like", seed=seed)
 
 
+def test_sampler_count_is_an_integer(monkeypatch):
+    from spatialzeno import measurement
+
+    psi = make_state("sine_mode", k=1)
+    level = uniform_grid(8)
+    # an integral float passes, as in the CLI schema
+    assert sample_xy(psi, psi, level, count=2.0, seed=4).as_tuples() == (
+        sample_xy(psi, psi, level, count=2, seed=4).as_tuples())
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(measurement, "_draw", no_table)
+    for count in (2.5, "3", None):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            sample_xy(psi, psi, level, count=count)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        sample_xy(psi, psi, level, count=0)
+
+
 def test_sampler_zero_mass_bins_never_drawn():
     psi = make_state("indicator", a=0.0, b=0.5)
     phi = make_state("uniform")
@@ -621,9 +641,9 @@ def test_density_sampler_follows_the_joint_marginal_on_a_partial_level():
 
 @pytest.mark.parametrize("case", ["pure_2d", "density_1d"])
 def test_sampler_holds_the_draws_one_term_tables_and_a_chunk(case):
-    # the draw arrays (u_x, u_y, x, y and a density state's term index) take
-    # at most 27 B per draw; above them one term's two tables, built in the
-    # counted table bytes, and one chunk of DRAW_BLOCK draws
+    # the draw arrays (x, y and a density state's term index) take at most
+    # 10 B per draw; above them one term's two tables, built in the counted
+    # table bytes, and one chunk of DRAW_BLOCK draws
     import tracemalloc
 
     from spatialzeno import measurement
@@ -642,8 +662,34 @@ def test_sampler_holds_the_draws_one_term_tables_and_a_chunk(case):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 27 * count + measurement._TABLE_BYTES_PER_BIN * level.num_bins + 2 ** 20
-    assert peak <= bound, (peak - 27 * count) / level.num_bins
+    bound = 10 * count + measurement._TABLE_BYTES_PER_BIN * level.num_bins + 2 ** 20
+    assert peak <= bound, (peak - 10 * count) / level.num_bins
+
+
+@pytest.mark.parametrize("case", ["pure_2d", "density_1d"])
+def test_sampler_working_memory_does_not_grow_with_the_draws(case):
+    # beyond its outputs (x and y, and a density state's term index) the
+    # sampler holds the tables and one chunk of uniforms: from 10^5 to 10^6
+    # draws its peak above the outputs grows by less than 1 B per draw
+    import tracemalloc
+
+    if case == "pure_2d":
+        state = make_state("sine_product", ks=[2, 3])
+        phi, level, out = make_state("uniform", d=2), jittered_grid(64, d=2, C=2.0, seed=7), 9
+    else:
+        state = make_density([(0.3, make_state("sine_mode", k=2)),
+                              (0.7, make_state("sine_mode", k=5))])
+        phi, level, out = make_state("uniform"), jittered_grid(4096, C=2.0, seed=8), 10
+    above = {}
+    for count in (10 ** 5, 10 ** 6):
+        tracemalloc.start()
+        try:
+            sample_xy(state, phi, level, count=count, seed=1)
+            above[count] = tracemalloc.get_traced_memory()[1] - out * count
+        finally:
+            tracemalloc.stop()
+    growth = (above[10 ** 6] - above[10 ** 5]) / (10 ** 6 - 10 ** 5)
+    assert growth < 1.0, growth
 
 
 def test_custom_grid_equals_a_per_bin_reference():
@@ -698,20 +744,21 @@ def test_custom_grid_equals_a_per_bin_reference():
 
 def test_guided_inverse_cdf_falls_back_for_a_crowded_bucket(monkeypatch):
     # all mass in the last bin: bucket 0 holds the other 999 entries, so a
-    # key below 1/1000 goes to the sorted-key search; every other key is
-    # answered by its bucket alone
+    # key below 1/1000 goes to the bisection of its bucket; every other key
+    # is answered by its bucket alone
     from spatialzeno import measurement
 
     cdf = np.zeros(1000)
     cdf[-1] = 1.0
     u = np.array([0.0, 0.2, 5e-4, 0.999, 1e-3, np.nextafter(1e-3, 0.0)])
     searched = []
+    bisect = measurement._bisect
 
-    def search(c, keys):
+    def search(c, keys, lo, hi):
         searched.append(keys.copy())
-        return np.searchsorted(c, keys, side="right")
+        return bisect(c, keys, lo, hi)
 
-    monkeypatch.setattr(measurement, "_sorted_search", search)
+    monkeypatch.setattr(measurement, "_bisect", search)
     x = measurement._inverse_cdf(cdf, u)
     assert x.tolist() == np.searchsorted(cdf, u, side="right").tolist() == [999] * 6
     assert len(searched) == 1

@@ -465,6 +465,33 @@ def test_kept_cell_tables_count_against_the_limit(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("case", ["real", "complex"])
+def test_table_guard_counts_the_dtype_built(case):
+    # the 24 sine modes' psi-psi cells are float64 and counted at 8 B per
+    # pair and cell; the 8 exponentials' are complex128 and counted at 24 B
+    # (the table is promoted from float64 while it is walked); either count
+    # is at least the build's peak and at most twice it
+    import tracemalloc
+
+    if case == "real":
+        psi, level = _superpose24(), uniform_grid(2 ** 13)
+    else:
+        psi, level = _exponentials([1, -2, 3, 5, -7, 9, 4, -6], 7), uniform_grid(2 ** 15)
+    phi = make_state("uniform")
+    per_pair = {"real": 8, "complex": 24}[case]
+    pairs = len(psi.terms) ** 2
+    assert measurement._kept_cell_bytes(psi, psi, level) == per_pair * pairs
+    counted = measurement._table_bytes(level, measurement._TABLE_BYTES_PER_BIN,
+                                       measurement._kept_tables(psi, phi))
+    tracemalloc.start()
+    try:
+        prob_y1_pure(psi, phi, level, keep_per_bin=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted <= 2 * peak, counted / peak
+
+
 def test_mixed_masses_are_built_without_amplitudes():
     import tracemalloc
 
