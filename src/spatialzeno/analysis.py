@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import CubeBox, GridScheme
+from .grids import CubeBox, GridScheme, _int
 from .measurement import _pair_pass, _spectrum
 from .quadrature import DEFAULT_CONFIG, PAIR_BLOCK, QuadratureConfig, _pair_data, \
     _region_integral
@@ -162,9 +162,9 @@ def _study_rows(state, phi, scheme: GridScheme, n_list, cfg,
 
 
 def _resolutions(n_list: Sequence[int], minimum: int = 3) -> list[int]:
-    """``n_list`` as ints, checked before any level is built: at least
-    ``minimum`` resolutions, strictly increasing."""
-    n_list = [int(n) for n in n_list]
+    """``n_list`` as ints (an integral float passes), checked before any
+    level is built: at least ``minimum`` resolutions, strictly increasing."""
+    n_list = [_int(f"n_list[{i}]", n) for i, n in enumerate(n_list)]
     if len(n_list) < minimum:
         raise ValueError(f"n_list needs at least {minimum} entries, got {len(n_list)}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -172,17 +172,18 @@ def _resolutions(n_list: Sequence[int], minimum: int = 3) -> list[int]:
     return n_list
 
 
-def _check_window(fit_window: tuple[int, int] | None, n_list: list[int]) -> None:
-    """Raise DegenerateWindowError, before any level is built, when the
-    window is empty or holds fewer than 3 resolutions of ``n_list``."""
+def _check_window(fit_window, n_list: list[int]) -> tuple[int, int] | None:
+    """The window as ints, checked before any level is built; raises
+    DegenerateWindowError when it holds fewer than 3 resolutions of ``n_list``."""
     if fit_window is None:
-        return
-    lo, hi = fit_window
+        return None
+    lo, hi = (_int(f"fit_window[{i}]", v) for i, v in enumerate(fit_window))
     inside = sum(lo <= n <= hi for n in n_list)
-    if lo >= hi or inside < 3:
+    if inside < 3:  # lo >= hi holds at most one resolution
         raise DegenerateWindowError(
-            f"fit window {tuple(fit_window)} holds {inside} of the resolutions "
+            f"fit window {(lo, hi)} holds {inside} of the resolutions "
             f"{n_list}; a rate fit needs lo < hi and at least 3 rows")
+    return lo, hi
 
 
 def _fit_record(state, phi, scheme, rows, fit_window) -> ConvergenceRecord:
@@ -211,7 +212,7 @@ def convergence_study(state, phi: WaveFunction, scheme: GridScheme,
     ``fit_window`` are checked before any level is built.
     """
     n_list = _resolutions(n_list)
-    _check_window(fit_window, n_list)
+    fit_window = _check_window(fit_window, n_list)
     rows = _study_rows(state, phi, scheme, n_list, cfg)
     return _fit_record(state, phi, scheme, rows, fit_window)
 
@@ -315,7 +316,7 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
     d = state.domain.d
     if d != scheme.d:
         raise ValueError("state dimension does not match the grid")
-    _check_window(fit_window, n_list)
+    fit_window = _check_window(fit_window, n_list)
     k_max = _max_half_width(d, max_cubes)
     K, reached = min(_FIRST_HALF_WIDTH, k_max), np.zeros(0, dtype=bool)
     while K >= 1:

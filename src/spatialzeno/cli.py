@@ -31,7 +31,7 @@ from jsonschema.exceptions import best_match
 from . import __version__
 from .analysis import convergence_study, rd_study
 from .discretizer import discretize, discretization_error
-from .grids import GRID_KINDS, GridScheme, _int
+from .grids import GRID_KINDS, GridScheme
 from .measurement import joint_distribution, prob_y1_mixed, prob_y1_pure, sample_xy
 from .quadrature import QuadratureConfig
 from .states import (CATALOG, CatalogEntry, _SEED, make_density, make_state,
@@ -192,13 +192,8 @@ def build_density(spec: dict):
 
 def build_scheme(spec: dict, d: int) -> GridScheme:
     kind = spec["kind"]
-    cells = spec.get("cells_per_axis")
-    kwargs = dict(
-        kind=kind, d=d,
-        ratio_bound=float(spec.get("C", 2.0)),
-        seed=_int("grid.seed", spec.get("seed", 0)),
-        cells_per_axis=None if cells is None else _int("grid.cells_per_axis", cells),
-    )
+    kwargs = dict(kind=kind, d=d, ratio_bound=float(spec.get("C", 2.0)),
+                  seed=spec.get("seed", 0), cells_per_axis=spec.get("cells_per_axis"))
     if kind == "rd_translated_cubes":
         kwargs["cubes"] = tuple(tuple(float(a) for a in c) for c in spec["cubes"])
         kwargs["sub_kind"] = spec.get("sub_kind", "uniform")
@@ -240,26 +235,12 @@ def _csv_lines(header: list[str], columns: list, chash: str) -> str:
     return "".join(pieces)
 
 
-def _integers(config: dict) -> dict:
-    """The config with its integer fields as ints: JSON schema's ``integer``
-    also admits integral floats such as 8.0."""
-    config = dict(config)
-    for key in ("d", "n", "count", "seed"):
-        if key in config:
-            config[key] = _int(key, config[key])
-    for key in ("n_list", "fit_window"):
-        if key in config:
-            config[key] = [_int(key, v) for v in config[key]]
-    return config
-
-
 def _run_experiment(config: dict) -> tuple[str, float, dict, str]:
     """Returns (key name, key scalar, json payload, csv text body)."""
     chash = config_hash(config)
-    config = _integers(config)
     experiment = config["experiment"]
-    d = config["d"]
-    scheme = build_scheme(config["grid"], d)
+    scheme = build_scheme(config["grid"], config["d"])
+    d = scheme.d
     cfg = build_quadrature(config.get("quadrature"))
     state, is_density = _state_or_density(config)
     phi = build_state(config["phi"]) if "phi" in config else None
@@ -280,17 +261,16 @@ def _run_experiment(config: dict) -> tuple[str, float, dict, str]:
 
     if experiment in ("convergence", "rd_study"):
         n_list = config["n_list"]
-        window = tuple(config["fit_window"]) if "fit_window" in config else None
         if experiment == "rd_study":
             record, tail = rd_study(state, phi, scheme, n_list,
                                     config["mass_target"], cfg,
-                                    fit_window=window)
+                                    fit_window=config.get("fit_window"))
             payload["tail_budget"] = {"num_cubes": len(tail.cubes),
                                       "captured_mass": tail.captured_mass,
                                       "tail_bound": tail.tail_bound}
         else:
             record = convergence_study(state, phi, scheme, n_list, cfg,
-                                       fit_window=window)
+                                       fit_window=config.get("fit_window"))
         payload["result"] = {
             "scheme": record.scheme, "state": record.state_label,
             "phi": record.phi_label, "fitted_rate": record.fitted_rate,

@@ -84,6 +84,12 @@ def _one_pair_data(f: SeparableFunction, part: ProductGrid, cfg: QuadratureConfi
     return _pair_data(_one(f), f, part.breakpoints, cfg, keep=True, gram=False)
 
 
+def _check_dim(f, level: GridLevel) -> None:
+    """Raise ValueError when a separable f's dimension is not the level's."""
+    if isinstance(f, SeparableFunction) and f.d != level.d:
+        raise ValueError(f"f has dimension {f.d}, the grid {level.d}")
+
+
 def _bin_integrals_separable(f: SeparableFunction, part: ProductGrid,
                              cfg: QuadratureConfig) -> np.ndarray:
     w, axes = _one_pair_data(f, part, cfg)
@@ -122,8 +128,10 @@ def discretize(f, level: GridLevel, cfg: QuadratureConfig = DEFAULT_CONFIG,
     module's exact-first path.  Before anything is built, raises
     ValueError above ``measurement.PER_BIN_LIMIT`` bins unless
     ``allow_large``, and TableTooLargeError when the tables would not fit
-    in physical memory.
+    in physical memory, and ValueError when a separable f's dimension is
+    not the level's.
     """
+    _check_dim(f, level)
     separable = isinstance(f, SeparableFunction)
     per_bin, tables = ((_SEPARABLE_BYTES_PER_BIN, ((_one(f), f),)) if separable else
                        ((_NODE_BYTES + 16 * level.d) * cfg.points_per_axis_per_bin ** level.d, ()))
@@ -187,8 +195,10 @@ def discretization_error(f, level: GridLevel,
     A separable f takes per-axis Grams of its factors and their cell
     averages (``_separable_error_sq``): no per-bin or per-node array is
     built, so the size guard of :func:`discretize` does not apply.  A
-    plain callable is evaluated on every bin's tensor nodes.
+    plain callable is evaluated on every bin's tensor nodes.  Raises
+    ValueError when a separable f's dimension is not the level's.
     """
+    _check_dim(f, level)
     if isinstance(f, SeparableFunction):
         total = sum(_separable_error_sq(f, part, cfg) for part in level.parts)
         return float(np.sqrt(max(total, 0.0)))

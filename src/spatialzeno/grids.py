@@ -157,7 +157,7 @@ class GridLevel:
                  ratio_bound: float = DEFAULT_RATIO_BOUND):
         if not parts:
             raise ValueError("need at least one part")
-        self.n = int(n)
+        self.n = _int("n", n)
         self.d = parts[0].d
         self.ratio_bound = float(ratio_bound)
         self.parts = tuple(parts)
@@ -245,11 +245,11 @@ class ProductGrid(GridLevel):
 
     def __init__(self, n: int, breakpoints: Sequence[np.ndarray],
                  ratio_bound: float = DEFAULT_RATIO_BOUND):
-        if n < 1:
+        self.n = _int("n", n)
+        if self.n < 1:
             raise ValueError("resolution index n must be >= 1")
         if ratio_bound <= 1.0:
             raise ValueError("ratio bound C must exceed 1")
-        self.n = int(n)
         self.d = len(breakpoints)
         if self.d < 1:
             raise ValueError("need at least one axis")
@@ -341,8 +341,6 @@ class CustomGrid(GridLevel):
     def __init__(self, n: int, bins: Sequence[Bin],
                  ratio_bound: float = DEFAULT_RATIO_BOUND,
                  domain_bounds: Sequence[tuple[float, float]] | None = None):
-        if n < 1:
-            raise ValueError("resolution index n must be >= 1")
         if not bins:
             raise ValueError("need at least one bin")
         d = bins[0].d
@@ -381,6 +379,7 @@ class ConcatenatedGrid(GridLevel):
 def uniform_grid(n: int, d: int = 1,
                  ratio_bound: float = DEFAULT_RATIO_BOUND) -> ProductGrid:
     """Even subdivision of [0,1)^d into n^d bins with edges of length 1/n."""
+    n, d = _int("n", n), _int("d", d)
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     bp = np.arange(n + 1) / n
@@ -421,7 +420,7 @@ def _jitter_axis(n: int, C: float, m: int, seed: int, axis: int,
     bp[0] = 0.0 if coords is None else coords[0] + 0.0
     lengths = bp[1:].reshape(len(keys), m)
     stream = np.random.PCG64(np.random.SeedSequence(entropy=seed,
-                                                    spawn_key=(int(n), axis, m)))
+                                                    spawn_key=(n, axis, m)))
     draw = np.random.Generator(stream).random
     pos = 0
     for key, row in zip(keys, lengths):
@@ -476,7 +475,7 @@ def _jitter_cells(n: int, C: float, cells_per_axis: int | None) -> int:
     """Cells per axis of a jittered level; raises when no partition fits."""
     if C <= 1.0:
         raise ValueError("ratio bound C must exceed 1")
-    m = _auto_cells(n, C) if cells_per_axis is None else int(cells_per_axis)
+    m = _auto_cells(n, C) if cells_per_axis is None else _int("cells_per_axis", cells_per_axis)
     if not (n <= m and m <= C * n * (1.0 + 1e-12)):
         raise InfeasibleGridError(
             f"{m} cells of length in [1/({C}*{n}), 1/{n}] cannot tile [0,1): "
@@ -496,11 +495,12 @@ def jittered_grid(n: int, d: int = 1, C: float = DEFAULT_RATIO_BOUND,
     Raises
     ------
     ValueError
-        If ``seed`` is negative or not an integer.
+        If ``n``, ``d``, ``cells_per_axis`` or ``seed`` is not an integer, or ``seed`` < 0.
     InfeasibleGridError
         If no partition with the requested cell count can satisfy the
         bounds, i.e. unless n <= cells_per_axis <= C*n.
     """
+    n, d = _int("n", n), _int("d", d)
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     seed = _seed("seed", seed)
@@ -607,10 +607,10 @@ def _cube_axis(scheme: "GridScheme", n: int) -> Callable[[int, np.ndarray], np.n
             return bp
         return joined
     if sub == "jittered":
-        m, seed = _jitter_cells(n, C, scheme.cells_per_axis), int(scheme.seed)
+        m = _jitter_cells(n, C, scheme.cells_per_axis)
 
         def joined(axis: int, coords: np.ndarray) -> np.ndarray:
-            return _jitter_axis(n, C, m, seed, axis, coords)
+            return _jitter_axis(n, C, m, scheme.seed, axis, coords)
         return joined
     raise ValueError(f"unsupported per-cube scheme {sub!r}")
 
@@ -631,8 +631,9 @@ class GridScheme:
     from one PCG64 stream per (seed, n, k, cell count), at the offset
     (bit pattern of a) * (cell count), so a cube box is one product grid
     and a cube's bins do not depend on the rest of the list.  A hand-built
-    partition is a :class:`CustomGrid` level, not a scheme.  A negative or
-    non-integral ``seed`` raises ValueError on construction.
+    partition is a :class:`CustomGrid` level, not a scheme.  ``d``, ``seed``
+    and ``cells_per_axis`` are kept as ints; a non-integral one, or a
+    negative ``seed``, raises ValueError on construction.
     """
 
     kind: str
@@ -646,7 +647,11 @@ class GridScheme:
     def __post_init__(self) -> None:
         if self.kind not in GRID_KINDS:
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        _seed("seed", self.seed)
+        object.__setattr__(self, "d", _int("d", self.d))
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
+        if self.cells_per_axis is not None:
+            object.__setattr__(self, "cells_per_axis",
+                               _int("cells_per_axis", self.cells_per_axis))
 
     def level(self, n: int) -> GridLevel:
         if self.kind == "uniform":
@@ -728,6 +733,7 @@ def rd_grid(scheme: GridScheme, n: int,
         d = corners.shape[1]
     if d != scheme.d:
         raise ValueError(f"cubes of dimension {d} for a scheme with d={scheme.d}")
+    n = _int("n", n)
     if n < 1:
         raise ValueError("resolution index n must be >= 1")
     joined = _cube_axis(scheme, n)

@@ -418,6 +418,7 @@ def _pair_pass(state, phi: WaveFunction, level: GridLevel, cfg: QuadratureConfig
 
 def _prob_y1(state, phi, level, cfg, keep_per_bin) -> MeasurementResult:
     t0 = time.perf_counter()
+    _check_pair(state, phi, level)  # before the guard reads the pair tables
     keep = _should_keep(level, keep_per_bin, tables=_kept_tables(state, phi))
     r = _pair_pass(state, phi, level, cfg, keep, with_bar=False)
     mass_total, masses = _mass_pass(state, level, cfg, keep)
@@ -495,6 +496,7 @@ def _per_bin_tables(state, phi, level, cfg, keep_per_bin):
     The P(Y=1) table is built first, so a pure state's amplitudes are gone
     before the masses are built.
     """
+    _check_pair(state, phi, level)  # before the guard reads the pair tables
     _require_tables(level, keep_per_bin, tables=_kept_tables(state, phi))
     p1 = _pair_pass(state, phi, level, cfg, keep=True, with_bar=False, squared=True).table
     return _mass_pass(state, level, cfg, keep=True)[1], p1
@@ -651,8 +653,8 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_pair(state, phi, level)
-    seq = np.random.SeedSequence(entropy=_seed("seed", seed),
-                                 spawn_key=(_seed("stream", stream),))
+    seed, stream = _seed("seed", seed), _seed("stream", stream)
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     terms = _spectrum(state)
     which, drawn, start = None, (True,), 0
     if isinstance(state, DensityState):

@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .grids import Bin, GridLevel
+from .grids import Bin, GridLevel, _int
 from .states import (
     PairFactor,
     PhaseTable,
@@ -84,6 +84,8 @@ class QuadratureConfig:
     subdivision_limit: int = 12
 
     def __post_init__(self) -> None:
+        for name in ("points_per_axis_per_bin", "subdivision_limit"):
+            object.__setattr__(self, name, _int(name, getattr(self, name)))
         if self.points_per_axis_per_bin < 2:
             raise ValueError("need at least 2 quadrature points per axis")
         if self.abs_tol <= 0 or self.rel_tol <= 0:

@@ -32,7 +32,7 @@ haar_like(seed)     seeded random constant on ``pieces`` equal cells
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -732,7 +732,6 @@ class WaveFunction(SeparableFunction):
     """Normalised state; ||psi|| = 1 within NORM_TOL, checked on construction."""
 
     check_norm: bool = True
-    collapsed_from: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -754,8 +753,7 @@ class WaveFunction(SeparableFunction):
              tuple(f.restricted(e.lo, e.hi) for f, e in zip(factors, cell.edges)))
             for coeff, factors in self.terms)
         return WaveFunction(domain=self.domain, terms=new_terms,
-                            label=f"{self.label}|restricted", check_norm=False,
-                            collapsed_from=(self, cell, norm_const))
+                            label=f"{self.label}|restricted", check_norm=False)
 
     def as_euclidean(self) -> "WaveFunction":
         """Same state read as an element of L^2(R^d) (supports are compact)."""

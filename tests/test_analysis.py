@@ -499,3 +499,55 @@ def test_fit_window_is_checked_before_any_level(window, monkeypatch):
     g = make_state("gaussian", mu=0.0, sigma=1.0)
     with pytest.raises(DegenerateWindowError, match=message):
         rd_study(g, g, UNIFORM, [4, 8, 16, 32], mass_target=1 - 1e-6, fit_window=window)
+
+
+def _no_pass(monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran before the integers were read")
+
+    monkeypatch.setattr(analysis, "_study_rows", no_pass)
+    monkeypatch.setattr(analysis, "_box_masses", no_pass)
+
+
+_SINE, _ONE = make_state("sine_mode", k=1), make_state("uniform")
+_GAUSS = make_state("gaussian", mu=0.0, sigma=1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: convergence_study(_SINE, _ONE, UNIFORM, [4, 8.5, 16, 32]),
+     "n_list[1] must be an integer, got 8.5"),
+    (lambda: rd_study(_GAUSS, _GAUSS, UNIFORM, [4, 8.5, 16, 32], mass_target=0.99),
+     "n_list[1] must be an integer, got 8.5"),
+    (lambda: riemann_limit_check(_ONE, _SINE, UNIFORM, [8.7]),
+     "n_list[0] must be an integer, got 8.7"),
+    (lambda: convergence_study(_SINE, _ONE, UNIFORM, [4, 8, 16, 32], fit_window=(4, 31.5)),
+     "fit_window[1] must be an integer, got 31.5"),
+    (lambda: rd_study(_GAUSS, _GAUSS, UNIFORM, [4, 8, 16, 32], mass_target=0.99,
+                      fit_window=(4, 31.5)),
+     "fit_window[1] must be an integer, got 31.5"),
+])
+def test_non_integral_resolutions_raise_before_any_pass(monkeypatch, call, message):
+    _no_pass(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and str(info.value) == message
+
+
+def test_an_integral_float_fit_window_is_stored_as_ints():
+    record = convergence_study(_SINE, _ONE, UNIFORM, [4.0, 8, 16, 32],
+                               fit_window=(4.0, 32.0))
+    assert record.fit_window == (4, 32)
+    assert [type(v) for v in record.fit_window] == [int, int]
+    assert [r.n for r in record.rows] == [4, 8, 16, 32]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rd_study(_GAUSS, _GAUSS, UNIFORM, [4, 8, 16], mass_target=1.0),
+     "mass_target must be in (0, 1)"),
+    (lambda: riemann_limit_check(_GAUSS, _GAUSS, UNIFORM, [4]),
+     "the Riemann-sum check runs on the unit cube"),
+])
+def test_analysis_validation_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and str(info.value) == message

@@ -266,6 +266,23 @@ def test_discretize_experiment(tmp_path, capsys):
     assert avg == pytest.approx(2.0 * np.sqrt(2.0) / np.pi, abs=1e-12)
 
 
+def test_integral_float_quadrature_fields_run_as_their_integer_twin(tmp_path):
+    """The schema's integer admits 8.0 in the quadrature block too; the
+    discretization error reads its Gauss-Legendre order."""
+    outputs = []
+    for tag, value in (("int", 8), ("float", 8.0)):
+        config = {"schema_version": "1", "experiment": "discretize", "d": 1,
+                  "psi": {"catalog": "sine_mode", "k": 1}, "grid": {"kind": "uniform"},
+                  "n": 4, "quadrature": {"points_per_axis_per_bin": value,
+                                         "subdivision_limit": value},
+                  "output": {"stem": "disc", "format": "both"}}
+        path = write_config(tmp_path, f"{tag}.json", config)
+        assert main(["--output-dir", str(tmp_path / tag), "run", path]) == 0
+        payload = json.loads((tmp_path / tag / "disc.json").read_text())
+        del payload["config_hash"]
+        outputs.append(((tmp_path / tag / "disc.csv").read_text().splitlines()[1:], payload))
+    assert outputs[0] == outputs[1]
+
 @pytest.mark.parametrize("phi", [None, {"catalog": "uniform"}])
 def test_discretize_with_a_density_is_a_schema_violation(tmp_path, capsys, phi):
     config = {

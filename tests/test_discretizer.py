@@ -522,3 +522,14 @@ def test_bar_chart_peak_stays_within_the_counted_bytes(case):
         tracemalloc.stop()
     # plus the block buffers and phases, which do not grow with the bin count
     assert peak <= level.num_bins * counted + 2 ** 20
+
+
+@pytest.mark.parametrize("call", [discretize, discretization_error])
+@pytest.mark.parametrize("f, level, message", [
+    (make_state("sine_mode", k=1), uniform_grid(4, 2), "f has dimension 1, the grid 2"),
+    (make_state("sine_product", ks=[1, 2]), uniform_grid(4), "f has dimension 2, the grid 1"),
+])
+def test_a_function_of_another_dimension_raises(call, f, level, message):
+    with pytest.raises(ValueError) as info:
+        call(f, level)
+    assert info.type is ValueError and str(info.value) == message

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from spatialzeno import (
     uniform_grid,
     validate_grid,
 )
+from spatialzeno import grids
 from spatialzeno.grids import ProductGrid
 from spatialzeno.measurement import _pair_pass, _should_keep
 from spatialzeno.quadrature import DEFAULT_CONFIG
@@ -537,3 +539,74 @@ def test_scheme_levels_are_valid_for_every_n():
                    GridScheme("jittered", d=2, ratio_bound=2.0, seed=3)):
         for n in (1, 2, 3, 10, 31):
             assert validate_grid(scheme.level(n)).passed
+
+
+def _no_level(monkeypatch):
+    """Building a product part or drawing a jittered axis now fails with
+    an AssertionError, so an error that comes after one shows."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a level was built before its integers were read")
+
+    monkeypatch.setattr(grids, "ProductGrid", no_build)
+    monkeypatch.setattr(grids, "_jitter_axis", no_build)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: ProductGrid(8.5, [[0.0, 1.0]]), "n"),
+    (lambda: uniform_grid(8.5), "n"),
+    (lambda: uniform_grid(4, d=2.5), "d"),
+    (lambda: jittered_grid(8.5), "n"),
+    (lambda: jittered_grid(4, d=2.5), "d"),
+    (lambda: jittered_grid(16, cells_per_axis=20.7), "cells_per_axis"),
+    (lambda: GridScheme("uniform").level(8.5), "n"),
+    (lambda: GridScheme("jittered", seed=1).level(8.5), "n"),
+    (lambda: GridScheme("rd_translated_cubes", cubes=((0.0,),)).level(8.5), "n"),
+    (lambda: GridScheme("uniform", d=1.5), "d"),
+    (lambda: GridScheme("jittered", cells_per_axis=20.7), "cells_per_axis"),
+])
+def test_non_integral_integers_raise_before_any_level_is_built(monkeypatch, build, name):
+    _no_level(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got \d+\.\d+$"):
+        build()
+
+
+def test_integral_float_integers_are_their_integer_twins():
+    def same(a, b):
+        return all(x.tobytes() == y.tobytes() for x, y in zip(a.breakpoints, b.breakpoints))
+
+    level = uniform_grid(4.0, d=2.0)
+    assert (type(level.n), type(level.d)) == (int, int)
+    assert same(level, uniform_grid(4, d=2))
+    assert same(jittered_grid(16.0, d=2.0, seed=3.0, cells_per_axis=20.0),
+                jittered_grid(16, d=2, seed=3, cells_per_axis=20))
+    scheme = GridScheme("jittered", d=2.0, seed=3.0, cells_per_axis=6.0)
+    twin = GridScheme("jittered", d=2, seed=3, cells_per_axis=6)
+    # json.dumps writes 2.0 for a float, so equal text means int fields
+    assert json.dumps(scheme.describe()) == json.dumps(twin.describe())
+    assert same(scheme.level(4.0), twin.level(4))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ProductGrid(0, [[0.0, 1.0]]), "resolution index n must be >= 1"),
+    (lambda: ProductGrid(1, [[0.0, 1.0]], ratio_bound=1.0), "ratio bound C must exceed 1"),
+    (lambda: ProductGrid(1, []), "need at least one axis"),
+    (lambda: ProductGrid(1, [[0.0]]), "each axis needs at least two breakpoints"),
+    (lambda: ProductGrid(1, [[0.0, 0.5, 0.5, 1.0]]), "breakpoints must be strictly increasing"),
+    (lambda: CustomGrid(1, []), "need at least one bin"),
+    (lambda: CustomGrid(1, [Bin((Interval(0.0, 1.0),)), Bin((Interval(0.0, 1.0),) * 2)]),
+     "all bins must share the same dimension"),
+    (lambda: GridScheme("hexagonal"), "unknown grid kind 'hexagonal'"),
+    (lambda: GridScheme("rd_translated_cubes").level(4), "rd scheme needs a cube list"),
+    (lambda: rd_grid(GridScheme("uniform"), 2, []), "need at least one cube"),
+    (lambda: rd_grid(GridScheme("uniform", d=2), 2, [(0.0, 0.0), (1.0,)]),
+     "all cubes must share the same dimension"),
+    (lambda: rd_grid(GridScheme("uniform"), 2, [0.0, 1.0]),
+     "all cubes must share the same dimension"),
+    (lambda: rd_grid(GridScheme("uniform"), 2, [(np.nan,)]), "cube corners must be finite"),
+    (lambda: rd_grid(GridScheme("uniform"), 2, [(0.0,), (np.inf,)]),
+     "cube corners must be finite"),
+])
+def test_grid_validation_errors(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert info.type is ValueError and str(info.value) == message

@@ -375,6 +375,40 @@ def test_sampler_count_is_an_integer(monkeypatch):
         sample_xy(psi, psi, level, count=0)
 
 
+def test_sampler_integral_float_seeds_are_their_integer_twins():
+    psi, phi, level = make_state("sine_mode", k=1), make_state("uniform"), uniform_grid(8)
+    batch = sample_xy(psi, phi, level, count=50, seed=3.0, stream=1.0)
+    twin = sample_xy(psi, phi, level, count=50, seed=3, stream=1)
+    assert batch.as_tuples() == twin.as_tuples()
+    assert type(batch.seed) is int and type(batch.stream) is int
+
+
+_STATE_1D = make_state("sine_mode", k=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda level: prob_y1_pure(_STATE_1D, _STATE_1D, level),
+    lambda level: prob_y1_mixed(make_density([(1.0, _STATE_1D)]), _STATE_1D, level),
+    lambda level: joint_distribution(_STATE_1D, _STATE_1D, level),
+])
+def test_a_state_of_another_dimension_raises_before_the_table_guard(call):
+    with pytest.raises(ValueError) as info:
+        call(uniform_grid(4, 2))
+    assert info.type is ValueError
+    assert str(info.value) == "state dimension does not match the grid"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: prob_y1_pure(_STATE_1D, make_state("gaussian", mu=0.0, sigma=1.0),
+                          uniform_grid(4)), "psi and phi live on different domains"),
+    (lambda: sample_xy(_STATE_1D, _STATE_1D, uniform_grid(4, 2)),
+     "state dimension does not match the grid"),
+])
+def test_measurement_validation_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and str(info.value) == message
+
 def test_sampler_zero_mass_bins_never_drawn():
     psi = make_state("indicator", a=0.0, b=0.5)
     phi = make_state("uniform")

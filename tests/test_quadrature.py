@@ -38,6 +38,14 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
 
 
+def test_config_integers_are_read_as_ints():
+    cfg = QuadratureConfig(points_per_axis_per_bin=8.0, subdivision_limit=12.0)
+    assert cfg == QuadratureConfig()
+    assert type(cfg.points_per_axis_per_bin) is int and type(cfg.subdivision_limit) is int
+    for name in ("points_per_axis_per_bin", "subdivision_limit"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 8.5$"):
+            QuadratureConfig(**{name: 8.5})
+
 def test_bin_inner_product_uniform_half():
     u = make_state("uniform")
     val, err = bin_inner_product(u, u, CELL(0.5, 1.0))

@@ -1,5 +1,8 @@
 """Catalog states, exact bin integrals, and density-state validation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -453,3 +456,25 @@ def test_euclidean_reading_of_compact_state():
     psi = make_state("sine_mode", k=1).as_euclidean()
     assert psi.domain.kind == "euclidean"
     assert psi.norm_squared() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_restricted_state_does_not_keep_its_parent_alive():
+    psi = superpose([(1.0, make_state("sine_mode", k=1)), (1.0, make_state("sine_mode", k=2))])
+    parent = weakref.ref(psi)
+    restricted = psi.restrict(CELL(0.0, 0.5), 2.0)
+    del psi
+    gc.collect()
+    assert parent() is None and restricted.d == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: superpose([]), "need at least one term"),
+    (lambda: tensor_product([]), "need at least one factor state"),
+    (lambda: make_density([]), "need at least one spectral term"),
+    (lambda: make_state("gaussian", mu=[0, 0], sigma=[1]), "mu and sigma need the same length"),
+    (lambda: make_state("haar_like", seed=0, pieces=0), "pieces must be >= 1"),
+])
+def test_state_validation_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and str(info.value) == message
