@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import CubeBox, GridScheme, _int
+from .grids import CubeBox, GridScheme, _int, _real
 from .measurement import _pair_pass, _spectrum
 from .quadrature import DEFAULT_CONFIG, PAIR_BLOCK, QuadratureConfig, _pair_data, \
     _region_integral
@@ -308,6 +308,7 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
     ``fit_window`` that holds fewer than 3 resolutions, before any mass is
     computed.
     """
+    mass_target = _real("mass_target", mass_target)
     if not 0.0 < mass_target < 1.0:
         raise ValueError("mass_target must be in (0, 1)")
     if state.domain.kind != "euclidean":

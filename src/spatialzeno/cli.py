@@ -192,10 +192,10 @@ def build_density(spec: dict):
 
 def build_scheme(spec: dict, d: int) -> GridScheme:
     kind = spec["kind"]
-    kwargs = dict(kind=kind, d=d, ratio_bound=float(spec.get("C", 2.0)),
+    kwargs = dict(kind=kind, d=d, ratio_bound=spec.get("C", 2.0),
                   seed=spec.get("seed", 0), cells_per_axis=spec.get("cells_per_axis"))
     if kind == "rd_translated_cubes":
-        kwargs["cubes"] = tuple(tuple(float(a) for a in c) for c in spec["cubes"])
+        kwargs["cubes"] = spec["cubes"]
         kwargs["sub_kind"] = spec.get("sub_kind", "uniform")
     return GridScheme(**kwargs)
 
@@ -374,6 +374,8 @@ def run(config_path: str, output_dir: str | None = None,
         chosen = fmt or out_spec.get("format", "both")
         try:
             key, value, payload, csv_text = _run_experiment(config)
+            # RFC 8259 JSON has no NaN or Infinity: such a result is a failure
+            json_text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         except CliError:
             raise
         except Exception as e:
@@ -386,7 +388,7 @@ def run(config_path: str, output_dir: str | None = None,
             paths.append(str(p))
         if chosen in ("json", "both"):
             p = directory / f"{stem}.json"
-            p.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            p.write_text(json_text + "\n")
             paths.append(str(p))
         print(f"{config['experiment']} {key}={value!r} -> {','.join(paths)}")
         return 0

@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,8 +74,8 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
+        object.__setattr__(self, "lo", _real("lo", self.lo))
+        object.__setattr__(self, "hi", _real("hi", self.hi))
         if not self.lo < self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi})")
 
@@ -159,7 +159,7 @@ class GridLevel:
             raise ValueError("need at least one part")
         self.n = _int("n", n)
         self.d = parts[0].d
-        self.ratio_bound = float(ratio_bound)
+        self.ratio_bound = _ratio_bound(ratio_bound)
         self.parts = tuple(parts)
         # Python ints: a sum of part counts can exceed int64
         ranges, start = [], 0
@@ -248,12 +248,10 @@ class ProductGrid(GridLevel):
         self.n = _int("n", n)
         if self.n < 1:
             raise ValueError("resolution index n must be >= 1")
-        if ratio_bound <= 1.0:
-            raise ValueError("ratio bound C must exceed 1")
+        self.ratio_bound = _ratio_bound(ratio_bound)
         self.d = len(breakpoints)
         if self.d < 1:
             raise ValueError("need at least one axis")
-        self.ratio_bound = float(ratio_bound)
         bps = []
         for bp in breakpoints:
             # a caller's writeable array is copied, so it stays writeable and
@@ -288,7 +286,7 @@ class ProductGrid(GridLevel):
     def bin(self, j: int) -> Bin:
         idx = np.unravel_index(j, self.shape)
         return Bin(tuple(
-            Interval(float(self.breakpoints[k][i]), float(self.breakpoints[k][i + 1]))
+            Interval(self.breakpoints[k][i], self.breakpoints[k][i + 1])
             for k, i in enumerate(idx)
         ))
 
@@ -350,7 +348,8 @@ class CustomGrid(GridLevel):
                              for b in bins], ratio_bound)
         if domain_bounds is None:
             domain_bounds = tuple((0.0, 1.0) for _ in range(d))
-        self._domain_bounds = tuple((float(lo), float(hi)) for lo, hi in domain_bounds)
+        self._domain_bounds = tuple((_real("domain_bounds", lo), _real("domain_bounds", hi))
+                                    for lo, hi in domain_bounds)
 
     @property
     def domain_bounds(self) -> tuple[tuple[float, float], ...]:
@@ -471,10 +470,41 @@ def _seed(name: str, value) -> int:
     return seed
 
 
-def _jitter_cells(n: int, C: float, cells_per_axis: int | None) -> int:
-    """Cells per axis of a jittered level; raises when no partition fits."""
+def _real(name: str, value) -> float:
+    """A finite real parameter as a float: ints and floats pass (numpy
+    scalars count); anything else, NaN or an infinity raises a ValueError
+    that names ``name``."""
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _reals(name: str, values) -> np.ndarray:
+    """An array of real numbers as floats (finiteness is the caller's to
+    check); strings, None and other objects raise a ValueError naming
+    ``name``."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got {a.tolist()!r}")
+    return a.astype(float)
+
+
+def _ratio_bound(value) -> float:
+    """The ratio bound C: a finite real number > 1."""
+    C = _real("ratio bound C", value)
     if C <= 1.0:
         raise ValueError("ratio bound C must exceed 1")
+    return C
+
+
+def _jitter_cells(n: int, C: float, cells_per_axis: int | None) -> int:
+    """Cells per axis of a jittered level for a checked C; raises when no
+    partition fits."""
     m = _auto_cells(n, C) if cells_per_axis is None else _int("cells_per_axis", cells_per_axis)
     if not (n <= m and m <= C * n * (1.0 + 1e-12)):
         raise InfeasibleGridError(
@@ -495,7 +525,8 @@ def jittered_grid(n: int, d: int = 1, C: float = DEFAULT_RATIO_BOUND,
     Raises
     ------
     ValueError
-        If ``n``, ``d``, ``cells_per_axis`` or ``seed`` is not an integer, or ``seed`` < 0.
+        If ``n``, ``d``, ``cells_per_axis`` or ``seed`` is not an integer,
+        ``seed`` < 0, or ``C`` is not a finite real number > 1.
     InfeasibleGridError
         If no partition with the requested cell count can satisfy the
         bounds, i.e. unless n <= cells_per_axis <= C*n.
@@ -503,7 +534,7 @@ def jittered_grid(n: int, d: int = 1, C: float = DEFAULT_RATIO_BOUND,
     n, d = _int("n", n), _int("d", d)
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    seed = _seed("seed", seed)
+    seed, C = _seed("seed", seed), _ratio_bound(C)
     m = _jitter_cells(n, C, cells_per_axis)
     return ProductGrid(n, [_read_only(_jitter_axis(n, C, m, seed, axis))
                            for axis in range(d)], ratio_bound=C)
@@ -584,6 +615,34 @@ class CubeBox(Sequence):
             yield tuple(map(float, corner))
 
 
+def _corners(cubes, d: int) -> CubeBox | np.ndarray:
+    """The cube list of a d-dimensional scheme, checked: a :class:`CubeBox`
+    as it is, any other list as a (K, d) float array of finite corners."""
+    if isinstance(cubes, CubeBox):
+        corners, dim = cubes, cubes.d
+    else:
+        try:
+            corners = np.asarray(cubes)
+        except ValueError as exc:
+            raise ValueError("all cubes must share the same dimension") from exc
+        if corners.size == 0:
+            raise ValueError("need at least one cube")
+        if corners.ndim != 2:
+            raise ValueError("all cubes must share the same dimension")
+        corners = _reals("cube corners", corners)
+        if not np.all(np.isfinite(corners)):
+            raise ValueError("cube corners must be finite")
+        dim = corners.shape[1]
+    if dim != d:
+        raise ValueError(f"cubes of dimension {dim} for a scheme with d={d}")
+    return corners
+
+
+def _cube_kind(scheme: "GridScheme") -> str:
+    """The scheme inside each cube: an rd scheme's ``sub_kind``, else ``kind``."""
+    return scheme.sub_kind if scheme.kind == "rd_translated_cubes" else scheme.kind
+
+
 def _cube_axis(scheme: "GridScheme", n: int) -> Callable[[int, np.ndarray], np.ndarray]:
     """``joined(axis, coords)``: the sub-scheme's breakpoints on the
     segments [a, a+1] of one axis, a in ``coords`` (each one past the
@@ -595,9 +654,8 @@ def _cube_axis(scheme: "GridScheme", n: int) -> Callable[[int, np.ndarray], np.n
     on which other cubes are listed; the cube at the origin has the axes
     of the unit-cube ``jittered_grid``.
     """
-    sub = scheme.sub_kind if scheme.kind == "rd_translated_cubes" else scheme.kind
     C = scheme.ratio_bound
-    if sub == "uniform":
+    if _cube_kind(scheme) == "uniform":
         base = uniform_grid(n, 1, ratio_bound=C).breakpoints[0]
 
         def joined(axis: int, coords: np.ndarray) -> np.ndarray:
@@ -606,13 +664,11 @@ def _cube_axis(scheme: "GridScheme", n: int) -> Callable[[int, np.ndarray], np.n
             np.add(base[1:], coords[:, None], out=bp[1:].reshape(coords.size, n))
             return bp
         return joined
-    if sub == "jittered":
-        m = _jitter_cells(n, C, scheme.cells_per_axis)
+    m = _jitter_cells(n, C, scheme.cells_per_axis)
 
-        def joined(axis: int, coords: np.ndarray) -> np.ndarray:
-            return _jitter_axis(n, C, m, scheme.seed, axis, coords)
-        return joined
-    raise ValueError(f"unsupported per-cube scheme {sub!r}")
+    def joined(axis: int, coords: np.ndarray) -> np.ndarray:
+        return _jitter_axis(n, C, m, scheme.seed, axis, coords)
+    return joined
 
 
 # the scheme kinds; the CLI config schema offers the same list
@@ -631,9 +687,15 @@ class GridScheme:
     from one PCG64 stream per (seed, n, k, cell count), at the offset
     (bit pattern of a) * (cell count), so a cube box is one product grid
     and a cube's bins do not depend on the rest of the list.  A hand-built
-    partition is a :class:`CustomGrid` level, not a scheme.  ``d``, ``seed``
-    and ``cells_per_axis`` are kept as ints; a non-integral one, or a
-    negative ``seed``, raises ValueError on construction.
+    partition is a :class:`CustomGrid` level, not a scheme.
+
+    The fields are checked on construction, so a scheme holds only what its
+    levels accept: ``d`` >= 1, ``seed`` >= 0 and ``cells_per_axis`` are
+    kept as ints, ``ratio_bound`` as a finite float > 1, ``sub_kind`` is
+    "uniform" or "jittered", and ``cubes`` (when given) as the CubeBox or
+    as a tuple of float corner tuples, all of dimension ``d``.  Anything
+    else raises ValueError.  An rd scheme without cubes is valid; its
+    ``level`` raises.
     """
 
     kind: str
@@ -647,11 +709,22 @@ class GridScheme:
     def __post_init__(self) -> None:
         if self.kind not in GRID_KINDS:
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        object.__setattr__(self, "d", _int("d", self.d))
+        if self.sub_kind not in ("uniform", "jittered"):
+            raise ValueError(f"unknown per-cube scheme {self.sub_kind!r}")
+        d = _int("d", self.d)
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "ratio_bound", _ratio_bound(self.ratio_bound))
         object.__setattr__(self, "seed", _seed("seed", self.seed))
         if self.cells_per_axis is not None:
             object.__setattr__(self, "cells_per_axis",
                                _int("cells_per_axis", self.cells_per_axis))
+        if self.cubes is not None:
+            cubes = _corners(self.cubes, d)
+            if not isinstance(cubes, CubeBox):
+                cubes = tuple(map(tuple, cubes.tolist()))
+            object.__setattr__(self, "cubes", cubes)
 
     def level(self, n: int) -> GridLevel:
         if self.kind == "uniform":
@@ -664,25 +737,10 @@ class GridScheme:
         return rd_grid(self, n, self.cubes)
 
     def with_cubes(self, cubes: Sequence[Sequence[float]]) -> "GridScheme":
-        """Copy of this scheme turned into an R^d scheme over ``cubes``.
-
-        A :class:`CubeBox` is kept as it is; any other list is stored as
-        corner tuples of floats.  Raises ValueError when a cube's dimension
-        is not ``d``.
-        """
-        if isinstance(cubes, CubeBox):
-            dims = {cubes.d}
-        else:
-            cubes = tuple(tuple(float(a) for a in c) for c in cubes)
-            dims = {len(c) for c in cubes}
-        if dims - {self.d}:
-            raise ValueError(f"cubes of dimension {sorted(dims)} for a scheme "
-                             f"with d={self.d}")
-        sub = self.sub_kind if self.kind == "rd_translated_cubes" else self.kind
-        return GridScheme(
-            kind="rd_translated_cubes", d=self.d, ratio_bound=self.ratio_bound,
-            seed=self.seed, cells_per_axis=self.cells_per_axis,
-            cubes=cubes, sub_kind=sub)
+        """Copy of this scheme turned into an R^d scheme over ``cubes``,
+        checked as the constructor checks them."""
+        return replace(self, kind="rd_translated_cubes", cubes=cubes,
+                       sub_kind=_cube_kind(self))
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "d": self.d, "ratio_bound": self.ratio_bound}
@@ -713,32 +771,18 @@ def rd_grid(scheme: GridScheme, n: int,
     Raises
     ------
     ValueError
-        If the cubes' dimension is not ``scheme.d``.
+        If the list is empty, a corner is not a finite real number, or the
+        cubes' dimension is not ``scheme.d``.
     OverlappingCubesError
         If two listed cubes overlap (a repeated corner included).
     """
-    if isinstance(cube_list, CubeBox):
-        corners, d = None, cube_list.d
-    else:
-        try:
-            corners = np.array(cube_list, dtype=float)
-        except ValueError as exc:
-            raise ValueError("all cubes must share the same dimension") from exc
-        if corners.size == 0:
-            raise ValueError("need at least one cube")
-        if corners.ndim != 2:
-            raise ValueError("all cubes must share the same dimension")
-        if not np.all(np.isfinite(corners)):
-            raise ValueError("cube corners must be finite")
-        d = corners.shape[1]
-    if d != scheme.d:
-        raise ValueError(f"cubes of dimension {d} for a scheme with d={scheme.d}")
+    corners = _corners(cube_list, scheme.d)
     n = _int("n", n)
     if n < 1:
         raise ValueError("resolution index n must be >= 1")
     joined = _cube_axis(scheme, n)
     C = scheme.ratio_bound
-    box = cube_list.axes if corners is None else _lattice_box(corners)
+    box = corners.axes if isinstance(corners, CubeBox) else _lattice_box(corners)
     if box is not None:
         bps = [_read_only(joined(k, coords)) for k, coords in enumerate(box)]
         parts = [ProductGrid(n, bps, ratio_bound=C)]

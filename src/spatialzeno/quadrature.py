@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .grids import Bin, GridLevel, _int
+from .grids import Bin, GridLevel, _int, _real
 from .states import (
     PairFactor,
     PhaseTable,
@@ -86,6 +86,8 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         for name in ("points_per_axis_per_bin", "subdivision_limit"):
             object.__setattr__(self, name, _int(name, getattr(self, name)))
+        for name in ("abs_tol", "rel_tol"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.points_per_axis_per_bin < 2:
             raise ValueError("need at least 2 quadrature points per axis")
         if self.abs_tol <= 0 or self.rel_tol <= 0:

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import erfc, wofz
 
-from .grids import Bin, _int, _seed
+from .grids import Bin, _int, _real, _reals, _seed
 
 __all__ = [
     "Domain",
@@ -743,9 +743,6 @@ class WaveFunction(SeparableFunction):
     def norm_squared(self) -> float:
         return float(np.real(inner_product(self, self)))
 
-    def inner(self, other: "SeparableFunction") -> complex:
-        return inner_product(self, other)
-
     def restrict(self, cell: Bin, norm_const: float) -> "WaveFunction":
         """State multiplied by the cell indicator and rescaled by norm_const."""
         new_terms = tuple(
@@ -838,11 +835,11 @@ def make_density(terms: Iterable[tuple[float, WaveFunction]],
                  renormalize: bool = False) -> DensityState:
     """Validated density state from (weight, state) pairs.
 
-    Weights must be nonnegative and sum to at most 1 (unless
-    ``renormalize``); the states must be pairwise orthogonal within
+    Weights must be finite, nonnegative real numbers that sum to at most 1
+    (unless ``renormalize``); the states must be pairwise orthogonal within
     ORTHO_TOL.
     """
-    terms = [(float(p), wf) for p, wf in terms]
+    terms = [(_real(f"weight[{i}]", p), wf) for i, (p, wf) in enumerate(terms)]
     if not terms:
         raise ValueError("need at least one spectral term")
     if any(p < 0.0 for p, _ in terms):
@@ -941,7 +938,7 @@ def _complex_exponential(k):
 
 @_catalog("indicator", a=_NUM, b=_NUM)
 def _indicator(a, b):
-    a, b = float(a), float(b)
+    a, b = _real("a", a), _real("b", b)
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("indicator needs 0 <= a < b <= 1")
     return _state_1d(Trig1D(((1.0 / np.sqrt(b - a) + 0.0j, 0.0),), (a, b)),
@@ -950,14 +947,13 @@ def _indicator(a, b):
 
 @_catalog("power_singular", alpha=_NUM)
 def _power_singular(alpha):
-    alpha = float(alpha)
+    alpha = _real("alpha", alpha)
     return _state_1d(PowerSingular1D(alpha), f"power_singular({alpha})")
 
 
 @_catalog("gaussian", mu=_NUMS, sigma=_NUMS)
 def _gaussian(mu, sigma):
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    mu, sigma = np.atleast_1d(_reals("mu", mu)), np.atleast_1d(_reals("sigma", sigma))
     if mu.size != sigma.size:
         raise ValueError("mu and sigma need the same length")
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all() and (sigma > 0.0).all()):

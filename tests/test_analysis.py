@@ -551,3 +551,11 @@ def test_analysis_validation_errors(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert info.type is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("target, shown", [("0.5", "'0.5'"), (np.nan, "nan"), (None, "None")])
+def test_rd_study_reads_mass_target_as_a_finite_real(target, shown):
+    with pytest.raises(ValueError) as info:
+        rd_study(_GAUSS, _GAUSS, UNIFORM, [4, 8, 16], mass_target=target)
+    assert info.type is ValueError
+    assert str(info.value) == f"mass_target must be a finite real number, got {shown}"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -160,6 +161,53 @@ def test_non_finite_gaussian_config_exits_4(tmp_path, capsys, mu, sigma):
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["kind"] == "compute-failure"
     assert "finite" in err["error"]["message"]
+    assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"grid": {"kind": "uniform", "C": float("nan")}},
+    {"grid": {"kind": "uniform", "C": float("inf")}},
+    {"grid": {"kind": "jittered", "C": float("nan"), "seed": 1}},
+    {"grid": {"kind": "jittered", "C": float("inf"), "seed": 1}},
+    {"experiment": "convergence", "n_list": [4, 8, 16], "n": None,
+     "grid": {"kind": "uniform", "C": float("nan")}},
+    {"psi": None, "density": {"terms": [
+        {"weight": float("nan"), "state": {"catalog": "sine_mode", "k": 1}},
+        {"weight": 0.5, "state": {"catalog": "sine_mode", "k": 2}}]}},
+], ids=["uniform-C-nan", "uniform-C-inf", "jittered-C-nan", "jittered-C-inf",
+        "convergence-C-nan", "density-weight-nan"])
+def test_a_non_finite_real_in_a_config_exits_4(tmp_path, capsys, overrides):
+    # the schema's bounds let NaN and Infinity through (comparisons with NaN
+    # are false), so the library's reader names them
+    config = base_probability_config(output={"stem": "out"}, **overrides)
+    config = {k: v for k, v in config.items() if v is not None}
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main(["validate", cfg]) == 0
+    assert main(["--output-dir", str(tmp_path), "run", cfg]) == EXIT_COMPUTE
+    err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
+    assert err["kind"] == "compute-failure" and "finite" in err["message"]
+    assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+def test_a_non_finite_result_exits_4_and_writes_no_file(tmp_path, capsys, monkeypatch, fmt):
+    # RFC 8259 JSON has no NaN: the payload is serialized strictly before
+    # either file is written
+    from spatialzeno import cli
+    measure = cli.prob_y1_pure
+
+    def nan_p_y1(*args, **kwargs):
+        r = measure(*args, **kwargs)
+        return types.SimpleNamespace(n=r.n, num_bins=r.num_bins, p_y1=float("nan"),
+                                     p_y1_error_bound=r.p_y1_error_bound,
+                                     mass_total=r.mass_total)
+
+    monkeypatch.setattr(cli, "prob_y1_pure", nan_p_y1)
+    cfg = write_config(tmp_path, "p.json", base_probability_config(
+        output={"stem": "out", "format": fmt}))
+    assert main(["--output-dir", str(tmp_path), "run", cfg]) == EXIT_COMPUTE
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "compute-failure" and "JSON compliant" in err["message"]
     assert not list(tmp_path.glob("out.*"))
 
 

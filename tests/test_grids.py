@@ -499,11 +499,10 @@ def test_cubes_of_another_dimension_are_rejected():
     for cubes in (CubeBox((1,)), CubeBox((1, 1, 1)), [(0.0, 0.0), (1.0,)], [(0.0,)]):
         with pytest.raises(ValueError, match="dimension"):
             base.with_cubes(cubes)
-    for scheme, cubes in ((GridScheme("rd_translated_cubes", d=1, cubes=((0.0, 0.0),)),
-                           ((0.0, 0.0),)),
-                          (GridScheme("rd_translated_cubes", d=2), CubeBox((1,)))):
-        with pytest.raises(ValueError, match="dimension"):
-            rd_grid(scheme, 2, cubes)
+    with pytest.raises(ValueError, match="dimension"):
+        GridScheme("rd_translated_cubes", d=1, cubes=((0.0, 0.0),))
+    with pytest.raises(ValueError, match="dimension"):
+        rd_grid(GridScheme("rd_translated_cubes", d=2), 2, CubeBox((1,)))
 
 
 def test_validate_concatenated_checks_cube_list():
@@ -610,3 +609,138 @@ def test_grid_validation_errors(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert info.type is ValueError and str(info.value) == message
+
+
+_NON_REALS = [np.nan, np.inf, -np.inf, "2", None]
+
+
+@pytest.mark.parametrize("C", _NON_REALS, ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda C: uniform_grid(4, ratio_bound=C),
+    lambda C: ProductGrid(4, [np.arange(5) / 4], ratio_bound=C),
+    lambda C: jittered_grid(4, C=C),
+    lambda C: CustomGrid(1, [Bin((Interval(0.0, 1.0),))], ratio_bound=C),
+], ids=["uniform_grid", "ProductGrid", "jittered_grid", "CustomGrid"])
+def test_a_ratio_bound_that_is_not_a_finite_real_raises(build, C):
+    with pytest.raises(ValueError, match=r"^ratio bound C must be a finite real number, got "):
+        build(C)
+
+
+@pytest.mark.parametrize("C", _NON_REALS, ids=repr)
+@pytest.mark.parametrize("kind", grids.GRID_KINDS)
+def test_a_scheme_reads_its_ratio_bound_before_any_level_is_built(monkeypatch, kind, C):
+    _no_level(monkeypatch)
+    with pytest.raises(ValueError, match=r"^ratio bound C must be a finite real number, got "):
+        GridScheme(kind, ratio_bound=C)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GridScheme("uniform", d=0), "d must be >= 1, got 0"),
+    (lambda: GridScheme("jittered", ratio_bound=1.0), "ratio bound C must exceed 1"),
+    (lambda: GridScheme("rd_translated_cubes", sub_kind="hex", cubes=((0.0,),)),
+     "unknown per-cube scheme 'hex'"),
+    (lambda: GridScheme("rd_translated_cubes", d=2, cubes=((0.0,),)),
+     "cubes of dimension 1 for a scheme with d=2"),
+    (lambda: GridScheme("rd_translated_cubes", d=2, cubes=CubeBox((1,))),
+     "cubes of dimension 1 for a scheme with d=2"),
+    (lambda: GridScheme("rd_translated_cubes", cubes=((0.0,), (np.nan,))),
+     "cube corners must be finite"),
+    (lambda: GridScheme("rd_translated_cubes", cubes=(("0.5",),)),
+     "cube corners must be real numbers, got [['0.5']]"),
+    (lambda: GridScheme("rd_translated_cubes", cubes=()), "need at least one cube"),
+    (lambda: GridScheme("uniform").with_cubes([(np.nan,)]), "cube corners must be finite"),
+    (lambda: GridScheme("uniform", d=2).with_cubes([(0.0, 0.0), (1.0,)]),
+     "all cubes must share the same dimension"),
+])
+def test_a_scheme_checks_its_fields_on_construction(monkeypatch, build, message):
+    _no_level(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        build()
+    assert info.type is ValueError and str(info.value) == message
+
+
+def test_a_scheme_without_cubes_is_valid_until_a_level_is_asked_for():
+    scheme = GridScheme("rd_translated_cubes", sub_kind="jittered")
+    assert scheme.cubes is None and scheme.describe()["num_cubes"] == 0
+    with pytest.raises(ValueError, match="^rd scheme needs a cube list$"):
+        scheme.level(4)
+
+
+def test_a_listed_scheme_is_hashable_and_equals_its_tuple_twin():
+    twin = GridScheme("rd_translated_cubes", cubes=((0.0,), (1.0,)))
+    for cubes in ([[0.0], [1.0]], [[0], [1]], np.array([[0.0], [1.0]])):
+        scheme = GridScheme("rd_translated_cubes", cubes=cubes)
+        assert scheme == twin and hash(scheme) == hash(twin)
+        assert [type(a) for c in scheme.cubes for a in c] == [float, float]
+    box = CubeBox((1, 2))
+    assert GridScheme("jittered", d=2).with_cubes(box).cubes is box
+
+
+def test_an_integral_ratio_bound_is_its_float_twin():
+    for kind in ("uniform", "jittered"):
+        scheme, twin = GridScheme(kind, ratio_bound=2), GridScheme(kind, ratio_bound=2.0)
+        # json.dumps writes 2 for an int and 2.0 for a float
+        assert json.dumps(scheme.describe()) == json.dumps(twin.describe())
+        assert type(scheme.ratio_bound) is float
+        a, b = scheme.level(8), twin.level(8)
+        assert a.breakpoints[0].tobytes() == b.breakpoints[0].tobytes()
+    a, b = jittered_grid(8, C=3), jittered_grid(8, C=3.0)
+    assert a.ratio_bound == 3.0 and a.breakpoints[0].tobytes() == b.breakpoints[0].tobytes()
+
+
+def test_with_cubes_keeps_the_per_cube_kind():
+    for base, sub in ((GridScheme("jittered", seed=4), "jittered"),
+                      (GridScheme("uniform"), "uniform"),
+                      (GridScheme("rd_translated_cubes", sub_kind="jittered"), "jittered")):
+        scheme = base.with_cubes([(0.0,), (2.0,)])
+        assert (scheme.kind, scheme.sub_kind, scheme.seed) == ("rd_translated_cubes", sub,
+                                                               base.seed)
+        assert scheme.cubes == ((0.0,), (2.0,))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Interval("0", 1.0), "lo must be a finite real number, got '0'"),
+    (lambda: Interval(0.0, np.inf), "hi must be a finite real number, got inf"),
+    (lambda: CustomGrid(1, [Bin((Interval(0.0, 1.0),))], domain_bounds=[("0", 1.0)]),
+     "domain_bounds must be a finite real number, got '0'"),
+])
+def test_real_grid_parameters_are_read_once(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert info.type is ValueError and str(info.value) == message
+
+
+def test_an_interval_stores_its_ends_as_floats():
+    cell = Interval(np.float32(0.25), 1)
+    assert (cell.lo, cell.hi) == (0.25, 1.0)
+    assert (type(cell.lo), type(cell.hi)) == (float, float)
+
+
+_ONE_BIN = CustomGrid(1, [Bin((Interval(0.0, 1.0),))])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Bin(()), ValueError, "a bin needs at least one axis"),
+    (lambda: Bin((Interval(0.0, 1.0),)).contains((0.5, 0.5)), ValueError,
+     "point has 2 coordinates, bin has 1"),
+    (lambda: uniform_grid(4).locate((0.5, 0.5)), ValueError,
+     "point has 2 coordinates, grid has 1"),
+    (lambda: uniform_grid(4).locate_many(np.zeros((3, 2))), ValueError,
+     "points have 2 coordinates, grid has 1"),
+    (lambda: _ONE_BIN.locate_many(np.zeros((3, 2))), ValueError,
+     "points have 2 coordinates, grid has 1"),
+    (lambda: grids.GridLevel(4, []), ValueError, "need at least one part"),
+    (lambda: _ONE_BIN.bin(9), IndexError, "9"),
+    (lambda: uniform_grid(0), ValueError, "need n >= 1 and d >= 1"),
+    (lambda: jittered_grid(0), ValueError, "need n >= 1 and d >= 1"),
+    (lambda: rd_grid(GridScheme("uniform"), 0, [(0.0,)]), ValueError,
+     "resolution index n must be >= 1"),
+    (lambda: rd_grid(GridScheme("uniform", d=2), 2,
+                     [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)]),
+     OverlappingCubesError,
+     "cubes at (0.0, 0.0) and (0.0, 0.0) overlap (corner distance < 1 on every axis)"),
+])
+def test_grid_errors_no_other_test_raises(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and str(info.value) == message

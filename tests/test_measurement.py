@@ -409,6 +409,13 @@ def test_measurement_validation_errors(call, message):
         call()
     assert info.type is ValueError and str(info.value) == message
 
+
+def test_a_bin_without_mass_has_no_conditional_probability():
+    with pytest.raises(ZeroMassBinError) as info:
+        prob_y1_given_bin(make_state("indicator", a=0, b=0.5), make_state("uniform"),
+                          CELL(0.5, 1.0))
+    assert str(info.value) == "state 'indicator(0.0,0.5)' has zero mass in bin (0.5,)..(1.0,)"
+
 def test_sampler_zero_mass_bins_never_drawn():
     psi = make_state("indicator", a=0.0, b=0.5)
     phi = make_state("uniform")

@@ -19,7 +19,7 @@ from spatialzeno import (
     uniform_grid,
 )
 from spatialzeno.quadrature import numeric_cell_integrals
-from spatialzeno.states import exact_cell_integrals
+from spatialzeno.states import Primitive1D, exact_cell_integrals
 
 CELL = lambda a, b: Bin((Interval(a, b),))
 
@@ -250,3 +250,47 @@ def test_exact_cell_integrals_none_when_unsupported():
     p = _factor(make_state("power_singular", alpha=0.3))
     for f, h in ((g, p), (p, g)):
         assert exact_cell_integrals(f, h, np.array([0.0, 1.0])) is None
+
+
+@pytest.mark.parametrize("name, value, shown", [
+    ("abs_tol", np.nan, "nan"), ("rel_tol", np.inf, "inf"), ("abs_tol", "1e-10", "'1e-10'"),
+])
+def test_config_tolerances_are_finite_reals(name, value, shown):
+    with pytest.raises(ValueError) as info:
+        QuadratureConfig(**{name: value})
+    assert info.type is ValueError
+    assert str(info.value) == f"{name} must be a finite real number, got {shown}"
+
+
+def test_config_tolerances_are_read_as_floats():
+    cfg = QuadratureConfig(abs_tol=1, rel_tol=np.float32(0.5))
+    assert (cfg.abs_tol, cfg.rel_tol) == (1.0, 0.5)
+    assert (type(cfg.abs_tol), type(cfg.rel_tol)) == (float, float)
+
+
+class _Bump(Primitive1D):
+    """exp(-x^2) on the line: no Fourier terms, so no closed form."""
+
+    def __call__(self, x):
+        return np.exp(-np.asarray(x, dtype=float) ** 2) + 0j
+
+
+_SINE = make_state("sine_mode", k=1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: QuadratureConfig(subdivision_limit=-1), ValueError,
+     "subdivision_limit must be >= 0"),
+    (lambda: bin_inner_product(_SINE, make_state("gaussian", mu=0.0, sigma=1.0),
+                               CELL(0.0, 0.5)), ValueError, "states live on different domains"),
+    (lambda: bin_inner_product(_SINE, _SINE, Bin((Interval(0.0, 0.5),) * 2)), ValueError,
+     "bin dimension does not match the states"),
+    (lambda: l2_distance(object(), 0, uniform_grid(4)), TypeError,
+     "cannot evaluate object of type <class 'object'>"),
+    (lambda: numeric_cell_integrals(_Bump(), _Bump(), np.array([-np.inf, 0.0, np.inf])),
+     ValueError, "numeric quadrature needs finite integration bounds"),
+])
+def test_quadrature_errors_no_other_test_raises(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and str(info.value) == message

@@ -18,7 +18,8 @@ from spatialzeno import (
     tensor_product,
 )
 from spatialzeno.quadrature import numeric_cell_integrals
-from spatialzeno.states import exact_cell_integrals
+from spatialzeno.states import (Domain, PiecewiseConstant1D, SeparableFunction,
+                                exact_cell_integrals, product_field)
 
 CELL = lambda a, b: Bin((Interval(a, b),))
 
@@ -475,6 +476,70 @@ def test_a_restricted_state_does_not_keep_its_parent_alive():
     (lambda: make_state("haar_like", seed=0, pieces=0), "pieces must be >= 1"),
 ])
 def test_state_validation_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and str(info.value) == message
+
+
+_SINE1 = make_state("sine_mode", k=1)
+_SINE2 = make_state("sine_mode", k=2)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("weight, shown", [(np.nan, "nan"), (np.inf, "inf"),
+                                           (-np.inf, "-inf"), ("0.5", "'0.5'")])
+def test_a_density_weight_that_is_not_a_finite_real_raises(weight, shown, renormalize):
+    with pytest.raises(ValueError) as info:
+        make_density([(0.5, _SINE1), (weight, _SINE2)], renormalize=renormalize)
+    assert info.type is ValueError
+    assert str(info.value) == f"weight[1] must be a finite real number, got {shown}"
+
+
+@pytest.mark.parametrize("catalog, params, message", [
+    ("indicator", {"a": "0.2", "b": 0.7}, "a must be a finite real number, got '0.2'"),
+    ("indicator", {"a": 0.2, "b": np.nan}, "b must be a finite real number, got nan"),
+    ("power_singular", {"alpha": "0.3"}, "alpha must be a finite real number, got '0.3'"),
+    ("gaussian", {"mu": "0.5", "sigma": 1.0}, "mu must be real numbers, got '0.5'"),
+    ("gaussian", {"mu": [0.0, 0.5], "sigma": [1.0, None]},
+     "sigma must be real numbers, got [1.0, None]"),
+])
+def test_a_real_catalog_parameter_must_be_a_number(catalog, params, message):
+    with pytest.raises(ValueError) as info:
+        make_state(catalog, **params)
+    assert info.type is ValueError and str(info.value) == message
+
+
+def test_real_catalog_parameters_are_read_as_floats():
+    assert make_state("indicator", a=0, b=np.float32(0.5)).label == "indicator(0.0,0.5)"
+    assert make_state("power_singular", alpha=np.float64(0.25)).label == "power_singular(0.25)"
+    density = make_density([(1, _SINE1)])
+    assert type(density.terms[0][0]) is float and density.declared_trace == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Domain("torus", 1), "unknown domain kind 'torus'"),
+    (lambda: Domain("unit_cube", 0), "dimension must be >= 1"),
+    (lambda: PiecewiseConstant1D((0.0, 1.0), (1.0, 2.0)), "need len(breaks) == len(values) + 1"),
+    (lambda: PiecewiseConstant1D((0.0, 0.0), (1.0,)), "breakpoints must be strictly increasing"),
+    (lambda: SeparableFunction(Domain.unit_cube(1), ()), "need at least one term"),
+    (lambda: SeparableFunction(Domain.unit_cube(2), _SINE1.terms),
+     "every term needs one factor per axis"),
+    (lambda: make_state("uniform", d=2).evaluate(np.zeros((3, 3))),
+     "points have 3 coordinates, need 2"),
+    (lambda: inner_product(_SINE1, _SINE1.as_euclidean()),
+     "domain mismatch: Domain(kind='unit_cube', d=1) vs Domain(kind='euclidean', d=1)"),
+    (lambda: product_field(_SINE1, _SINE1.as_euclidean()), "states live on different domains"),
+    (lambda: superpose([(1.0, _SINE1), (1.0, _SINE2.as_euclidean())]),
+     "all states must share one domain"),
+    (lambda: make_density([(0.5, _SINE1), (0.5, _SINE2.as_euclidean())]),
+     "all spectral terms must share one domain"),
+    (lambda: superpose([(1, _SINE1), (-1, _SINE1)]), "combination has zero norm"),
+    (lambda: tensor_product([_SINE1, _SINE2.as_euclidean()]),
+     "all factor states must share the domain kind"),
+    (lambda: make_density([(0.0, _SINE1)], renormalize=True),
+     "cannot renormalise zero total weight"),
+])
+def test_state_errors_no_other_test_raises(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert info.type is ValueError and str(info.value) == message
