@@ -19,9 +19,11 @@ with the thread count).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,7 @@ SCHEMA_VERSION = "1"
 
 EXPERIMENTS = ("probability", "convergence", "sample", "discretize", "joint", "rd_study")
 
-# rows per ``%`` format of the CSV writer
+# rows per block of the CSV writer
 CSV_BLOCK = 2 ** 12
 
 EXIT_CONFIG_PARSE = 2
@@ -215,23 +217,228 @@ def _state_or_density(config: dict):
     return build_state(config["psi"]), False
 
 
+# The CSV field kernel.  Fields are fixed-width uint8 rows padded with
+# spaces, which never occur in a CSV value and are deleted once per block.
+_PAD = 32
+# 10^j for |j| <= _POW10 as a double-double; 2^27 + 1 splits a double into
+# 26-bit halves for Dekker's exact product
+_POW10, _SPLITTER = 300, 134217729.0
+# the |v| the double-double product decides; outside it, %.17g itself
+_EXACT_MIN, _EXACT_MAX = 1e-280, 1e280
+# a scaled fraction this close to 1/2 is left to %.17g: a tie rounds to even
+_TIE = 1e-6
+
+
+@functools.cache
+def _pow10():
+    """10^j for |j| <= _POW10 as hi + lo, and hi's 26-bit halves; built on
+    first use, as is ``_words``."""
+    exact = [Fraction(10) ** j for j in range(-_POW10, _POW10 + 1)]
+    hi = np.array([float(x) for x in exact])
+    lo = np.array([float(x - Fraction(h)) for x, h in zip(exact, hi.tolist())])
+    c = _SPLITTER * hi
+    hi_hi = c - (c - hi)
+    return hi, lo, hi_hi, hi - hi_hi
+
+
+@functools.cache
+def _words():
+    """The 10^4 four-digit ASCII words as uint32 in seven variants: rows
+    0-4 with the last m digits blanked (row 0 is ``%04d``), row 5 ``%4d``
+    with 0 blank, row 6 ``%4d``; each word's trailing zero count (4 for 0);
+    and the ``e%+03d`` suffix of each exponent |j| <= _POW10 in 8 bytes,
+    blank where ``%g`` writes fixed notation."""
+    w = np.arange(10 ** 4, dtype=np.uint16)
+    words = np.empty((7, 10 ** 4, 4), np.uint8)
+    zeros = np.zeros(10 ** 4, np.uint8)
+    for c, place in enumerate((1000, 100, 10, 1)):
+        words[:, :, c] = 48 + w // place % 10
+        words[5:, w < place, c] = _PAD
+        zeros += w % (10 * place) == 0
+    for m in range(1, 5):
+        words[m, :, 4 - m:] = _PAD
+    words[6, 0, 3] = 48
+    suffix = [b"" if -4 <= j < 17 else b"e%+03d" % j for j in range(-_POW10, _POW10 + 1)]
+    return words.view(np.uint32).ravel(), zeros, _ascii(suffix, 8).view(np.uint64).ravel()
+
+
+def _ascii(strings, width: int | None = None) -> np.ndarray:
+    """Byte strings as a (len, width) uint8 matrix padded with spaces."""
+    a = np.array(strings, dtype=f"S{width}" if width else "S")
+    a = a.view(np.uint8).reshape(len(strings), a.itemsize)
+    return np.where(a == 0, np.uint8(_PAD), a)
+
+
+def _decimal17(v: np.ndarray):
+    """(N, X, undecided) for float64 ``v``: |v| = N 10^(X-16) to 17
+    significant digits as ``%.17g`` rounds it, N in [1e16, 1e17), and
+    N = X = 0 for a zero.
+
+    For 1e-280 <= |v| <= 1e280, k = floor(log10 |v|) is read from log10
+    and corrected against 10^k exactly, and N = round(|v| 10^(16-k)) comes
+    from Dekker's two-product of |v| and hi(10^(16-k)) plus
+    |v| lo(10^(16-k)), exact to about 1e-14 in N; N = 10^17 carries into
+    X.  ``undecided`` marks the values this does not decide: not finite,
+    |v| outside that range (subnormals included), or a scaled fraction
+    within 1e-6 of 1/2, exact ties among them."""
+    hi, lo, hi_hi, hi_lo = _pow10()
+    a = np.abs(v)
+    zero = a == 0
+    undecided = ~(zero | ((a >= _EXACT_MIN) & (a <= _EXACT_MAX)))
+    a[undecided | zero] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    # log10 may round across a power of ten either way; a >= 10^k iff
+    # a > hi(10^k), or a == hi(10^k) and lo(10^k) <= 0
+    j = k + _POW10
+    k -= (a < hi[j]) | ((a == hi[j]) & (lo[j] > 0))
+    j = k + 1 + _POW10
+    k += (a > hi[j]) | ((a == hi[j]) & (lo[j] <= 0))
+    # p + t = a 10^(16-k) in [1e16, 1e17), where p = fl(a hi) >= 2^53 is
+    # an integer and t = (a hi - p) + a lo
+    j = 16 - k + _POW10
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p = a * hi[j]
+    t = (((a_hi * hi_hi[j] - p) + a_hi * hi_lo[j] + a_lo * hi_hi[j])
+         + a_lo * hi_lo[j]) + a * lo[j]
+    whole = np.floor(t)
+    frac = t - whole
+    undecided |= np.abs(frac - 0.5) < _TIE
+    big = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = big == 10 ** 17
+    big[carry] = 10 ** 16
+    k += carry
+    big[zero] = 0
+    k[zero] = 0
+    return big, k, undecided
+
+
+def _float_fields(v: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each float64 of ``v`` as padded fields: the digits of
+    ``_decimal17`` in ``%g``'s layout, fixed notation for -4 <= X < 17,
+    else ``d.ddd`` and ``e%+03d``, trailing zeros and a bare point
+    dropped; the rows are grouped by the point's position.  ``'%.17g' % v``
+    fills the field of a value ``_decimal17`` leaves undecided."""
+    words, zeros, suffix = _words()
+    n = len(v)
+    big, x, fall = _decimal17(v)
+    fixed = (x >= -4) & (x < 17)
+    # digits shown: the significant ones, at least the integer part's
+    lead = big // 10 ** 16
+    r = big - lead * 10 ** 16
+    groups = []
+    for e in (10 ** 12, 10 ** 8, 10 ** 4):
+        q = r // e
+        groups.append(q)
+        r -= q * e
+    groups.append(r)
+    tz = zeros[groups[3]]
+    for i in (2, 1, 0):
+        tz += np.where(tz == 4 * (3 - i), zeros[groups[i]], 0)
+    shown = np.maximum(np.where(big == 0, 0, 17 - tz),
+                       np.where(fixed & (x >= 0), x + 1, 1))
+    # the 17 digit slots, blanked past the shown ones, as d[:, 0:17]
+    slots = np.empty((n, 20), np.uint8)
+    slots[:, 3] = 48 + lead
+    slot_words = slots[:, 4:].view(np.uint32)
+    for i in range(4):
+        blank = np.minimum(np.maximum(5 + 4 * i - shown, 0), 4)
+        slot_words[:, i] = np.take(words, blank * 10 ** 4 + groups[i], mode="clip")
+    d = slots[:, 3:]
+    # the point goes before digit slot at - 4, at 1..4 after "0." and zeros
+    at = np.where(fixed, 5 + x, 5)
+    count = np.bincount(at, minlength=22)
+    mantissa = 22 if count[:5].any() else 18
+    exponent = not fixed.all()
+    width = 1 + mantissa + 5 * exponent
+    if fall.any():
+        spelled = _ascii(["%.17g" % y for y in v[fall].tolist()])
+        width = max(width, spelled.shape[1])
+    out = np.full((n, width), _PAD, np.uint8)
+    out[:, 0] = np.where(np.signbit(v), 45, _PAD)
+    for q in np.flatnonzero(count):
+        rows = slice(None) if count[q] == n else np.flatnonzero(at == q)
+        if q >= 5:
+            i = q - 4
+            out[rows, 1:1 + i] = d[rows, :i]
+            if i < 17:
+                out[rows, 1 + i] = np.where(d[rows, i] == _PAD, _PAD, 46)
+                out[rows, 2 + i:19] = d[rows, i:]
+        else:
+            out[rows, 1:7 - q] = 48
+            out[rows, 2] = 46
+            out[rows, 7 - q:24 - q] = d[rows]
+    if exponent:
+        sfx = np.take(suffix, x + _POW10, mode="clip").view(np.uint8).reshape(n, 8)
+        out[:, 1 + mantissa:6 + mantissa] = sfx[:, :5]
+    if fall.any():
+        out[fall] = _PAD
+        out[fall, :spelled.shape[1]] = spelled
+    return out
+
+
+def _int_fields(v: np.ndarray, digits: int, signed: bool) -> np.ndarray:
+    """``%s`` of int64 ``v`` with |v| < 10^digits as padded fields, one
+    sign column when ``signed``: four-digit words right to left, a word
+    with no digits left of it written without leading zeros."""
+    words = _words()[0]
+    n, size = len(v), -(-digits // 4)
+    out = np.empty((n, 4 * size), np.uint8)
+    out_words = out.view(np.uint32)
+    r = np.abs(v)
+    for i in reversed(range(size)):
+        q = r // 10 ** 4
+        variant = np.where(q == 0, 6 if i == size - 1 else 5, 0)
+        out_words[:, i] = np.take(words, variant * 10 ** 4 + r - q * 10 ** 4, mode="clip")
+        r = q
+    out = out[:, 4 * size - digits:]
+    if not signed:
+        return out
+    return np.hstack([np.where(v < 0, 45, _PAD).astype(np.uint8)[:, None], out])
+
+
+def _str_fields(v: np.ndarray) -> np.ndarray:
+    """``%s`` of each value, one Python ``str`` each."""
+    return _ascii([str(x).encode() for x in v.tolist()])
+
+
+def _column_fields(a: np.ndarray):
+    """(values, field writer) of one CSV column."""
+    if a.dtype.kind == "f":
+        return a.astype(np.float64, copy=False), _float_fields
+    if a.dtype.kind in "iu" and a.size:
+        low, high = int(a.min()), int(a.max())
+        if -10 ** 16 < low and high < 10 ** 16:
+            return a.astype(np.int64, copy=False), functools.partial(
+                _int_fields, digits=len(str(max(-low, high))), signed=low < 0)
+    return a, _str_fields
+
+
 def _csv_lines(header: list[str], columns: list, chash: str) -> str:
     """CSV text from one sequence of values per header field: float columns
     with 17 significant digits (``%.17g``, the digits of ``f"{x:.17g}"``),
-    other columns (integers) with ``%s``.  Each block of CSV_BLOCK rows is
-    one ``%`` format, the row format once per row applied to the block's
-    values row by row, so the boxed values never outnumber one block's."""
+    other columns (integers) with ``%s``.
+
+    Each block of CSV_BLOCK rows is one uint8 matrix: each column's
+    padded fields (``_float_fields``; ``_int_fields`` for an integer
+    column with every |v| < 10^16), the commas and the newline side by
+    side, written out with the pads deleted.  ``%`` formats only what the
+    kernel does not decide: in a float column the values ``_float_fields``
+    names (not finite, |v| outside [1e-280, 1e280], or a scaled fraction
+    within 1e-6 of 1/2); every value of any other column with ``%s``, such
+    as Python ints beyond int64 or integers of 10^16 and more."""
     arrays = [np.asarray(c) for c in columns]
-    row = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
-    rows, k = len(arrays[0]), len(arrays)
+    writers = [_column_fields(a) for a in arrays]
+    rows = len(arrays[0])
     pieces = [f"# schema_version={SCHEMA_VERSION} config_hash={chash}\n",
               ",".join(header) + "\n"]
     for s in range(0, rows, CSV_BLOCK):
         n = min(CSV_BLOCK, rows - s)
-        values = [None] * (n * k)
-        for j, a in enumerate(arrays):
-            values[j::k] = a[s:s + n].tolist()
-        pieces.append((row * n) % tuple(values))
+        comma = np.full((n, 1), 44, np.uint8)
+        row = np.hstack([f for a, fields in writers for f in (fields(a[s:s + n]), comma)])
+        row[:, -1] = 10
+        pieces.append(row.tobytes().translate(None, b" ").decode("ascii"))
     return "".join(pieces)
 
 

@@ -692,10 +692,10 @@ class GridScheme:
     The fields are checked on construction, so a scheme holds only what its
     levels accept: ``d`` >= 1, ``seed`` >= 0 and ``cells_per_axis`` are
     kept as ints, ``ratio_bound`` as a finite float > 1, ``sub_kind`` is
-    "uniform" or "jittered", and ``cubes`` (when given) as the CubeBox or
-    as a tuple of float corner tuples, all of dimension ``d``.  Anything
-    else raises ValueError.  An rd scheme without cubes is valid; its
-    ``level`` raises.
+    "uniform" or, for an rd scheme, "jittered", and ``cubes`` (when given)
+    as the CubeBox or as a tuple of float corner tuples, all of dimension
+    ``d``.  Anything else raises ValueError.  An rd scheme without cubes is
+    valid; its ``level`` raises.
     """
 
     kind: str
@@ -711,6 +711,9 @@ class GridScheme:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.sub_kind not in ("uniform", "jittered"):
             raise ValueError(f"unknown per-cube scheme {self.sub_kind!r}")
+        if self.kind != "rd_translated_cubes" and self.sub_kind != "uniform":
+            raise ValueError(f"sub_kind is for rd schemes; a {self.kind} scheme "
+                             f"got sub_kind={self.sub_kind!r}")
         d = _int("d", self.d)
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
@@ -744,7 +747,7 @@ class GridScheme:
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "d": self.d, "ratio_bound": self.ratio_bound}
-        if self.kind == "jittered" or self.sub_kind == "jittered":
+        if _cube_kind(self) == "jittered":
             out["seed"] = self.seed
             out["cells_per_axis"] = self.cells_per_axis
         if self.kind == "rd_translated_cubes":

@@ -32,6 +32,7 @@ haar_like(seed)     seeded random constant on ``pieces`` equal cells
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -75,6 +76,7 @@ class Domain:
     def __post_init__(self) -> None:
         if self.kind not in ("unit_cube", "euclidean"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
+        object.__setattr__(self, "d", _int("d", self.d))
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
 
@@ -846,6 +848,8 @@ def make_density(terms: Iterable[tuple[float, WaveFunction]],
         raise ValueError("negative weight in density state")
     total = sum(p for p, _ in terms)
     if renormalize:
+        if not math.isfinite(total):
+            raise ValueError(f"weights sum to {total!r}, which cannot be renormalised")
         if total <= 0.0:
             raise ValueError("cannot renormalise zero total weight")
         terms = [(p / total, wf) for p, wf in terms]

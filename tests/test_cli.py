@@ -6,6 +6,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spatialzeno import make_state
 from spatialzeno.cli import (
@@ -624,6 +625,79 @@ def test_csv_writer_blocks_equal_one_block(monkeypatch):
         assert blocks.count("\n") == rows + 2
     for token in (",-0,", ",nan,", ",inf,", ",-inf,", ",4611686018427387904,"):
         assert token in blocks
+
+
+def _csv_of_columns(columns):
+    """(kernel, row-by-row reference) CSV text of one column list."""
+    from spatialzeno.cli import _csv_lines
+
+    header = [f"c{j}" for j in range(len(columns))]
+    rows = [list(r) for r in zip(*[np.asarray(c).tolist() for c in columns])]
+    return _csv_lines(header, columns, "h"), _csv_rows_reference(header, rows, "h")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 64 - 1), st.floats(),
+                          st.integers(-10 ** 16 + 1, 10 ** 16 - 1),
+                          st.integers(-2 ** 63, 2 ** 63 - 1)), min_size=1, max_size=60))
+def test_csv_kernel_matches_the_row_formatter_on_random_bit_patterns(rows):
+    bits, floats, small, big = zip(*rows)
+    columns = [np.array(bits, dtype=np.uint64).view(np.float64), np.array(floats),
+               np.array(small, dtype=np.int64), np.array(big, dtype=np.int64)]
+    got, want = _csv_of_columns(columns)
+    assert got == want
+
+
+def test_csv_kernel_matches_the_row_formatter_at_its_switch_points():
+    powers = [10.0 ** k for k in range(-300, 301)]
+    near = [np.nextafter(x, toward) for x in powers for toward in (-np.inf, np.inf)]
+    edges = [y for x in (1e-280, 1e280) for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+    # odd m/4 with m near 2^53: |v| 10^(16-k) ends in exactly 1/2, a tie
+    ties = [m / 4 for m in range(2 ** 53 - 41, 2 ** 53, 2)] + [2251799813685247.75]
+    # exponents -5, -4, 16 and 17, where %g switches notation, and a carry
+    # of the 17 digits into the exponent
+    switch = [1.2345e-5, 9.999999999999999e-5, 1e-4, 1.5e-4, 0.00012345678901234567,
+              1e16, 1.2345678901234567e16, 9.999999999999998e16, 1e17, 1.5e17,
+              np.nextafter(1e17, 0.0), 123.0, 1e15 + 0.5, 0.1, 1.0 / 3.0]
+    values = np.array(powers + near + edges + ties + switch)
+    for v in (values, -values):
+        got, want = _csv_of_columns([np.arange(v.size), v, v[::-1].copy()])
+        assert got == want
+    for column in (np.zeros(5), np.full(5, -0.0), np.full(5, 0.1), np.full(5, 1e-300),
+                   np.full(5, 2.0 ** 60), np.full(5, np.nan)):
+        got, want = _csv_of_columns([column])
+        assert got == want
+    assert _csv_of_columns([np.zeros(3)])[0].endswith("c0\n0\n0\n0\n")
+
+
+def test_csv_kernel_writes_every_integer_dtype_and_object_columns():
+    for dtype in (np.int8, np.uint8, np.int16, np.uint32, np.int64, np.uint64):
+        info = np.iinfo(dtype)
+        column = np.array([v for v in (info.min, -10001, -1, 0, 1, 9, 10, 99, 100, 9999,
+                                       10000, info.max) if info.min <= v <= info.max],
+                          dtype=dtype)
+        got, want = _csv_of_columns([column, column[::-1].copy()])
+        assert got == want
+    edges = np.array([-10 ** 16 + 1, -10 ** 16, 10 ** 16 - 1, 10 ** 16, 0], dtype=np.int64)
+    for column in (edges[[0, 2, 4]], edges, np.array([7, 7, 7]), np.array([True, False])):
+        got, want = _csv_of_columns([column])
+        assert got == want
+    objects = np.array([2 ** 70, -3, 2 ** 64, 0], dtype=object)
+    got, want = _csv_of_columns([objects, [4, 5, 6, 7]])
+    assert got == want and "1180591620717411303424" in got
+
+
+def test_csv_kernel_leaves_only_the_listed_values_to_percent():
+    from spatialzeno.cli import _decimal17
+
+    decided = [0.0, -0.0, 0.1, 0.5, 1.5, 1e-280, 1e280, -1e280, 1e16, 1e17, 2.0 ** 60]
+    undecided = [np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                 np.nextafter(1e-280, 0.0), np.nextafter(1e280, np.inf), 1e300,
+                 2251799813685247.75, -2251799813685247.25]
+    big, exponent, fall = _decimal17(np.array(decided + undecided))
+    assert fall.tolist() == [False] * len(decided) + [True] * len(undecided)
+    assert big[:3].tolist() == [0, 0, 10000000000000001]
+    assert exponent[:3].tolist() == [0, 0, -1]
 
 
 _PINNED_CONFIGS = {

@@ -639,6 +639,10 @@ def test_a_scheme_reads_its_ratio_bound_before_any_level_is_built(monkeypatch, k
     (lambda: GridScheme("jittered", ratio_bound=1.0), "ratio bound C must exceed 1"),
     (lambda: GridScheme("rd_translated_cubes", sub_kind="hex", cubes=((0.0,),)),
      "unknown per-cube scheme 'hex'"),
+    (lambda: GridScheme("jittered", sub_kind="jittered"),
+     "sub_kind is for rd schemes; a jittered scheme got sub_kind='jittered'"),
+    (lambda: GridScheme("uniform", sub_kind="jittered"),
+     "sub_kind is for rd schemes; a uniform scheme got sub_kind='jittered'"),
     (lambda: GridScheme("rd_translated_cubes", d=2, cubes=((0.0,),)),
      "cubes of dimension 1 for a scheme with d=2"),
     (lambda: GridScheme("rd_translated_cubes", d=2, cubes=CubeBox((1,))),
@@ -657,6 +661,18 @@ def test_a_scheme_checks_its_fields_on_construction(monkeypatch, build, message)
     with pytest.raises(ValueError) as info:
         build()
     assert info.type is ValueError and str(info.value) == message
+
+
+def test_a_scheme_describes_a_seed_only_where_its_cells_are_jittered():
+    cubes = ((0.0,),)
+    for scheme, jittered in [
+            (GridScheme("uniform"), False), (GridScheme("jittered"), True),
+            (GridScheme("rd_translated_cubes", cubes=cubes), False),
+            (GridScheme("rd_translated_cubes", cubes=cubes, sub_kind="jittered"), True),
+            (GridScheme("jittered").with_cubes(cubes), True)]:
+        described = scheme.describe()
+        assert ("seed" in described) is jittered
+        assert ("cells_per_axis" in described) is jittered
 
 
 def test_a_scheme_without_cubes_is_valid_until_a_level_is_asked_for():

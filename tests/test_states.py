@@ -495,6 +495,29 @@ def test_a_density_weight_that_is_not_a_finite_real_raises(weight, shown, renorm
     assert str(info.value) == f"weight[1] must be a finite real number, got {shown}"
 
 
+def test_renormalizing_weights_whose_sum_overflows_raises():
+    # 1e308 + 1e308 is inf, and p / inf would give the weights (0.0, 0.0)
+    with pytest.raises(ValueError) as info:
+        make_density([(1e308, _SINE1), (1e308, _SINE2)], renormalize=True)
+    assert info.type is ValueError
+    assert str(info.value) == "weights sum to inf, which cannot be renormalised"
+    rho = make_density([(1e307, _SINE1), (3e307, _SINE2)], renormalize=True)
+    assert [p for p, _ in rho.terms] == [0.25, 0.75] and rho.declared_trace == 1.0
+
+
+@pytest.mark.parametrize("d, shown", [(1.5, "1.5"), ("2", "'2'"), (None, "None")])
+def test_a_domain_dimension_must_be_an_integer(d, shown):
+    with pytest.raises(ValueError) as info:
+        Domain("unit_cube", d)
+    assert info.type is ValueError and str(info.value) == f"d must be an integer, got {shown}"
+
+
+def test_an_integral_domain_dimension_is_read_as_an_int():
+    for d in (2.0, np.int64(2), 2):
+        domain = Domain("unit_cube", d)
+        assert type(domain.d) is int and domain == Domain.unit_cube(2)
+
+
 @pytest.mark.parametrize("catalog, params, message", [
     ("indicator", {"a": "0.2", "b": 0.7}, "a must be a finite real number, got '0.2'"),
     ("indicator", {"a": 0.2, "b": np.nan}, "b must be a finite real number, got nan"),
