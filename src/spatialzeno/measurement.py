@@ -92,8 +92,7 @@ TABLE_BYTE_LIMIT = _physical_memory()
 _TABLE_BYTES_PER_BIN = 16 + 16 + 16
 # bytes per term pair and cell of a kept float64 pair table: the cells of
 # every axis, and per cell of one block its phase tables and pair
-# integrals (``_kept_cell_bytes`` counts a complex128 table at three times
-# this)
+# integrals (``_kept_cell_bytes`` counts a complex128 table at twice this)
 _CELL_BYTES = 8
 
 
@@ -279,9 +278,8 @@ def _spectrum(state):
 
 def _kept_cell_bytes(bra, ket, level: GridLevel) -> int:
     """Bytes per cell of the kept cell table of the term pairs of bra and
-    ket: _CELL_BYTES per pair when every pair's cells are float64.  A table
-    that meets a complex pair is promoted from float64 to complex128, and
-    both exist while it is copied, so it counts 3 * _CELL_BYTES per pair.
+    ket: _CELL_BYTES per pair when every pair's cells are float64, and
+    2 * _CELL_BYTES, complex128, when one pair's are complex.
 
     Each distinct factor pair's closed form on the level's hull, one cell
     per axis, has the dtype of its cells; a pair without a closed form
@@ -292,7 +290,7 @@ def _kept_cell_bytes(bra, ket, level: GridLevel) -> int:
     for f, g, k in {(bf[k], kf[k], k) for _, bf, kf in pairs for k in range(level.d)}:
         cells = exact_cell_integrals(f, g, hull[k])
         if cells is None or np.iscomplexobj(cells):
-            return 3 * _CELL_BYTES * len(pairs)
+            return 2 * _CELL_BYTES * len(pairs)
     return _CELL_BYTES * len(pairs)
 
 
@@ -595,34 +593,32 @@ def _uniform_chunks(seq: np.random.SeedSequence, start: int, count: int):
         yield s, chunk
 
 
-def _draw(psi, phi, level, cfg, keep_per_bin, seq, start, x, y, which=None, l=0):
-    """Fill x, y with the (X, Y) draws of a pure state: X by inverse CDF
-    over the bin masses at the uniforms ``start`` onwards of the stream of
-    ``seq``, Y = 1 when the uniform ``x.size`` further on is below
-    P(Y=1 | X).  With ``which``, only the draws whose term index is ``l``.
+def _draw(state, phi, level, cfg, keep_per_bin, seq, x, y):
+    """Fill x, y with the (X, Y) draws of a pure or density state: X by
+    inverse CDF over the bin masses at the first ``x.size`` uniforms of the
+    stream of ``seq``, Y = 1 when the uniform ``x.size`` further on is below
+    P(Y=1 | X).
 
-    The CDF is built in place of the masses and P(Y=1 | X) in place of the
-    P(Y=1) table, and the draws are made DRAW_BLOCK at a time from two
-    stream cursors, so the two tables, the CDF's int32 guide and one chunk
-    are all this adds to the draw arrays.
+    The tables are ``joint_distribution``'s (``_per_bin_tables``): a
+    density state's are the mixed sums over its spectral terms.  The CDF
+    is built in place of the masses and P(Y=1 | X) in place of the P(Y=1)
+    table, and the draws are made DRAW_BLOCK at a time from two stream
+    cursors, so the two tables, the CDF's int32 guide and one chunk are all
+    this adds to the draw arrays.
     """
-    masses, cond = _per_bin_tables(psi, phi, level, cfg, keep_per_bin)
+    masses, cond = _per_bin_tables(state, phi, level, cfg, keep_per_bin)
     cond[masses <= 0] = 0.0
     np.divide(cond, masses, out=cond, where=masses > 0)
     cdf = np.cumsum(masses, out=masses)
     if not cdf[-1] > 0.0:
-        raise ZeroMassBinError(f"state {psi.label!r} has no mass on the level")
+        raise ZeroMassBinError("the state has no mass on the level")
     cdf /= cdf[-1]
     guide = _guide(cdf)
-    for (s, u_x), (_, u_y) in zip(_uniform_chunks(seq, start, x.size),
-                                  _uniform_chunks(seq, start + x.size, x.size)):
-        if which is None:
-            pick, at = slice(None), slice(s, s + u_x.size)
-        else:
-            pick = np.flatnonzero(which[s:s + u_x.size] == l)
-            at = pick + s
-        x[at] = xs = _inverse_cdf(cdf, u_x[pick], guide)
-        y[at] = u_y[pick] < cond[xs]
+    for (s, u_x), (_, u_y) in zip(_uniform_chunks(seq, 0, x.size),
+                                  _uniform_chunks(seq, x.size, x.size)):
+        at = slice(s, s + u_x.size)
+        x[at] = xs = _inverse_cdf(cdf, u_x, guide)
+        y[at] = u_y < cond[xs]
 
 
 def sample_xy(state, phi: WaveFunction, level: GridLevel,
@@ -635,47 +631,25 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
     Deterministic for fixed (seed, stream); distinct streams are
     independent substreams for concurrent use.  Zero-mass bins are never
     drawn, and a level where the state has no mass raises ZeroMassBinError.
-    For density states the spectral term l is drawn first, with weight
-    p_l M_l for M_l its mass on the level, so X follows the normalised
-    marginal of ``joint_distribution`` also where the level holds only part
-    of a term's mass; a term with no mass on the level is never drawn.
-    A non-integral ``count``, a ``count`` below 1, and a negative or
-    non-integral ``seed`` or ``stream`` raise ValueError before any table
-    is built.
+    Pure and density states take one path: the tables are those of
+    ``joint_distribution``, so X follows its normalised marginal and Y
+    given X its conditional, also where the level holds only part of the
+    state's mass.  A non-integral ``count``, a ``count`` below 1, and a
+    negative or non-integral ``seed`` or ``stream`` raise ValueError before
+    any table is built.
 
-    The uniforms come from one PCG64 stream: a pure state's X uniforms
-    are its first ``count`` and its Y uniforms the next ``count``; a
-    density state's term uniforms come first, then X and Y.  They are
-    drawn DRAW_BLOCK at a time, so beyond the tables a sample holds its
-    9 B per draw (x and y), and a density state's 1 B term index.
+    The uniforms come from one PCG64 stream: the X uniforms are its first
+    ``count`` and the Y uniforms the next ``count``, for every state.  They
+    are drawn DRAW_BLOCK at a time, so beyond the tables a sample holds its
+    9 B per draw (x and y).
     """
     count = _int("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_pair(state, phi, level)
     seed, stream = _seed("seed", seed), _seed("stream", stream)
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    terms = _spectrum(state)
-    which, drawn, start = None, (True,), 0
-    if isinstance(state, DensityState):
-        weights = np.array([p_l * max(_mass_pass(psi, level, cfg, keep=False)[0], 0.0)
-                            for p_l, psi in terms])
-        term_cdf = np.cumsum(weights)
-        if not term_cdf[-1] > 0.0:
-            raise ZeroMassBinError("the density state has no mass on the level")
-        term_cdf /= term_cdf[-1]
-        term_guide = _guide(term_cdf)
-        which = np.empty(count, dtype=np.min_scalar_type(len(terms) - 1))
-        drawn = np.zeros(len(terms), dtype=bool)
-        for s, u in _uniform_chunks(seq, 0, count):
-            chunk = _inverse_cdf(term_cdf, u, term_guide)
-            which[s:s + u.size] = chunk
-            drawn[chunk] = True
-        start = count
     x = np.empty(count, dtype=np.int64)
     y = np.empty(count, dtype=np.int8)
-    # one term's tables at a time, built only when the term was drawn
-    for l, (_, psi_l) in enumerate(terms):
-        if drawn[l]:
-            _draw(psi_l, phi, level, cfg, keep_per_bin, seq, start, x, y, which, l)
+    _draw(state, phi, level, cfg, keep_per_bin,
+          np.random.SeedSequence(entropy=seed, spawn_key=(stream,)), x, y)
     return SampleBatch(x=x, y=y, seed=seed, stream=stream)

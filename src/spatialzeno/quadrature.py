@@ -255,6 +255,13 @@ def _axis_pass(pairs, k: int, edges: np.ndarray, cfg: QuadratureConfig,
     (P, block) buffer.  The block's rows V are reduced by one matrix product
     per Gram before the next block is walked.  V and the sums are real
     while every pair's cells are; a complex pair promotes them, exactly.
+    Promotion copies out the cells written so far, drops the float64 rows
+    and then makes the complex128 ones.  A pair's cells have one dtype on
+    every block (``exact_cell_integrals`` decides it from the pair's
+    coefficients, ``numeric_cell_integrals`` is always complex), so the
+    first complex pair is met in the first block, where only that block's
+    walked rows are copied: complex kept cells peak at 16 B per pair and
+    cell, the 2x count of ``measurement._kept_cell_bytes``.
     """
     shared_by: dict = {}  # each distinct (bra, ket) primitive pair: its term pairs
     for a, (_, bf, kf) in enumerate(pairs):
@@ -263,19 +270,26 @@ def _axis_pass(pairs, k: int, edges: np.ndarray, cfg: QuadratureConfig,
     G = np.zeros((P, P)) if gram else None
     G_bar = np.zeros((P, P)) if with_bar else None
     extra = np.zeros(P) if gram else None
-    rows = np.empty((P, m if keep else min(m, PAIR_BLOCK)))
+    width = m if keep else min(m, PAIR_BLOCK)
+    rows = np.empty((P, width))
     for start in range(0, m, PAIR_BLOCK):
         block = edges[start:start + PAIR_BLOCK + 1]
         phases = PhaseTable(block)
         lo = start if keep else 0
         span = slice(lo, lo + block.size - 1)
+        done = []  # the term pairs whose cells this block has written
         for (bf, kf), shared in shared_by.items():
             vals, err = cell_integrals(bf, kf, block, cfg, phases=phases)
             if np.iscomplexobj(vals) and not np.iscomplexobj(rows):
-                G, G_bar, rows = (None if x is None else x.astype(complex)
-                                  for x in (G, G_bar, rows))
+                G, G_bar = (None if x is None else x.astype(complex) for x in (G, G_bar))
+                kept, walked = rows[:, :lo].astype(complex), rows[done, span].astype(complex)
+                rows = None
+                rows = np.empty((P, width), dtype=complex)
+                rows[:, :lo], rows[done, span] = kept, walked
+                del kept, walked
             for a in shared:
                 rows[a, span] = vals
+            done += shared
             # closed-form pairs carry all-zero errors
             if gram and err.any():
                 extra[shared] += float(np.sum((2.0 * np.abs(vals) + err) * err))

@@ -719,10 +719,11 @@ _PINNED_CONFIGS = {
                    "grid": {"kind": "jittered", "C": 1.5, "seed": 6},
                    "n": 40, "output": {"stem": "disc"}},
 }
-# sha256 of each file those configs write, as the row-by-row CSV writer wrote them
+# sha256 of each file those configs write, as the row-by-row CSV writer wrote
+# them; the sample's are the draws of the density's mixed joint table
 _PINNED_DIGESTS = {
-    "sample.csv": "c0b6b078bd40347cff8e93f4500d59a08ca9948247357c5a4450eda43cfc9553",
-    "sample.json": "bc89b52b97efdbf42ceb7ad740f5690bc087d3ada017419956cfe1d1b4f7fdd8",
+    "sample.csv": "d2d31a5d5ebe7f113e20f91197bd5a28313897c31d1cc4c9bcdc5798a4f5f020",
+    "sample.json": "09731758f03ce7159c47aa7d62a11d2d3131f17b76d77bb56d995c57cd87b4c3",
     "joint.csv": "1ca400d09ee518198674cd4212fd5c347c4abbba380abbf18db25152a9dc9e9b",
     "joint.json": "58cfc0ffdedca012487c5b3decf699ddbcc583930c11c57da50c02038cdeae26",
     "disc.csv": "91c1366361bbbf92d3aaeea58f8aaac159819ca350c238827d0c8b6b576fbf52",

@@ -403,8 +403,8 @@ def test_density_table_peak_stays_within_the_counted_bytes():
     level = uniform_grid(300, 2)
     # prob_y1_mixed keeps the float64 mass sum and builds one term's masses
     # at a time with their buffer; the joint table holds the float64 P(Y=1)
-    # and mass sums instead of a pure state's amplitudes; the sampler builds
-    # one drawn term's tables at a time
+    # and mass sums instead of a pure state's amplitudes, and so does the
+    # sampler
     for rho in (make_rho() for make_rho in DENSITIES.values()):
         for per_bin, call in (
                 (8 + 16 + 16, lambda: prob_y1_mixed(rho, phi, level, keep_per_bin=True)),
@@ -468,9 +468,9 @@ def test_kept_cell_tables_count_against_the_limit(monkeypatch):
 @pytest.mark.parametrize("case", ["real", "complex"])
 def test_table_guard_counts_the_dtype_built(case):
     # the 24 sine modes' psi-psi cells are float64 and counted at 8 B per
-    # pair and cell; the 8 exponentials' are complex128 and counted at 24 B
-    # (the table is promoted from float64 while it is walked); either count
-    # is at least the build's peak and at most twice it
+    # pair and cell; the 8 exponentials' are complex128 and counted at 16 B
+    # (the first block promotes the table before the rest is walked); either
+    # count is at least the build's peak and at most twice it
     import tracemalloc
 
     if case == "real":
@@ -478,7 +478,7 @@ def test_table_guard_counts_the_dtype_built(case):
     else:
         psi, level = _exponentials([1, -2, 3, 5, -7, 9, 4, -6], 7), uniform_grid(2 ** 15)
     phi = make_state("uniform")
-    per_pair = {"real": 8, "complex": 24}[case]
+    per_pair = {"real": 8, "complex": 16}[case]
     pairs = len(psi.terms) ** 2
     assert measurement._kept_cell_bytes(psi, psi, level) == per_pair * pairs
     counted = measurement._table_bytes(level, measurement._TABLE_BYTES_PER_BIN,
@@ -490,6 +490,25 @@ def test_table_guard_counts_the_dtype_built(case):
     finally:
         tracemalloc.stop()
     assert peak <= counted <= 2 * peak, counted / peak
+
+
+def test_complex_kept_cells_are_not_held_twice():
+    # the 8 exponentials' 64 psi-psi pairs are complex from the first block
+    # on, so the kept table is complex128 before the other blocks are
+    # walked: 16 B per pair and cell, where promoting a whole float64
+    # table held 24
+    import tracemalloc
+
+    psi, phi = _exponentials([1, -2, 3, 5, -7, 9, 4, -6], 7), make_state("uniform")
+    level = uniform_grid(2 ** 16)
+    tracemalloc.start()
+    try:
+        prob_y1_pure(psi, phi, level, keep_per_bin=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak > level.num_bins * 64 * 16
+    assert peak <= _kept_count(level, 2 * 64), peak
 
 
 def test_mixed_masses_are_built_without_amplitudes():
