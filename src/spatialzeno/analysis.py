@@ -139,7 +139,10 @@ def fit_rate(rows, window: tuple[int, int] | None = None
             f"rate fit needs at least 3 usable rows, got {len(pairs)}")
     x = np.log([n for n, _ in pairs])
     y = np.log([p for _, p in pairs])
-    slope, intercept = np.polyfit(x, y, 1)
+    # centred least squares, each sum exactly rounded (math.fsum)
+    x_mean, y_mean = math.fsum(x) / x.size, math.fsum(y) / y.size
+    slope = math.fsum((x - x_mean) * (y - y_mean)) / math.fsum((x - x_mean) ** 2)
+    intercept = y_mean - slope * x_mean
     resid = y - (slope * x + intercept)
     return float(-slope), float(np.exp(intercept)), float(np.sqrt(np.mean(resid ** 2)))
 
@@ -245,7 +248,7 @@ def riemann_limit_check(phi: WaveFunction, psi: WaveFunction,
     rows = [(r.n, float(r.n ** d * r.p_y1), float(r.bar_norm_sq))
             for r in _study_rows(psi, phi, scheme, n_list, cfg)]
     f = product_field(phi, psi)
-    reference = _region_integral(f, f, [np.array([0.0, 1.0])] * d, cfg).real
+    reference = _region_integral(f, f, [np.array([0.0, 1.0])] * d, cfg).value.real
     limit_estimate = rows[-1][1]
     rel = abs(limit_estimate - reference) / reference if reference > 0 else np.inf
     return RiemannCheck(limit_estimate=limit_estimate, reference=reference,
@@ -267,7 +270,7 @@ def _box_masses(state, K: int, d: int, cfg: QuadratureConfig) -> np.ndarray:
         w, axes = _pair_data(psi, psi, edges, cfg, keep=True, gram=False)
         windows = math.prod(np.cumsum(ax.cells[:, K - 1::-1] + ax.cells[:, K:], axis=1)
                             for ax in axes)
-        masses += p_l * np.real(w @ windows)
+        masses += p_l * np.real(np.add.reduce(w[:, None] * windows))
     return masses
 
 

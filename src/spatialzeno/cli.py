@@ -9,11 +9,10 @@ Subcommands::
 Flags: ``--output-dir``, ``--format csv|json|both``.  Exit codes:
 0 success, 2 unreadable/unparsable config, 3 schema violation, 4 compute
 failure.  Every output file embeds the schema version and a hash of the
-config, and identical configs reproduce byte-identical outputs at a fixed
-BLAS thread count (every computation runs in one Python thread, and
-volatile timings are never serialized; a BLAS product split over threads,
-such as the one-term bar Gram's dot product, can change in its last bit
-with the thread count).
+config, and identical configs reproduce byte-identical outputs for one
+numpy build and SIMD level, on any BLAS kernel and thread count (every
+computation runs in one Python thread, no sum that reaches an output is
+a BLAS product, and volatile timings are never serialized).
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -415,10 +415,11 @@ def _column_fields(a: np.ndarray):
     return a, _str_fields
 
 
-def _csv_lines(header: list[str], columns: list, chash: str) -> str:
-    """CSV text from one sequence of values per header field: float columns
-    with 17 significant digits (``%.17g``, the digits of ``f"{x:.17g}"``),
-    other columns (integers) with ``%s``.
+def _csv_lines(header: list[str], columns: list, chash: str) -> Iterator[str]:
+    """CSV text of one sequence of values per header field, yielded as the
+    header lines and then one string per block: float columns with 17
+    significant digits (``%.17g``, the digits of ``f"{x:.17g}"``), other
+    columns (integers) with ``%s``.
 
     Each block of CSV_BLOCK rows is one uint8 matrix: each column's
     padded fields (``_float_fields``; ``_int_fields`` for an integer
@@ -431,19 +432,17 @@ def _csv_lines(header: list[str], columns: list, chash: str) -> str:
     arrays = [np.asarray(c) for c in columns]
     writers = [_column_fields(a) for a in arrays]
     rows = len(arrays[0])
-    pieces = [f"# schema_version={SCHEMA_VERSION} config_hash={chash}\n",
-              ",".join(header) + "\n"]
+    yield f"# schema_version={SCHEMA_VERSION} config_hash={chash}\n{','.join(header)}\n"
     for s in range(0, rows, CSV_BLOCK):
         n = min(CSV_BLOCK, rows - s)
         comma = np.full((n, 1), 44, np.uint8)
         row = np.hstack([f for a, fields in writers for f in (fields(a[s:s + n]), comma)])
         row[:, -1] = 10
-        pieces.append(row.tobytes().translate(None, b" ").decode("ascii"))
-    return "".join(pieces)
+        yield row.tobytes().translate(None, b" ").decode("ascii")
 
 
-def _run_experiment(config: dict) -> tuple[str, float, dict, str]:
-    """Returns (key name, key scalar, json payload, csv text body)."""
+def _run_experiment(config: dict) -> tuple[str, float, dict, Iterator[str]]:
+    """Returns (key name, key scalar, json payload, csv text blocks)."""
     chash = config_hash(config)
     experiment = config["experiment"]
     scheme = build_scheme(config["grid"], config["d"])
@@ -580,8 +579,9 @@ def run(config_path: str, output_dir: str | None = None,
         stem = out_spec.get("stem", config["experiment"])
         chosen = fmt or out_spec.get("format", "both")
         try:
-            key, value, payload, csv_text = _run_experiment(config)
-            # RFC 8259 JSON has no NaN or Infinity: such a result is a failure
+            key, value, payload, csv_blocks = _run_experiment(config)
+            # RFC 8259 JSON has no NaN or Infinity: such a result is a failure,
+            # found before any file is written
             json_text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         except CliError:
             raise
@@ -591,7 +591,8 @@ def run(config_path: str, output_dir: str | None = None,
         paths = []
         if chosen in ("csv", "both"):
             p = directory / f"{stem}.csv"
-            p.write_text(csv_text)
+            with p.open("w") as f:
+                f.writelines(csv_blocks)  # each block written as it is made
             paths.append(str(p))
         if chosen in ("json", "both"):
             p = directory / f"{stem}.json"

@@ -157,7 +157,7 @@ def _residual_gram(factors, averages: np.ndarray, edges: np.ndarray,
         F = np.array([fk(x) for fk in factors])
         A = np.repeat(averages[:, start:start + step], p, axis=1)
         U = np.concatenate([F, F - A, A])
-        G = G + (U * w) @ U.conj().T
+        G = G + np.einsum("ai,bi->ab", U * w, U.conj(), optimize=False)
     return G
 
 
@@ -212,7 +212,7 @@ def discretization_error(f, level: GridLevel,
         for k in range(part.d):
             expanded = np.repeat(expanded, p, axis=k)
         diff2 = np.abs(per_cell - expanded).ravel() ** 2
-        total += float(np.real(np.dot(w, diff2)))
+        total += float(np.real(np.add.reduce(w * diff2)))
     return float(np.sqrt(max(total, 0.0)))
 
 

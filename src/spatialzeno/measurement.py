@@ -30,9 +30,9 @@ from .quadrature import (
     DEFAULT_CONFIG,
     PAIR_BLOCK,
     QuadratureConfig,
-    _linear_total,
     _pair_data,
     _region_integral,
+    _root_gap,
     bin_inner_product,
     bin_mass,
 )
@@ -169,29 +169,14 @@ def _gram_form(weights: np.ndarray, grams) -> float:
 
 def _error_bound(weights: np.ndarray, sq: np.ndarray, extra: np.ndarray) -> float:
     """sum_ab |w_a||w_b| (s_hi_a s_hi_b - s_a s_b) for (P, d) per-axis sums
-    ``sq`` = sum |M|^2 and ``extra`` = sum 2|M|e + e^2, where s_a^2 =
-    prod_k sq and s_hi_a^2 = prod_k (sq + extra) = prod_k sum (|M| + e)^2.
-
-    Every difference of nearly equal products is telescoped into a sum of
-    nonnegative terms, so no digits cancel, and all-zero ``extra`` gives
-    exactly 0.0.
-    """
+    ``sq`` and ``extra`` (``_root_gap``); all-zero ``extra`` gives 0.0."""
     if not extra.any():
         return 0.0
-    hi = sq + extra
-    d = sq.shape[1]
-    # prod_k hi - prod_k sq = sum_k (prod_{j<k} hi_j) extra_k (prod_{j>k} sq_j)
-    diff = np.zeros(sq.shape[0])
-    for k in range(d):
-        diff += (np.prod(hi[:, :k], axis=1) * extra[:, k]
-                 * np.prod(sq[:, k + 1:], axis=1))
-    s = np.sqrt(np.prod(sq, axis=1))
-    s_hi = np.sqrt(np.prod(hi, axis=1))
-    # s_hi - s = (s_hi^2 - s^2) / (s_hi + s); 0 when both are 0
-    delta = np.divide(diff, s_hi + s, out=np.zeros_like(diff), where=diff > 0.0)
+    s, s_hi, delta = _root_gap(sq, extra)
     a = np.abs(weights)
     # (sum a s_hi)^2 - (sum a s)^2 = (sum a (s_hi - s)) (sum a s_hi + sum a s)
-    return float(np.dot(a, delta) * (np.dot(a, s_hi) + np.dot(a, s)))
+    return float(np.add.reduce(a * delta)
+                 * (np.add.reduce(a * s_hi) + np.add.reduce(a * s)))
 
 
 def _per_bin_arrays(weights, axes_cells) -> np.ndarray:
@@ -301,35 +286,31 @@ def _kept_tables(state, phi):
 
 
 def _part_masses(psi: WaveFunction, part: ProductGrid, cfg: QuadratureConfig):
-    """(mass, per-bin masses) of psi on one product part."""
+    """The per-bin masses of psi on one product part."""
     w, axes = _pair_data(psi, psi, part.breakpoints, cfg, keep=True, gram=False)
     cells = [ax.cells for ax in axes]
-    total = _linear_total(w, cells).real
     if any(np.iscomplexobj(c) for c in cells):
-        return total, np.real(_per_bin_arrays(w, cells))
+        return np.real(_per_bin_arrays(w, cells))
     # real cells: Re(w) M is Re(w M) bit for bit, built in float64
-    return total, _per_bin_arrays(w.real, cells)
+    return _per_bin_arrays(w.real, cells)
 
 
 def _mass_pass(state, level: GridLevel, cfg: QuadratureConfig, keep: bool):
     """(mass_total, masses|None): sum_l p_l ||P_j psi_l||^2 over the
-    spectral terms, per bin when ``keep`` (the only case that builds psi-psi
-    per-cell arrays), else from each part's hull; each term's masses are
-    scaled and added into the sum in place."""
+    spectral terms, the total from each part's hull and the per-bin masses
+    only when ``keep`` (the only case that walks the level's psi-psi cells);
+    each term's masses are scaled and added into the sum in place."""
     mass_total, masses = 0.0, None
     for p_l, psi in _spectrum(state):
+        # each part's hull, one cell [bp[0], bp[-1]] per axis
+        hulls = ([bp[[0, -1]] for bp in part.breakpoints] for part in level.parts)
+        mass_total += p_l * sum(_region_integral(psi, psi, hull, cfg).value.real
+                                for hull in hulls)
         if keep:
-            totals, parts = zip(*(_part_masses(psi, part, cfg) for part in level.parts))
-            term_total, term = sum(totals), _joined(parts)
-            del parts
+            term = _joined([_part_masses(psi, part, cfg) for part in level.parts])
             term *= p_l
             masses = term if masses is None else np.add(masses, term, out=masses)
             del term  # it goes before the next term's masses are built
-        else:
-            # each part's hull, one cell [bp[0], bp[-1]] per axis
-            hulls = ([bp[[0, -1]] for bp in part.breakpoints] for part in level.parts)
-            term_total = sum(_region_integral(psi, psi, hull, cfg).real for hull in hulls)
-        mass_total += p_l * term_total
     return mass_total, masses
 
 
@@ -458,16 +439,22 @@ def bar_norm_squared(psi: WaveFunction, phi: WaveFunction, level: GridLevel,
     return _pair_pass(psi, phi, level, cfg, keep=False, with_bar=True).bar_norm_sq
 
 
+def _bin_mass_or_raise(psi: WaveFunction, cell: Bin, cfg: QuadratureConfig) -> float:
+    """``bin_mass``; raises ZeroMassBinError when the bin carries no mass."""
+    mass = bin_mass(psi, cell, cfg)
+    if mass <= 0.0:
+        raise ZeroMassBinError(f"state {psi.label!r} has zero mass in bin "
+                               f"{cell.lower}..{cell.upper}")
+    return mass
+
+
 def collapse(psi: WaveFunction, cell: Bin,
              cfg: QuadratureConfig = DEFAULT_CONFIG) -> WaveFunction:
     """Post-measurement state P_B psi / ||P_B psi|| after outcome X in B.
 
     Raises ZeroMassBinError when the bin carries no mass.
     """
-    mass = bin_mass(psi, cell, cfg)
-    if mass <= 0.0:
-        raise ZeroMassBinError(f"state {psi.label!r} has zero mass in bin "
-                               f"{cell.lower}..{cell.upper}")
+    mass = _bin_mass_or_raise(psi, cell, cfg)
     out = psi.restrict(cell, 1.0 / np.sqrt(mass))
     nsq = out.norm_squared()
     if abs(nsq - 1.0) > 1e-9:
@@ -479,10 +466,7 @@ def collapse(psi: WaveFunction, cell: Bin,
 def prob_y1_given_bin(psi: WaveFunction, phi: WaveFunction, cell: Bin,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """|<phi|psi'>|^2 for the collapsed state psi' of the bin."""
-    mass = bin_mass(psi, cell, cfg)
-    if mass <= 0.0:
-        raise ZeroMassBinError(f"state {psi.label!r} has zero mass in bin "
-                               f"{cell.lower}..{cell.upper}")
+    mass = _bin_mass_or_raise(psi, cell, cfg)
     amp = bin_inner_product(phi, psi, cell, cfg).value
     return _clamp_probability(abs(amp) ** 2 / mass)
 

@@ -13,18 +13,19 @@ own values times (x - a)^gamma at nodes inside the cell, never the value
 at a.  The reported error estimate is the difference between the order-p
 and order-p/2 results.
 
-Sums over bins use numpy reductions (pairwise summation) in bin-index
-order, so runs are reproducible bit for bit at a fixed BLAS thread count.
-A Gram product that BLAS splits over its threads can change in its last
-bit with that count: with one term pair the bar Gram ``(V / h) @ V.T`` is
-a threaded ``ddot`` (the plain Gram, a ``syrk``, does not move).
+Sums over bins use numpy's own reductions (``np.add.reduce``, pairwise
+summation, and ``np.einsum`` with ``optimize=False`` for the Grams) in
+bin-index order, never a BLAS product, so runs are reproducible bit for
+bit for one numpy build and SIMD level, on any BLAS kernel and thread
+count.
 
 The module also owns the per-axis pair table (``_pair_data``), which
 every region integral of a separable sum reads: P(Y=1) and the bin tables
 of a product grid, hull masses, inner products over the domain box, the
 R^d captured mass, the bar-chart averages and the Riemann-check reference
-(the integral of |phi psi|^2 over the unit cube).  A region without a
-closed form is integrated numerically as one cell, as a bin is.
+(the integral of |phi psi|^2 over the unit cube).  A box of one cell per
+axis, a bin among them, is ``_region_integral``; a pair without a closed
+form integrates it numerically as one cell.
 
 ``l2_distance`` and ``l2_norm`` integrate over a grid level only: tensor
 Gauss-Legendre on each part's cells, with every operand evaluated at the
@@ -135,7 +136,7 @@ def _gl_cells(pair: PairFactor, edges: np.ndarray, p: int) -> np.ndarray:
     """Order-p Gauss-Legendre on every cell of ``edges`` at once."""
     nodes, _ = _axis_rule(edges, p)
     vals = pair(nodes).reshape(-1, p)
-    return (vals @ _gl_rule(p)[1]) * (0.5 * np.diff(edges))
+    return np.add.reduce(vals * _gl_rule(p)[1], axis=1) * (0.5 * np.diff(edges))
 
 
 def _gj_single(pair: PairFactor, a: float, b: float, gamma: float, p: int) -> complex:
@@ -144,7 +145,7 @@ def _gj_single(pair: PairFactor, a: float, b: float, gamma: float, p: int) -> co
     t, w = _gj_rule(p, gamma)
     x = a + (b - a) * (1.0 + t) / 2.0
     smooth = pair(x) * (x - a) ** gamma
-    return complex(((b - a) / 2.0) ** (1.0 - gamma) * np.dot(w, smooth))
+    return complex(((b - a) / 2.0) ** (1.0 - gamma) * np.add.reduce(w * smooth))
 
 
 def _adaptive(pair: PairFactor, a: float, b: float, cfg: QuadratureConfig, sing,
@@ -241,7 +242,7 @@ class _AxisSums(NamedTuple):
 
     gram: np.ndarray | None        # (P, P): sum_i M_a[i] conj(M_b[i])
     gram_bar: np.ndarray | None    # the same with each cell divided by its length
-    extra: np.ndarray | None       # (P,): sum_i 2|M_a[i]| e_a[i] + e_a[i]^2
+    extra: np.ndarray              # (P,): sum_i 2|M_a[i]| e_a[i] + e_a[i]^2
     cells: np.ndarray | None       # (P, cells): every M_a, when kept
 
 
@@ -269,7 +270,7 @@ def _axis_pass(pairs, k: int, edges: np.ndarray, cfg: QuadratureConfig,
     P, m = len(pairs), edges.size - 1
     G = np.zeros((P, P)) if gram else None
     G_bar = np.zeros((P, P)) if with_bar else None
-    extra = np.zeros(P) if gram else None
+    extra = np.zeros(P)
     width = m if keep else min(m, PAIR_BLOCK)
     rows = np.empty((P, width))
     for start in range(0, m, PAIR_BLOCK):
@@ -291,14 +292,14 @@ def _axis_pass(pairs, k: int, edges: np.ndarray, cfg: QuadratureConfig,
                 rows[a, span] = vals
             done += shared
             # closed-form pairs carry all-zero errors
-            if gram and err.any():
+            if err.any():
                 extra[shared] += float(np.sum((2.0 * np.abs(vals) + err) * err))
         if gram:
             V = rows[:, span]
-            V_h = V.conj().T if np.iscomplexobj(V) else V.T
-            G += V @ V_h
+            V_c = V.conj() if np.iscomplexobj(V) else V
+            G += np.einsum("ai,bi->ab", V, V_c, optimize=False)
             if with_bar:
-                G_bar += (V / np.diff(block)) @ V_h
+                G_bar += np.einsum("ai,bi->ab", V / np.diff(block), V_c, optimize=False)
     return _AxisSums(G, G_bar, extra, rows if keep else None)
 
 
@@ -327,24 +328,46 @@ def _pair_data(phi: SeparableFunction, psi: SeparableFunction,
     return np.array([w for w, _, _ in pairs]), axes
 
 
-def _linear_total(weights, axes_cells) -> complex:
-    """sum_j sum_a w_a prod_k M_a,k[j_k], the pairs summed in order."""
-    sums = [cells.sum(axis=1).tolist() for cells in axes_cells]
-    total = 0j
-    for a, w in enumerate(weights.tolist()):
-        for s in sums:
-            w *= s[a]
-        total += w
-    return total
+def _root_gap(sq: np.ndarray, extra: np.ndarray):
+    """(s, s_hi, s_hi - s) per row of (P, d) per-axis sums ``sq`` = sum |M|^2
+    and ``extra`` = sum 2|M|e + e^2, where s^2 = prod_k sq and s_hi^2 =
+    prod_k (sq + extra) = prod_k sum (|M| + e)^2.
+
+    The difference of the nearly equal products is telescoped into a sum
+    of nonnegative terms, so no digits cancel, and an all-zero row of
+    ``extra`` gives exactly 0.0.
+    """
+    hi = sq + extra
+    # prod_k hi - prod_k sq = sum_k (prod_{j<k} hi_j) extra_k (prod_{j>k} sq_j)
+    diff = np.zeros(sq.shape[0])
+    for k in range(sq.shape[1]):
+        diff += (np.prod(hi[:, :k], axis=1) * extra[:, k]
+                 * np.prod(sq[:, k + 1:], axis=1))
+    s = np.sqrt(np.prod(sq, axis=1))
+    s_hi = np.sqrt(np.prod(hi, axis=1))
+    # s_hi - s = (s_hi^2 - s^2) / (s_hi + s); 0 when both are 0
+    return s, s_hi, np.divide(diff, s_hi + s, out=np.zeros_like(diff), where=diff > 0.0)
 
 
 def _region_integral(phi: SeparableFunction, psi: SeparableFunction,
                      axes_edges: Sequence[np.ndarray],
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Integral of conj(phi)*psi over the box covered by ``axes_edges``
-    (one cell ``[lo, hi]`` per axis reads the box as a single cell)."""
+                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> Integral:
+    """Integral of conj(phi)*psi over a box, one cell ``[lo, hi]`` per axis
+    in ``axes_edges``, with the error sum_a |w_a| (prod_k (|M_ak| + e_ak)
+    - prod_k |M_ak|) of the cells' estimates e (0.0 on closed forms)."""
     w, axes = _pair_data(phi, psi, axes_edges, cfg, keep=True, gram=False)
-    return _linear_total(w, [ax.cells for ax in axes])
+    cells = [ax.cells for ax in axes]
+    extra = np.array([ax.extra for ax in axes]).T
+    error = 0.0
+    if extra.any():
+        sq = np.square(np.abs(np.concatenate(cells, axis=1)))
+        error = float(np.add.reduce(np.abs(w) * _root_gap(sq, extra)[2]))
+    total = 0j  # sum_a w_a prod_k M_ak, the pairs summed in order
+    for a, term in enumerate(w.tolist()):
+        for c in cells:
+            term *= c[a, 0].item()
+        total += term
+    return Integral(total, error)
 
 
 def bin_inner_product(phi: SeparableFunction, psi: SeparableFunction, cell: Bin,
@@ -354,26 +377,13 @@ def bin_inner_product(phi: SeparableFunction, psi: SeparableFunction, cell: Bin,
         raise ValueError("states live on different domains")
     if cell.d != psi.d:
         raise ValueError("bin dimension does not match the states")
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    for w, bf, kf in _term_pairs(phi, psi):
-        prod = w
-        abs_prod, abs_hi = abs(w), abs(w)
-        for k, e in enumerate(cell.edges):
-            vals, errs = cell_integrals(bf[k], kf[k], np.array([e.lo, e.hi]), cfg)
-            prod *= complex(vals[0])
-            abs_prod *= abs(vals[0])
-            abs_hi *= abs(vals[0]) + float(errs[0])
-        total += prod
-        err_total += abs_hi - abs_prod
-    return Integral(complex(total), float(err_total))
+    return _region_integral(phi, psi, [np.array([e.lo, e.hi]) for e in cell.edges], cfg)
 
 
 def bin_mass(psi: SeparableFunction, cell: Bin,
              cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """||P_B psi||^2, the collapse weight of the bin; clamped below at 0."""
-    val = bin_inner_product(psi, psi, cell, cfg).value
-    mass = float(np.real(val))
+    mass = float(np.real(bin_inner_product(psi, psi, cell, cfg).value))
     if mass < 0.0:
         logger.debug("bin mass %r clamped to 0", mass)
         mass = 0.0
@@ -429,7 +439,7 @@ def l2_distance(f, g, level: GridLevel,
     total = 0.0
     for part in level.parts:
         (f_vals, g_vals), w = _tensor_values((f, g), part.breakpoints, p)
-        total += float(np.real(np.dot(w, np.abs(f_vals - g_vals) ** 2)))
+        total += float(np.real(np.add.reduce(w * np.abs(f_vals - g_vals) ** 2)))
     return float(np.sqrt(max(total, 0.0)))
 
 

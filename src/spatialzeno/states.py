@@ -726,7 +726,7 @@ def inner_product(f: SeparableFunction, g: SeparableFunction) -> complex:
         raise ValueError(f"domain mismatch: {f.domain} vs {g.domain}")
     from .quadrature import _region_integral
     box = [np.array(f.domain.axis_bounds(k)) for k in range(f.d)]
-    return _region_integral(f, g, box)
+    return _region_integral(f, g, box).value
 
 
 @dataclass(frozen=True)

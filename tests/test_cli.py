@@ -573,7 +573,7 @@ def test_csv_columns_match_row_formatter():
     small = rng.integers(0, 2, floats.size).astype(np.int8)
     index = np.arange(floats.size)
     header = ["index", "big", "small", "value", "value_im"]
-    got = _csv_lines(header, [index, ints, small, floats, floats[::-1].copy()], "abc")
+    got = "".join(_csv_lines(header, [index, ints, small, floats, floats[::-1].copy()], "abc"))
     rows = [[i, int(a), int(b), float(x), float(y)]
             for i, a, b, x, y in zip(index, ints, small, floats, floats[::-1])]
     assert got == _csv_rows_reference(header, rows, "abc")
@@ -581,7 +581,7 @@ def test_csv_columns_match_row_formatter():
     # lists of Python scalars, as the study experiments pass them, with an
     # integer column beyond int64
     cols = [[4, 8], [2 ** 70, 3], [0.25, -0.0], [5e-324, 1e300]]
-    assert _csv_lines(["n", "num_bins", "p", "q"], cols, "h") == _csv_rows_reference(
+    assert "".join(_csv_lines(["n", "num_bins", "p", "q"], cols, "h")) == _csv_rows_reference(
         ["n", "num_bins", "p", "q"], [list(r) for r in zip(*cols)], "h")
 
 
@@ -593,7 +593,7 @@ def test_csv_writer_pins_special_values_and_empty_tables():
             np.array([-2 ** 63, 0, 2 ** 63 - 1, 7], dtype=np.int64),
             np.array([np.nan, np.inf, -np.inf, -0.0]),
             np.array([5e-324, 1e300, 0.1, 1.0])]
-    got = _csv_lines(header, cols, "h")
+    got = "".join(_csv_lines(header, cols, "h"))
     assert got == ("# schema_version=1 config_hash=h\n"
                    "i8,i64,x,y\n"
                    "-128,-9223372036854775808,nan,4.9406564584124654e-324\n"
@@ -604,7 +604,7 @@ def test_csv_writer_pins_special_values_and_empty_tables():
     assert got == _csv_rows_reference(header, rows, "h")
     empty = [np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64),
              np.zeros(0), np.zeros(0)]
-    assert _csv_lines(header, empty, "h") == _csv_rows_reference(header, [], "h") == (
+    assert "".join(_csv_lines(header, empty, "h")) == _csv_rows_reference(header, [], "h") == (
         "# schema_version=1 config_hash=h\ni8,i64,x,y\n")
 
 
@@ -617,14 +617,38 @@ def test_csv_writer_blocks_equal_one_block(monkeypatch):
         cols = [np.arange(rows), np.resize(np.array([-1, 0, 2 ** 62], dtype=np.int64), rows),
                 np.resize(values, rows), np.resize(values[::-1], rows)]
         header = ["index", "int", "x", "y"]
-        blocks = cli._csv_lines(header, cols, "h")
+        blocks = "".join(cli._csv_lines(header, cols, "h"))
         with monkeypatch.context() as m:
             m.setattr(cli, "CSV_BLOCK", 10 ** 9)
-            whole = cli._csv_lines(header, cols, "h")
+            whole = "".join(cli._csv_lines(header, cols, "h"))
         assert blocks == whole
         assert blocks.count("\n") == rows + 2
     for token in (",-0,", ",nan,", ",inf,", ",-inf,", ",4611686018427387904,"):
         assert token in blocks
+
+
+def test_csv_is_written_block_by_block(tmp_path, monkeypatch):
+    import tracemalloc
+
+    from spatialzeno import cli
+
+    header = ["bin", "a", "b"]
+    rows = 64 * cli.CSV_BLOCK
+    columns = [np.arange(rows), np.linspace(0.0, 1.0, rows), np.geomspace(1e-300, 1.0, rows)]
+    monkeypatch.setattr(cli, "_run_experiment", lambda config: (
+        "p_y1", 0.5, {"schema_version": "1"}, cli._csv_lines(header, columns, "h")))
+    path = write_config(tmp_path, "c.json", base_probability_config(
+        output={"stem": "t", "format": "csv"}))
+    tracemalloc.start()
+    try:
+        assert cli.run(path, str(tmp_path / "out")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "out" / "t.csv").read_text()
+    assert text == "".join(cli._csv_lines(header, columns, "h"))
+    # the working memory of one block of 64 at a time, never the whole text
+    assert peak < len(text) / 4
 
 
 def _csv_of_columns(columns):
@@ -633,7 +657,7 @@ def _csv_of_columns(columns):
 
     header = [f"c{j}" for j in range(len(columns))]
     rows = [list(r) for r in zip(*[np.asarray(c).tolist() for c in columns])]
-    return _csv_lines(header, columns, "h"), _csv_rows_reference(header, rows, "h")
+    return "".join(_csv_lines(header, columns, "h")), _csv_rows_reference(header, rows, "h")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -720,14 +744,15 @@ _PINNED_CONFIGS = {
                    "n": 40, "output": {"stem": "disc"}},
 }
 # sha256 of each file those configs write, as the row-by-row CSV writer wrote
-# them; the sample's are the draws of the density's mixed joint table
+# them; the sample's are the draws of the density's mixed joint table, and
+# the discretize pair's sums are np.add.reduce and einsum, not BLAS products
 _PINNED_DIGESTS = {
     "sample.csv": "d2d31a5d5ebe7f113e20f91197bd5a28313897c31d1cc4c9bcdc5798a4f5f020",
     "sample.json": "09731758f03ce7159c47aa7d62a11d2d3131f17b76d77bb56d995c57cd87b4c3",
     "joint.csv": "1ca400d09ee518198674cd4212fd5c347c4abbba380abbf18db25152a9dc9e9b",
     "joint.json": "58cfc0ffdedca012487c5b3decf699ddbcc583930c11c57da50c02038cdeae26",
-    "disc.csv": "91c1366361bbbf92d3aaeea58f8aaac159819ca350c238827d0c8b6b576fbf52",
-    "disc.json": "239eab08fccc51c23b2e52364aa70f7eb48f6cbee7e49ea9e874e15e60f85987",
+    "disc.csv": "dbde6bd3f7a719404c3cf714bab4cc2245d37205e3f8c49861b7d8b289278e26",
+    "disc.json": "765c89dc190151df2541a4a9c7b8a81ddc2773073b303228f22eb263bf02b619",
 }
 
 

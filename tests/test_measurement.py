@@ -8,6 +8,7 @@ from spatialzeno import (
     Bin,
     Interval,
     ZeroMassBinError,
+    bin_inner_product,
     collapse,
     inner_product,
     jittered_grid,
@@ -532,29 +533,67 @@ def _mp_error_bound(phi, psi, level):
         return float(hi ** 2 - lo ** 2)
 
 
+def _numeric_pair_case(case):
+    """(phi, psi, level) whose pairs take numeric quadrature on some axis."""
+    sine = lambda k: make_state("sine_mode", k=k)
+    power = lambda a: make_state("power_singular", alpha=a)
+    # k pi > _POWER_SERIES_WMAX for k >= 3, so power x sine(k) is numeric
+    if case == "power_sine_1d":
+        return sine(3), power(0.3), jittered_grid(64, 1, C=2.0, seed=2)
+    # axis pairs on both paths: sine x power is numeric, sine x sine closed
+    phi = tensor_product([sine(3), sine(4)])
+    psi = superpose([(0.7, tensor_product([power(0.3), sine(3)])),
+                     (0.5j, tensor_product([sine(1), power(0.2)]))])
+    return phi, psi, jittered_grid(24, 2, C=2.0, seed=4)
+
+
 @pytest.mark.parametrize("case", ["power_sine_1d", "two_terms_2d"])
 def test_error_bound_matches_mpmath_on_numeric_pairs(case):
     from spatialzeno.measurement import _error_bound
     from spatialzeno.quadrature import DEFAULT_CONFIG, _pair_data
 
-    sine = lambda k: make_state("sine_mode", k=k)
-    power = lambda a: make_state("power_singular", alpha=a)
-    # k pi > _POWER_SERIES_WMAX for k >= 3, so power x sine(k) is numeric
-    if case == "power_sine_1d":
-        phi, psi = sine(3), power(0.3)
-        level = jittered_grid(64, 1, C=2.0, seed=2)
-    else:
-        # axis pairs on both paths: sine x power is numeric, sine x sine closed
-        phi = tensor_product([sine(3), sine(4)])
-        psi = superpose([(0.7, tensor_product([power(0.3), sine(3)])),
-                         (0.5j, tensor_product([sine(1), power(0.2)]))])
-        level = jittered_grid(24, 2, C=2.0, seed=4)
+    phi, psi, level = _numeric_pair_case(case)
     w, axes = _pair_data(phi, psi, level.breakpoints, DEFAULT_CONFIG)
     sq, extra = _axis_sums(w, axes)
     assert extra.any()
     got = _error_bound(w, sq, extra)
     assert got > 0.0
-    assert got == pytest.approx(_mp_error_bound(phi, psi, level), rel=1e-12)
+    assert got == pytest.approx(_mp_error_bound(phi, psi, level), rel=1e-12, abs=0.0)
+
+
+def _mp_bin_error(phi, psi, cell):
+    """sum_a |w_a| (prod_k (|M_ak| + e_ak) - prod_k |M_ak|) in 50-digit
+    arithmetic, from each axis's one-cell integral M and its estimate e."""
+    import mpmath
+    from spatialzeno.quadrature import DEFAULT_CONFIG, _term_pairs, cell_integrals
+
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for w, bf, kf in _term_pairs(phi, psi):
+            prod, prod_hi = mpmath.mpf(1), mpmath.mpf(1)
+            for k, e in enumerate(cell.edges):
+                (v,), (err,) = cell_integrals(bf[k], kf[k], np.array([e.lo, e.hi]),
+                                              DEFAULT_CONFIG)
+                m = abs(mpmath.mpc(v.real, v.imag))
+                prod *= m
+                prod_hi *= m + mpmath.mpf(float(err))
+            total += abs(mpmath.mpc(w)) * (prod_hi - prod)
+        return float(total)
+
+
+@pytest.mark.parametrize("case, j", [("power_sine_1d", 0), ("power_sine_1d", 1),
+                                     ("two_terms_2d", 0), ("two_terms_2d", 762)])
+def test_bin_error_matches_mpmath_on_numeric_pairs(case, j):
+    # the products are telescoped, so the error carries no cancellation; on
+    # these bins a plain difference of the rounded products is off by up to
+    # 2e-7 (1-d, j = 1) and 4e-2 (2-d, j = 762, an interior bin) relative
+    phi, psi, level = _numeric_pair_case(case)
+    if case == "power_sine_1d":
+        level = jittered_grid(16, 1, C=2.0, seed=1)
+    cell = level.bin(j)
+    got = bin_inner_product(phi, psi, cell).error
+    assert got > 0.0
+    assert got == pytest.approx(_mp_bin_error(phi, psi, cell), rel=1e-12, abs=0.0)
 
 
 def _inverse_cdf_cases():

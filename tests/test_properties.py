@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spatialzeno import (
+    DensityState,
     discretization_error,
     discretize,
     inner_product,
@@ -36,6 +37,7 @@ from spatialzeno import (
     product_field,
     superpose,
     tensor_product,
+    uniform_grid,
     validate_grid,
 )
 from spatialzeno.quadrature import DEFAULT_CONFIG, _pair_data, _term_pairs
@@ -202,6 +204,35 @@ def test_mixed_state_is_linear_in_its_terms(args):
         sum(w * r.mass_total for w, r in zip(p, pure)), rel=TOL)
     assert np.allclose(mixed.per_bin_mass, sum(w * r.per_bin_mass for w, r in zip(p, pure)),
                        rtol=TOL, atol=0.0)
+
+
+@st.composite
+def _keep_case(draw):
+    """A pure state of ``_case``, or a density of 2-3 orthogonal product
+    modes, on a jittered level or the uniform level of the same n."""
+    _, psi, phi, level = draw(_case(families=tuple(sorted(FAMILIES)) + ("power",)))
+    if draw(st.booleans()):
+        level = uniform_grid(level.n, level.d)
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(sorted(FAMILIES)))
+        modes = draw(st.lists(_modes(family, level.d), min_size=2, max_size=3, unique=True))
+        weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(modes),
+                                         max_size=len(modes))))
+        psi = make_density(list(zip(weights / weights.sum(),
+                                    [_product(family, ks) for ks in modes])))
+    return psi, phi, level
+
+
+@SETTINGS
+@given(_keep_case())
+def test_keeping_the_tables_moves_no_scalar(case):
+    state, phi, level = case
+    prob = prob_y1_mixed if isinstance(state, DensityState) else prob_y1_pure
+    kept, dropped = (prob(state, phi, level, keep_per_bin=keep) for keep in (True, False))
+    assert kept.per_bin_mass is not None and dropped.per_bin_mass is None
+    for name in ("p_y1", "p_y1_raw", "p_y1_error_bound", "mass_total"):
+        assert np.float64(getattr(kept, name)).tobytes() == \
+            np.float64(getattr(dropped, name)).tobytes(), name
 
 
 @SETTINGS

@@ -16,6 +16,7 @@ from spatialzeno import (
     l2_norm,
     make_state,
     discretize,
+    inner_product,
     uniform_grid,
 )
 from spatialzeno.quadrature import numeric_cell_integrals
@@ -65,6 +66,30 @@ def test_bin_inner_product_conjugate_cancellation():
     c = make_state("complex_exponential", k=1)
     val, _ = bin_inner_product(c, c, CELL(0.0, 0.5))
     assert val == pytest.approx(0.5, abs=1e-14)
+
+
+def _bits(z) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+# every unit-cube catalog entry; a Gaussian lives on R^d, which no bin covers
+@pytest.mark.parametrize("catalog, params", [
+    ("uniform", {"d": 2}),
+    ("sine_mode", {"k": 3}),
+    ("sine_product", {"ks": [1, 2]}),
+    ("complex_exponential", {"k": -2}),
+    ("indicator", {"a": 0.25, "b": 0.5}),
+    ("power_singular", {"alpha": 0.3}),
+    ("haar_like", {"seed": 5, "pieces": 4}),
+    ("superpose", {"terms": [(0.8, make_state("sine_mode", k=1)),
+                             (0.6j, make_state("power_singular", alpha=0.2))]}),
+])
+def test_unit_cube_bin_is_the_inner_product(catalog, params):
+    psi = make_state(catalog, **params)
+    phi = make_state("uniform", d=psi.d)
+    cube = Bin((Interval(0.0, 1.0),) * psi.d)
+    for bra in (phi, psi):
+        assert _bits(bin_inner_product(bra, psi, cube).value) == _bits(inner_product(bra, psi))
 
 
 def test_bin_mass_examples():
