@@ -12,7 +12,8 @@ Every grid level is a list of product grids, and for separable-sum states
 the bin amplitudes of a product grid factor axis by axis, so totals are
 computed from per-axis cell-integral arrays without enumerating bins;
 per-bin tables are materialised only below a size guard (or on explicit
-request).
+request).  A pure state of one product term has a product law over the
+bins, so ``sample_xy`` draws it axis by axis without any per-bin table.
 """
 
 from __future__ import annotations
@@ -138,7 +139,9 @@ class JointDistribution:
 
 @dataclass
 class SampleBatch:
-    """i.i.d. draws of (X bin index, Y outcome)."""
+    """i.i.d. draws of (X bin index, Y outcome): ``x`` is int32 on a level
+    of fewer than 2^31 bins and int64 from there, ``y`` int8, so a draw
+    takes 5 B (9 B from 2^31 bins)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -285,14 +288,19 @@ def _kept_tables(state, phi):
     return [pair for _, psi in _spectrum(state) for pair in ((phi, psi), (psi, psi))]
 
 
-def _part_masses(psi: WaveFunction, part: ProductGrid, cfg: QuadratureConfig):
-    """The per-bin masses of psi on one product part."""
-    w, axes = _pair_data(psi, psi, part.breakpoints, cfg, keep=True, gram=False)
-    cells = [ax.cells for ax in axes]
+def _masses(w: np.ndarray, cells) -> np.ndarray:
+    """The flat per-bin masses Re(sum_a w_a outer_k M_a,k) of psi-psi term
+    pairs of weights ``w`` and per-axis cells ``cells``."""
     if any(np.iscomplexobj(c) for c in cells):
         return np.real(_per_bin_arrays(w, cells))
     # real cells: Re(w) M is Re(w M) bit for bit, built in float64
     return _per_bin_arrays(w.real, cells)
+
+
+def _part_masses(psi: WaveFunction, part: ProductGrid, cfg: QuadratureConfig):
+    """The per-bin masses of psi on one product part."""
+    w, axes = _pair_data(psi, psi, part.breakpoints, cfg, keep=True, gram=False)
+    return _masses(w, [ax.cells for ax in axes])
 
 
 def _mass_pass(state, level: GridLevel, cfg: QuadratureConfig, keep: bool):
@@ -521,19 +529,22 @@ def _guide(cdf: np.ndarray) -> np.ndarray:
 
 def _bisect(cdf: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per key, the first index i in [lo, hi] with i == hi or cdf[i] > u,
-    in place of lo, for a sorted CDF whose entries below lo are <= u and
-    whose entries from hi on are > u: a bisection vectorised over the keys.
+    in place of lo, where cdf[lo:hi] is sorted and its entries below the
+    answer are <= u: a bisection vectorised over the keys.
 
     Steps of halving powers of two, from the largest within the widest
-    range down to 1: a key steps on when the last entry it steps over is
-    <= u.  An index past the last entry reads the last entry, so a key
-    above every entry ends past hi = n and is clipped back to it.
+    range down to 1: a key steps on when the step stays within its range
+    and the last entry it steps over is <= u.  No entry outside a key's
+    range is compared, so the ranges may be the runs of separate CDFs.
     """
     step = 1 << int((hi - lo).max()).bit_length()
     while step > 1:
         step >>= 1
-        np.add(lo, step, out=lo, where=cdf.take(lo + (step - 1), mode="clip") <= u)
-    return np.minimum(lo, hi, out=lo)
+        end = lo + step
+        ok = end <= hi
+        ok &= cdf.take(end - 1, mode="clip") <= u
+        np.add(lo, step, out=lo, where=ok)
+    return lo
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray,
@@ -577,19 +588,167 @@ def _uniform_chunks(seq: np.random.SeedSequence, start: int, count: int):
         yield s, chunk
 
 
-def _draw(state, phi, level, cfg, keep_per_bin, seq, x, y):
-    """Fill x, y with the (X, Y) draws of a pure or density state: X by
-    inverse CDF over the bin masses at the first ``x.size`` uniforms of the
-    stream of ``seq``, Y = 1 when the uniform ``x.size`` further on is below
-    P(Y=1 | X).
+class _Axis(NamedTuple):
+    """One search stage of a product state's draw: the parts of the level,
+    or one axis over the parts laid end to end.
 
-    The tables are ``joint_distribution``'s (``_per_bin_tables``): a
-    density state's are the mixed sums over its spectral terms.  The CDF
-    is built in place of the masses and P(Y=1 | X) in place of the P(Y=1)
-    table, and the draws are made DRAW_BLOCK at a time from two stream
-    cursors, so the two tables, the CDF's int32 guide and one chunk are all
-    this adds to the draw arrays.
+    A part's stretch of ``cdf`` is its own normalised CDF (left as summed
+    where it has no mass); ``low`` is the entry before each (0 at a
+    stretch's start) and ``width`` their difference.  ``start`` and
+    ``size`` place each part's stretch on a level of several parts;
+    ``guide`` is ``_guide(cdf)`` on a level of one.  ``mass`` holds the
+    psi-psi cells and ``amps`` the (P, cells) phi-psi cells of the axis.
     """
+
+    cdf: np.ndarray
+    low: np.ndarray
+    width: np.ndarray
+    guide: np.ndarray | None
+    start: np.ndarray | None
+    size: np.ndarray | int
+    mass: np.ndarray | None = None
+    amps: np.ndarray | None = None
+
+
+# the largest residual, so every key lies below a CDF's last entry 1.0
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _steps(masses: np.ndarray):
+    """(cdf, low, width, total) of a run of masses: the CDF, normalised by
+    its last entry ``total`` when that is positive, the entry before each
+    and their difference."""
+    cdf = np.cumsum(masses)
+    total = float(cdf[-1])
+    if total > 0.0:
+        cdf /= cdf[-1]
+    low = np.concatenate(([0.0], cdf[:-1]))
+    return cdf, low, cdf - low, total
+
+
+def _gathered(prod, cells: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``prod * cells[g]``, in place of ``prod`` where its dtype allows;
+    the first axis (``prod`` None) starts the product."""
+    vals = cells.take(g)
+    if prod is None:
+        return vals
+    if np.iscomplexobj(vals) and not np.iscomplexobj(prod):
+        prod = prod.astype(complex)
+    return np.multiply(prod, vals, out=prod)
+
+
+class _AxisSampler:
+    """The (X, Y) law of a pure state of one product term, axis by axis.
+
+    The state's bin masses are w prod_k N_k[j_k] on every part, N_k the
+    psi-psi cells of axis k, so X is one part and one cell per axis: a
+    draw's uniform u picks the part from the parts' masses, then its
+    residual (u - F[j - 1]) / (F[j] - F[j - 1]) in the chosen entry picks
+    axis 0 from F_0 (the cells times w), and so on down the axes.  No
+    per-bin table is built: each axis holds its cells and its CDF.  Y's
+    P(Y=1 | X) = |sum_a w_a prod_k A_a,k[j_k]|^2 / mass is assembled per
+    draw from the phi-psi cells A, in the association, term order and
+    real or complex arithmetic of ``_per_bin_arrays`` and ``_masses``, so
+    it is the joint table's value bit for bit.
+    """
+
+    def __init__(self, psi: WaveFunction, phi: WaveFunction, level: GridLevel,
+                 cfg: QuadratureConfig) -> None:
+        d, parts = level.d, level.parts
+        per_axis = [[] for _ in range(d)]  # per axis, per part: (steps, mass, amps)
+        part_mass = []
+        for part in parts:
+            w, mass_axes = _pair_data(psi, psi, part.breakpoints, cfg, keep=True, gram=False)
+            w_amp, amp_axes = _pair_data(phi, psi, part.breakpoints, cfg,
+                                         keep=True, gram=False)
+            totals = []
+            for k, (ma, aa) in enumerate(zip(mass_axes, amp_axes)):
+                # axis 0 carries the weight, as a 1-d level's masses do
+                *steps, total = _steps(_masses(w, [ma.cells]) if k == 0
+                                       else np.real(ma.cells[0]))
+                totals.append(total)
+                per_axis[k].append((steps, ma.cells[0], aa.cells))
+            part_mass.append(float(np.prod(totals)) if min(totals) > 0.0 else 0.0)
+        self.w_mass, self.w_amp = w, w_amp
+        self.offsets = np.array([lo for lo, _ in level.index_ranges], dtype=np.int64)
+        cdf, low, width, total = _steps(np.array(part_mass))
+        if not total > 0.0:
+            raise ZeroMassBinError("the state has no mass on the level")
+        self.parts = _Axis(cdf, low, width, _guide(cdf), None, cdf.size)
+        self.axes = [self._axis(runs, len(parts) == 1) for runs in per_axis]
+
+    @staticmethod
+    def _axis(runs, single: bool) -> _Axis:
+        steps, mass, amps = zip(*runs)
+        if single:
+            (cdf, low, width), = steps
+            return _Axis(cdf, low, width, _guide(cdf), None, cdf.size, mass[0], amps[0])
+        size = np.array([m.size for m in mass])
+        start = np.concatenate(([0], np.cumsum(size)[:-1]))
+        cdf, low, width = (np.concatenate(a) for a in zip(*steps))
+        return _Axis(cdf, low, width, None, start, size,
+                     np.concatenate(mass), np.concatenate(amps, axis=1))
+
+    @staticmethod
+    def _search(ax: _Axis, keys: np.ndarray, part) -> np.ndarray:
+        """Per key, the index of its entry in ``ax.cdf``: the guided search
+        of a single run, or the bisection of the key's part's run."""
+        if ax.start is None:
+            return _inverse_cdf(ax.cdf, keys, ax.guide)
+        lo = ax.start.take(part)
+        return _bisect(ax.cdf, keys, lo, lo + ax.size.take(part))
+
+    @staticmethod
+    def _rescale(keys: np.ndarray, ax: _Axis, g: np.ndarray) -> None:
+        """Each key replaced, in place, by its residual in entry g."""
+        keys -= ax.low.take(g)
+        keys /= ax.width.take(g)
+        np.minimum(keys, _BELOW_ONE, out=keys)
+
+    def draw(self, u: np.ndarray, v: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+        """Write into x, y the draws of X uniforms u, overwritten by their
+        residuals, and Y uniforms v."""
+        part = None
+        if self.parts.cdf.size > 1:
+            part = self._search(self.parts, u, None)
+            self._rescale(u, self.parts, part)
+        mass, amps = None, [None] * self.w_amp.size
+        for k, ax in enumerate(self.axes):
+            g = self._search(ax, u, part)
+            if k + 1 < len(self.axes):
+                self._rescale(u, ax, g)
+            j = g if ax.start is None else g - ax.start.take(part)
+            if k == 0:
+                x[...] = j
+            else:
+                x *= ax.size if ax.start is None else ax.size.take(part)
+                x += j
+            mass = _gathered(mass, ax.mass, g)
+            amps = [_gathered(t, cells, g) for t, cells in zip(amps, ax.amps)]
+            del g, j  # before Y's arrays are built
+        if part is not None:
+            x += self.offsets.take(part)
+        # Re(w prod) as _masses builds it, sum_a w_a prod_a as _per_bin_arrays
+        mass = (np.real(self.w_mass[0] * mass) if np.iscomplexobj(mass)
+                else self.w_mass.real[0] * mass)
+        complex_amps = self.w_amp.imag.any() or np.iscomplexobj(amps[0])
+        w = self.w_amp if complex_amps else self.w_amp.real
+        p1 = None
+        for w_a, t in zip(w, amps):
+            term = np.multiply(w_a, t, out=t if t.dtype == np.result_type(w_a, t) else None)
+            p1 = term if p1 is None else np.add(p1, term, out=p1)
+        del amps, term
+        if np.iscomplexobj(p1):
+            p1 = np.abs(p1)
+        np.square(p1, out=p1)
+        p1[mass <= 0] = 0.0
+        np.divide(p1, mass, out=p1, where=mass > 0)
+        y[...] = v < p1
+
+
+def _table_sampler(state, phi, level, cfg, keep_per_bin):
+    """The draw of a state's joint tables (``_per_bin_tables``): the CDF
+    in place of the masses and P(Y=1 | X) in place of the P(Y=1) table."""
     masses, cond = _per_bin_tables(state, phi, level, cfg, keep_per_bin)
     cond[masses <= 0] = 0.0
     np.divide(cond, masses, out=cond, where=masses > 0)
@@ -598,11 +757,36 @@ def _draw(state, phi, level, cfg, keep_per_bin, seq, x, y):
         raise ZeroMassBinError("the state has no mass on the level")
     cdf /= cdf[-1]
     guide = _guide(cdf)
+
+    def draw(u, v, x, y):
+        x[...] = xs = _inverse_cdf(cdf, u, guide)
+        y[...] = v < cond[xs]
+
+    return draw
+
+
+def _draw(state, phi, level, cfg, keep_per_bin, seq, x, y):
+    """Fill x, y with the (X, Y) draws of a pure or density state: X by
+    inverse CDF at the first ``x.size`` uniforms of the stream of ``seq``,
+    Y = 1 when the uniform ``x.size`` further on is below P(Y=1 | X).
+
+    A pure state of one product term draws axis by axis (``_AxisSampler``):
+    its bin masses are a product law, so it builds no per-bin table, and
+    ``keep_per_bin`` and the table guard are not read.  Every other state,
+    a superposition or a density state, draws from the tables of
+    ``joint_distribution`` (``_table_sampler``; a density state's are the
+    mixed sums over its spectral terms).  The draws are made DRAW_BLOCK at
+    a time from two stream cursors, so the tables or per-axis CDFs and one
+    chunk are all this adds to the draw arrays.
+    """
+    if isinstance(state, DensityState) or len(state.terms) > 1:
+        draw = _table_sampler(state, phi, level, cfg, keep_per_bin)
+    else:
+        draw = _AxisSampler(state, phi, level, cfg).draw
     for (s, u_x), (_, u_y) in zip(_uniform_chunks(seq, 0, x.size),
                                   _uniform_chunks(seq, x.size, x.size)):
         at = slice(s, s + u_x.size)
-        x[at] = xs = _inverse_cdf(cdf, u_x, guide)
-        y[at] = u_y < cond[xs]
+        draw(u_x, u_y, x[at], y[at])
 
 
 def sample_xy(state, phi: WaveFunction, level: GridLevel,
@@ -615,24 +799,35 @@ def sample_xy(state, phi: WaveFunction, level: GridLevel,
     Deterministic for fixed (seed, stream); distinct streams are
     independent substreams for concurrent use.  Zero-mass bins are never
     drawn, and a level where the state has no mass raises ZeroMassBinError.
-    Pure and density states take one path: the tables are those of
-    ``joint_distribution``, so X follows its normalised marginal and Y
-    given X its conditional, also where the level holds only part of the
-    state's mass.  A non-integral ``count``, a ``count`` below 1, and a
-    negative or non-integral ``seed`` or ``stream`` raise ValueError before
-    any table is built.
+    X follows the normalised marginal of ``joint_distribution`` and Y given
+    X its conditional, also where the level holds only part of the state's
+    mass.  A non-integral ``count``, a ``count`` below 1, a negative or
+    non-integral ``seed`` or ``stream``, and a level of more than 2^63 bins
+    (a bin index beyond int64) raise ValueError before any table is built.
+
+    Two paths, chosen by the state's term structure.  A pure state of one
+    product term (any phi) draws X one axis at a time from per-axis CDFs
+    and builds no per-bin table, so it has no table guard: 10^9 bins cost
+    what their axes' cells cost.  A superposition of several terms and a
+    density state draw from the flattened joint table, under the guard of
+    ``keep_per_bin``, which only this path reads.  On a single-part 1-d
+    level the two paths draw the same bits; on d >= 2 the per-axis CDFs
+    and the flattened one round differently, so a rare draw at a bin
+    boundary moves to the neighbouring bin.
 
     The uniforms come from one PCG64 stream: the X uniforms are its first
     ``count`` and the Y uniforms the next ``count``, for every state.  They
     are drawn DRAW_BLOCK at a time, so beyond the tables a sample holds its
-    9 B per draw (x and y).
+    5 B per draw: x in int32 (int64 from 2^31 bins) and y in int8.
     """
     count = _int("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_pair(state, phi, level)
     seed, stream = _seed("seed", seed), _seed("stream", stream)
-    x = np.empty(count, dtype=np.int64)
+    if level.num_bins > 2 ** 63:
+        raise ValueError(f"{level.num_bins} bins: a bin index would not fit in int64")
+    x = np.empty(count, dtype=np.int32 if level.num_bins < 2 ** 31 else np.int64)
     y = np.empty(count, dtype=np.int8)
     _draw(state, phi, level, cfg, keep_per_bin,
           np.random.SeedSequence(entropy=seed, spawn_key=(stream,)), x, y)

@@ -42,7 +42,7 @@ def test_fit_rate_synthetic_quadratic():
     rows = [(n, c / n ** 2) for n in (3, 9, 27, 81)]
     rate, const, resid = fit_rate(rows)
     assert rate == pytest.approx(2.0, abs=1e-12)
-    assert const == pytest.approx(c, rel=1e-12)
+    assert const == pytest.approx(c, rel=1e-12, abs=0.0)
 
 
 def test_fit_rate_excludes_zero_rows_with_warning():
@@ -323,7 +323,7 @@ def test_rd_study_searches_the_captured_mass_with_its_cfg():
     want = mass(cfg)
     assert want != mass(DEFAULT_CONFIG)
     assert tail.captured_mass == want
-    assert tail.tail_bound == pytest.approx(1.0 - want, rel=1e-9)
+    assert tail.tail_bound == pytest.approx(1.0 - want, rel=1e-9, abs=0.0)
 
 
 def test_rd_study_rejects_a_state_of_another_dimension(monkeypatch):

@@ -60,7 +60,7 @@ def test_error_halves_when_n_doubles():
     e2 = discretization_error(f, uniform_grid(2))
     e4 = discretization_error(f, uniform_grid(4))
     assert e4 <= 0.75 * e2
-    assert e4 == pytest.approx(0.5 * e2, rel=1e-10)
+    assert e4 == pytest.approx(0.5 * e2, rel=1e-10, abs=0.0)
 
 
 def test_idempotence():
@@ -323,7 +323,8 @@ def test_rd_l2_distance_equals_discretization_error(name):
     level = levels[name]
     err = discretization_error(f, level)
     assert err > 0.0
-    assert l2_distance(f, discretize(f, level), level) == pytest.approx(err, rel=1e-12)
+    assert l2_distance(f, discretize(f, level), level) == pytest.approx(
+        err, rel=1e-12, abs=0.0)
 
 
 def _mp_value(prim, x):

@@ -361,13 +361,13 @@ def test_rd_box_is_one_product_part_equal_to_the_cube_union(d, k, n, sub):
     for level in (box, union):
         assert validate_grid(level).passed
         assert level.domain_volume == len(cubes)
-        assert level.volumes().sum() == pytest.approx(len(cubes), rel=1e-13)
+        assert level.volumes().sum() == pytest.approx(len(cubes), rel=1e-13, abs=0.0)
     g = make_state("gaussian", mu=[0.3, -0.2, 0.1][:d], sigma=[0.8, 1.1, 0.6][:d])
     phi = make_state("gaussian", mu=[0.0] * d, sigma=[1.0] * d)
     rb = _pair_pass(g, phi, box, DEFAULT_CONFIG, keep=False, with_bar=True)
     ru = _pair_pass(g, phi, union, DEFAULT_CONFIG, keep=False, with_bar=True)
-    assert rb.p_y1 == pytest.approx(ru.p_y1, rel=1e-13)
-    assert rb.bar_norm_sq == pytest.approx(ru.bar_norm_sq, rel=1e-13)
+    assert rb.p_y1 == pytest.approx(ru.p_y1, rel=1e-13, abs=0.0)
+    assert rb.bar_norm_sq == pytest.approx(ru.bar_norm_sq, rel=1e-13, abs=0.0)
 
 
 def test_jittered_cube_alone_matches_its_box_segment():

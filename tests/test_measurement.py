@@ -423,6 +423,11 @@ def test_sampler_zero_mass_bins_never_drawn():
     level = uniform_grid(4)
     batch = sample_xy(psi, phi, level, count=20_000, seed=3)
     assert batch.x.max() <= 1  # bins 2 and 3 carry no mass
+    # drawn axis by axis: axis 1's cells 2 and 3 carry no mass
+    psi2 = tensor_product([make_state("sine_mode", k=1), psi])
+    batch = sample_xy(psi2, make_state("uniform", d=2), uniform_grid(4, 2), count=20_000,
+                      seed=3)
+    assert batch.x.min() >= 0 and (batch.x % 4).max() <= 1
 
 
 def test_sampler_all_zero_when_phi_disjoint():
@@ -480,7 +485,7 @@ def test_per_bin_tables_dropped_for_large_grids():
     level = uniform_grid(1024, 2)  # 2^20 bins, above the guard
     r = prob_y1_pure(u2, u2, level)
     assert r.per_bin_amplitude is None
-    assert r.p_y1 == pytest.approx(1024.0 ** -2, rel=1e-12)
+    assert r.p_y1 == pytest.approx(1024.0 ** -2, rel=1e-12, abs=0.0)
 
 
 def _axis_sums(w, axes):
@@ -631,7 +636,7 @@ def test_sampler_draws_pinned_pure_2d_jittered():
     phi = make_state("uniform", d=2)
     batch = sample_xy(psi, phi, jittered_grid(12, d=2, C=2.0, seed=11),
                       count=20_000, seed=5)
-    assert batch.x.dtype == np.int64 and batch.y.dtype == np.int8
+    assert batch.x.dtype == np.int32 and batch.y.dtype == np.int8
     assert batch.x[:5].tolist() == [117, 248, 38, 32, 62]
     assert int(batch.y.sum()) == 72
     assert _draws_digest(batch) == (
@@ -643,7 +648,7 @@ def test_sampler_draws_pinned_density_1d_jittered():
                         (0.7, make_state("sine_mode", k=5))])
     batch = sample_xy(rho, make_state("uniform"),
                       jittered_grid(32, d=1, C=2.0, seed=12), count=20_000, seed=6)
-    assert batch.x.dtype == np.int64 and batch.y.dtype == np.int8
+    assert batch.x.dtype == np.int32 and batch.y.dtype == np.int8
     assert batch.x[:5].tolist() == [38, 10, 42, 5, 34]
     assert int(batch.y.sum()) == 394
     assert _draws_digest(batch) == (
@@ -778,11 +783,236 @@ def test_density_sampler_follows_the_joint_marginal_on_a_partial_level():
         assert abs(got - p) < 5 * np.sqrt(p * (1 - p) / np.sum(batch.x == j)) + 1e-12
 
 
+def _flat_table_draws(state, phi, level, count, seed):
+    """The flattened-table reference of a sample: X by ``_inverse_cdf``
+    over the joint table's masses at the stream's first ``count`` uniforms,
+    Y against its P(Y=1 | X) at the next ``count``."""
+    from spatialzeno import measurement
+    from spatialzeno.quadrature import DEFAULT_CONFIG
+
+    masses, p1 = measurement._per_bin_tables(state, phi, level, DEFAULT_CONFIG, True)
+    cond = np.divide(p1, masses, out=np.zeros_like(p1), where=masses > 0)
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(0,)))).random(2 * count)
+    x = measurement._inverse_cdf(cdf, u[:count])
+    return x, u[count:] < cond[x]
+
+
+def _two_parts(d):
+    """The unit cube split at x_0 = 0.4 into two product parts with
+    different cells."""
+    from spatialzeno import ConcatenatedGrid, ProductGrid
+
+    rest = [np.sort(np.r_[0.0, np.random.default_rng(7 + k).random(5), 1.0])
+            for k in range(d - 1)]
+    parts = [ProductGrid(8, [np.linspace(0.0, 0.4, 8)] + rest),
+             ProductGrid(8, [np.linspace(0.4, 1.0, 6)] + rest[::-1])]
+    return ConcatenatedGrid(8, parts, cubes=[(0.0,) * d])
+
+
+def _shuffled_bins(d):
+    """A hand-built level: the bins of a jittered grid in random order,
+    one one-cell part each."""
+    from spatialzeno import CustomGrid
+
+    base = jittered_grid(3, d, C=2.0, seed=11)
+    order = np.random.default_rng(4).permutation(base.num_bins)
+    return CustomGrid(3, [base.bin(j) for j in order], ratio_bound=2.0)
+
+
+_PRODUCT_PSI = {
+    1: {"sine": lambda: make_state("sine_mode", k=3),
+        "cexp": lambda: make_state("complex_exponential", k=-2),
+        "power": lambda: make_state("power_singular", alpha=0.3),
+        "indicator": lambda: make_state("indicator", a=0.2, b=0.7),
+        "haar": lambda: make_state("haar_like", seed=5, pieces=8)},
+    2: {"sine": lambda: make_state("sine_product", ks=[2, 3]),
+        "cexp_power": lambda: tensor_product([make_state("complex_exponential", k=2),
+                                              make_state("power_singular", alpha=0.2)]),
+        "haar_sine": lambda: tensor_product([make_state("haar_like", seed=5, pieces=8),
+                                             make_state("sine_mode", k=1)])},
+    3: {"sine": lambda: make_state("sine_product", ks=[1, 2, 3]),
+        "cexp_indicator": lambda: tensor_product([make_state("complex_exponential", k=1),
+                                                  make_state("sine_mode", k=2),
+                                                  make_state("indicator", a=0.1, b=0.9)])},
+}
+
+
+def _phi(kind, d):
+    if kind == "one_term":
+        return make_state("uniform", d=d)
+    product = lambda fs: tensor_product(fs) if d > 1 else fs[0]
+    if kind == "two_real_terms":
+        return superpose([(0.8, product([make_state("sine_mode", k=1)] * d)),
+                          (0.6, product([make_state("sine_mode", k=2)] * d))])
+    # two terms, one of them complex: a complex amplitude per draw
+    return superpose([(0.8, product([make_state("sine_mode", k=1)] * d)),
+                      (0.6j, product([make_state("complex_exponential", k=2)]
+                                     + [make_state("sine_mode", k=2)] * (d - 1)))])
+
+
+_LEVELS = {
+    "uniform": lambda d: uniform_grid({1: 40, 2: 12, 3: 6}[d], d),
+    "jittered": lambda d: jittered_grid({1: 40, 2: 12, 3: 6}[d], d, C=2.0, seed=3 + d),
+    "two_parts": _two_parts,
+    "bin_list": _shuffled_bins,
+}
+_AXIS_CASES = [(d, psi, phi, level) for d in (1, 2, 3) for psi in sorted(_PRODUCT_PSI[d])
+               for phi in ("one_term", "two_terms") for level in sorted(_LEVELS)
+               if d < 3 or level in ("uniform", "jittered")]
+
+
+@pytest.mark.parametrize("d, psi, phi, level", _AXIS_CASES)
+def test_product_state_draws_equal_the_flattened_table(d, psi, phi, level):
+    # a pure state of one product term draws axis by axis; the per-axis
+    # CDFs and the flattened one round differently at bin boundaries, so
+    # on d >= 2 or several parts a rare draw may move to a neighbouring
+    # bin, while a single-part 1-d level draws the table's bits exactly
+    psi, phi, level = _PRODUCT_PSI[d][psi](), _phi(phi, d), _LEVELS[level](d)
+    count, seed = 20_000, 17
+    batch = sample_xy(psi, phi, level, count=count, seed=seed)
+    x, y = _flat_table_draws(psi, phi, level, count, seed)
+    assert batch.x.dtype == np.int32
+    if d == 1 and len(level.parts) == 1:
+        assert np.array_equal(batch.x, x) and np.array_equal(batch.y, y)
+    same = batch.x == x
+    assert np.count_nonzero(~same) <= 5
+    # Y is assembled per draw in the table's arithmetic: equal bit for bit
+    assert np.array_equal(batch.y[same], y[same])
+
+
+@pytest.mark.parametrize("d, psi, phi, level", [
+    (2, "cexp_power", "two_terms", "jittered"), (2, "haar_sine", "two_terms", "two_parts"),
+    (2, "sine", "two_real_terms", "jittered"), (3, "sine", "two_terms", "jittered"),
+    (3, "sine", "two_real_terms", "uniform"), (3, "cexp_indicator", "one_term", "uniform")])
+def test_product_draws_read_the_joint_tables_conditional_bit_for_bit(d, psi, phi, level):
+    # Y = 1 when its uniform is below P(Y=1 | X): at the table's value
+    # itself no draw is 1, one ulp below it every draw of a bin with
+    # P(Y=1 | X) > 0 is, so a last-bit difference shows
+    from spatialzeno import measurement
+    from spatialzeno.quadrature import DEFAULT_CONFIG
+
+    psi, phi, level = _PRODUCT_PSI[d][psi](), _phi(phi, d), _LEVELS[level](d)
+    masses, p1 = measurement._per_bin_tables(psi, phi, level, DEFAULT_CONFIG, True)
+    cond = np.divide(p1, masses, out=np.zeros_like(p1), where=masses > 0)
+    draw = measurement._AxisSampler(psi, phi, level, DEFAULT_CONFIG).draw
+    u = np.random.default_rng(5).random(5000)
+    x, y = np.empty(u.size, dtype=np.int32), np.empty(u.size, dtype=np.int8)
+    draw(u.copy(), np.zeros(u.size), x, y)
+    at = cond[x]
+    assert np.count_nonzero(at) > u.size // 2
+    draw(u.copy(), at, x, y)
+    assert not y.any()
+    draw(u.copy(), np.nextafter(at, -1.0), x, y)
+    assert np.array_equal(y, at > 0)
+
+
+def test_a_residual_that_rounds_up_to_one_stays_in_its_bin():
+    # the uniform just below 1 lies in axis 0's last cell, whose CDF entry
+    # before it is 0.47...: its residual (u - F[j - 1]) / (1 - F[j - 1])
+    # rounds to 1.0, and is kept below 1, so axis 1 draws its last cell
+    # and not an index past the end
+    from spatialzeno import measurement
+    from spatialzeno.quadrature import DEFAULT_CONFIG
+
+    psi = tensor_product([make_state("indicator", a=0.055, b=1.0), make_state("uniform")])
+    sampler = measurement._AxisSampler(psi, make_state("uniform", d=2), uniform_grid(2, 2),
+                                       DEFAULT_CONFIG)
+    u = np.array([np.nextafter(1.0, 0.0)])
+    low = sampler.axes[0].low[-1]
+    assert (u[0] - low) / (1.0 - low) == 1.0
+    x, y = np.empty(1, dtype=np.int32), np.empty(1, dtype=np.int8)
+    sampler.draw(u, np.zeros(1), x, y)
+    assert x.tolist() == [3]
+
+
+def test_sampler_path_follows_the_term_structure(monkeypatch):
+    # one product term: axis by axis, no per-bin table; several terms or a
+    # density state: the joint tables
+    from spatialzeno import measurement
+
+    built = []
+    tables = measurement._per_bin_tables
+
+    def counted(state, *args):
+        built.append(state)
+        return tables(state, *args)
+
+    monkeypatch.setattr(measurement, "_per_bin_tables", counted)
+    psi, phi, level = make_state("sine_product", ks=[2, 3]), _phi("two_terms", 2), \
+        jittered_grid(12, 2, C=2.0, seed=1)
+    sample_xy(psi, phi, level, count=100, seed=1)
+    assert built == []
+    two = superpose([(0.8, psi), (0.6, make_state("sine_product", ks=[1, 1]))])
+    rho = make_density([(1.0, psi)])
+    for state in (two, rho):
+        sample_xy(state, phi, level, count=100, seed=1)
+    assert built == [two, rho]
+
+
+def _block_masses(k, edges):
+    """The mass of sine_mode(k) in each [edges[i], edges[i + 1])."""
+    anti = edges - np.sin(2.0 * np.pi * k * edges) / (2.0 * np.pi * k)
+    return np.diff(anti)
+
+
+def test_product_sampler_draws_a_billion_bins_within_the_draws_and_the_cells():
+    # 2^30 bins, past the table guard: the per-axis path builds no per-bin
+    # table, and beyond x and y (5 B per draw) holds the axes' cells and
+    # CDFs and one chunk of draws
+    import tracemalloc
+
+    ks = [1, 2, 3]
+    psi, phi = make_state("sine_product", ks=ks), make_state("uniform", d=3)
+    level = uniform_grid(1024, 3)
+    count = 10 ** 5
+    tracemalloc.start()
+    try:
+        batch = sample_xy(psi, phi, level, count=count, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = sum(bp.size - 1 for bp in level.breakpoints)
+    assert batch.x.dtype == np.int32 and batch.count == count
+    assert peak <= 5 * count + 128 * cells + 2 ** 20, peak - 5 * count
+    # each axis's draws follow sine(k)'s masses, read on 8 blocks
+    for k, j in zip(ks, np.unravel_index(batch.x, level.shape)):
+        want = _block_masses(k, np.linspace(0.0, 1.0, 9))
+        freq = np.bincount(j // 128, minlength=8) / count
+        assert np.all(np.abs(freq - want) <= 5 * np.sqrt(want * (1 - want) / count)), k
+
+
+def test_sample_indices_are_int32_below_2_31_bins_and_int64_from_there(monkeypatch):
+    from spatialzeno import measurement
+
+    phi = make_state("uniform", d=3)
+    for n, dtype in ((1290, np.int32), (1291, np.int64), (2048, np.int64)):
+        level = uniform_grid(n, 3)
+        assert (level.num_bins < 2 ** 31) == (dtype is np.int32)
+        batch = sample_xy(make_state("sine_product", ks=[1, 1, 1]), phi, level,
+                          count=1000, seed=3)
+        assert batch.x.dtype == dtype
+        assert 0 <= batch.x.min() and batch.x.max() < level.num_bins
+    # 2^33 bins: the draws reach past int32
+    assert level.num_bins == 2 ** 33 and batch.x.max() >= 2 ** 31
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(measurement, "_draw", no_table)
+    with pytest.raises(ValueError, match="bin index would not fit in int64"):
+        sample_xy(make_state("uniform", d=4), make_state("uniform", d=4),
+                  uniform_grid(2 ** 16, 4), count=10)
+
+
 @pytest.mark.parametrize("case", ["pure_2d", "density_1d"])
 def test_sampler_holds_the_draws_one_term_tables_and_a_chunk(case):
-    # the draw arrays (x and y) take 9 B per draw; above them the state's
-    # two joint tables (a density state's mixed sums), built in the counted
-    # table bytes, and one chunk of DRAW_BLOCK draws
+    # the draw arrays (x in int32 below 2^31 bins, y in int8) take 5 B per
+    # draw; above them a density state's two joint tables (its mixed sums),
+    # built in the counted table bytes, and one chunk of DRAW_BLOCK draws.
+    # The product state draws axis by axis and holds no per-bin table.
     import tracemalloc
 
     from spatialzeno import measurement
@@ -801,13 +1031,14 @@ def test_sampler_holds_the_draws_one_term_tables_and_a_chunk(case):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 9 * count + measurement._TABLE_BYTES_PER_BIN * level.num_bins + 2 ** 20
-    assert peak <= bound, (peak - 9 * count) / level.num_bins
+    tables = 0 if case == "pure_2d" else measurement._TABLE_BYTES_PER_BIN * level.num_bins
+    bound = 5 * count + tables + 2 ** 20
+    assert peak <= bound, (peak - 5 * count) / level.num_bins
 
 
 @pytest.mark.parametrize("case", ["pure_2d", "density_1d"])
 def test_sampler_working_memory_does_not_grow_with_the_draws(case):
-    # beyond its outputs (x and y, 9 B per draw for every state) the
+    # beyond its outputs (x and y, 5 B per draw for every state) the
     # sampler holds the tables and one chunk of uniforms: from 10^5 to 10^6
     # draws its peak above the outputs grows by less than half a byte per
     # draw, so a further 1 B per-draw array shows
@@ -825,7 +1056,7 @@ def test_sampler_working_memory_does_not_grow_with_the_draws(case):
         tracemalloc.start()
         try:
             sample_xy(state, phi, level, count=count, seed=1)
-            above[count] = tracemalloc.get_traced_memory()[1] - 9 * count
+            above[count] = tracemalloc.get_traced_memory()[1] - 5 * count
         finally:
             tracemalloc.stop()
     growth = (above[10 ** 6] - above[10 ** 5]) / (10 ** 6 - 10 ** 5)
@@ -871,15 +1102,15 @@ def test_custom_grid_equals_a_per_bin_reference():
     tol = 1e-13
     assert np.max(np.abs(r.per_bin_amplitude - amps)) <= tol * np.max(np.abs(amps))
     assert np.max(np.abs(r.per_bin_mass - masses)) <= tol * np.max(masses)
-    assert r.mass_total == pytest.approx(masses.sum(), rel=tol)
-    assert r.p_y1 == pytest.approx(np.sum(np.abs(amps) ** 2), rel=tol)
+    assert r.mass_total == pytest.approx(masses.sum(), rel=tol, abs=0.0)
+    assert r.p_y1 == pytest.approx(np.sum(np.abs(amps) ** 2), rel=tol, abs=0.0)
     assert r.p_y1_error_bound > 1e-15 * level.num_bins ** 0.5  # above the roundoff floor
     assert bar_norm_squared(psi, phi, level) == pytest.approx(
-        np.sum(np.abs(amps) ** 2 / vols), rel=tol)
+        np.sum(np.abs(amps) ** 2 / vols), rel=tol, abs=0.0)
     disc = discretize(f, level)
     assert np.max(np.abs(disc.averages - averages)) <= tol * np.max(np.abs(averages))
-    assert discretization_error(f, level) == pytest.approx(np.sqrt(err_sq), rel=tol)
-    assert l2_distance(f, disc, level) == pytest.approx(np.sqrt(err_sq), rel=tol)
+    assert discretization_error(f, level) == pytest.approx(np.sqrt(err_sq), rel=tol, abs=0.0)
+    assert l2_distance(f, disc, level) == pytest.approx(np.sqrt(err_sq), rel=tol, abs=0.0)
 
 
 def test_guided_inverse_cdf_falls_back_for_a_crowded_bucket(monkeypatch):

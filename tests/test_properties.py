@@ -139,7 +139,7 @@ def test_per_bin_cauchy_schwarz_and_mass_sum(case):
     r = prob_y1_pure(psi, phi, level, keep_per_bin=True)
     amp2, m = np.abs(r.per_bin_amplitude) ** 2, r.per_bin_mass
     assert np.all(amp2 <= m * phi.norm_squared() * (1.0 + 1e-12) + 1e-15)
-    assert np.sum(m) == pytest.approx(r.mass_total, rel=1e-12)
+    assert np.sum(m) == pytest.approx(r.mass_total, rel=1e-12, abs=0.0)
     assert np.sum(amp2) == pytest.approx(r.p_y1_raw, rel=1e-12, abs=1e-15)
 
 
@@ -201,7 +201,7 @@ def test_mixed_state_is_linear_in_its_terms(args):
     assert mixed.p_y1_raw == pytest.approx(
         sum(w * r.p_y1_raw for w, r in zip(p, pure)), rel=TOL, abs=TOL)
     assert mixed.mass_total == pytest.approx(
-        sum(w * r.mass_total for w, r in zip(p, pure)), rel=TOL)
+        sum(w * r.mass_total for w, r in zip(p, pure)), rel=TOL, abs=0.0)
     assert np.allclose(mixed.per_bin_mass, sum(w * r.per_bin_mass for w, r in zip(p, pure)),
                        rtol=TOL, atol=0.0)
 
@@ -240,7 +240,7 @@ def test_keeping_the_tables_moves_no_scalar(case):
 def test_norm_identity(case):
     _, psi, phi, level = case
     lhs, rhs = norm_identity_check(phi, psi, level)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def _norm_squared(f) -> float:

@@ -276,9 +276,9 @@ def test_a_complex_block_promotes_the_real_sums(monkeypatch):
 
     monkeypatch.setattr(quadrature, "cell_integrals", late_complex)
     r = prob_y1_pure(psi, phi, level, keep_per_bin=True)
-    assert r.p_y1_raw == pytest.approx(ref.p_y1_raw, rel=1e-14)
+    assert r.p_y1_raw == pytest.approx(ref.p_y1_raw, rel=1e-14, abs=0.0)
     assert np.array_equal(r.per_bin_amplitude, ref.per_bin_amplitude)
-    assert bar_norm_squared(psi, phi, level) == pytest.approx(ref_bar, rel=1e-14)
+    assert bar_norm_squared(psi, phi, level) == pytest.approx(ref_bar, rel=1e-14, abs=0.0)
     _, (ax,) = _pair_data(phi, psi, level.breakpoints, DEFAULT_CONFIG, keep=True,
                           with_bar=True)
     assert ax.gram.dtype == ax.gram_bar.dtype == ax.cells.dtype == np.complex128
@@ -324,11 +324,14 @@ def test_oversized_tables_raise_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(measurement, "_pair_pass", _no_pass)
     for call in (lambda: prob_y1_pure(psi, phi, small, keep_per_bin=True),
                  lambda: joint_distribution(psi, phi, small),
-                 lambda: sample_xy(psi, phi, small, count=5),
+                 lambda: sample_xy(make_density([(1.0, psi)]), phi, small, count=5),
                  lambda: prob_y1_mixed(make_density([(1.0, psi)]), phi, small,
                                        keep_per_bin=True)):
         with pytest.raises(TableTooLargeError, match="64 bins"):
             call()
+    # a pure product state draws axis by axis: it builds no per-bin table,
+    # so the byte limit does not apply to it
+    assert sample_xy(psi, phi, small, count=5).count == 5
     # at the real limit, with nothing able to allocate a table
     level = uniform_grid(1024, d=7)
     psi7 = tensor_product([psi] * 7)
@@ -341,10 +344,14 @@ def test_refused_tables_say_why(monkeypatch):
 
     psi, phi = make_state("sine_mode", k=1), make_state("uniform")
     monkeypatch.setattr(measurement, "_pair_pass", _no_pass)
-    # tables that were not asked for are refused as such, at any size
-    for call in (joint_distribution, lambda *a, **kw: sample_xy(*a, count=3, **kw)):
+    # tables that were not asked for are refused as such, at any size; a
+    # pure product state's sample builds none and does not read the option
+    rho = make_density([(1.0, psi)])
+    for state, call in ((psi, joint_distribution),
+                        (rho, lambda *a, **kw: sample_xy(*a, count=3, **kw))):
         with pytest.raises(ValueError, match="keep_per_bin=False does not request"):
-            call(psi, phi, uniform_grid(4), keep_per_bin=False)
+            call(state, phi, uniform_grid(4), keep_per_bin=False)
+    assert sample_xy(psi, phi, uniform_grid(4), count=3, keep_per_bin=False).count == 3
     # above the bin guard, each call names its own override
     monkeypatch.setattr(measurement, "PER_BIN_LIMIT", 10)
     with pytest.raises(ValueError, match="guard of 10 bins; pass keep_per_bin=True"):
@@ -669,8 +676,8 @@ def test_blocked_pass_matches_full_array_pass(name):
     bar_ref = _gram_total(w, mats, axis_weights=inv_len)
 
     r = prob_y1_pure(psi, phi, level, keep_per_bin=True)
-    assert r.p_y1_raw == pytest.approx(p_ref, rel=1e-13)
-    assert bar_norm_squared(psi, phi, level) == pytest.approx(bar_ref, rel=1e-13)
+    assert r.p_y1_raw == pytest.approx(p_ref, rel=1e-13, abs=0.0)
+    assert bar_norm_squared(psi, phi, level) == pytest.approx(bar_ref, rel=1e-13, abs=0.0)
     # the per-axis sums behind the error bound
     _, axes = _pair_data(phi, psi, level.breakpoints, DEFAULT_CONFIG)
     sq_ref = [[np.sum(np.abs(m) ** 2) for m in m_axes] for m_axes in mats]
