@@ -13,6 +13,10 @@ config, and identical configs reproduce byte-identical outputs for one
 numpy build and SIMD level, on any BLAS kernel and thread count (every
 computation runs in one Python thread, no sum that reaches an output is
 a BLAS product, and volatile timings are never serialized).
+
+jsonschema is imported, and the config validator built, on the first
+``validate_config``: ``capabilities`` and ``import spatialzeno.cli`` load
+numpy alone.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import __version__
 from .analysis import convergence_study, rd_study
@@ -165,9 +167,16 @@ CONFIG_SCHEMA = {
 }
 
 
-# CONFIG_SCHEMA is a constant, so it is checked against the 2020-12
-# metaschema once, by the test suite, not on every run
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+@functools.cache
+def _validator():
+    """The config validator and jsonschema's ``best_match``, built on the
+    first ``validate_config``: ``capabilities`` and ``import
+    spatialzeno.cli`` load no jsonschema.  CONFIG_SCHEMA is a constant, so
+    it is checked against the 2020-12 metaschema once, by the test suite,
+    not on every run."""
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+    return Draft202012Validator(CONFIG_SCHEMA), best_match
 
 
 class CliError(Exception):
@@ -544,7 +553,8 @@ def load_config(path: str) -> dict:
 
 
 def validate_config(config: dict) -> None:
-    error = best_match(_VALIDATOR.iter_errors(config))
+    validator, best_match = _validator()
+    error = best_match(validator.iter_errors(config))
     if error is None:
         return
     field = ".".join(str(p) for p in error.absolute_path) or "<root>"

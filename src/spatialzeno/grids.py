@@ -235,6 +235,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# breakpoints per block of the strict-increase check: its mask stays this short
+_CHECK_BLOCK = 2 ** 16
+
+
+def _increasing(bp: np.ndarray) -> bool:
+    """Whether ``bp`` is strictly increasing, checked block by block."""
+    blocks = (bp[s:s + _CHECK_BLOCK + 1] for s in range(0, bp.size - 1, _CHECK_BLOCK))
+    return all((b[1:] > b[:-1]).all() for b in blocks)
+
+
 class ProductGrid(GridLevel):
     """Tensor-product grid defined by one breakpoint array per axis.
 
@@ -260,7 +270,7 @@ class ProductGrid(GridLevel):
             bp = np.array(bp, dtype=float) if writeable else np.asarray(bp, dtype=float)
             if bp.ndim != 1 or bp.size < 2:
                 raise ValueError("each axis needs at least two breakpoints")
-            if not (bp[1:] > bp[:-1]).all():
+            if not _increasing(bp):
                 raise ValueError("breakpoints must be strictly increasing")
             bps.append(_read_only(bp))
         self.breakpoints: tuple[np.ndarray, ...] = tuple(bps)
@@ -431,9 +441,11 @@ def _jitter_axis(n: int, C: float, m: int, seed: int, axis: int,
     # lo + u (1 - m lo)
     lengths *= 1.0 - m * lo
     lengths += lo
-    over = lengths > hi
-    for i in np.flatnonzero(over.any(axis=1)):
-        row, row_over = lengths[i], over[i]
+    # the rows to clip are those whose maximum is over hi: no per-cell
+    # mask of the whole array is made
+    for i in np.flatnonzero(lengths.max(axis=1) > hi):
+        row = lengths[i]
+        row_over = row > hi
         excess = float((row[row_over] - hi).sum())
         row[row_over] = hi
         room = hi - row

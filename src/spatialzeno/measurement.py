@@ -95,6 +95,12 @@ _TABLE_BYTES_PER_BIN = 16 + 16 + 16
 # every axis, and per cell of one block its phase tables and pair
 # integrals (``_kept_cell_bytes`` counts a complex128 table at twice this)
 _CELL_BYTES = 8
+# a broadcast ufunc, such as an outer product of ``_per_bin_arrays`` on a
+# part of two or more axes, iterates through buffers of np.getbufsize()
+# elements, one per operand it buffers: at most three complex128 ones (two
+# were measured, 259 KB beside the 4.3 MB tables of a 2 x 2-term
+# exponential tensor on a 300 x 300 grid)
+_BUFFERED_OPERANDS = 3
 
 
 @dataclass
@@ -209,12 +215,16 @@ def _per_bin_arrays(weights, axes_cells) -> np.ndarray:
 
 def _table_bytes(level: GridLevel, bytes_per_bin: int, tables) -> int:
     """The bytes the table guard counts: ``bytes_per_bin`` for every bin,
-    and the largest kept cell table of the (bra, ket) pairs ``tables``
-    (``_kept_cell_bytes``) on the widest part."""
+    the largest kept cell table of the (bra, ket) pairs ``tables``
+    (``_kept_cell_bytes``) on the widest part, and the ufunc buffers of
+    the largest part of two or more axes (``_BUFFERED_OPERANDS``)."""
     cells = max(sum(part.shape) + min(max(part.shape), PAIR_BLOCK)
                 for part in level.parts)
     cell_bytes = max((_kept_cell_bytes(bra, ket, level) for bra, ket in tables), default=0)
-    return level.num_bins * bytes_per_bin + cell_bytes * cells
+    buffered = max((min(np.getbufsize(), part.num_bins) for part in level.parts
+                    if part.d > 1), default=0)
+    return (level.num_bins * bytes_per_bin + cell_bytes * cells
+            + _BUFFERED_OPERANDS * 16 * buffered)
 
 
 def _should_keep(level: GridLevel, keep,

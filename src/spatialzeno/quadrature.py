@@ -10,8 +10,9 @@ smooth catalog.  A cell that starts at the pair's singular point a (the
 lower end of its support) takes a Gauss-Jacobi rule whose weight
 (x - a)^-gamma carries the singular exponent; the rule weights the pair's
 own values times (x - a)^gamma at nodes inside the cell, never the value
-at a.  The reported error estimate is the difference between the order-p
-and order-p/2 results.
+at a; its nodes come from scipy's ``roots_jacobi``, imported with the
+first rule.  The reported error estimate is the difference between the
+order-p and order-p/2 results.
 
 Sums over bins use numpy's own reductions (``np.add.reduce``, pairwise
 summation, and ``np.einsum`` with ``optimize=False`` for the Grams) in
@@ -40,7 +41,6 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .grids import Bin, GridLevel, _int, _real
 from .states import (
@@ -115,7 +115,8 @@ def _gl_rule(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=256)
 def _gj_rule(p: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    # weight (1+t)^(-gamma) on [-1, 1]
+    # weight (1+t)^(-gamma) on [-1, 1]; scipy is imported on the first rule
+    from scipy.special import roots_jacobi
     x, w = roots_jacobi(p, 0.0, -gamma)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -349,25 +350,37 @@ def _root_gap(sq: np.ndarray, extra: np.ndarray):
     return s, s_hi, np.divide(diff, s_hi + s, out=np.zeros_like(diff), where=diff > 0.0)
 
 
+def _region_cells(phi: SeparableFunction, psi: SeparableFunction,
+                  axes_edges: Sequence[np.ndarray], cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """(w, cells, extra) of conj(phi)*psi over a box, one cell ``[lo, hi]``
+    per axis in ``axes_edges``: the term-pair weights, each axis's (P, 1)
+    cell integrals and the (P, d) error sums of ``_AxisSums.extra``."""
+    w, axes = _pair_data(phi, psi, axes_edges, cfg, keep=True, gram=False)
+    return w, [ax.cells for ax in axes], np.array([ax.extra for ax in axes]).T
+
+
+def _region_total(w: np.ndarray, cells) -> complex:
+    """sum_a w_a prod_k M_ak of ``_region_cells``, the pairs summed in order."""
+    total = 0j
+    for a, term in enumerate(w.tolist()):
+        for c in cells:
+            term *= c[a, 0].item()
+        total += term
+    return total
+
+
 def _region_integral(phi: SeparableFunction, psi: SeparableFunction,
                      axes_edges: Sequence[np.ndarray],
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> Integral:
     """Integral of conj(phi)*psi over a box, one cell ``[lo, hi]`` per axis
     in ``axes_edges``, with the error sum_a |w_a| (prod_k (|M_ak| + e_ak)
     - prod_k |M_ak|) of the cells' estimates e (0.0 on closed forms)."""
-    w, axes = _pair_data(phi, psi, axes_edges, cfg, keep=True, gram=False)
-    cells = [ax.cells for ax in axes]
-    extra = np.array([ax.extra for ax in axes]).T
+    w, cells, extra = _region_cells(phi, psi, axes_edges, cfg)
     error = 0.0
     if extra.any():
         sq = np.square(np.abs(np.concatenate(cells, axis=1)))
         error = float(np.add.reduce(np.abs(w) * _root_gap(sq, extra)[2]))
-    total = 0j  # sum_a w_a prod_k M_ak, the pairs summed in order
-    for a, term in enumerate(w.tolist()):
-        for c in cells:
-            term *= c[a, 0].item()
-        total += term
-    return Integral(total, error)
+    return Integral(_region_total(w, cells), error)
 
 
 def bin_inner_product(phi: SeparableFunction, psi: SeparableFunction, cell: Bin,

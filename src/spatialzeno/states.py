@@ -12,6 +12,8 @@ has closed-form cells for every pair; power singularities paired with a
 power or with an unenveloped trig factor integrate as x^p times a power
 series.  Pairs without a closed form, or with a trig frequency too high
 for the series, report ``None`` so the quadrature module can take over.
+Only the Gaussian cells need scipy: ``erfc`` and ``wofz`` are imported on
+the first of them, so importing the package loads numpy alone.
 
 Catalog factors and their natural (unit-norm) scaling.  All but the power
 law and the Haar pieces are each a ``Trig1D`` whose ``terms`` (c_m, w_m) of
@@ -34,11 +36,10 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erfc, wofz
 
 from .grids import Bin, _int, _real, _reals, _seed
 
@@ -443,6 +444,14 @@ def _trig_cells(terms, edges: np.ndarray,
     return out
 
 
+@cache
+def _erfc_wofz():
+    """scipy.special's erfc and wofz, imported on the first Gaussian cell:
+    no other kernel needs scipy."""
+    from scipy.special import erfc, wofz
+    return erfc, wofz
+
+
 def _gauss_cells(terms, a: float, m: float, edges: np.ndarray) -> np.ndarray:
     """Cells of exp(-a (x - m)^2) sum_t c_t exp(i w_t x), float64 when the
     coefficients are real.
@@ -456,6 +465,7 @@ def _gauss_cells(terms, a: float, m: float, edges: np.ndarray) -> np.ndarray:
     side's difference, or across m, 2 e^{-w^2/4a} minus both sides, so tail
     cells do not cancel.  Each +-w pair is folded as in ``_trig_cells``.
     """
+    erfc, wofz = _erfc_wofz()
     t = edges - m
     s = np.sqrt(a)
     sign = np.copysign(1.0, t)
@@ -738,9 +748,12 @@ class WaveFunction(SeparableFunction):
     def __post_init__(self):
         super().__post_init__()
         if self.check_norm:
-            nsq = self.norm_squared()
-            if not abs(nsq - 1.0) <= NORM_TOL:
-                raise ValueError(f"state {self.label!r} has ||psi||^2 = {nsq!r}, not 1")
+            self._require_unit_norm(self.norm_squared())
+
+    def _require_unit_norm(self, nsq: float) -> None:
+        """Raise unless ``nsq`` = ||psi||^2 is 1 within NORM_TOL."""
+        if not abs(nsq - 1.0) <= NORM_TOL:
+            raise ValueError(f"state {self.label!r} has ||psi||^2 = {nsq!r}, not 1")
 
     def norm_squared(self) -> float:
         return float(np.real(inner_product(self, self)))
@@ -772,7 +785,14 @@ def product_field(phi: SeparableFunction, psi: SeparableFunction) -> SeparableFu
 
 
 def superpose(terms: Iterable[tuple[complex, WaveFunction]]) -> WaveFunction:
-    """Renormalised linear combination of states on a common domain."""
+    """Renormalised linear combination of states on a common domain.
+
+    The raw sum and the normalised state have the same term pairs, so one
+    pair table on the domain box gives both ||raw||^2 and the NORM_TOL
+    check that ``WaveFunction`` would make: the same weighted sum, in the
+    same order, of the same cells.
+    """
+    from .quadrature import _region_cells, _region_total
     terms = list(terms)
     if not terms:
         raise ValueError("need at least one term")
@@ -784,13 +804,20 @@ def superpose(terms: Iterable[tuple[complex, WaveFunction]]) -> WaveFunction:
         for c, factors in wf.terms:
             flat.append((complex(coeff) * c, factors))
     raw = SeparableFunction(domain, tuple(flat))
-    nsq = float(np.real(inner_product(raw, raw)))
+    box = [np.array(domain.axis_bounds(k)) for k in range(domain.d)]
+    w, cells, _ = _region_cells(raw, raw, box)
+    nsq = float(np.real(_region_total(w, cells)))
     if nsq <= 0.0:
         raise ValueError("combination has zero norm")
     scale = 1.0 / np.sqrt(nsq)
     label = " + ".join(f"({c})*{wf.label}" for c, wf in terms)
-    return WaveFunction(domain, tuple((c * scale, f) for c, f in flat),
-                        label=f"superpose[{label}]")
+    state = WaveFunction(domain, tuple((c * scale, f) for c, f in flat),
+                         label=f"superpose[{label}]", check_norm=False)
+    w_unit = np.array([w for w, _, _ in _term_pairs(state, state)])
+    state._require_unit_norm(float(np.real(_region_total(w_unit, cells))))
+    # made above from the raw sum's cells: the check that check_norm=True records
+    object.__setattr__(state, "check_norm", True)
+    return state
 
 
 def tensor_product(states: Sequence[WaveFunction]) -> WaveFunction:

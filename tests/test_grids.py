@@ -169,14 +169,26 @@ def test_box_and_cube_list_breakpoints_pinned():
 
 def test_jittered_level_build_holds_one_breakpoint_array():
     # the uniforms are drawn into the breakpoint array and turned into
-    # lengths and edges there; the strictly-increasing check adds 1 B/cell
+    # lengths and edges there; the rows to clip are found by their maxima
+    # and the strictly-increasing check runs block by block, so neither
+    # makes a 1 B/cell mask (1.5 MiB here)
     tracemalloc.start()
     try:
         g = jittered_grid(2 ** 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * g.breakpoints[0].nbytes, peak / g.breakpoints[0].nbytes
+    assert peak <= g.breakpoints[0].nbytes + 2 ** 20, peak - g.breakpoints[0].nbytes
+
+
+@pytest.mark.parametrize("at", [1, grids._CHECK_BLOCK - 1, grids._CHECK_BLOCK,
+                                grids._CHECK_BLOCK + 1, 2 * grids._CHECK_BLOCK + 1])
+def test_strict_increase_is_checked_across_blocks(at):
+    bp = np.linspace(0.0, 1.0, 2 * grids._CHECK_BLOCK + 3)
+    ProductGrid(1, [bp])
+    bp[at] = bp[at - 1]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ProductGrid(1, [bp])
 
 
 def test_product_grid_leaves_the_callers_array_writeable():
