@@ -25,7 +25,7 @@ from .grids import CubeBox, GridScheme, _int, _real
 from .measurement import _pair_pass, _spectrum
 from .quadrature import DEFAULT_CONFIG, PAIR_BLOCK, QuadratureConfig, _pair_data, \
     _region_integral
-from .states import WaveFunction, inner_product, product_field
+from .states import WaveFunction, product_field
 
 __all__ = [
     "ConvergenceRow",
@@ -337,7 +337,7 @@ def rd_study(state, phi: WaveFunction, scheme: GridScheme,
     k = int(np.argmax(reached)) + 1
     cap_psi = float(cap_psi[k - 1])
     box = CubeBox((k,) * d)
-    phi_norm_sq = float(np.real(inner_product(phi, phi)))
+    phi_norm_sq = phi.norm_squared()
     tail = TailBudget(cubes=box,
                       captured_mass=cap_psi,
                       tail_bound=phi_norm_sq * max(0.0, 1.0 - cap_psi))

@@ -268,10 +268,13 @@ class ProductGrid(GridLevel):
             # writing to it leaves the grid as it is; a read-only one is kept
             writeable = isinstance(bp, np.ndarray) and bp.flags.writeable
             bp = np.array(bp, dtype=float) if writeable else np.asarray(bp, dtype=float)
-            if bp.ndim != 1 or bp.size < 2:
-                raise ValueError("each axis needs at least two breakpoints")
-            if not _increasing(bp):
-                raise ValueError("breakpoints must be strictly increasing")
+            # an axis that is an earlier axis's array, as a uniform level's
+            # equal axes are, was checked with it
+            if not any(bp is b for b in bps):
+                if bp.ndim != 1 or bp.size < 2:
+                    raise ValueError("each axis needs at least two breakpoints")
+                if not _increasing(bp):
+                    raise ValueError("breakpoints must be strictly increasing")
             bps.append(_read_only(bp))
         self.breakpoints: tuple[np.ndarray, ...] = tuple(bps)
         self.shape: tuple[int, ...] = tuple(bp.size - 1 for bp in bps)
@@ -391,9 +394,14 @@ def uniform_grid(n: int, d: int = 1,
     n, d = _int("n", n), _int("d", d)
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    return ProductGrid(n, (_uniform_axis(n),) * d, ratio_bound=ratio_bound)
+
+
+def _uniform_axis(n: int) -> np.ndarray:
+    """The read-only breakpoints i/n, i = 0..n, of one uniform axis."""
     bp = np.arange(n + 1) / n
     bp[-1] = 1.0
-    return ProductGrid(n, (_read_only(bp),) * d, ratio_bound=ratio_bound)
+    return _read_only(bp)
 
 
 def _auto_cells(n: int, C: float) -> int:
@@ -660,6 +668,8 @@ def _cube_axis(scheme: "GridScheme", n: int) -> Callable[[int, np.ndarray], np.n
     segments [a, a+1] of one axis, a in ``coords`` (each one past the
     last), joined end to end; one coordinate gives one cube's segment.
 
+    A uniform axis does not depend on ``axis``: equal ``coords`` get one
+    read-only array, the same object, as the axes of ``uniform_grid`` do.
     A jittered axis is one PCG64 stream seeded from (scheme seed, n,
     axis, cell count), and the segment of coordinate a is its block at
     offset (bit pattern of a) * (cell count), so a segment does not depend
@@ -668,13 +678,17 @@ def _cube_axis(scheme: "GridScheme", n: int) -> Callable[[int, np.ndarray], np.n
     """
     C = scheme.ratio_bound
     if _cube_kind(scheme) == "uniform":
-        base = uniform_grid(n, 1, ratio_bound=C).breakpoints[0]
+        base = _uniform_axis(n)
+        built: dict[bytes, np.ndarray] = {}  # the joined axis of each coords
 
         def joined(axis: int, coords: np.ndarray) -> np.ndarray:
-            bp = np.empty(coords.size * n + 1)
-            bp[0] = base[0] + coords[0]
-            np.add(base[1:], coords[:, None], out=bp[1:].reshape(coords.size, n))
-            return bp
+            key = coords.tobytes()
+            if key not in built:
+                bp = np.empty(coords.size * n + 1)
+                bp[0] = base[0] + coords[0]
+                np.add(base[1:], coords[:, None], out=bp[1:].reshape(coords.size, n))
+                built[key] = _read_only(bp)
+            return built[key]
         return joined
     m = _jitter_cells(n, C, scheme.cells_per_axis)
 
@@ -776,10 +790,13 @@ def rd_grid(scheme: GridScheme, n: int,
     sub-scheme's breakpoints translated to a_k.  A :class:`CubeBox` gives a
     single product part over its box directly from its ``axes``: the axis
     breakpoints are those segments joined end to end, and no corner is
-    read.  An explicit list whose distinct corners fill a box of the unit
-    lattice gets the same part, found by sorting its corners, and its bins
-    come in C order over the box whatever the order of the list; such
-    corners are disjoint by construction.  Any other list gets one part
+    read.  On a uniform sub-scheme the equal axes of a box are one
+    read-only array, as in ``uniform_grid``, so a pair walk finds an
+    equal axis by identity and does not walk it again.  An explicit list
+    whose distinct corners fill a box of the unit lattice gets the same
+    part, found by sorting its corners, and its bins come in C order over
+    the box whatever the order of the list; such corners are disjoint by
+    construction.  Any other list gets one part
     per cube, in list order, after a pairwise check that no two cubes
     overlap.
 

@@ -32,13 +32,13 @@ from .quadrature import (
     PAIR_BLOCK,
     QuadratureConfig,
     _pair_data,
-    _region_integral,
+    _region_cells,
+    _region_total,
     _root_gap,
     bin_inner_product,
     bin_mass,
 )
-from .states import (DensityState, WaveFunction, _term_pairs, exact_cell_integrals,
-                     inner_product)
+from .states import DensityState, WaveFunction, _term_pairs, exact_cell_integrals
 
 __all__ = [
     "MeasurementResult",
@@ -101,6 +101,19 @@ _CELL_BYTES = 8
 # were measured, 259 KB beside the 4.3 MB tables of a 2 x 2-term
 # exponential tensor on a 300 x 300 grid)
 _BUFFERED_OPERANDS = 3
+# a call's own objects beside its tables and buffers, so the count bounds
+# the peak on a level of one bin too: a few KB per call, and the Python
+# objects of the pair walks (the term pairs, and per axis their factor
+# pairs and distinct-pair lists), _PAIR_OBJECT_BYTES per term pair of the
+# largest table and per axis, plus one.  Sized from tracemalloc on
+# uniform_grid(n, d), n = 1..16, d = 1..3: the peaks of prob_y1_pure,
+# prob_y1_mixed, joint_distribution and a density's sample_xy exceed the
+# rest of the count by at most 6.6 KB for one-term states, and by 250 to
+# 420 B per psi-psi pair for superpositions of 2 to 64 terms.  The P x P
+# Grams of a phi-psi pass are not counted: they are built whether or not
+# a table is kept.
+_CALL_BYTES = 8192
+_PAIR_OBJECT_BYTES = 192
 
 
 @dataclass
@@ -178,9 +191,7 @@ def _gram_form(weights: np.ndarray, grams) -> float:
 
 def _error_bound(weights: np.ndarray, sq: np.ndarray, extra: np.ndarray) -> float:
     """sum_ab |w_a||w_b| (s_hi_a s_hi_b - s_a s_b) for (P, d) per-axis sums
-    ``sq`` and ``extra`` (``_root_gap``); all-zero ``extra`` gives 0.0."""
-    if not extra.any():
-        return 0.0
+    ``sq`` and ``extra`` (``_root_gap``)."""
     s, s_hi, delta = _root_gap(sq, extra)
     a = np.abs(weights)
     # (sum a s_hi)^2 - (sum a s)^2 = (sum a (s_hi - s)) (sum a s_hi + sum a s)
@@ -216,15 +227,19 @@ def _per_bin_arrays(weights, axes_cells) -> np.ndarray:
 def _table_bytes(level: GridLevel, bytes_per_bin: int, tables) -> int:
     """The bytes the table guard counts: ``bytes_per_bin`` for every bin,
     the largest kept cell table of the (bra, ket) pairs ``tables``
-    (``_kept_cell_bytes``) on the widest part, and the ufunc buffers of
-    the largest part of two or more axes (``_BUFFERED_OPERANDS``)."""
+    (``_kept_cell_bytes``) on the widest part, the ufunc buffers of the
+    largest part of two or more axes (``_BUFFERED_OPERANDS``), and the
+    call's own objects (``_CALL_BYTES``, and ``_PAIR_OBJECT_BYTES`` per
+    term pair of the largest table and per axis, plus one)."""
     cells = max(sum(part.shape) + min(max(part.shape), PAIR_BLOCK)
                 for part in level.parts)
     cell_bytes = max((_kept_cell_bytes(bra, ket, level) for bra, ket in tables), default=0)
     buffered = max((min(np.getbufsize(), part.num_bins) for part in level.parts
                     if part.d > 1), default=0)
+    pairs = max((len(bra.terms) * len(ket.terms) for bra, ket in tables), default=0)
     return (level.num_bins * bytes_per_bin + cell_bytes * cells
-            + _BUFFERED_OPERANDS * 16 * buffered)
+            + _BUFFERED_OPERANDS * 16 * buffered
+            + _CALL_BYTES + _PAIR_OBJECT_BYTES * (level.d + 1) * pairs)
 
 
 def _should_keep(level: GridLevel, keep,
@@ -307,25 +322,32 @@ def _masses(w: np.ndarray, cells) -> np.ndarray:
     return _per_bin_arrays(w.real, cells)
 
 
-def _part_masses(psi: WaveFunction, part: ProductGrid, cfg: QuadratureConfig):
-    """The per-bin masses of psi on one product part."""
-    w, axes = _pair_data(psi, psi, part.breakpoints, cfg, keep=True, gram=False)
-    return _masses(w, [ax.cells for ax in axes])
-
-
 def _mass_pass(state, level: GridLevel, cfg: QuadratureConfig, keep: bool):
     """(mass_total, masses|None): sum_l p_l ||P_j psi_l||^2 over the
     spectral terms, the total from each part's hull and the per-bin masses
     only when ``keep`` (the only case that walks the level's psi-psi cells);
-    each term's masses are scaled and added into the sum in place."""
+    each term's masses are scaled and added into the sum in place.
+
+    A part of one bin is its own hull, so its masses are read from the
+    hull's cells: one walk of it, not two."""
     mass_total, masses = 0.0, None
     for p_l, psi in _spectrum(state):
-        # each part's hull, one cell [bp[0], bp[-1]] per axis
-        hulls = ([bp[[0, -1]] for bp in part.breakpoints] for part in level.parts)
-        mass_total += p_l * sum(_region_integral(psi, psi, hull, cfg).value.real
-                                for hull in hulls)
+        hull_masses, parts = [], []
+        for part in level.parts:
+            # the part's hull, one cell [bp[0], bp[-1]] per axis
+            w, cells, _ = _region_cells(psi, psi, [bp[[0, -1]] for bp in part.breakpoints],
+                                        cfg)
+            hull_masses.append(_region_total(w, cells).real)
+            if keep:
+                if part.num_bins > 1:  # else the hull's cells are the part's
+                    w, axes = _pair_data(psi, psi, part.breakpoints, cfg, keep=True,
+                                         gram=False)
+                    cells = [ax.cells for ax in axes]
+                parts.append(_masses(w, cells))
+        mass_total += p_l * sum(hull_masses)
         if keep:
-            term = _joined([_part_masses(psi, part, cfg) for part in level.parts])
+            term = _joined(parts)
+            del parts
             term *= p_l
             masses = term if masses is None else np.add(masses, term, out=masses)
             del term  # it goes before the next term's masses are built
@@ -359,14 +381,18 @@ def _part_pairs(psi: WaveFunction, phi: WaveFunction, part: ProductGrid,
     real weights and cells give float64 amplitudes: their squares are
     those of the complex128 ones bit for bit."""
     w, axes = _pair_data(phi, psi, part.breakpoints, cfg, keep=keep, with_bar=with_bar)
-    sq = np.array([ax.gram.diagonal().real for ax in axes]).T
+    error = 0.0
+    # the per-axis sums are built only when a pair reports an error:
+    # closed forms report none
+    if any(ax.extra.any() for ax in axes):
+        sq = np.array([ax.gram.diagonal().real for ax in axes]).T
+        error = _error_bound(w, sq, np.array([ax.extra for ax in axes]).T)
     table = None
     if keep:
         cells = [ax.cells for ax in axes]
         real = squared and not w.imag.any() and not any(np.iscomplexobj(c) for c in cells)
         table = _per_bin_arrays(w.real if real else w, cells)
-    return (_gram_form(w, [ax.gram for ax in axes]),
-            _error_bound(w, sq, np.array([ax.extra for ax in axes]).T),
+    return (_gram_form(w, [ax.gram for ax in axes]), error,
             _gram_form(w, [ax.gram_bar for ax in axes]) if with_bar else 0.0,
             table)
 
@@ -407,7 +433,7 @@ def _pair_pass(state, phi: WaveFunction, level: GridLevel, cfg: QuadratureConfig
             del term  # it goes before the next term's table is built
     tail = 0.0 if pure else state.tail_mass
     if tail > 0.0:
-        err += float(np.real(inner_product(phi, phi))) * tail
+        err += phi.norm_squared() * tail
     return _PairTotals(p_y1=_clamp_probability(p_raw), p_y1_raw=p_raw,
                        error_bound=float(err), table=table,
                        bar_norm_sq=bar if with_bar else None)

@@ -264,11 +264,20 @@ def _axis_pass(pairs, k: int, edges: np.ndarray, cfg: QuadratureConfig,
     first complex pair is met in the first block, where only that block's
     walked rows are copied: complex kept cells peak at 16 B per pair and
     cell, the 2x count of ``measurement._kept_cell_bytes``.
+
+    An axis of one cell (a bin, a norm's domain box, a hull) takes none of
+    this: no block loop, shared phase table, row buffer or promotion copy.
+    Each distinct pair's kernel is called once on the axis's two edges and
+    its value written into the (P, 1) cells, complex128 when any pair's
+    is.  The values, sums and dtypes are those of the blocked walk bit for
+    bit.
     """
     shared_by: dict = {}  # each distinct (bra, ket) primitive pair: its term pairs
     for a, (_, bf, kf) in enumerate(pairs):
         shared_by.setdefault((bf[k], kf[k]), []).append(a)
     P, m = len(pairs), edges.size - 1
+    if m == 1:
+        return _cell_pass(shared_by, P, edges, cfg, gram, with_bar)
     G = np.zeros((P, P)) if gram else None
     G_bar = np.zeros((P, P)) if with_bar else None
     extra = np.zeros(P)
@@ -294,14 +303,48 @@ def _axis_pass(pairs, k: int, edges: np.ndarray, cfg: QuadratureConfig,
             done += shared
             # closed-form pairs carry all-zero errors
             if err.any():
-                extra[shared] += float(np.sum((2.0 * np.abs(vals) + err) * err))
+                extra[shared] += _error_sum(vals, err)
         if gram:
-            V = rows[:, span]
-            V_c = V.conj() if np.iscomplexobj(V) else V
-            G += np.einsum("ai,bi->ab", V, V_c, optimize=False)
-            if with_bar:
-                G_bar += np.einsum("ai,bi->ab", V / np.diff(block), V_c, optimize=False)
+            _add_grams(G, G_bar, rows[:, span], block)
     return _AxisSums(G, G_bar, extra, rows if keep else None)
+
+
+def _error_sum(vals: np.ndarray, err: np.ndarray) -> float:
+    """sum_i 2|M[i]| e[i] + e[i]^2 of one pair's cells M and errors e."""
+    return float(np.sum((2.0 * np.abs(vals) + err) * err))
+
+
+def _add_grams(G: np.ndarray, G_bar: np.ndarray | None, V: np.ndarray,
+               edges: np.ndarray) -> None:
+    """Add the rows V of the cells of ``edges`` into the Gram G and, when
+    given, the bar Gram G_bar, in place."""
+    V_c = V.conj() if np.iscomplexobj(V) else V
+    G += np.einsum("ai,bi->ab", V, V_c, optimize=False)
+    if G_bar is not None:
+        G_bar += np.einsum("ai,bi->ab", V / (edges[1:] - edges[:-1]), V_c, optimize=False)
+
+
+def _cell_pass(shared_by: dict, P: int, edges: np.ndarray, cfg: QuadratureConfig,
+               gram: bool, with_bar: bool) -> _AxisSums:
+    """``_axis_pass`` on an axis of one cell: one kernel call per distinct
+    pair, written into the (P, 1) cells, which are always kept."""
+    column = [None] * P  # each pair's cell, a float64 or complex128 scalar
+    extra = np.zeros(P)
+    for (bf, kf), shared in shared_by.items():
+        vals, err = cell_integrals(bf, kf, edges, cfg)
+        for a in shared:
+            column[a] = vals[0]
+        if np.count_nonzero(err):  # err.any() without its Python wrapper
+            extra[shared] += _error_sum(vals, err)
+    # complex128 when any pair's cell is, each value converted exactly
+    cells = np.array(column)[:, None]
+    G = G_bar = None
+    if gram:
+        # zeros plus the product, as the blocked walk sums its one block
+        G = np.zeros((P, P), dtype=cells.dtype)
+        G_bar = np.zeros((P, P), dtype=cells.dtype) if with_bar else None
+        _add_grams(G, G_bar, cells, edges)
+    return _AxisSums(G, G_bar, extra, cells)
 
 
 def _pair_data(phi: SeparableFunction, psi: SeparableFunction,
@@ -320,8 +363,8 @@ def _pair_data(phi: SeparableFunction, psi: SeparableFunction,
     walked, axes = [], []  # walked: (factor pairs, edges, sums) per walk
     for k, edges in enumerate(axes_edges):
         factors = [(bf[k], kf[k]) for _, bf, kf in pairs]
-        sums = next((s for f, e, s in walked if f == factors
-                     and (e is edges or np.array_equal(e, edges))), None)
+        sums = next((s for f, e, s in walked if f == factors and (
+            e is edges or e.shape == edges.shape and bool((e == edges).all()))), None)
         if sums is None:
             sums = _axis_pass(pairs, k, edges, cfg, keep, gram, with_bar)
             walked.append((factors, edges, sums))
@@ -352,11 +395,11 @@ def _root_gap(sq: np.ndarray, extra: np.ndarray):
 
 def _region_cells(phi: SeparableFunction, psi: SeparableFunction,
                   axes_edges: Sequence[np.ndarray], cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """(w, cells, extra) of conj(phi)*psi over a box, one cell ``[lo, hi]``
-    per axis in ``axes_edges``: the term-pair weights, each axis's (P, 1)
-    cell integrals and the (P, d) error sums of ``_AxisSums.extra``."""
+    """(w, cells, extras) of conj(phi)*psi over a box, one cell ``[lo, hi]``
+    per axis in ``axes_edges``: the term-pair weights, and each axis's
+    (P, 1) cell integrals and (P,) error sums ``_AxisSums.extra``."""
     w, axes = _pair_data(phi, psi, axes_edges, cfg, keep=True, gram=False)
-    return w, [ax.cells for ax in axes], np.array([ax.extra for ax in axes]).T
+    return w, [ax.cells for ax in axes], [ax.extra for ax in axes]
 
 
 def _region_total(w: np.ndarray, cells) -> complex:
@@ -375,11 +418,11 @@ def _region_integral(phi: SeparableFunction, psi: SeparableFunction,
     """Integral of conj(phi)*psi over a box, one cell ``[lo, hi]`` per axis
     in ``axes_edges``, with the error sum_a |w_a| (prod_k (|M_ak| + e_ak)
     - prod_k |M_ak|) of the cells' estimates e (0.0 on closed forms)."""
-    w, cells, extra = _region_cells(phi, psi, axes_edges, cfg)
+    w, cells, extras = _region_cells(phi, psi, axes_edges, cfg)
     error = 0.0
-    if extra.any():
+    if any(np.count_nonzero(e) for e in extras):
         sq = np.square(np.abs(np.concatenate(cells, axis=1)))
-        error = float(np.add.reduce(np.abs(w) * _root_gap(sq, extra)[2]))
+        error = float(np.add.reduce(np.abs(w) * _root_gap(sq, np.array(extras).T)[2]))
     return Integral(_region_total(w, cells), error)
 
 

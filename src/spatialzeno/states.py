@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -401,7 +401,8 @@ def _real_cells(terms, cells: int) -> np.ndarray:
         if c != 0.0:
             term = c * basis()
             anti = term if anti is None else np.add(anti, term, out=anti)
-    return np.zeros(cells) if anti is None else np.diff(anti)
+    # anti[1:] - anti[:-1] is np.diff's own subtraction, without its wrapper
+    return np.zeros(cells) if anti is None else anti[1:] - anti[:-1]
 
 
 def _fold(terms) -> tuple[complex, dict[float, list[complex]]]:
@@ -728,6 +729,10 @@ class SeparableFunction:
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)
 
+    def norm_squared(self) -> float:
+        """||f||^2 = Re <f|f>, integrated on every call."""
+        return float(np.real(inner_product(self, self)))
+
 
 def inner_product(f: SeparableFunction, g: SeparableFunction) -> complex:
     """<f|g> = integral of conj(f)*g over the common domain, read from the
@@ -741,22 +746,34 @@ def inner_product(f: SeparableFunction, g: SeparableFunction) -> complex:
 
 @dataclass(frozen=True)
 class WaveFunction(SeparableFunction):
-    """Normalised state; ||psi|| = 1 within NORM_TOL, checked on construction."""
+    """Normalised state; ||psi|| = 1 within NORM_TOL, checked on construction.
+
+    A checked state keeps the ||psi||^2 it checked (from ``__post_init__``,
+    or from the pair table ``superpose`` checks it on), and
+    ``norm_squared()`` returns that value, bit for bit Re <psi|psi>, with
+    no integral.  A state built with ``check_norm=False`` integrates on
+    every call.  The kept value is no field of ``==``, ``hash`` or
+    ``repr``; ``dataclasses.replace`` makes a state that checks, or
+    integrates, its own norm.
+    """
 
     check_norm: bool = True
+    _norm_sq: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
         if self.check_norm:
-            self._require_unit_norm(self.norm_squared())
+            self._require_unit_norm(super().norm_squared())
 
     def _require_unit_norm(self, nsq: float) -> None:
-        """Raise unless ``nsq`` = ||psi||^2 is 1 within NORM_TOL."""
+        """Raise unless ``nsq`` = ||psi||^2 is 1 within NORM_TOL; keep it
+        as the state's checked norm when it is."""
         if not abs(nsq - 1.0) <= NORM_TOL:
             raise ValueError(f"state {self.label!r} has ||psi||^2 = {nsq!r}, not 1")
+        object.__setattr__(self, "_norm_sq", nsq)
 
     def norm_squared(self) -> float:
-        return float(np.real(inner_product(self, self)))
+        return super().norm_squared() if self._norm_sq is None else self._norm_sq
 
     def restrict(self, cell: Bin, norm_const: float) -> "WaveFunction":
         """State multiplied by the cell indicator and rescaled by norm_const."""
@@ -790,7 +807,8 @@ def superpose(terms: Iterable[tuple[complex, WaveFunction]]) -> WaveFunction:
     The raw sum and the normalised state have the same term pairs, so one
     pair table on the domain box gives both ||raw||^2 and the NORM_TOL
     check that ``WaveFunction`` would make: the same weighted sum, in the
-    same order, of the same cells.
+    same order, of the same cells.  The state keeps the checked value as
+    its norm.
     """
     from .quadrature import _region_cells, _region_total
     terms = list(terms)
@@ -815,7 +833,8 @@ def superpose(terms: Iterable[tuple[complex, WaveFunction]]) -> WaveFunction:
                          label=f"superpose[{label}]", check_norm=False)
     w_unit = np.array([w for w, _, _ in _term_pairs(state, state)])
     state._require_unit_norm(float(np.real(_region_total(w_unit, cells))))
-    # made above from the raw sum's cells: the check that check_norm=True records
+    # made above from the raw sum's cells: the check, and the kept norm,
+    # that check_norm=True records
     object.__setattr__(state, "check_norm", True)
     return state
 

@@ -476,7 +476,9 @@ def test_oversized_bar_charts_raise_before_anything_is_built(monkeypatch):
     f = product_field(make_state("uniform"), make_state("sine_mode", k=1))  # 1 term
     # and the <1|f> table's cells of the axis and of one block
     per_bin = discretizer._SEPARABLE_BYTES_PER_BIN + 2 * measurement._CELL_BYTES
-    monkeypatch.setattr(measurement, "TABLE_BYTE_LIMIT", 41 * per_bin)  # 41 bins
+    # 41 bins, and the call's own objects (one pair, d = 1)
+    own = measurement._CALL_BYTES + 2 * measurement._PAIR_OBJECT_BYTES
+    monkeypatch.setattr(measurement, "TABLE_BYTE_LIMIT", 41 * per_bin + own)
     assert discretize(f, uniform_grid(41), allow_large=True).averages.size == 41
     monkeypatch.setattr(discretizer, "_bin_integrals_separable", _refuse)
     monkeypatch.setattr(discretizer, "_bin_integrals_callable", _refuse)

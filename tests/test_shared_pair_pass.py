@@ -41,7 +41,6 @@ from spatialzeno.states import (
     PiecewiseConstant1D,
     WaveFunction,
     exact_cell_integrals,
-    inner_product,
 )
 
 
@@ -102,18 +101,23 @@ def test_density_rows_run_no_mass_pass(monkeypatch, trace):
         bras.append(bra)
         return _pair_data(bra, ket, *args, **kwargs)
 
-    def norm_spy(f, g):
-        norms.append((f, g))
-        return inner_product(f, g)
+    norm_squared = WaveFunction.norm_squared
+
+    def norm_spy(state):
+        norms.append(state)
+        return norm_squared(state)
 
     monkeypatch.setattr(measurement, "_mass_pass", _no_pass)
     monkeypatch.setattr(measurement, "_pair_data", pair_data)
-    monkeypatch.setattr(measurement, "inner_product", norm_spy)
+    monkeypatch.setattr(WaveFunction, "norm_squared", norm_spy)
+    # no region integral (a norm, a hull, a bin) runs in a row
+    monkeypatch.setattr(quadrature, "_region_cells", _no_pass)
     rows = analysis._study_rows(rho, phi, scheme, n_list, DEFAULT_CONFIG)
     # one phi-psi walk per term and row, and no psi-psi one
     assert len(bras) == 3 * len(n_list) and all(b is phi for b in bras)
-    # ||phi||^2 is read only for the error of a dropped spectral tail
-    assert norms == ([(phi, phi)] * len(n_list) if rho.tail_mass > 0.0 else [])
+    # ||phi||^2 is read from phi, the norm it was checked with, only for
+    # the error of a dropped spectral tail
+    assert norms == ([phi] * len(n_list) if rho.tail_mass > 0.0 else [])
     assert [(r.p_y1, r.error_bound, r.bar_norm_sq) for r in rows] == \
         [(r.p_y1, r.p_y1_error_bound, None) for r in want]
 
@@ -316,10 +320,11 @@ def _no_pass(*args, **kwargs):
 def test_oversized_tables_raise_before_anything_is_built(monkeypatch):
     psi, phi = make_state("sine_mode", k=1), make_state("uniform")
     small, fits = uniform_grid(64), uniform_grid(32)
-    # 41 bins of one term pair: the per-bin tables, and the kept cells of
-    # the axis and of one block
+    # 41 bins of one term pair: the per-bin tables, the kept cells of the
+    # axis and of one block, and the call's own objects (one pair, d = 1)
     monkeypatch.setattr(measurement, "TABLE_BYTE_LIMIT",
-                        41 * (measurement._TABLE_BYTES_PER_BIN + 2 * measurement._CELL_BYTES))
+                        41 * (measurement._TABLE_BYTES_PER_BIN + 2 * measurement._CELL_BYTES)
+                        + measurement._CALL_BYTES + 2 * measurement._PAIR_OBJECT_BYTES)
     assert prob_y1_pure(psi, phi, fits, keep_per_bin=True).per_bin_mass.size == 32
     monkeypatch.setattr(measurement, "_pair_pass", _no_pass)
     for call in (lambda: prob_y1_pure(psi, phi, small, keep_per_bin=True),
@@ -799,9 +804,13 @@ def test_only_equal_factors_on_equal_edges_share_a_walk(monkeypatch):
     box = GridScheme("uniform", d=3).with_cubes(CubeBox((2, 2, 2))).level(4).parts[0]
     jittered = GridScheme("jittered", d=3, seed=2).with_cubes(
         CubeBox((2, 2, 2))).level(4).parts[0]
-    # the uniform box's axes are equal arrays, not one object
-    assert box.breakpoints[0] is not box.breakpoints[1]
+    # the uniform box's equal axes are one read-only array
+    assert box.breakpoints[0] is box.breakpoints[1] is box.breakpoints[2]
     assert count(iso, iso, box.breakpoints) == 1
+    # equal arrays that are not one object share a walk as well
+    copies = [bp.copy() for bp in box.breakpoints]
+    assert copies[0] is not copies[1]
+    assert count(iso, iso, copies) == 1
     assert count(aniso, aniso, box.breakpoints) == 3
     assert count(two_equal, two_equal, box.breakpoints) == 2
     assert count(iso, iso, jittered.breakpoints) == 3
